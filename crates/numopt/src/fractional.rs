@@ -258,7 +258,8 @@ where
 /// 2. solves the parametric subproblem for a new `x` (step 4),
 /// 3. takes the damped Newton step (29)–(31) on `(β, ν)`, which — because the Jacobian of `ϕ`
 ///    is `diag(d_i)` — reduces to moving `(β, ν)` a fraction `ξ^j` of the way toward
-///    `(n_i/d_i, w_i/d_i)` evaluated at the new `x`.
+///    `(n_i/d_i, w_i/d_i)` evaluated at the new `x`. The rule is evaluated at that same
+///    `x`, where the full step zeroes `ϕ`, so `j = 0` is accepted every time.
 ///
 /// The loop stops when `‖ϕ‖∞ ≤ phi_tol` or after `max_iter` iterations.
 ///
@@ -447,11 +448,12 @@ where
             nu_target[i] = problem.ratio_weight(i) / d;
         }
 
-        // Steps 5–6: damped Newton update of (β, ν) with the Armijo-like rule (29). Because ϕ
-        // is linear in (β, ν) at fixed x and the Jacobian diag(d_i) is exact, the full step
-        // (j = 0) always satisfies the rule; the loop is kept for fidelity to Algorithm 1 and
-        // as a safety net against inexact inner solutions. Every trial entry is rewritten
-        // before it is read, so the trial buffers need no per-iteration reset.
+        // Steps 5–6: Newton update of (β, ν) under the Armijo-like rule (29). The rule is
+        // evaluated at the current x, where ϕ is linear in (β, ν) and the full-Newton targets
+        // zero it up to rounding, so the full step (j = 0) always passes and no damping ever
+        // happens: the loop mirrors Algorithm 1 but guards nothing, not even an inexact
+        // inner solution. Every trial entry is rewritten before it is read, so the trial
+        // buffers need no per-iteration reset.
         let phi_now = residual;
         let mut step = 1.0;
         for _j in 0..=config.max_damping {
