@@ -6,7 +6,7 @@
 //! all of them (see the `engine_integration` tests).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use experiments::fig2::{run_with_engine, Fig2Config};
+use experiments::presets::{self, Variant};
 use experiments::SweepEngine;
 use std::time::Duration;
 
@@ -16,14 +16,11 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_secs(1))
         .measurement_time(Duration::from_secs(8));
-    let cfg = Fig2Config::quick();
+    let mut spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
     for &threads in &[1usize, 2, 4] {
         let engine = SweepEngine::with_threads(threads);
         group.bench_with_input(BenchmarkId::new("fig2_quick", threads), &threads, |b, _| {
-            b.iter(|| {
-                let (energy, _) = run_with_engine(&cfg, &engine).unwrap();
-                energy.rows.len()
-            })
+            b.iter(|| spec.run_with_engine(&engine).unwrap().reports.len())
         });
     }
     group.finish();
@@ -35,17 +32,13 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_secs(1))
         .measurement_time(Duration::from_secs(10));
-    let mut cfg = Fig2Config::quick();
-    cfg.devices = 8;
-    cfg.p_max_dbm = vec![5.0, 12.0];
-    cfg.seeds = (0..100).collect();
+    spec.scenario.devices = Some(8);
+    spec.axis.values = vec![5.0, 12.0];
+    spec.override_seed_count(100);
     for &threads in &[1usize, 4] {
         let engine = SweepEngine::with_threads(threads);
         group.bench_with_input(BenchmarkId::new("fig2_8dev", threads), &threads, |b, _| {
-            b.iter(|| {
-                let (energy, _) = run_with_engine(&cfg, &engine).unwrap();
-                energy.rows.len()
-            })
+            b.iter(|| spec.run_with_engine(&engine).unwrap().reports.len())
         });
     }
     group.finish();

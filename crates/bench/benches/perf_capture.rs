@@ -17,7 +17,6 @@
 //!
 //! The fleet rows honor `FEDOPT_BIN` as an explicit path to the coordinator binary.
 
-use experiments::fig2::{run_with_engine, Fig2Config};
 use experiments::presets::{self, Variant};
 use experiments::shard::{
     run_fleet, FleetOptions, InProcessRunner, ShardCache, ShardRunner, SubprocessRunner,
@@ -43,8 +42,10 @@ fn best_of<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
-    let cfg = Fig2Config::quick();
-    let grid = cfg.grid();
+    let spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
+    let grid = spec.grid().expect("the preset compiles");
+    let devices = spec.scenario.devices.expect("the fig2 preset pins its device count");
+    let solver_cfg = spec.solver.resolve();
     let cells = grid.num_cells();
     let (points, arms) = (grid.points.len(), grid.arms.len());
 
@@ -56,10 +57,10 @@ fn main() {
         SweepEngine::single_thread().with_warm_start(false).with_superlinear_mu(false);
     let cold_engine = SweepEngine::single_thread().with_warm_start(false);
     let warm_engine = SweepEngine::single_thread().with_warm_start(true);
-    run_with_engine(&cfg, &cold_engine).unwrap(); // warm-up (page cache, lazy allocs)
-    let legacy_secs = best_of(3, || run_with_engine(&cfg, &legacy_engine).unwrap());
-    let cold_secs = best_of(3, || run_with_engine(&cfg, &cold_engine).unwrap());
-    let warm_secs = best_of(3, || run_with_engine(&cfg, &warm_engine).unwrap());
+    spec.run_with_engine(&cold_engine).unwrap(); // warm-up (page cache, lazy allocs)
+    let legacy_secs = best_of(3, || spec.run_with_engine(&legacy_engine).unwrap());
+    let cold_secs = best_of(3, || spec.run_with_engine(&cold_engine).unwrap());
+    let warm_secs = best_of(3, || spec.run_with_engine(&warm_engine).unwrap());
     let cold_cells_per_sec = cells as f64 / cold_secs;
     let warm_cells_per_sec = cells as f64 / warm_secs;
 
@@ -71,8 +72,8 @@ fn main() {
 
     // --- Steady-state allocations per cell (same contract as tests/alloc_free.rs),
     // measured on the warm path — the stricter case, since it carries state.
-    let scenario = ScenarioBuilder::paper_default().with_devices(cfg.devices).build(11).unwrap();
-    let optimizer = JointOptimizer::new(cfg.solver.with_warm_start(true));
+    let scenario = ScenarioBuilder::paper_default().with_devices(devices).build(11).unwrap();
+    let optimizer = JointOptimizer::new(solver_cfg.with_warm_start(true));
     let mut ws = SolverWorkspace::new();
     optimizer.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap(); // warm-up
     let before = thread_allocation_count();
@@ -87,7 +88,6 @@ fn main() {
     let r_min: Vec<f64> = scenario.devices.iter().map(|d| d.upload_bits / 0.05).collect();
     let start_alloc = flsys::Allocation::equal_split_max(&scenario);
     let mut scratch = sp2::Sp2Scratch::new();
-    let solver_cfg = cfg.solver;
     let sp2_secs = {
         let mut once = || {
             scratch.stage_start(&start_alloc.powers_w, &start_alloc.bandwidths_hz);

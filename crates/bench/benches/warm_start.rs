@@ -15,7 +15,7 @@
 //!   the end-to-end wall-clock evidence `BENCH_PR4.json` records for the 100-draw grid.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use experiments::fig2::{run_with_engine, Fig2Config};
+use experiments::presets::{self, Variant};
 use experiments::SweepEngine;
 use fedopt_core::{JointOptimizer, SolverConfig, SolverWorkspace, Weights};
 use flsys::ScenarioBuilder;
@@ -52,11 +52,11 @@ fn bench_fig2_quick(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_secs(1))
         .measurement_time(Duration::from_secs(10));
-    let cfg = Fig2Config::quick();
+    let mut spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
     for (label, warm) in [("cold", false), ("warm", true)] {
         let engine = SweepEngine::single_thread().with_warm_start(warm);
         group.bench_function(format!("fig2_quick_{label}"), |b| {
-            b.iter(|| run_with_engine(&cfg, &engine).unwrap())
+            b.iter(|| spec.run_with_engine(&engine).unwrap())
         });
     }
     group.finish();
@@ -66,14 +66,13 @@ fn bench_fig2_quick(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_secs(2))
         .measurement_time(Duration::from_secs(20));
-    let mut cfg100 = Fig2Config::quick();
-    cfg100.devices = 8;
-    cfg100.p_max_dbm = vec![5.0, 12.0];
-    cfg100.seeds = (0..100).collect();
+    spec.scenario.devices = Some(8);
+    spec.axis.values = vec![5.0, 12.0];
+    spec.override_seed_count(100);
     for (label, warm) in [("cold", false), ("warm", true)] {
         let engine = SweepEngine::single_thread().with_warm_start(warm);
         group.bench_function(format!("fig2_100draw_{label}"), |b| {
-            b.iter(|| run_with_engine(&cfg100, &engine).unwrap())
+            b.iter(|| spec.run_with_engine(&engine).unwrap())
         });
     }
     group.finish();

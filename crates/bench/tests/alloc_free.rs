@@ -1,48 +1,62 @@
 //! The zero-allocation proof of the solver hot path.
 //!
 //! With the instrumented global allocator installed, a warmed-up [`SolverWorkspace`] must
-//! evaluate every cell of the `Fig2Config::quick()` grid — every proposed-arm weight pair
+//! evaluate every cell of the quick figure-2 preset — every proposed-arm weight pair
 //! and the random benchmark, across all points and seeds — with **zero heap allocations**
 //! on the measuring thread. Allocation counts are per-thread, so concurrently running
 //! sibling tests cannot pollute the measurement.
 
-use experiments::fig2::Fig2Config;
+use experiments::presets::{self, Variant};
+use experiments::spec::ArmKind;
 use fedopt_bench::thread_allocation_count;
-use fedopt_core::{sp2, JointOptimizer, SolverWorkspace};
+use fedopt_core::{sp2, JointOptimizer, SolverConfig, SolverWorkspace};
 use flsys::{Scenario, Weights};
 
 #[global_allocator]
 static ALLOCATOR: fedopt_bench::CountingAllocator = fedopt_bench::CountingAllocator;
 
-/// All scenarios of the fig2 quick grid (points × seeds), prebuilt: scenario construction
-/// is not part of the per-cell contract (the engine builds once per cell-group and shares).
-fn quick_grid_scenarios(cfg: &Fig2Config) -> Vec<Scenario> {
-    let mut scenarios = Vec::new();
-    for &p_max in &cfg.p_max_dbm {
-        let builder =
-            flsys::ScenarioBuilder::paper_default().with_devices(cfg.devices).with_p_max_dbm(p_max);
-        for &seed in &cfg.seeds {
-            scenarios.push(builder.build(seed).unwrap());
-        }
-    }
-    scenarios
+/// The fig2 quick grid as plain data: every scenario (points × seeds), prebuilt — scenario
+/// construction is not part of the per-cell contract (the engine builds once per
+/// cell-group and shares) — plus the proposed arms' weight pairs and the solver config.
+struct QuickGrid {
+    scenarios: Vec<Scenario>,
+    weights: Vec<Weights>,
+    solver: SolverConfig,
+}
+
+fn fig2_quick_grid() -> QuickGrid {
+    let spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
+    let grid = spec.grid().expect("the preset compiles");
+    let scenarios = grid
+        .points
+        .iter()
+        .flat_map(|point| grid.seeds.iter().map(|&seed| point.builder.build(seed).unwrap()))
+        .collect();
+    let weights = spec
+        .arms
+        .iter()
+        .filter_map(|arm| match arm.kind {
+            ArmKind::Proposed { weights } => Some(weights),
+            _ => None,
+        })
+        .collect();
+    QuickGrid { scenarios, weights, solver: spec.solver.resolve() }
 }
 
 #[test]
 fn fig2_quick_cells_are_allocation_free_after_warmup() {
-    let cfg = Fig2Config::quick();
-    let scenarios = quick_grid_scenarios(&cfg);
+    let QuickGrid { scenarios, weights, solver } = fig2_quick_grid();
     // Pin the cold path: this test never resets warm state between scenarios, so the
     // (now-default) continuation would make the two passes' trajectories — and checksums —
     // differ. The warm variant below owns the warm-path contract.
-    let optimizer = JointOptimizer::new(cfg.solver.with_warm_start(false));
+    let optimizer = JointOptimizer::new(solver.with_warm_start(false));
     let mut ws = SolverWorkspace::new();
 
     let run_all_cells = |ws: &mut SolverWorkspace| {
         let mut checksum = 0.0;
         for scenario in &scenarios {
             // Proposed arms: one cell per weight pair.
-            for &w in &cfg.weights {
+            for &w in &weights {
                 let out = optimizer.solve_summary_with(scenario, w, ws).unwrap();
                 checksum += out.total_energy_j;
             }
@@ -67,7 +81,7 @@ fn fig2_quick_cells_are_allocation_free_after_warmup() {
         allocations,
         0,
         "expected 0 heap allocations across {} warmed-up cells, counted {allocations}",
-        scenarios.len() * (cfg.weights.len() + 1),
+        scenarios.len() * (weights.len() + 1),
     );
     // The measured pass did real work (identical to the warm-up pass — pure scratch).
     assert_eq!(measured, warm);
@@ -79,10 +93,8 @@ fn fig2_quick_cells_are_allocation_free_after_warmup() {
 /// μ/ω brackets, rate-floor snapshots, fast-path probes) performs zero heap allocations.
 #[test]
 fn warm_started_cells_are_allocation_free_after_warmup() {
-    let mut cfg = Fig2Config::quick();
-    cfg.solver = cfg.solver.with_warm_start(true);
-    let scenarios = quick_grid_scenarios(&cfg);
-    let optimizer = JointOptimizer::new(cfg.solver);
+    let QuickGrid { scenarios, weights, solver } = fig2_quick_grid();
+    let optimizer = JointOptimizer::new(solver.with_warm_start(true));
     let mut ws = SolverWorkspace::new();
 
     let run_all_cells = |ws: &mut SolverWorkspace| {
@@ -91,7 +103,7 @@ fn warm_started_cells_are_allocation_free_after_warmup() {
             // The engine resets warm state at every cell-group boundary; mirror that here
             // so the measured pass exercises both the reset and the in-group carry.
             ws.reset_warm_start();
-            for &w in &cfg.weights {
+            for &w in &weights {
                 let out = optimizer.solve_summary_with(scenario, w, ws).unwrap();
                 checksum += out.total_energy_j;
             }
@@ -113,7 +125,7 @@ fn warm_started_cells_are_allocation_free_after_warmup() {
 #[test]
 fn sp2_solve_in_is_allocation_free_after_warmup() {
     let scenario = flsys::ScenarioBuilder::paper_default().with_devices(10).build(11).unwrap();
-    let cfg = fedopt_core::SolverConfig::default();
+    let cfg = SolverConfig::default();
     let r_min: Vec<f64> = scenario.devices.iter().map(|d| d.upload_bits / 0.05).collect();
     let start = flsys::Allocation::equal_split_max(&scenario);
     let mut scratch = sp2::Sp2Scratch::new();

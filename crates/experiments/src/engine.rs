@@ -16,9 +16,8 @@
 //! `points × seeds`. Arms that specialise their builder via [`Arm::prepare`] (Figures 5 and
 //! 6 sweep per-arm device/round counts) are grouped by *identical prepared builder*, so
 //! only genuinely distinct scenarios are built. [`SweepResult::counters`] reports scenarios
-//! built vs cells evaluated; [`SweepEngine::with_scenario_sharing`] can disable the sharing
-//! (one build per cell, the historical behaviour) — a regression test asserts both paths
-//! are bit-identical.
+//! built vs cells evaluated; a regression test asserts that every arm's column is
+//! bit-identical to the same arm run alone in a one-arm grid, where nothing is shared.
 //!
 //! Each worker thread owns one [`SolverWorkspace`] for its whole share of the grid and
 //! threads it through [`CellContext::workspace`], so the solver hot path reuses one set of
@@ -352,11 +351,11 @@ impl AggregateAccumulator {
 /// Work counters of one sweep: how many scenarios were actually built versus how many
 /// cells were evaluated against them.
 ///
-/// With scenario sharing on (the default) and arms that don't specialise their builder,
-/// `scenarios_built == points × seeds` while `cells_evaluated == points × arms × seeds` —
-/// the build cost is amortised across the arm count. Both counters are deterministic for a
-/// successful sweep (independent of thread count); after an aborted sweep they reflect
-/// only the work done before the abort.
+/// With arms that don't specialise their builder, `scenarios_built == points × seeds`
+/// while `cells_evaluated == points × arms × seeds` — the build cost is amortised across
+/// the arm count. Both counters are deterministic for a successful sweep (independent of
+/// thread count); after an aborted sweep they reflect only the work done before the
+/// abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepCounters {
     /// Number of `ScenarioBuilder::build` calls the sweep performed.
@@ -461,7 +460,6 @@ pub fn warm_start_env() -> Option<bool> {
 #[derive(Debug, Clone, Copy)]
 pub struct SweepEngine {
     threads: NonZeroUsize,
-    share_scenarios: bool,
     streaming: bool,
     seed_chunk: NonZeroUsize,
     warm_start: bool,
@@ -487,7 +485,6 @@ impl SweepEngine {
         let warm_start = warm_start_env().unwrap_or(true);
         Self {
             threads,
-            share_scenarios: true,
             streaming: true,
             seed_chunk: NonZeroUsize::new(DEFAULT_SEED_CHUNK).expect("nonzero"),
             warm_start,
@@ -507,21 +504,6 @@ impl SweepEngine {
     /// A sequential engine — useful as the reference in determinism tests.
     pub fn single_thread() -> Self {
         Self::with_threads(1)
-    }
-
-    /// Enables or disables sharing one scenario build across the arms of a (point, seed)
-    /// cell-group (default: enabled). Disabling rebuilds the scenario for every cell — the
-    /// historical behaviour, kept selectable as the reference for the bit-identity
-    /// regression test and the `scenario_cache` bench.
-    #[must_use]
-    pub fn with_scenario_sharing(mut self, share: bool) -> Self {
-        self.share_scenarios = share;
-        self
-    }
-
-    /// Whether this engine shares scenario builds across the arms of a cell-group.
-    pub fn shares_scenarios(&self) -> bool {
-        self.share_scenarios
     }
 
     /// Enables or disables the warm-start continuation for every arm of the sweep
@@ -708,8 +690,7 @@ impl SweepEngine {
 
     /// Specialises the grid's builders once per (point, arm) and groups each point's arms
     /// by identical prepared builder — the shared preamble of every evaluation path. Every
-    /// group shares one scenario build per seed; with sharing disabled, every arm is its
-    /// own group.
+    /// group shares one scenario build per seed.
     #[allow(clippy::type_complexity)]
     fn prepare_groups(
         &self,
@@ -727,16 +708,11 @@ impl SweepEngine {
             .map(|point_builders| {
                 let mut point_groups: Vec<Vec<usize>> = Vec::new();
                 for (arm_idx, builder) in point_builders.iter().enumerate() {
-                    if self.share_scenarios {
-                        if let Some(group) = point_groups
-                            .iter_mut()
-                            .find(|group| &point_builders[group[0]] == builder)
-                        {
-                            group.push(arm_idx);
-                            continue;
-                        }
+                    match point_groups.iter_mut().find(|group| &point_builders[group[0]] == builder)
+                    {
+                        Some(group) => group.push(arm_idx),
+                        None => point_groups.push(vec![arm_idx]),
                     }
-                    point_groups.push(vec![arm_idx]);
                 }
                 point_groups
             })
@@ -1552,7 +1528,20 @@ mod tests {
         use crate::arms::ConfiguredArm;
 
         let solver = SolverConfig::fast();
-        let grid = || {
+        // Two arms with the default prepare share one build; the configured arm's distinct
+        // builder gets its own.
+        let arms = || -> Vec<Box<dyn Arm>> {
+            vec![
+                Box::new(ProposedArm::new(Weights::balanced(), solver)),
+                Box::new(ProposedArm::new(Weights::new(0.9, 0.1).unwrap(), solver)),
+                Box::new(
+                    ConfiguredArm::new(ProposedArm::new(Weights::balanced(), solver))
+                        .named("N = 3")
+                        .with_builder(|b| b.with_devices(3)),
+                ),
+            ]
+        };
+        let grid = |arms: Vec<Box<dyn Arm>>| {
             let mut grid = SweepGrid::new(vec![1u64, 2, 3]);
             for x in [6.0, 12.0] {
                 grid = grid.point(
@@ -1560,34 +1549,30 @@ mod tests {
                     flsys::ScenarioBuilder::paper_default().with_devices(5).with_p_max_dbm(x),
                 );
             }
-            // Two arms with the default prepare share one build; the configured arm's
-            // distinct builder gets its own.
-            grid.arm(ProposedArm::new(Weights::balanced(), solver))
-                .arm(ProposedArm::new(Weights::new(0.9, 0.1).unwrap(), solver))
-                .arm(
-                    ConfiguredArm::new(ProposedArm::new(Weights::balanced(), solver))
-                        .named("N = 3")
-                        .with_builder(|b| b.with_devices(3)),
-                )
+            grid.arms = arms;
+            grid
         };
-        let (points, seeds, arms, distinct_builders) = (2, 3, 3, 2);
+        let (points, seeds, n_arms, distinct_builders) = (2, 3, 3, 2);
 
         // Pinned to the cold solver path: with warm start, arms of a shared cell-group
-        // deliberately seed each other, so the unshared grouping (one group per arm, no
-        // cross-arm carry) is a *different* — equally deterministic — warm trajectory.
+        // deliberately seed each other, so an arm run alone is a *different* — equally
+        // deterministic — warm trajectory.
         let engine = SweepEngine::single_thread().with_warm_start(false);
-        let shared = engine.run(&grid()).unwrap();
+        let shared = engine.run(&grid(arms())).unwrap();
         assert_eq!(shared.counters.scenarios_built, points * seeds * distinct_builders);
-        assert_eq!(shared.counters.cells_evaluated, points * seeds * arms);
+        assert_eq!(shared.counters.cells_evaluated, points * seeds * n_arms);
 
-        let unshared = engine.with_scenario_sharing(false).run(&grid()).unwrap();
-        assert_eq!(unshared.counters.scenarios_built, points * seeds * arms);
-        assert_eq!(unshared.counters.cells_evaluated, points * seeds * arms);
-
-        // Sharing must never change the numbers — only how often scenarios are rebuilt.
-        assert_eq!(shared.aggregates, unshared.aggregates);
-        assert_eq!(shared.xs, unshared.xs);
-        assert_eq!(shared.arm_names, unshared.arm_names);
+        // Sharing must never change the numbers — only how often scenarios are rebuilt:
+        // every arm's column equals that arm run alone, where nothing can be shared.
+        for (arm_idx, arm) in arms().into_iter().enumerate() {
+            let alone = engine.run(&grid(vec![arm])).unwrap();
+            assert_eq!(alone.counters.scenarios_built, points * seeds);
+            assert_eq!(alone.xs, shared.xs);
+            assert_eq!(alone.arm_names, [shared.arm_names[arm_idx].clone()]);
+            for (alone_row, shared_row) in alone.aggregates.iter().zip(&shared.aggregates) {
+                assert_eq!(alone_row[..], [shared_row[arm_idx]], "arm {arm_idx} diverged");
+            }
+        }
     }
 
     #[test]

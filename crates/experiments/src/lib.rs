@@ -2,18 +2,13 @@
 //!
 //! The reproduction harness for the evaluation section (Section VII) of the ICDCS 2022 paper.
 //!
-//! The blessed entry point is the **declarative spec API**: an experiment is a
-//! serializable [`spec::ExperimentSpec`] (axis + scenario template + arms + seed policy +
-//! solver/engine options + reports) — the seven figures are just preset spec values in
-//! [`presets`], the single `fedopt` binary ([`cli`]) runs any spec from a figure number or
-//! a JSON file, and [`engine::SweepEngine::run_spec`] compiles a spec onto the imperative
-//! [`engine::SweepGrid`] machinery. Because specs are data (lossless JSON round trip,
-//! byte-stable serialization), a sweep can be received over a wire, cached, diffed,
-//! replayed, and sharded — a shard is a spec plus a seed range.
-//!
-//! Every figure module (`fig2`…`fig8`) still hosts its historical config struct — the
-//! imperative reference the spec path is pinned against bit for bit — plus `quick_spec()`
-//! / `paper_spec()` constructors delegating to [`presets`].
+//! An experiment is a serializable [`spec::ExperimentSpec`] (axis + scenario template +
+//! arms + seed policy + solver/engine options + reports), and the seven figures are just
+//! preset spec values in [`presets`]. The single `fedopt` binary ([`cli`]) runs any spec
+//! from a figure number or a JSON file, and [`engine::SweepEngine::run_spec`] compiles a
+//! spec onto the imperative [`engine::SweepGrid`] machinery. Because specs are data
+//! (lossless JSON round trip, byte-stable serialization), a sweep can be received over a
+//! wire, cached, diffed, replayed, and sharded — a shard is a spec plus a seed range.
 //!
 //! All sweeps evaluate through the same substrate: a declarative [`engine::SweepGrid`]
 //! (sweep points × [`arms`] × scenario seeds) evaluated by the parallel
@@ -23,26 +18,28 @@
 //! deterministic, thread-count-independent output (see the [`engine`] module docs for the
 //! cell-group architecture and the seeding scheme).
 //!
-//! | module | paper figure | sweep |
+//! | preset | paper figure | sweep |
 //! |---|---|---|
-//! | [`fig2`] | Fig. 2a/2b | energy & delay vs maximum transmit power, five weight pairs + benchmark |
-//! | [`fig3`] | Fig. 3a/3b | energy & delay vs maximum CPU frequency, five weight pairs + benchmark |
-//! | [`fig4`] | Fig. 4a/4b | energy & delay vs number of devices (total samples fixed) |
-//! | [`fig5`] | Fig. 5a/5b | energy & delay vs cell radius for N ∈ {20, 50, 80} |
-//! | [`fig6`] | Fig. 6a/6b | energy & delay vs local iterations for R_g ∈ {50…400} |
-//! | [`fig7`] | Fig. 7 | energy vs completion-time deadline: joint vs comm-only vs comp-only |
-//! | [`fig8`] | Fig. 8 | energy vs maximum transmit power at fixed deadlines: proposed vs Scheme 1 |
+//! | [`presets::fig2`] | Fig. 2a/2b | energy & delay vs maximum transmit power, five weight pairs + benchmark |
+//! | [`presets::fig3`] | Fig. 3a/3b | energy & delay vs maximum CPU frequency, five weight pairs + benchmark |
+//! | [`presets::fig4`] | Fig. 4a/4b | energy & delay vs number of devices (total samples fixed) |
+//! | [`presets::fig5`] | Fig. 5a/5b | energy & delay vs cell radius for N ∈ {20, 50, 80} |
+//! | [`presets::fig6`] | Fig. 6a/6b | energy & delay vs local iterations for R_g ∈ {50…400} |
+//! | [`presets::fig7`] | Fig. 7 | energy vs completion-time deadline: joint vs comm-only vs comp-only |
+//! | [`presets::fig8`] | Fig. 8 | energy vs maximum transmit power at fixed deadlines: proposed vs Scheme 1 |
+//!
+//! A smaller run of a figure is a plain edit of its preset:
 //!
 //! ```rust
-//! use experiments::fig7::{run, Fig7Config};
+//! use experiments::presets::{self, Variant};
 //!
-//! # fn main() -> Result<(), fedopt_core::CoreError> {
-//! let mut cfg = Fig7Config::quick();
-//! cfg.devices = 6; // keep the doctest fast
-//! cfg.deadlines_s = vec![110.0, 150.0];
-//! let report = run(&cfg)?;
-//! assert_eq!(report.series_names().len(), 3);
-//! println!("{}", report.to_table_string());
+//! # fn main() -> Result<(), experiments::SpecError> {
+//! let mut spec = presets::spec(7, Variant::Quick).expect("figure 7 exists");
+//! spec.scenario.devices = Some(6); // keep the doctest fast
+//! spec.axis.values = vec![110.0, 150.0];
+//! let run = spec.run()?;
+//! assert_eq!(run.reports[0].series_names().len(), 3);
+//! println!("{}", run.reports[0].to_table_string());
 //! # Ok(())
 //! # }
 //! ```
@@ -54,13 +51,6 @@ pub mod arms;
 pub mod cli;
 pub mod engine;
 pub mod fault;
-pub mod fig2;
-pub mod fig3;
-pub mod fig4;
-pub mod fig5;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
 pub mod json;
 pub mod presets;
 pub mod report;

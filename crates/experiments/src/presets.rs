@@ -3,10 +3,12 @@
 //!
 //! Each figure has a [`Variant::Quick`] preset (small device counts and seed grids,
 //! suitable for CI and benches) and a [`Variant::Paper`] preset (the paper's 50-device,
-//! 100-draws-per-point protocol). The specs compile — via [`ExperimentSpec::grid`] — to
-//! exactly the [`crate::engine::SweepGrid`]s the historical `fig2`…`fig8` config structs
-//! built by hand, and the `spec_identity` integration test pins that equivalence arm by
-//! arm and bit by bit.
+//! 100-draws-per-point protocol). These specs are the only definition of the figures:
+//! `fedopt run --fig N` runs them, and the `cli_golden` integration test pins the
+//! cold-path JSON document of every quick preset byte for byte
+//! (`tests/golden/fig2_quick_seeds3.json` and `tests/golden/figN_quick.json`). A smaller
+//! run of a figure is a plain edit of its spec (`scenario.devices`, `axis.values`,
+//! `seeds`, `arms`).
 //!
 //! The **paper** presets pin the warm-start continuation on
 //! (`engine.warm_start = Some(true)`): a full-scale figure run is exactly the repeated
@@ -31,10 +33,11 @@ use flsys::Weights;
 /// Which preset scale of a figure to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// Small CI-friendly preset (the historical `FigNConfig::quick`).
+    /// Small CI-friendly preset: fewer devices, one or two seeds and three or four sweep
+    /// points, with the fast solver.
     Quick,
-    /// The paper's full protocol (the historical `FigNConfig::paper`), 100 draws per
-    /// point, warm start on by default.
+    /// The paper's full protocol: its device counts and sweep points, 100 draws per
+    /// point, the default solver, warm start on by default.
     Paper,
 }
 
@@ -95,8 +98,8 @@ fn base(fig: u8, variant: Variant, description: &str) -> ExperimentSpec {
     spec.description = format!("Fig. {fig} ({} preset): {description}", variant.suffix());
     spec.solver = if variant.is_paper() { SolverSpec::default() } else { SolverSpec::fast() };
     if variant.is_paper() {
-        // ROADMAP item: full-scale paper runs default the warm-start continuation on.
-        // Quick presets stay unset → the cold bit-exact reference path.
+        // Full-scale paper runs default the warm-start continuation on. Quick presets
+        // leave it unset, so the library default or `FEDOPT_WARM_START` decides.
         spec.engine.warm_start = Some(true);
     }
     spec
@@ -369,9 +372,10 @@ pub fn fig8(variant: Variant) -> ExperimentSpec {
 /// Two deliberate departures from the figure presets:
 ///
 /// * the **reference polish is off** (`solver.polish_with_reference = Some(false)`): the
-///   Subproblem-2 reference polish re-evaluates an `O(n)` demand curve inside a 300-step
-///   price search per solve, which is noise at paper scale and dominant past ~10³
-///   devices, while the KKT path it cross-checks is itself `O(n log n)`;
+///   Subproblem-2 reference polish re-solves the reduced problem after every Newton-like
+///   solve — `O(n)` per-device price responses at every step of a Brent search for the
+///   clearing price — which is cheap at paper scale but a large share of a solve past
+///   ~10³ devices, while the KKT path it cross-checks is itself `O(n log n)`;
 /// * the seed grid is a single draw: at fleet scale the per-scenario solve *is* the
 ///   experiment, and averaging belongs in seed-sharded shards (see
 ///   [`crate::spec::MAX_SEEDS`]).

@@ -11,12 +11,11 @@
 //! A spec is *data*: it serializes to JSON ([`ExperimentSpec::to_json_string`]) and back
 //! ([`ExperimentSpec::from_json_str`]) losslessly, so a sweep description can be received
 //! over a wire, cached, diffed, replayed, and sharded (a shard is a spec plus a seed
-//! range). Running one compiles it onto the existing imperative machinery — the spec's
-//! [`ExperimentSpec::grid`] produces exactly the [`SweepGrid`] the historical figure
-//! modules built by hand, so the engine's scenario sharing, allocation-free hot path,
-//! streaming reduction and warm-start continuation are reused unchanged, and
-//! [`SweepEngine::run_spec`] is bit-identical to the legacy path (asserted by the
-//! `spec_identity` integration test for every figure).
+//! range). Running one compiles it onto the imperative machinery — the spec's
+//! [`ExperimentSpec::grid`] produces the [`SweepGrid`] that [`SweepEngine::run_spec`]
+//! evaluates, so the engine's scenario sharing, allocation-free hot path, streaming
+//! reduction and warm-start continuation serve every spec alike. The figures are preset
+//! specs ([`crate::presets`]), pinned by golden JSON documents of their quick runs.
 //!
 //! ```rust
 //! use experiments::presets;
@@ -794,7 +793,7 @@ pub enum SeedPolicy {
         /// Number of seeds (draws per point).
         count: u64,
     },
-    /// An explicit seed list (the historical quick presets).
+    /// An explicit seed list (what the quick presets use).
     List(Vec<u64>),
 }
 
@@ -1144,9 +1143,6 @@ pub struct EngineSpec {
     /// `FEDOPT_WARM_START=0` forces any spec cold), but when the environment is silent
     /// this field decides — the paper presets default it on.
     pub warm_start: Option<bool>,
-    /// Scenario-build sharing across the arms of a cell-group
-    /// ([`SweepEngine::with_scenario_sharing`]).
-    pub scenario_sharing: Option<bool>,
     /// Streaming reduction ([`SweepEngine::with_streaming_reduction`]).
     pub streaming: Option<bool>,
     /// Seeds per streaming chunk ([`SweepEngine::with_seed_chunk`]).
@@ -1171,9 +1167,6 @@ impl EngineSpec {
             Some(n) => SweepEngine::with_threads(n),
             None => SweepEngine::new(),
         };
-        if let Some(share) = self.scenario_sharing {
-            engine = engine.with_scenario_sharing(share);
-        }
         if let Some(streaming) = self.streaming {
             engine = engine.with_streaming_reduction(streaming);
         }
@@ -1215,7 +1208,6 @@ impl EngineSpec {
         };
         push("threads", self.threads.map(|v| Json::uint(v as u64)));
         push("warm_start", self.warm_start.map(Json::Bool));
-        push("scenario_sharing", self.scenario_sharing.map(Json::Bool));
         push("streaming", self.streaming.map(Json::Bool));
         push("seed_chunk", self.seed_chunk.map(|v| Json::uint(v as u64)));
         push("shard_retries", self.shard_retries.map(Json::uint));
@@ -1230,7 +1222,6 @@ impl EngineSpec {
             &[
                 "threads",
                 "warm_start",
-                "scenario_sharing",
                 "streaming",
                 "seed_chunk",
                 "shard_retries",
@@ -1240,7 +1231,6 @@ impl EngineSpec {
         let spec = Self {
             threads: obj.opt_usize("threads")?,
             warm_start: obj.opt_bool("warm_start")?,
-            scenario_sharing: obj.opt_bool("scenario_sharing")?,
             streaming: obj.opt_bool("streaming")?,
             seed_chunk: obj.opt_usize("seed_chunk")?,
             shard_retries: obj.opt_u64("shard_retries")?,
@@ -1925,8 +1915,7 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// Compiles the spec into the imperative [`SweepGrid`] the engine evaluates — the
-    /// same grid the historical figure modules built by hand.
+    /// Compiles the spec into the imperative [`SweepGrid`] the engine evaluates.
     ///
     /// # Errors
     ///
@@ -2320,6 +2309,18 @@ mod tests {
             "{err}"
         );
 
+        // A retired engine switch is an unknown key like any typo.
+        let mut retired = spec.to_json();
+        if let Json::Obj(members) = &mut retired {
+            let engine = members.iter_mut().find(|(key, _)| key == "engine").unwrap();
+            engine.1 = Json::obj([("scenario_sharing", Json::Bool(false))]);
+        }
+        let err = ExperimentSpec::from_json(&retired).unwrap_err();
+        assert!(
+            matches!(&err, SpecError::Invalid { path, .. } if path == "spec.engine.scenario_sharing"),
+            "{err}"
+        );
+
         let mut wrong_version = spec.to_json();
         if let Json::Obj(members) = &mut wrong_version {
             members[0].1 = Json::uint(999);
@@ -2399,7 +2400,6 @@ mod tests {
         let spec = EngineSpec {
             threads: Some(2),
             warm_start: Some(true),
-            scenario_sharing: Some(false),
             streaming: Some(false),
             seed_chunk: Some(7),
             shard_retries: Some(3),
@@ -2409,7 +2409,6 @@ mod tests {
         assert_eq!(parsed, spec);
         let engine = spec.to_engine();
         assert_eq!(engine.threads(), 2);
-        assert!(!engine.shares_scenarios());
         assert!(!engine.streams_reduction());
         assert_eq!(engine.seed_chunk(), 7);
         // The empty spec serializes to an empty object.

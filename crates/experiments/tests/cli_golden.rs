@@ -4,11 +4,14 @@
 //!   `tests/golden/fig2_quick_seeds3.json` (floats compared **exactly** — sweep output is
 //!   deterministic and the JSON writer is shortest-round-trip, so any byte difference is
 //!   a real behaviour change), mirroring the CI `cli-smoke` job's end-to-end diff;
+//! * the `fedopt run --fig N --json` document of every other figure (N = 3..8, the
+//!   preset's own seeds) against `tests/golden/figN_quick.json`, under the same exact
+//!   comparison;
 //! * the committed example spec `examples/specs/fig2_quick.json` against what
 //!   `fedopt spec --fig 2` prints today (the README documents that file — it must never
 //!   drift from the preset).
 //!
-//! Regenerate both after an intentional change with:
+//! Regenerate them after an intentional change with:
 //! `FEDOPT_BLESS=1 cargo test -p experiments --test cli_golden`.
 
 use experiments::cli;
@@ -31,24 +34,39 @@ fn check_golden(actual: &str, path: &Path, regenerate_hint: &str) {
     assert_eq!(actual, golden, "{path:?} is stale; {regenerate_hint}");
 }
 
-/// The exact document the CI smoke job diffs: `fedopt run --fig 2 --seeds 3 --json` on the
-/// cold solver path. The engine is pinned explicitly (single thread, warm start off) so
-/// the pin holds under every CI matrix entry; output is thread-count independent, so the
-/// CLI reproduces it at any `--threads`.
+const BLESS_HINT: &str =
+    "regenerate with FEDOPT_BLESS=1 cargo test -p experiments --test cli_golden";
+
+/// Runs `spec` on the cold solver path and pins its JSON document against `golden`. The
+/// engine is pinned explicitly (single thread, warm start off) so the pin holds under
+/// every CI matrix entry; output is thread-count independent, so the CLI reproduces it at
+/// any `--threads`.
+fn check_cold_document(spec: &ExperimentSpec, golden: &str) {
+    let engine = SweepEngine::single_thread().with_warm_start(false);
+    let run = spec.run_with_engine(&engine).expect("quick preset must evaluate");
+    let document = cli::run_document(spec, &run).to_pretty_string();
+    check_golden(&document, &manifest_dir().join("tests/golden").join(golden), BLESS_HINT);
+    // The same document must also be exactly what the text renderer's JSON mode emits.
+    assert_eq!(cli::render_run(spec, &run, true), document);
+}
+
+/// The exact document the CI smoke job diffs: `fedopt run --fig 2 --seeds 3 --json`.
 #[test]
 fn fig2_quick_seeds3_json_document_matches_golden() {
     let mut spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
     spec.override_seed_count(3);
-    let engine = SweepEngine::single_thread().with_warm_start(false);
-    let run = spec.run_with_engine(&engine).expect("fig2 quick must evaluate");
-    let document = cli::run_document(&spec, &run).to_pretty_string();
-    check_golden(
-        &document,
-        &manifest_dir().join("tests/golden/fig2_quick_seeds3.json"),
-        "regenerate with FEDOPT_BLESS=1 cargo test -p experiments --test cli_golden",
-    );
-    // The same document must also be exactly what the text renderer's JSON mode emits.
-    assert_eq!(cli::render_run(&spec, &run, true), document);
+    check_cold_document(&spec, "fig2_quick_seeds3.json");
+}
+
+/// Figures 3–8 at their quick presets' own seeds: the exact documents
+/// `fedopt run --fig N --json` prints (the CI smoke job diffs the binary's output
+/// against these files too).
+#[test]
+fn figure_quick_json_documents_match_goldens() {
+    for fig in 3..=8u8 {
+        let spec = presets::spec(fig, Variant::Quick).expect("figure preset exists");
+        check_cold_document(&spec, &format!("fig{fig}_quick.json"));
+    }
 }
 
 /// The legacy reference pin: the same document on the cold solver path with the
@@ -81,11 +99,7 @@ fn fig2_quick_seeds3_legacy_bisection_path_is_bit_identical() {
 fn committed_example_spec_is_fresh_and_parseable() {
     let spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
     let path = manifest_dir().join("../../examples/specs/fig2_quick.json");
-    check_golden(
-        &spec.to_json_string(),
-        &path,
-        "regenerate with FEDOPT_BLESS=1 cargo test -p experiments --test cli_golden",
-    );
+    check_golden(&spec.to_json_string(), &path, BLESS_HINT);
     if std::env::var("FEDOPT_BLESS").is_err() {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(ExperimentSpec::from_json_str(&text).unwrap(), spec);

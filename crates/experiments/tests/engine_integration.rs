@@ -1,66 +1,52 @@
-//! Integration tests of the parallel sweep engine: determinism across thread counts,
-//! bit-exact agreement with the historical sequential averaging helpers, and the parallel
-//! speedup the engine exists for.
+//! Integration tests of the parallel sweep engine on the figure presets: determinism
+//! across thread counts, bit-exact agreement with an independent reimplementation of the
+//! pre-engine sequential averaging helpers, and the parallel speedup the engine exists
+//! for.
 
 use baselines::BenchmarkAllocator;
 use experiments::engine::{Arm, CellContext, CellOutput, SweepGrid};
-use experiments::fig2::{self, Fig2Config};
-use experiments::fig7::{self, Fig7Config};
+use experiments::presets::{self, Variant};
+use experiments::spec::{ArmKind, ExperimentSpec, SpecRun};
 use experiments::{FigureReport, SweepEngine};
 use fedopt_core::{CoreError, JointOptimizer};
 use flsys::{Scenario, ScenarioBuilder, Weights};
 use std::time::Instant;
+
+fn fig2_quick() -> ExperimentSpec {
+    presets::spec(2, Variant::Quick).expect("figure 2 exists")
+}
+
+/// The quick figure-7 preset shrunk to `devices` devices over deadlines that include an
+/// infeasible one (30 s), so the per-cell sample counts vary.
+fn fig7_with_misses(devices: usize) -> ExperimentSpec {
+    let mut spec = presets::spec(7, Variant::Quick).expect("figure 7 exists");
+    spec.scenario.devices = Some(devices);
+    spec.axis.values = vec![30.0, 110.0, 150.0];
+    spec
+}
+
+fn run(spec: &ExperimentSpec, engine: &SweepEngine) -> SpecRun {
+    spec.run_with_engine(engine).expect("preset must evaluate")
+}
 
 /// The parallel engine must produce bit-identical reports to a forced single-thread run:
 /// per-cell seeding depends only on cell coordinates and reduction order is fixed, so
 /// thread count and scheduling must not leak into the output.
 #[test]
 fn parallel_reports_are_bit_identical_to_single_threaded() {
-    let cfg = Fig2Config::quick();
-    let (energy_seq, delay_seq) =
-        fig2::run_with_engine(&cfg, &SweepEngine::single_thread()).unwrap();
+    let spec = fig2_quick();
+    let seq = run(&spec, &SweepEngine::single_thread());
     for threads in [2, 4, 7] {
-        let (energy_par, delay_par) =
-            fig2::run_with_engine(&cfg, &SweepEngine::with_threads(threads)).unwrap();
-        assert_eq!(energy_seq, energy_par, "energy report diverged at {threads} threads");
-        assert_eq!(delay_seq, delay_par, "delay report diverged at {threads} threads");
+        let par = run(&spec, &SweepEngine::with_threads(threads));
+        assert_eq!(seq, par, "sweep diverged at {threads} threads");
     }
 
     // Also across a figure with infeasible cells (deadline misses), where the per-cell
     // sample counts must agree too.
-    let mut cfg7 = Fig7Config::quick();
-    cfg7.devices = 8;
-    cfg7.deadlines_s = vec![30.0, 110.0, 150.0];
-    let seq = fig7::run_with_engine(&cfg7, &SweepEngine::single_thread()).unwrap();
-    let par = fig7::run_with_engine(&cfg7, &SweepEngine::with_threads(4)).unwrap();
+    let spec7 = fig7_with_misses(8);
+    let seq = run(&spec7, &SweepEngine::single_thread());
+    let par = run(&spec7, &SweepEngine::with_threads(4));
     assert_eq!(seq, par);
-}
-
-/// Sharing one scenario build across all arms of a (point, seed) cell-group must be
-/// invisible in the output: the shared path and the historical one-build-per-cell path are
-/// bit-identical on `Fig2Config::quick()` (and on a figure with per-arm builders, where
-/// grouping has to keep distinct scenarios distinct).
-#[test]
-fn arm_shared_scenarios_are_bit_identical_to_per_arm_rebuilding() {
-    let cfg = Fig2Config::quick();
-    // Pinned to the cold solver path: with warm start on, the arms of a shared cell-group
-    // deliberately seed each other, so per-arm rebuilding (its own group per arm) is a
-    // different — equally deterministic — warm trajectory, not a bit-identical one.
-    let engine = SweepEngine::with_threads(2).with_warm_start(false);
-    assert!(engine.shares_scenarios());
-    let (energy_shared, delay_shared) = fig2::run_with_engine(&cfg, &engine).unwrap();
-    let (energy_rebuilt, delay_rebuilt) =
-        fig2::run_with_engine(&cfg, &engine.with_scenario_sharing(false)).unwrap();
-    assert_eq!(energy_shared, energy_rebuilt);
-    assert_eq!(delay_shared, delay_rebuilt);
-
-    // Figure 5 gives every arm its own device count via `Arm::prepare`: sharing must group
-    // by prepared builder, never blur the per-arm scenarios together.
-    let cfg5 = experiments::fig5::Fig5Config::quick();
-    let shared = experiments::fig5::run_with_engine(&cfg5, &engine).unwrap();
-    let rebuilt =
-        experiments::fig5::run_with_engine(&cfg5, &engine.with_scenario_sharing(false)).unwrap();
-    assert_eq!(shared, rebuilt);
 }
 
 /// Warm-started sweeps must be exactly as deterministic as cold ones: the warm state is
@@ -69,26 +55,18 @@ fn arm_shared_scenarios_are_bit_identical_to_per_arm_rebuilding() {
 /// iteration totals.
 #[test]
 fn warm_started_sweeps_are_bit_identical_across_thread_counts() {
-    let cfg = Fig2Config::quick();
-    let warm_seq = SweepEngine::single_thread().with_warm_start(true);
-    let (energy_seq, delay_seq) = fig2::run_with_engine(&cfg, &warm_seq).unwrap();
-    let counters_seq = warm_seq.run(&cfg.grid()).unwrap().counters;
+    let spec = fig2_quick();
+    let seq = run(&spec, &SweepEngine::single_thread().with_warm_start(true));
     for threads in [2, 4] {
-        let warm_par = SweepEngine::with_threads(threads).with_warm_start(true);
-        let (energy_par, delay_par) = fig2::run_with_engine(&cfg, &warm_par).unwrap();
-        assert_eq!(energy_seq, energy_par, "warm energy report diverged at {threads} threads");
-        assert_eq!(delay_seq, delay_par, "warm delay report diverged at {threads} threads");
-        let counters_par = warm_par.run(&cfg.grid()).unwrap().counters;
-        assert_eq!(counters_seq, counters_par, "warm counters diverged at {threads} threads");
+        let par = run(&spec, &SweepEngine::with_threads(threads).with_warm_start(true));
+        assert_eq!(seq, par, "warm sweep or its counters diverged at {threads} threads");
     }
 
     // And with infeasible cells in the mix (deadline misses, dual-seed deadline solver).
-    let mut cfg7 = Fig7Config::quick();
-    cfg7.devices = 6;
-    cfg7.deadlines_s = vec![30.0, 110.0, 150.0];
-    let seq = fig7::run_with_engine(&cfg7, &SweepEngine::single_thread().with_warm_start(true));
-    let par = fig7::run_with_engine(&cfg7, &SweepEngine::with_threads(4).with_warm_start(true));
-    assert_eq!(seq.unwrap(), par.unwrap());
+    let spec7 = fig7_with_misses(6);
+    let seq = run(&spec7, &SweepEngine::single_thread().with_warm_start(true));
+    let par = run(&spec7, &SweepEngine::with_threads(4).with_warm_start(true));
+    assert_eq!(seq, par);
 }
 
 /// The warm-start acceptance evidence in counter form, not wall clock: on the fig2 quick
@@ -97,9 +75,10 @@ fn warm_started_sweeps_are_bit_identical_across_thread_counts() {
 /// outer iterations — while agreeing with the cold means to solver tolerance.
 #[test]
 fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
-    let cfg = Fig2Config::quick();
-    let cold = SweepEngine::with_threads(2).with_warm_start(false).run(&cfg.grid()).unwrap();
-    let warm = SweepEngine::with_threads(2).with_warm_start(true).run(&cfg.grid()).unwrap();
+    let spec = fig2_quick();
+    let cold = SweepEngine::with_threads(2).with_warm_start(false).run_spec(&spec).unwrap();
+    let warm = SweepEngine::with_threads(2).with_warm_start(true).run_spec(&spec).unwrap();
+    let outer_tol = spec.solver.resolve().outer_tol;
 
     let (c, w) = (cold.counters.solver, warm.counters.solver);
     assert!(c.jong_iterations > 0, "cold sweep must do real work");
@@ -131,7 +110,7 @@ fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
     for (cold_row, warm_row) in cold.aggregates.iter().zip(&warm.aggregates) {
         for (a, b) in cold_row.iter().zip(warm_row) {
             let rel = (a.mean_energy_j - b.mean_energy_j).abs() / a.mean_energy_j;
-            assert!(rel <= cfg.solver.outer_tol, "warm mean drifted by {rel}");
+            assert!(rel <= outer_tol, "warm mean drifted by {rel}");
         }
     }
 }
@@ -145,10 +124,11 @@ fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
 #[test]
 fn adaptive_mu_bracket_spends_strictly_fewer_mu_evals_on_warm_fig2_quick() {
     assert!(SweepEngine::new().adaptive_mu_bracket(), "adaptive width is the default");
-    let cfg = Fig2Config::quick();
+    let spec = fig2_quick();
     let warm = SweepEngine::with_threads(2).with_warm_start(true);
-    let fixed = warm.with_adaptive_mu_bracket(false).run(&cfg.grid()).unwrap();
-    let adaptive = warm.run(&cfg.grid()).unwrap();
+    let fixed = warm.with_adaptive_mu_bracket(false).run_spec(&spec).unwrap();
+    let adaptive = warm.run_spec(&spec).unwrap();
+    let outer_tol = spec.solver.resolve().outer_tol;
 
     let (f, a) = (fixed.counters.solver, adaptive.counters.solver);
     assert!(f.mu_bisect_evals > 0, "the fixed-width warm sweep must do real work");
@@ -165,14 +145,14 @@ fn adaptive_mu_bracket_spends_strictly_fewer_mu_evals_on_warm_fig2_quick() {
     for (fixed_row, adaptive_row) in fixed.aggregates.iter().zip(&adaptive.aggregates) {
         for (x, y) in fixed_row.iter().zip(adaptive_row) {
             let rel = (x.mean_energy_j - y.mean_energy_j).abs() / x.mean_energy_j;
-            assert!(rel <= cfg.solver.outer_tol, "adaptive mean drifted by {rel}");
+            assert!(rel <= outer_tol, "adaptive mean drifted by {rel}");
         }
     }
 
     // Cold sweeps never read warm state, so the gate must be bit-invisible there.
     let cold = SweepEngine::with_threads(2).with_warm_start(false);
-    let cold_fixed = cold.with_adaptive_mu_bracket(false).run(&cfg.grid()).unwrap();
-    let cold_adaptive = cold.run(&cfg.grid()).unwrap();
+    let cold_fixed = cold.with_adaptive_mu_bracket(false).run_spec(&spec).unwrap();
+    let cold_adaptive = cold.run_spec(&spec).unwrap();
     assert_eq!(cold_fixed, cold_adaptive, "cold path must not depend on the bracket gate");
 }
 
@@ -181,8 +161,7 @@ fn adaptive_mu_bracket_spends_strictly_fewer_mu_evals_on_warm_fig2_quick() {
 /// every cell.
 #[test]
 fn scenario_builds_scale_with_points_times_seeds_not_arms() {
-    let cfg = Fig2Config::quick();
-    let grid = cfg.grid();
+    let grid = fig2_quick().grid().unwrap();
     let (points, arms, seeds) = (grid.points.len(), grid.arms.len(), grid.seeds.len());
     assert!(arms > 1, "needs multiple arms for the assertion to mean anything");
 
@@ -195,7 +174,7 @@ fn scenario_builds_scale_with_points_times_seeds_not_arms() {
     assert_eq!(result.counters.cells_evaluated, points * arms * seeds);
 
     // The counters are part of the deterministic output: a sequential run agrees.
-    let sequential = SweepEngine::single_thread().run(&cfg.grid()).unwrap();
+    let sequential = SweepEngine::single_thread().run(&grid).unwrap();
     assert_eq!(sequential.counters, result.counters);
 }
 
@@ -258,54 +237,61 @@ fn ten_thousand_draw_grid_streams_bit_identically_to_materializing() {
     }
 }
 
-/// Every figure's quick preset must produce bit-identical reports through the streaming
-/// and the materializing reductions — the acceptance bar of the streaming refactor. The
-/// seed chunk is forced to 1 so even the 2-seed quick grids exercise multi-chunk folding.
+/// Every figure's quick preset must produce bit-identical runs (aggregates, counters and
+/// reports) through the streaming and the materializing reductions — the acceptance bar
+/// of the streaming refactor. The seed chunk is forced to 1 so even the 2-seed quick
+/// grids exercise multi-chunk folding.
 #[test]
 fn all_figure_quick_presets_stream_bit_identically() {
     let streamed = SweepEngine::with_threads(2).with_streaming_reduction(true).with_seed_chunk(1);
     let materialized = streamed.with_streaming_reduction(false);
 
-    macro_rules! check {
-        ($fig:ident, $cfg:expr) => {{
-            let cfg = $cfg;
-            let s = experiments::$fig::run_with_engine(&cfg, &streamed).unwrap();
-            let m = experiments::$fig::run_with_engine(&cfg, &materialized).unwrap();
-            assert_eq!(s, m, concat!(stringify!($fig), " quick preset diverged"));
-        }};
+    for &fig in &presets::FIGURES {
+        let spec = presets::spec(fig, Variant::Quick).expect("figure preset exists");
+        assert_eq!(
+            run(&spec, &streamed),
+            run(&spec, &materialized),
+            "fig{fig} quick preset diverged"
+        );
     }
-    check!(fig2, Fig2Config::quick());
-    check!(fig3, experiments::fig3::Fig3Config::quick());
-    check!(fig4, experiments::fig4::Fig4Config::quick());
-    check!(fig5, experiments::fig5::Fig5Config::quick());
-    check!(fig6, experiments::fig6::Fig6Config::quick());
-    check!(fig7, Fig7Config::quick());
-    check!(fig8, experiments::fig8::Fig8Config::quick());
 }
 
 /// Reimplementation of the pre-refactor sequential helpers (`average_proposed` /
 /// `average_benchmark` from the old `experiments::sweep`), kept here as the regression
-/// reference for `Fig2Config::quick()`.
-fn fig2_reference(cfg: &Fig2Config) -> Result<(FigureReport, FigureReport), CoreError> {
+/// reference for the quick figure-2 preset. It reads the preset's numbers (devices, seeds,
+/// `p_max` values, weight pairs, solver) but none of the engine's machinery: every cell
+/// rebuilds its own scenario.
+fn fig2_reference(spec: &ExperimentSpec) -> Result<(FigureReport, FigureReport), CoreError> {
+    let devices = spec.scenario.devices.expect("the fig2 preset pins its device count");
+    let seeds = spec.seeds.values();
+    let solver = spec.solver.resolve();
+    let weights: Vec<Weights> = spec
+        .arms
+        .iter()
+        .filter_map(|arm| match arm.kind {
+            ArmKind::Proposed { weights } => Some(weights),
+            _ => None,
+        })
+        .collect();
     let average_proposed =
         |builder: &ScenarioBuilder, weights: Weights| -> Result<(f64, f64), CoreError> {
             // The reference predates the warm-start continuation, which has since become
             // the library default — pin it off to keep reproducing the historical numbers.
-            let optimizer = JointOptimizer::new(cfg.solver.with_warm_start(false));
+            let optimizer = JointOptimizer::new(solver.with_warm_start(false));
             let (mut energy, mut time) = (0.0, 0.0);
-            for &seed in &cfg.seeds {
+            for &seed in &seeds {
                 let scenario = builder.build(seed)?;
                 let out = optimizer.solve(&scenario, weights)?;
                 energy += out.total_energy_j;
                 time += out.total_time_s;
             }
-            let n = cfg.seeds.len().max(1) as f64;
+            let n = seeds.len().max(1) as f64;
             Ok((energy / n, time / n))
         };
     let average_benchmark = |builder: &ScenarioBuilder| -> Result<(f64, f64), CoreError> {
         let bench = BenchmarkAllocator::new();
         let (mut energy, mut time) = (0.0, 0.0);
-        for &seed in &cfg.seeds {
+        for &seed in &seeds {
             let scenario = builder.build(seed)?;
             // The historical inline stream-seed derivation, spelled out on purpose so this
             // reference stays independent of `baselines::derive_stream_seed`.
@@ -313,12 +299,11 @@ fn fig2_reference(cfg: &Fig2Config) -> Result<(FigureReport, FigureReport), Core
             energy += result.total_energy_j();
             time += result.total_time_s();
         }
-        let n = cfg.seeds.len().max(1) as f64;
+        let n = seeds.len().max(1) as f64;
         Ok((energy / n, time / n))
     };
 
-    let mut columns: Vec<String> = cfg
-        .weights
+    let mut columns: Vec<String> = weights
         .iter()
         .map(|w| format!("proposed w1={:.1},w2={:.1}", w.energy(), w.time()))
         .collect();
@@ -337,12 +322,11 @@ fn fig2_reference(cfg: &Fig2Config) -> Result<(FigureReport, FigureReport), Core
         "total time (s)",
         columns,
     );
-    for &p_max in &cfg.p_max_dbm {
-        let builder =
-            ScenarioBuilder::paper_default().with_devices(cfg.devices).with_p_max_dbm(p_max);
+    for &p_max in &spec.axis.values {
+        let builder = ScenarioBuilder::paper_default().with_devices(devices).with_p_max_dbm(p_max);
         let mut e_row = Vec::new();
         let mut t_row = Vec::new();
-        for &w in &cfg.weights {
+        for &w in &weights {
             let (e, t) = average_proposed(&builder, w)?;
             e_row.push(e);
             t_row.push(t);
@@ -356,16 +340,16 @@ fn fig2_reference(cfg: &Fig2Config) -> Result<(FigureReport, FigureReport), Core
     Ok((energy, delay))
 }
 
-/// `Fig2Config::quick()` through the engine must reproduce the pre-refactor helpers'
+/// The quick figure-2 preset through the engine must reproduce the pre-refactor helpers'
 /// output bit for bit (values, column names, row order). The reference helpers predate the
 /// warm-start continuation, so the engine is pinned to the cold solver path — exactly the
 /// `with_warm_start(false)` bit-identity guarantee.
 #[test]
 fn fig2_quick_output_is_unchanged_from_pre_refactor_helpers() {
-    let cfg = Fig2Config::quick();
-    let (energy_new, delay_new) =
-        fig2::run_with_engine(&cfg, &SweepEngine::new().with_warm_start(false)).unwrap();
-    let (energy_ref, delay_ref) = fig2_reference(&cfg).unwrap();
+    let spec = fig2_quick();
+    let reports = run(&spec, &SweepEngine::new().with_warm_start(false)).reports;
+    let (energy_new, delay_new) = (&reports[0], &reports[1]);
+    let (energy_ref, delay_ref) = fig2_reference(&spec).unwrap();
 
     assert_eq!(energy_new.columns, energy_ref.columns);
     assert_eq!(delay_new.columns, delay_ref.columns);
@@ -376,12 +360,12 @@ fn fig2_quick_output_is_unchanged_from_pre_refactor_helpers() {
     // And the engine's counts must reflect the full seed set everywhere.
     for (row_idx, _) in energy_new.rows.iter().enumerate() {
         for col in 0..energy_new.columns.len() {
-            assert_eq!(energy_new.sample_count(row_idx, col), Some(cfg.seeds.len()));
+            assert_eq!(energy_new.sample_count(row_idx, col), Some(spec.seeds.len() as usize));
         }
     }
 }
 
-/// On a machine with ≥ 4 cores, 4 engine workers must finish `Fig2Config::quick()` at
+/// On a machine with ≥ 4 cores, 4 engine workers must finish the quick figure-2 preset at
 /// least 2× faster than the sequential engine (the grid is embarrassingly parallel).
 /// Skipped (with a message) on smaller machines, where the speedup physically cannot
 /// materialise; the determinism test above still covers correctness there.
@@ -398,14 +382,14 @@ fn four_threads_give_at_least_2x_on_quick_fig2() {
         eprintln!("skipping speedup assertion: only {cores} core(s) available, need >= 4");
         return;
     }
-    let cfg = Fig2Config::quick();
+    let spec = fig2_quick();
     let time_with = |engine: &SweepEngine| {
         // Warm once (page cache, lazy allocations), then take the best of two runs.
-        fig2::run_with_engine(&cfg, engine).unwrap();
+        run(&spec, engine);
         let mut best = f64::INFINITY;
         for _ in 0..2 {
             let start = Instant::now();
-            fig2::run_with_engine(&cfg, engine).unwrap();
+            run(&spec, engine);
             best = best.min(start.elapsed().as_secs_f64());
         }
         best

@@ -13,7 +13,6 @@
 //! the default reproduces the full 10⁴-draw grid.
 
 use fedopt::experiments::engine::{SweepEngine, SweepGrid};
-use fedopt::experiments::fig2::Fig2Config;
 use fedopt::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -76,6 +75,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let _ = Fig2Config::paper(); // see the full eight-figure presets in `experiments`
     Ok(())
 }
