@@ -1,0 +1,45 @@
+//! Fig. 2 at small scale: the quick preset cut to 6 devices, one draw and two transmit
+//! powers, with one energy-leaning and one time-leaning weight pair.
+
+mod tests {
+    use crate::presets::{self, Variant};
+    use crate::spec::{ArmKind, ArmSpec, SeedSpec};
+    use flsys::Weights;
+
+    #[test]
+    fn proposed_beats_benchmark_on_its_weighted_metric_and_is_monotone() {
+        let mut spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
+        spec.scenario.devices = Some(6);
+        spec.seeds = SeedSpec::list(vec![1]);
+        spec.axis.values = vec![6.0, 12.0];
+        let benchmark = spec.arms.pop().expect("the fig2 preset ends with the benchmark");
+        let proposed =
+            |w1, w2| ArmSpec::new(ArmKind::Proposed { weights: Weights::new(w1, w2).unwrap() });
+        spec.arms = vec![proposed(0.9, 0.1), proposed(0.1, 0.9), benchmark];
+        // At this small device count the paper's "every weight pair beats the benchmark on
+        // energy" only holds for the energy-leaning pairs (the energy optimum scales with
+        // 1/N), so the robust cross-scale claims are: the energy-focused pair wins on energy,
+        // the time-focused pair wins on delay, and both metrics are monotone in the weights.
+        let reports = spec.run().unwrap().reports;
+        let (energy, delay) = (&reports[0], &reports[1]);
+        assert_eq!(energy.rows.len(), 2);
+        assert_eq!(delay.rows.len(), 2);
+        for ((_, e_row), (_, t_row)) in energy.rows.iter().zip(&delay.rows) {
+            let e_bench = *e_row.last().unwrap();
+            let t_bench = *t_row.last().unwrap();
+            // w1 = 0.9 beats the benchmark on energy (Fig. 2a's headline).
+            assert!(e_row[0] < e_bench, "w1=0.9 energy {} vs benchmark {e_bench}", e_row[0]);
+            // w2 = 0.9 beats the benchmark on delay (Fig. 2b's headline).
+            assert!(t_row[1] < t_bench, "w2=0.9 delay {} vs benchmark {t_bench}", t_row[1]);
+            // Larger w1 ⇒ lower energy; larger w2 ⇒ lower delay.
+            assert!(e_row[0] <= e_row[1] * 1.05);
+            assert!(t_row[1] <= t_row[0] * 1.05);
+        }
+        // Every cell averaged its full seed set.
+        for row in 0..energy.rows.len() {
+            for col in 0..energy.columns.len() {
+                assert_eq!(energy.sample_count(row, col), Some(1));
+            }
+        }
+    }
+}

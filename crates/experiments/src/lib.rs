@@ -59,6 +59,20 @@ pub mod serve;
 pub mod shard;
 pub mod spec;
 
+// Small-scale checks of the figure presets, one test module per figure they edit.
+#[cfg(test)]
+#[path = "figure_checks/fig2.rs"]
+mod fig2;
+#[cfg(test)]
+#[path = "figure_checks/fig6.rs"]
+mod fig6;
+#[cfg(test)]
+#[path = "figure_checks/fig7.rs"]
+mod fig7;
+#[cfg(test)]
+#[path = "figure_checks/fig8.rs"]
+mod fig8;
+
 pub use engine::{Aggregate, SweepCounters, SweepEngine, SweepGrid, SweepResult};
 pub use report::FigureReport;
 pub use rounds::RoundSimRun;
