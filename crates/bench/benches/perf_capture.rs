@@ -17,6 +17,7 @@
 //!
 //! The fleet rows honor `FEDOPT_BIN` as an explicit path to the coordinator binary.
 
+use experiments::engine::DEFAULT_SEED_CHUNK;
 use experiments::presets::{self, Variant};
 use experiments::shard::{
     run_fleet, FleetOptions, InProcessRunner, ShardCache, ShardRunner, SubprocessRunner,
@@ -253,7 +254,7 @@ fn main() {
         cold_stats.shard_cache_misses,
         warm_stats.shard_cache_hits,
         warm_stats.shard_cache_misses,
-        cold_engine.seed_chunk(),
+        DEFAULT_SEED_CHUNK,
     );
     print!("{json}");
 

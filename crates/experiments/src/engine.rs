@@ -5,7 +5,7 @@
 //! scenario seed — is embarrassingly parallel, and this module evaluates it as such: a
 //! [`SweepGrid`] declares the cells, a [`SweepEngine`] evaluates them across threads, and
 //! the per-(point, arm) results are reduced into [`Aggregate`]s (mean / standard deviation /
-//! feasible-sample count) that [`SweepResult`] turns into [`FigureReport`]s.
+//! feasible-sample count) that the spec's reports render as [`FigureReport`]s.
 //!
 //! # Cell-group architecture
 //!
@@ -40,21 +40,24 @@
 //!   Each cell carries [`CellContext::stream_seed`], produced by
 //!   [`baselines::derive_stream_seed`] from the base seed (historically `seed ^ 0x9e37_79b9`,
 //!   now defined in exactly one place).
-//! * **Reduction order** — per-cell outputs are written to slots indexed by
-//!   `(point, arm, seed)` and reduced sequentially in seed order, so floating-point sums are
-//!   bit-identical between a single-threaded and an N-threaded run (verified by a
-//!   regression test against the historical sequential helpers).
+//! * **Reduction order** — per-(point, arm) outputs are reduced sequentially in seed order
+//!   (chunks of one point's seeds folded in order, see [`SweepEngine::run`]), so
+//!   floating-point sums are bit-identical between a single-threaded and an N-threaded run
+//!   and to the materialized [`SweepEngine::run_cells`] (verified by regression tests,
+//!   one against the historical sequential helpers).
 //!
 //! Cells that report infeasibility ([`Arm::evaluate`] returning `Ok(None)`) are recorded,
 //! not averaged: an [`Aggregate`] with `count == 0` keeps `NaN` means but the per-cell
 //! sample counts travel with the [`FigureReport`], so "no feasible draw" is a labelled
 //! condition instead of a silent `NaN`.
 //!
-//! Threading uses a scoped work-stealing map over `std::thread` (see [`par_map_indexed`]
-//! and its stateful sibling [`par_map_indexed_with`]); the environment cannot fetch
-//! `rayon`, and the engine needs nothing more than an indexed parallel map.
+//! Threading uses scoped `std::thread` workers: an in-order streaming reducer for
+//! [`SweepEngine::run`] and a work-stealing indexed map ([`par_map_indexed_with`]) for
+//! [`SweepEngine::run_cells`]; the environment cannot fetch `rayon`, and the engine needs
+//! nothing more.
+//!
+//! [`FigureReport`]: crate::report::FigureReport
 
-use crate::report::FigureReport;
 use fedopt_core::{CoreError, SolveCounters, SolverConfig, SolverWorkspace};
 use flsys::{Scenario, ScenarioBuilder};
 use std::num::NonZeroUsize;
@@ -163,28 +166,6 @@ pub trait Arm: Send + Sync {
         scenario: &Scenario,
         ctx: &mut CellContext<'_>,
     ) -> Result<Option<CellOutput>, CoreError>;
-}
-
-/// A boxed arm is an arm — what lets spec-compiled grids mix heterogeneous arms (and
-/// wrap them in [`crate::arms::ConfiguredArm`]) behind one type. Every method delegates,
-/// `prepare` included: dropping the delegation would silently fall back to the default
-/// identity `prepare` and break per-arm builder specialisation.
-impl Arm for Box<dyn Arm> {
-    fn name(&self) -> String {
-        self.as_ref().name()
-    }
-
-    fn prepare(&self, builder: &ScenarioBuilder) -> ScenarioBuilder {
-        self.as_ref().prepare(builder)
-    }
-
-    fn evaluate(
-        &self,
-        scenario: &Scenario,
-        ctx: &mut CellContext<'_>,
-    ) -> Result<Option<CellOutput>, CoreError> {
-        self.as_ref().evaluate(scenario, ctx)
-    }
 }
 
 /// One sweep point: the x value and the scenario builder all arms share there.
@@ -393,39 +374,6 @@ pub struct SweepResult {
     pub counters: SweepCounters,
 }
 
-impl SweepResult {
-    /// Builds a [`FigureReport`] from one metric of the aggregates, carrying the per-cell
-    /// feasible-sample counts.
-    pub fn report(
-        &self,
-        id: &str,
-        title: &str,
-        x_label: &str,
-        y_label: &str,
-        metric: impl Fn(&Aggregate) -> f64,
-    ) -> FigureReport {
-        let mut report = FigureReport::new(id, title, x_label, y_label, self.arm_names.clone());
-        for (x, row) in self.xs.iter().zip(&self.aggregates) {
-            report.push_row_with_counts(
-                *x,
-                row.iter().map(&metric).collect(),
-                row.iter().map(|a| a.count).collect(),
-            );
-        }
-        report
-    }
-
-    /// The mean-total-energy report.
-    pub fn energy_report(&self, id: &str, title: &str, x_label: &str) -> FigureReport {
-        self.report(id, title, x_label, "total energy (J)", |a| a.mean_energy_j)
-    }
-
-    /// The mean-total-completion-time report.
-    pub fn time_report(&self, id: &str, title: &str, x_label: &str) -> FigureReport {
-        self.report(id, title, x_label, "total time (s)", |a| a.mean_time_s)
-    }
-}
-
 /// Environment variable read by [`SweepEngine::new`] to pin the default worker count
 /// (positive integer; anything else is ignored). CI uses it to run the whole test suite
 /// through both the sequential and the multi-worker scheduling path.
@@ -439,7 +387,12 @@ pub const THREADS_ENV: &str = "FEDOPT_SWEEP_THREADS";
 /// [`SweepEngine::with_warm_start`]`(false)` explicitly.
 pub const WARM_START_ENV: &str = "FEDOPT_WARM_START";
 
-/// Default number of seeds per streaming chunk (see [`SweepEngine::with_seed_chunk`]).
+/// The most seeds one streaming work item holds. A chunk of one point's seeds is the unit
+/// of parallel work of [`SweepEngine::run`]; larger chunks amortise reduction overhead on
+/// 10⁴-draw grids, and the engine shrinks chunks below this cap when a grid would
+/// otherwise yield too few work items to keep every worker busy (a few-point, 100-seed
+/// paper grid on a many-core host). Output is bit-identical for every chunk size — chunks
+/// are folded in order, seeds in order within each chunk.
 pub const DEFAULT_SEED_CHUNK: usize = 64;
 
 /// The [`WARM_START_ENV`] setting, if the environment states one explicitly: `Some(true)`
@@ -460,8 +413,9 @@ pub fn warm_start_env() -> Option<bool> {
 #[derive(Debug, Clone, Copy)]
 pub struct SweepEngine {
     threads: NonZeroUsize,
-    streaming: bool,
-    seed_chunk: NonZeroUsize,
+    /// Cap on seeds per streaming work item: [`DEFAULT_SEED_CHUNK`] (unit tests set other
+    /// values through struct-update syntax).
+    seed_chunk: usize,
     warm_start: bool,
     superlinear_mu: bool,
     adaptive_mu_bracket: bool,
@@ -485,8 +439,7 @@ impl SweepEngine {
         let warm_start = warm_start_env().unwrap_or(true);
         Self {
             threads,
-            streaming: true,
-            seed_chunk: NonZeroUsize::new(DEFAULT_SEED_CHUNK).expect("nonzero"),
+            seed_chunk: DEFAULT_SEED_CHUNK,
             warm_start,
             superlinear_mu: true,
             adaptive_mu_bracket: true,
@@ -507,7 +460,7 @@ impl SweepEngine {
     }
 
     /// Enables or disables the warm-start continuation for every arm of the sweep
-    /// (default: the [`WARM_START_ENV`] setting, off when unset). With warm start on, the
+    /// (default: the [`WARM_START_ENV`] setting, on when unset). With warm start on, the
     /// solver carries Jong multipliers, `μ`-bisection brackets and rate floors between the
     /// outer iterations of each solve **and** across the arms of one (point, seed,
     /// scenario) cell-group — in the grid's fixed arm order, reset at every group boundary,
@@ -559,47 +512,12 @@ impl SweepEngine {
         self.adaptive_mu_bracket
     }
 
-    /// Enables or disables the streaming reduction (default: enabled). With streaming the
-    /// engine holds one [`AggregateAccumulator`] per (point, arm) — `O(points × arms)`
-    /// memory — plus a bounded window of in-flight seed chunks, instead of materialising
-    /// every cell output (`O(points × arms × seeds)`). Disabling restores the materializing
-    /// path, kept selectable as the reference for the bit-identity regression test.
-    #[must_use]
-    pub fn with_streaming_reduction(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Whether this engine reduces cell outputs with the streaming accumulators.
-    pub fn streams_reduction(&self) -> bool {
-        self.streaming
-    }
-
-    /// Sets the *maximum* number of seeds per streaming chunk (clamped to at least 1;
-    /// default [`DEFAULT_SEED_CHUNK`]). A chunk of one point's seeds is the streaming unit
-    /// of parallel work; larger chunks amortise reduction overhead on 10⁴-draw grids,
-    /// while the engine automatically shrinks chunks below this cap when a grid would
-    /// otherwise yield too few work items to keep every worker busy (a few-point,
-    /// 100-seed paper grid on a many-core host). Output is bit-identical for every chunk
-    /// size — chunks are folded in order, seeds in order within each chunk.
-    #[must_use]
-    pub fn with_seed_chunk(mut self, seeds_per_chunk: usize) -> Self {
-        self.seed_chunk = NonZeroUsize::new(seeds_per_chunk.max(1)).expect("max(1) is nonzero");
-        self
-    }
-
-    /// The maximum number of seeds per streaming chunk (see
-    /// [`SweepEngine::with_seed_chunk`]).
-    pub fn seed_chunk(&self) -> usize {
-        self.seed_chunk.get()
-    }
-
-    /// The effective seeds-per-chunk for a grid: the configured cap, shrunk (never grown)
-    /// until the grid yields at least ~4 work items per worker, so streaming never
-    /// schedules coarser than the worker pool can use. At the floor of 1 seed per chunk
-    /// the granularity equals the materializing path's per-(point, seed) cell-groups.
+    /// The effective seeds-per-chunk for a grid: the cap, shrunk (never grown) until the
+    /// grid yields at least ~4 work items per worker, so streaming never schedules coarser
+    /// than the worker pool can use. At the floor of 1 seed per chunk the granularity
+    /// equals [`SweepEngine::run_cells`]'s per-(point, seed) cell-groups.
     fn effective_seed_chunk(&self, n_points: usize, n_seeds: usize) -> usize {
-        let mut chunk = self.seed_chunk.get();
+        let mut chunk = self.seed_chunk;
         if n_points == 0 || n_seeds == 0 {
             return chunk;
         }
@@ -618,12 +536,16 @@ impl SweepEngine {
 
     /// Evaluates every cell of the grid and reduces the per-(point, arm) aggregates.
     ///
-    /// The unit of parallel work is a (point, seed) cell-group (or, with the default
-    /// streaming reduction, a chunk of one point's seeds): the scenario is built once per
-    /// set of arms whose prepared builders compare equal, and every arm of the set
-    /// evaluates against the shared build by reference. Samples are reduced per
-    /// (point, arm) *in seed order* whatever the thread count or reduction mode, so the
-    /// result is bit-identical across all of them.
+    /// The unit of parallel work is a chunk of one point's seeds (at most
+    /// [`DEFAULT_SEED_CHUNK`]): per seed, the scenario is built once per set of arms whose
+    /// prepared builders compare equal, and every arm of the set evaluates against the
+    /// shared build by reference. A bounded-window reducer folds the chunks into
+    /// per-(point, arm) [`AggregateAccumulator`]s in strict item order, seeds in order
+    /// within each chunk, so the result is bit-identical across thread counts and chunk
+    /// sizes, and to the materialized `run_cells(grid)?.into_sweep_result()`. Peak memory
+    /// is `O(points × arms)` accumulators plus `O(window × arms × chunk)` pending cell
+    /// outputs (window ≈ 4 × workers) — independent of the seed count, which is what makes
+    /// `--seeds 10000` grids feasible.
     ///
     /// # Errors
     ///
@@ -637,101 +559,6 @@ impl SweepEngine {
     /// (`Ok(None)`) are not errors.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepResult, CoreError> {
         let (builders, groups) = self.prepare_groups(grid);
-        if self.streaming {
-            self.run_streaming(grid, &builders, &groups)
-        } else {
-            self.run_materializing(grid, &builders, &groups)
-        }
-    }
-
-    /// Evaluates every cell of the grid and returns the **raw** per-cell outputs in
-    /// `(point, arm, seed)` slot order, without reducing them to aggregates.
-    ///
-    /// This is the worker half of the sharded fleet path ([`crate::shard`]): a shard runs
-    /// `run_cells` on its seed sub-range and ships the samples, and the coordinator
-    /// replays them through [`AggregateAccumulator::merge_samples`] in shard order —
-    /// reproducing the single-process [`SweepEngine::run`] reduction bit for bit. The
-    /// evaluation itself is the materializing scheduler, so every determinism property of
-    /// [`SweepEngine::run`] (bit-identical across thread counts, seed-order reduction
-    /// keys) carries over unchanged; memory is `O(points × arms × seeds)` samples, which
-    /// is exactly the payload a shard has to ship anyway.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SweepEngine::run`].
-    pub fn run_cells(&self, grid: &SweepGrid) -> Result<CellMatrix, CoreError> {
-        self.run_cells_with_progress(grid, None)
-    }
-
-    /// [`SweepEngine::run_cells`] with a live progress observer: `progress` (when given)
-    /// is incremented once per evaluated cell, from whichever worker thread evaluated it.
-    /// The fleet worker's heartbeat thread reads it to report cells-completed progress on
-    /// stderr while the sweep is still running — the counter is observational only and
-    /// never influences scheduling or results.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SweepEngine::run`].
-    pub fn run_cells_with_progress(
-        &self,
-        grid: &SweepGrid,
-        progress: Option<&AtomicUsize>,
-    ) -> Result<CellMatrix, CoreError> {
-        let (builders, groups) = self.prepare_groups(grid);
-        let (samples, counters) = self.materialize_cells(grid, &builders, &groups, progress)?;
-        Ok(CellMatrix {
-            xs: grid.points.iter().map(|p| p.x).collect(),
-            arm_names: grid.arms.iter().map(|a| a.name()).collect(),
-            n_seeds: grid.seeds.len(),
-            samples,
-            counters,
-        })
-    }
-
-    /// Specialises the grid's builders once per (point, arm) and groups each point's arms
-    /// by identical prepared builder — the shared preamble of every evaluation path. Every
-    /// group shares one scenario build per seed.
-    #[allow(clippy::type_complexity)]
-    fn prepare_groups(
-        &self,
-        grid: &SweepGrid,
-    ) -> (Vec<Vec<ScenarioBuilder>>, Vec<Vec<Vec<usize>>>) {
-        // Builders are pure data; specialise them once per (point, arm) up front.
-        let builders: Vec<Vec<ScenarioBuilder>> = grid
-            .points
-            .iter()
-            .map(|p| grid.arms.iter().map(|a| a.prepare(&p.builder)).collect())
-            .collect();
-
-        let groups: Vec<Vec<Vec<usize>>> = builders
-            .iter()
-            .map(|point_builders| {
-                let mut point_groups: Vec<Vec<usize>> = Vec::new();
-                for (arm_idx, builder) in point_builders.iter().enumerate() {
-                    match point_groups.iter_mut().find(|group| &point_builders[group[0]] == builder)
-                    {
-                        Some(group) => group.push(arm_idx),
-                        None => point_groups.push(vec![arm_idx]),
-                    }
-                }
-                point_groups
-            })
-            .collect();
-        (builders, groups)
-    }
-
-    /// The streaming evaluation-and-reduction path (the default): work items are chunks of
-    /// one point's seeds, folded into per-(point, arm) [`AggregateAccumulator`]s in strict
-    /// item order by a bounded-window [`StreamReducer`]. Peak memory is
-    /// `O(points × arms)` accumulators plus `O(window × arms × seed_chunk)` pending cell
-    /// outputs (window ≈ 4 × workers) — independent of the seed count, which is what makes
-    /// `--seeds 10000` grids feasible.
-    fn run_streaming(
-        &self,
-        grid: &SweepGrid,
-        builders: &[Vec<ScenarioBuilder>],
-        groups: &[Vec<Vec<usize>>],
-    ) -> Result<SweepResult, CoreError> {
         let n_points = grid.points.len();
         let n_arms = grid.arms.len();
         let n_seeds = grid.seeds.len();
@@ -748,8 +575,8 @@ impl SweepEngine {
         let reducer = StreamReducer::new(n_points, n_arms, n_chunks, chunk, n_seeds, window);
         let evaluator = GroupEvaluator {
             grid,
-            builders,
-            groups,
+            builders: &builders,
+            groups: &groups,
             failed: &failed,
             scenarios_built: &scenarios_built,
             cells_evaluated: &cells_evaluated,
@@ -760,8 +587,8 @@ impl SweepEngine {
             progress: None,
         };
 
-        // The (point, arm, seed) slot index of a cell — the same error-ordering key the
-        // materializing path uses.
+        // The (point, arm, seed) slot index of a cell — the same error-ordering key
+        // `run_cells` uses.
         let slot_of = |point: usize, arm: usize, seed_idx: usize| -> usize {
             (point * n_arms + arm) * n_seeds + seed_idx
         };
@@ -842,50 +669,43 @@ impl SweepEngine {
         })
     }
 
-    /// The historical materialize-then-reduce path (`with_streaming_reduction(false)`):
-    /// every cell output is slotted into a `(point, arm, seed)`-indexed vector before the
-    /// per-(point, arm) reduction. `O(points × arms × seeds)` memory; kept as the
-    /// regression reference for the streaming path.
-    fn run_materializing(
-        &self,
-        grid: &SweepGrid,
-        builders: &[Vec<ScenarioBuilder>],
-        groups: &[Vec<Vec<usize>>],
-    ) -> Result<SweepResult, CoreError> {
-        let n_points = grid.points.len();
-        let n_arms = grid.arms.len();
-        let n_seeds = grid.seeds.len();
-        let (samples, counters) = self.materialize_cells(grid, builders, groups, None)?;
-
-        let aggregates: Vec<Vec<Aggregate>> = (0..n_points)
-            .map(|p| {
-                (0..n_arms)
-                    .map(|a| {
-                        let base = (p * n_arms + a) * n_seeds;
-                        Aggregate::from_samples(&samples[base..base + n_seeds])
-                    })
-                    .collect()
-            })
-            .collect();
-
-        Ok(SweepResult {
-            xs: grid.points.iter().map(|p| p.x).collect(),
-            arm_names: grid.arms.iter().map(|a| a.name()).collect(),
-            aggregates,
-            counters,
-        })
+    /// Evaluates every cell of the grid and returns the **raw** per-cell outputs in
+    /// `(point, arm, seed)` slot order, without reducing them to aggregates.
+    ///
+    /// This is the worker half of the sharded fleet path ([`crate::shard`]): a shard runs
+    /// `run_cells` on its seed sub-range and ships the samples, and the coordinator
+    /// replays them through [`AggregateAccumulator::merge_samples`] in shard order —
+    /// reproducing the single-process [`SweepEngine::run`] reduction bit for bit. The
+    /// unit of parallel work is one (point, seed) cell-group with the same build sharing
+    /// and error attribution as [`SweepEngine::run`], so every determinism property
+    /// (bit-identical across thread counts, seed-order reduction keys) carries over
+    /// unchanged; memory is `O(points × arms × seeds)` samples, which is exactly the
+    /// payload a shard has to ship anyway. Tests use
+    /// [`CellMatrix::into_sweep_result`] of it as the materialized reference for
+    /// [`SweepEngine::run`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SweepEngine::run`].
+    pub fn run_cells(&self, grid: &SweepGrid) -> Result<CellMatrix, CoreError> {
+        self.run_cells_with_progress(grid, None)
     }
 
-    /// Evaluates every cell and materialises the raw outputs in `(point, arm, seed)` slot
-    /// order, together with the run's counters — the shared body of
-    /// [`SweepEngine::run_cells`] and the materializing reduction.
-    fn materialize_cells(
+    /// [`SweepEngine::run_cells`] with a live progress observer: `progress` (when given)
+    /// is incremented once per evaluated cell, from whichever worker thread evaluated it.
+    /// The fleet worker's heartbeat thread reads it to report cells-completed progress on
+    /// stderr while the sweep is still running — the counter is observational only and
+    /// never influences scheduling or results.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SweepEngine::run`].
+    pub fn run_cells_with_progress(
         &self,
         grid: &SweepGrid,
-        builders: &[Vec<ScenarioBuilder>],
-        groups: &[Vec<Vec<usize>>],
         progress: Option<&AtomicUsize>,
-    ) -> Result<(Vec<Option<CellOutput>>, SweepCounters), CoreError> {
+    ) -> Result<CellMatrix, CoreError> {
+        let (builders, groups) = self.prepare_groups(grid);
         let n_points = grid.points.len();
         let n_arms = grid.arms.len();
         let n_seeds = grid.seeds.len();
@@ -903,8 +723,8 @@ impl SweepEngine {
         let solver_totals = Mutex::new(SolveCounters::default());
         let evaluator = GroupEvaluator {
             grid,
-            builders,
-            groups,
+            builders: &builders,
+            groups: &groups,
             failed: &failed,
             scenarios_built: &scenarios_built,
             cells_evaluated: &cells_evaluated,
@@ -966,12 +786,49 @@ impl SweepEngine {
         debug_assert_eq!(skipped, 0, "skips must imply a surfaced failure");
         debug_assert_eq!(samples.len(), grid.num_cells());
 
-        let counters = SweepCounters {
-            scenarios_built: scenarios_built.into_inner(),
-            cells_evaluated: cells_evaluated.into_inner(),
-            solver: solver_totals.into_inner().expect("counter totals poisoned"),
-        };
-        Ok((samples, counters))
+        Ok(CellMatrix {
+            xs: grid.points.iter().map(|p| p.x).collect(),
+            arm_names: grid.arms.iter().map(|a| a.name()).collect(),
+            n_seeds,
+            samples,
+            counters: SweepCounters {
+                scenarios_built: scenarios_built.into_inner(),
+                cells_evaluated: cells_evaluated.into_inner(),
+                solver: solver_totals.into_inner().expect("counter totals poisoned"),
+            },
+        })
+    }
+
+    /// Specialises the grid's builders once per (point, arm) and groups each point's arms
+    /// by identical prepared builder — the shared preamble of `run` and `run_cells`. Every
+    /// group shares one scenario build per seed.
+    #[allow(clippy::type_complexity)]
+    fn prepare_groups(
+        &self,
+        grid: &SweepGrid,
+    ) -> (Vec<Vec<ScenarioBuilder>>, Vec<Vec<Vec<usize>>>) {
+        // Builders are pure data; specialise them once per (point, arm) up front.
+        let builders: Vec<Vec<ScenarioBuilder>> = grid
+            .points
+            .iter()
+            .map(|p| grid.arms.iter().map(|a| a.prepare(&p.builder)).collect())
+            .collect();
+
+        let groups: Vec<Vec<Vec<usize>>> = builders
+            .iter()
+            .map(|point_builders| {
+                let mut point_groups: Vec<Vec<usize>> = Vec::new();
+                for (arm_idx, builder) in point_builders.iter().enumerate() {
+                    match point_groups.iter_mut().find(|group| &point_builders[group[0]] == builder)
+                    {
+                        Some(group) => group.push(arm_idx),
+                        None => point_groups.push(vec![arm_idx]),
+                    }
+                }
+                point_groups
+            })
+            .collect();
+        (builders, groups)
     }
 }
 
@@ -1011,11 +868,11 @@ impl CellMatrix {
     }
 }
 
-/// The shared per-sweep evaluation context of both reduction paths: the grid, the
-/// prepared builders and their arm-groups, the abort flag, and the work counters. Keeping
-/// the build-group-evaluate body (and its failed-flag boundaries and error attribution)
-/// in exactly one place is what makes the materializing path a meaningful regression
-/// reference for the streaming path.
+/// The shared per-sweep evaluation context of [`SweepEngine::run`] and
+/// [`SweepEngine::run_cells`]: the grid, the prepared builders and their arm-groups, the
+/// abort flag, and the work counters. Keeping the build-group-evaluate body (and its
+/// failed-flag boundaries and error attribution) in exactly one place is what makes
+/// `run_cells` a meaningful regression reference for the streaming `run`.
 struct GroupEvaluator<'a> {
     grid: &'a SweepGrid,
     builders: &'a [Vec<ScenarioBuilder>],
@@ -1141,7 +998,7 @@ fn streaming_window(workers: usize) -> usize {
     (workers * 4).max(2)
 }
 
-/// Bounded-window, in-order chunk reducer of the streaming path.
+/// Bounded-window, in-order chunk reducer of [`SweepEngine::run`].
 ///
 /// Work items (`point × chunk-of-seeds`) are claimed in increasing index order but finish
 /// in arbitrary order; deposits park in a `window`-sized ring until every earlier item has
@@ -1150,7 +1007,8 @@ fn streaming_window(workers: usize) -> usize {
 /// the claimant would run more than `window` items ahead of the fold frontier, which is
 /// what bounds the ring: at most `window` chunks of cell outputs ever exist at once,
 /// however many seeds the grid has. The fold order makes the result bit-identical to the
-/// materializing reduction (and independent of worker count) by construction.
+/// materialized [`SweepEngine::run_cells`] reduction (and independent of worker count) by
+/// construction.
 struct StreamReducer {
     state: Mutex<ReduceState>,
     progressed: Condvar,
@@ -1314,18 +1172,6 @@ impl StreamReducer {
     }
 }
 
-/// Maps `f` over `0..n` using up to `threads` scoped workers and returns the outputs in
-/// index order.
-///
-/// Stateless convenience wrapper over [`par_map_indexed_with`].
-pub fn par_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_indexed_with(n, threads, || (), |_, idx| f(idx))
-}
-
 /// Maps `f` over `0..n` using up to `threads` scoped workers, each owning one worker state
 /// created by `init` (the engine's per-worker [`SolverWorkspace`]), and returns the outputs
 /// in index order.
@@ -1410,18 +1256,30 @@ mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arms::ProposedArm;
+    use crate::arms::SpecArm;
+    use crate::spec::{ArmKind, ArmSpec, ScenarioSpec};
     use fedopt_core::SolverConfig;
     use flsys::Weights;
+
+    /// A proposed-optimizer arm at `weights` on the fast solver preset.
+    fn proposed(weights: Weights) -> SpecArm {
+        SpecArm::new(ArmSpec::new(ArmKind::Proposed { weights }), SolverConfig::fast())
+    }
+
+    /// `engine` with its per-item seed cap replaced.
+    fn with_chunk(engine: SweepEngine, seed_chunk: usize) -> SweepEngine {
+        SweepEngine { seed_chunk, ..engine }
+    }
 
     #[test]
     fn par_map_matches_sequential_for_any_thread_count() {
         let f = |i: usize| (i * 31) % 17;
         let expected: Vec<usize> = (0..100).map(f).collect();
+        let map = |n, threads| par_map_indexed_with(n, threads, || (), |_, i| f(i));
         for threads in [1, 2, 3, 8] {
-            assert_eq!(par_map_indexed(100, threads, f), expected);
+            assert_eq!(map(100, threads), expected);
         }
-        assert_eq!(par_map_indexed(0, 4, f), Vec::<usize>::new());
+        assert_eq!(map(0, 4), Vec::<usize>::new());
     }
 
     #[test]
@@ -1513,7 +1371,7 @@ mod tests {
         std::thread::spawn(move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // Chunk size 1 so the panicked item genuinely pins the frontier for peers.
-                SweepEngine::with_threads(4).with_seed_chunk(1).run(&grid)
+                with_chunk(SweepEngine::with_threads(4), 1).run(&grid)
             }));
             tx.send(result.is_err()).ok();
         });
@@ -1525,20 +1383,16 @@ mod tests {
 
     #[test]
     fn scenario_builds_are_shared_per_prepared_builder_and_match_unshared() {
-        use crate::arms::ConfiguredArm;
-
-        let solver = SolverConfig::fast();
-        // Two arms with the default prepare share one build; the configured arm's distinct
+        // Two arms without a scenario patch share one build; the patched arm's distinct
         // builder gets its own.
         let arms = || -> Vec<Box<dyn Arm>> {
+            let patched = ArmSpec::new(ArmKind::Proposed { weights: Weights::balanced() })
+                .labeled("N = 3")
+                .with_scenario(ScenarioSpec { devices: Some(3), ..ScenarioSpec::default() });
             vec![
-                Box::new(ProposedArm::new(Weights::balanced(), solver)),
-                Box::new(ProposedArm::new(Weights::new(0.9, 0.1).unwrap(), solver)),
-                Box::new(
-                    ConfiguredArm::new(ProposedArm::new(Weights::balanced(), solver))
-                        .named("N = 3")
-                        .with_builder(|b| b.with_devices(3)),
-                ),
+                Box::new(proposed(Weights::balanced())),
+                Box::new(proposed(Weights::new(0.9, 0.1).unwrap())),
+                Box::new(SpecArm::new(patched, SolverConfig::fast())),
             ]
         };
         let grid = |arms: Vec<Box<dyn Arm>>| {
@@ -1590,10 +1444,7 @@ mod tests {
         );
         // The cap only ever shrinks; tiny grids floor at one seed per chunk.
         assert_eq!(engine.effective_seed_chunk(2, 3), 1);
-        assert_eq!(
-            SweepEngine::with_threads(2).with_seed_chunk(5).effective_seed_chunk(100, 1000),
-            5
-        );
+        assert_eq!(with_chunk(SweepEngine::with_threads(2), 5).effective_seed_chunk(100, 1000), 5);
     }
 
     /// Streaming must hold exactly points×arms accumulators and a window-sized ring —
@@ -1671,20 +1522,17 @@ mod tests {
                     flsys::ScenarioBuilder::paper_default().with_devices(4).with_p_max_dbm(x),
                 );
             }
-            grid.arm(ProposedArm::new(Weights::balanced(), SolverConfig::fast()))
+            grid.arm(proposed(Weights::balanced()))
         };
         let materialized =
-            SweepEngine::with_threads(2).with_streaming_reduction(false).run(&grid()).unwrap();
+            SweepEngine::with_threads(2).run_cells(&grid()).unwrap().into_sweep_result();
         // Chunk sizes that divide, straddle and exceed the seed count, at 1 and 3 workers —
-        // every combination must reproduce the materializing reduction bit for bit,
+        // every combination must reproduce the materialized reduction bit for bit,
         // standard deviations included.
         for threads in [1usize, 3] {
             for chunk in [1usize, 2, 3, 7, 64] {
-                let streamed = SweepEngine::with_threads(threads)
-                    .with_streaming_reduction(true)
-                    .with_seed_chunk(chunk)
-                    .run(&grid())
-                    .unwrap();
+                let streamed =
+                    with_chunk(SweepEngine::with_threads(threads), chunk).run(&grid()).unwrap();
                 assert_eq!(
                     streamed, materialized,
                     "streaming diverged at {threads} thread(s), chunk {chunk}"
@@ -1705,7 +1553,7 @@ mod tests {
                     12.0,
                     flsys::ScenarioBuilder::paper_default().with_devices(5).with_p_max_dbm(12.0),
                 )
-                .arm(ProposedArm::new(Weights::balanced(), SolverConfig::fast()))
+                .arm(proposed(Weights::balanced()))
         };
         let single = SweepEngine::single_thread().run(&grid(&[1, 2, 3])).unwrap();
         let multi = SweepEngine::with_threads(4).run(&grid(&[1, 2, 3])).unwrap();

@@ -11,9 +11,9 @@
 //! wire, cached, diffed, replayed, and sharded — a shard is a spec plus a seed range.
 //!
 //! All sweeps evaluate through the same substrate: a declarative [`engine::SweepGrid`]
-//! (sweep points × [`arms`] × scenario seeds) evaluated by the parallel
-//! [`engine::SweepEngine`] across threads in (point, seed) cell-groups — one scenario
-//! build shared by every arm of the group, one reusable
+//! (sweep points × arms — one per [`spec::ArmSpec`] — × scenario seeds) evaluated by the
+//! parallel [`engine::SweepEngine`] across threads in (point, seed) cell-groups — one
+//! scenario build shared by every arm of the group, one reusable
 //! [`SolverWorkspace`](fedopt_core::SolverWorkspace) per worker thread — with
 //! deterministic, thread-count-independent output (see the [`engine`] module docs for the
 //! cell-group architecture and the seeding scheme).
@@ -47,7 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arms;
+mod arms;
 pub mod cli;
 pub mod engine;
 pub mod fault;

@@ -109,7 +109,7 @@ fn proposed_sweep_arms(weights: &[Weights]) -> Vec<ArmSpec> {
     weights.iter().map(|&w| ArmSpec::new(ArmKind::Proposed { weights: w })).collect()
 }
 
-fn energy_time_reports(fig: u8, subject: &str, x_label: &str) -> Vec<ReportSpec> {
+fn energy_and_delay_reports(fig: u8, subject: &str, x_label: &str) -> Vec<ReportSpec> {
     vec![
         ReportSpec::new(
             &format!("fig{fig}a"),
@@ -148,7 +148,7 @@ pub fn fig2(variant: Variant) -> ExperimentSpec {
         Variant::Quick => SeedSpec::list(vec![11, 12]),
         Variant::Paper => SeedSpec::count(100),
     };
-    spec.reports = energy_time_reports(2, "maximum transmit power", "p_max (dBm)");
+    spec.reports = energy_and_delay_reports(2, "maximum transmit power", "p_max (dBm)");
     spec
 }
 
@@ -174,7 +174,7 @@ pub fn fig3(variant: Variant) -> ExperimentSpec {
         Variant::Quick => SeedSpec::list(vec![21, 22]),
         Variant::Paper => SeedSpec::count(100),
     };
-    spec.reports = energy_time_reports(3, "maximum CPU frequency", "f_max (GHz)");
+    spec.reports = energy_and_delay_reports(3, "maximum CPU frequency", "f_max (GHz)");
     spec
 }
 
@@ -207,7 +207,7 @@ pub fn fig4(variant: Variant) -> ExperimentSpec {
         Variant::Quick => SeedSpec::list(vec![31]),
         Variant::Paper => SeedSpec::count(100),
     };
-    spec.reports = energy_time_reports(4, "number of devices", "number of devices");
+    spec.reports = energy_and_delay_reports(4, "number of devices", "number of devices");
     spec
 }
 
@@ -243,7 +243,7 @@ pub fn fig5(variant: Variant) -> ExperimentSpec {
         Variant::Quick => SeedSpec::list(vec![41]),
         Variant::Paper => SeedSpec::count(100),
     };
-    spec.reports = energy_time_reports(5, "cell radius (w1 = w2 = 0.5)", "radius (km)");
+    spec.reports = energy_and_delay_reports(5, "cell radius (w1 = w2 = 0.5)", "radius (km)");
     spec
 }
 
@@ -279,7 +279,7 @@ pub fn fig6(variant: Variant) -> ExperimentSpec {
         Variant::Quick => SeedSpec::list(vec![51]),
         Variant::Paper => SeedSpec::count(100),
     };
-    spec.reports = energy_time_reports(
+    spec.reports = energy_and_delay_reports(
         6,
         "local iterations per round (w1 = w2 = 0.5)",
         "local iterations R_l",

@@ -44,7 +44,8 @@
 //! [`SolverWorkspace::solve_deadline`]: fedopt_core::SolverWorkspace::solve_deadline
 //! [`SolverWorkspace::quarantine_reset`]: fedopt_core::SolverWorkspace::quarantine_reset
 
-use crate::engine::{warm_start_env, CellContext, CellOutput};
+use crate::arms::SpecArm;
+use crate::engine::{warm_start_env, Arm, CellContext, CellOutput};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::json::{fnv1a_64, Json, MAX_EXACT_INT};
 use crate::spec::{ArmKind, ArmSpec, Obj, ScenarioSpec, SolverSpec, SpecError};
@@ -947,7 +948,7 @@ fn evaluate_request(
     budget: Option<Instant>,
 ) -> Result<SolveOutput, (CoreError, fedopt_core::SolveCounters)> {
     let config = req.solver.resolve();
-    let arm = req.arm.instantiate(config);
+    let arm = SpecArm::new(req.arm.clone(), config);
     let template = req.scenario.apply(ScenarioBuilder::paper_default());
     let builder = arm.prepare(&template);
     let scenario = builder

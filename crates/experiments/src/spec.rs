@@ -5,17 +5,19 @@
 //! onto [`ScenarioBuilder`], a closed set of **arms** (every scheme the figures compare),
 //! a **seed policy** (explicit list or a `start..start+count` range, with the
 //! stream-seed derivation pinned by [`baselines::StreamDerivation`] name), **solver**
-//! settings (preset plus tolerance overrides), **engine** options (threads, chunking,
-//! streaming, warm start), and the **reports** to render from the evaluated grid.
+//! settings (preset plus tolerance overrides), **engine** options (threads, warm start,
+//! fleet shard retries and timeout), and the **reports** to render from the evaluated
+//! grid.
 //!
 //! A spec is *data*: it serializes to JSON ([`ExperimentSpec::to_json_string`]) and back
 //! ([`ExperimentSpec::from_json_str`]) losslessly, so a sweep description can be received
 //! over a wire, cached, diffed, replayed, and sharded (a shard is a spec plus a seed
 //! range). Running one compiles it onto the imperative machinery — the spec's
 //! [`ExperimentSpec::grid`] produces the [`SweepGrid`] that [`SweepEngine::run_spec`]
-//! evaluates, so the engine's scenario sharing, allocation-free hot path, streaming
-//! reduction and warm-start continuation serve every spec alike. The figures are preset
-//! specs ([`crate::presets`]), pinned by golden JSON documents of their quick runs.
+//! evaluates, one arm per [`ArmSpec`] whose [`ArmKind`] decides what a cell computes, so
+//! the engine's scenario sharing, allocation-free hot path, streaming reduction and
+//! warm-start continuation serve every spec alike. The figures are preset specs
+//! ([`crate::presets`]), pinned by golden JSON documents of their quick runs.
 //!
 //! ```rust
 //! use experiments::presets;
@@ -45,11 +47,8 @@
 //! serialization is deterministic and byte-stable — see `examples/specs/` for a committed
 //! example and the README for the annotated schema.
 
-use crate::arms::{
-    BenchmarkArm, CommOnlyArm, CompOnlyArm, ConfiguredArm, DeadlineProposedArm, DeadlineSource,
-    ProposedArm, Scheme1Arm,
-};
-use crate::engine::{Arm, SweepEngine, SweepGrid, SweepResult};
+use crate::arms::SpecArm;
+use crate::engine::{Aggregate, SweepEngine, SweepGrid, SweepResult};
 use crate::json::{Json, JsonError, MAX_EXACT_INT};
 use crate::report::FigureReport;
 use baselines::StreamDerivation;
@@ -525,8 +524,7 @@ impl BenchmarkDraw {
     }
 }
 
-/// Where a deadline-constrained arm reads its deadline from (serializable twin of
-/// [`DeadlineSource`]).
+/// Where a deadline-constrained arm reads its deadline from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DeadlineSpec {
     /// The sweep point's x value is the deadline (requires a
@@ -534,15 +532,6 @@ pub enum DeadlineSpec {
     Axis,
     /// A fixed deadline in seconds (one series per value, as in Figure 8).
     FixedS(f64),
-}
-
-impl DeadlineSpec {
-    fn to_source(self) -> DeadlineSource {
-        match self {
-            Self::Axis => DeadlineSource::FromX,
-            Self::FixedS(t) => DeadlineSource::Fixed(t),
-        }
-    }
 }
 
 /// The closed set of schemes an arm can run — every comparison of the paper's evaluation.
@@ -585,6 +574,23 @@ impl ArmKind {
             Self::Scheme1 { .. } => "scheme1",
         }
     }
+
+    /// The scheme's column label when the arm sets no [`ArmSpec::label`].
+    pub(crate) fn column_name(&self) -> String {
+        match self {
+            Self::Proposed { weights } => {
+                format!("proposed w1={:.1},w2={:.1}", weights.energy(), weights.time())
+            }
+            Self::DeadlineProposed { deadline: DeadlineSpec::Axis } => "proposed".to_string(),
+            Self::DeadlineProposed { deadline: DeadlineSpec::FixedS(t) } => {
+                format!("proposed (T={t:.0}s)")
+            }
+            Self::Benchmark { .. } => "benchmark".to_string(),
+            Self::CommOnly => "communication only".to_string(),
+            Self::CompOnly => "computation only".to_string(),
+            Self::Scheme1 { deadline_s } => format!("scheme1 (T={deadline_s:.0}s)"),
+        }
+    }
 }
 
 /// One column of the figure: a scheme, an optional display label, and an optional
@@ -619,37 +625,6 @@ impl ArmSpec {
     pub fn with_scenario(mut self, scenario: ScenarioSpec) -> Self {
         self.scenario = Some(scenario);
         self
-    }
-
-    /// Compiles the arm description into a live [`Arm`].
-    pub(crate) fn instantiate(&self, solver: SolverConfig) -> Box<dyn Arm> {
-        let base: Box<dyn Arm> = match &self.kind {
-            ArmKind::Proposed { weights } => Box::new(ProposedArm::new(*weights, solver)),
-            ArmKind::DeadlineProposed { deadline } => {
-                Box::new(DeadlineProposedArm::new(deadline.to_source(), solver))
-            }
-            ArmKind::Benchmark { draw: BenchmarkDraw::Frequency } => {
-                Box::new(BenchmarkArm::random_frequency())
-            }
-            ArmKind::Benchmark { draw: BenchmarkDraw::Power } => {
-                Box::new(BenchmarkArm::random_power())
-            }
-            ArmKind::CommOnly => Box::new(CommOnlyArm::new(solver)),
-            ArmKind::CompOnly => Box::new(CompOnlyArm::new(solver)),
-            ArmKind::Scheme1 { deadline_s } => Box::new(Scheme1Arm::new(*deadline_s, solver)),
-        };
-        if self.label.is_none() && self.scenario.is_none() {
-            return base;
-        }
-        let mut configured = ConfiguredArm::new(base);
-        if let Some(label) = &self.label {
-            configured = configured.named(label.clone());
-        }
-        if let Some(patch) = &self.scenario {
-            let patch = patch.clone();
-            configured = configured.with_builder(move |b| patch.apply(b));
-        }
-        Box::new(configured)
     }
 
     pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
@@ -805,7 +780,9 @@ pub struct SeedSpec {
     pub policy: SeedPolicy,
     /// The derivation of arm-internal stream seeds from base seeds. Pinned by name in the
     /// wire format so a replay under a different rule is refused instead of silently
-    /// producing different benchmark columns.
+    /// producing different benchmark columns: only [`StreamDerivation::XorGolden32`], the
+    /// rule of [`baselines::derive_stream_seed`] that every sweep, `sim` and `serve` use,
+    /// validates.
     pub stream_derivation: StreamDerivation,
 }
 
@@ -848,6 +825,17 @@ impl SeedSpec {
     }
 
     fn validate(&self, path: &str) -> Result<(), SpecError> {
+        // Any other named rule would be silently ignored (see `stream_derivation`).
+        if self.stream_derivation != StreamDerivation::XorGolden32 {
+            return Err(SpecError::invalid(
+                format!("{path}.stream_derivation"),
+                format!(
+                    "arm streams derive with {:?} only (got {:?})",
+                    StreamDerivation::XorGolden32.name(),
+                    self.stream_derivation.name()
+                ),
+            ));
+        }
         match &self.policy {
             SeedPolicy::Range { start, count } => {
                 if *count == 0 {
@@ -1143,10 +1131,6 @@ pub struct EngineSpec {
     /// `FEDOPT_WARM_START=0` forces any spec cold), but when the environment is silent
     /// this field decides — the paper presets default it on.
     pub warm_start: Option<bool>,
-    /// Streaming reduction ([`SweepEngine::with_streaming_reduction`]).
-    pub streaming: Option<bool>,
-    /// Seeds per streaming chunk ([`SweepEngine::with_seed_chunk`]).
-    pub seed_chunk: Option<usize>,
     /// Retries per failed fleet shard before the shard counts as failed
     /// ([`crate::shard::FleetOptions::max_retries`]). `0` disables retries. Only
     /// consulted by sharded (`--shards`) runs; an explicit `--shard-retries` CLI flag
@@ -1161,18 +1145,12 @@ pub struct EngineSpec {
 
 impl EngineSpec {
     /// Builds the engine these options describe. Precedence for the warm-start switch:
-    /// explicit environment setting > spec field > off.
+    /// explicit environment setting > spec field > on.
     pub fn to_engine(&self) -> SweepEngine {
         let mut engine = match self.threads {
             Some(n) => SweepEngine::with_threads(n),
             None => SweepEngine::new(),
         };
-        if let Some(streaming) = self.streaming {
-            engine = engine.with_streaming_reduction(streaming);
-        }
-        if let Some(chunk) = self.seed_chunk {
-            engine = engine.with_seed_chunk(chunk);
-        }
         // `SweepEngine::new` already folded the environment in; only a *silent*
         // environment lets the spec's default take effect.
         if crate::engine::warm_start_env().is_none() {
@@ -1186,9 +1164,6 @@ impl EngineSpec {
     fn validate(&self, path: &str) -> Result<(), SpecError> {
         if self.threads == Some(0) {
             return Err(SpecError::invalid(format!("{path}.threads"), "must be at least 1"));
-        }
-        if self.seed_chunk == Some(0) {
-            return Err(SpecError::invalid(format!("{path}.seed_chunk"), "must be at least 1"));
         }
         if self.shard_timeout_s == Some(0) {
             return Err(SpecError::invalid(
@@ -1208,31 +1183,17 @@ impl EngineSpec {
         };
         push("threads", self.threads.map(|v| Json::uint(v as u64)));
         push("warm_start", self.warm_start.map(Json::Bool));
-        push("streaming", self.streaming.map(Json::Bool));
-        push("seed_chunk", self.seed_chunk.map(|v| Json::uint(v as u64)));
         push("shard_retries", self.shard_retries.map(Json::uint));
         push("shard_timeout_s", self.shard_timeout_s.map(Json::uint));
         Json::Obj(members)
     }
 
     fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            path,
-            &[
-                "threads",
-                "warm_start",
-                "streaming",
-                "seed_chunk",
-                "shard_retries",
-                "shard_timeout_s",
-            ],
-        )?;
+        let obj =
+            Obj::new(v, path, &["threads", "warm_start", "shard_retries", "shard_timeout_s"])?;
         let spec = Self {
             threads: obj.opt_usize("threads")?,
             warm_start: obj.opt_bool("warm_start")?,
-            streaming: obj.opt_bool("streaming")?,
-            seed_chunk: obj.opt_usize("seed_chunk")?,
             shard_retries: obj.opt_u64("shard_retries")?,
             shard_timeout_s: obj.opt_u64("shard_timeout_s")?,
         };
@@ -1282,12 +1243,28 @@ impl ReportSpec {
         Self { id: id.to_string(), metric, title: title.to_string(), x_label: x_label.to_string() }
     }
 
-    /// Renders this report from an evaluated grid.
+    /// Renders this report from an evaluated grid: one row per sweep point carrying the
+    /// metric's means and the per-cell feasible-sample counts.
     pub fn render(&self, result: &SweepResult) -> FigureReport {
-        match self.metric {
-            Metric::Energy => result.energy_report(&self.id, &self.title, &self.x_label),
-            Metric::Time => result.time_report(&self.id, &self.title, &self.x_label),
+        let (y_label, mean): (&str, fn(&Aggregate) -> f64) = match self.metric {
+            Metric::Energy => ("total energy (J)", |a| a.mean_energy_j),
+            Metric::Time => ("total time (s)", |a| a.mean_time_s),
+        };
+        let mut report = FigureReport::new(
+            &self.id,
+            &self.title,
+            &self.x_label,
+            y_label,
+            result.arm_names.clone(),
+        );
+        for (x, row) in result.xs.iter().zip(&result.aggregates) {
+            report.push_row_with_counts(
+                *x,
+                row.iter().map(mean).collect(),
+                row.iter().map(|a| a.count).collect(),
+            );
         }
+        report
     }
 
     fn to_json(&self) -> Json {
@@ -1935,7 +1912,7 @@ impl ExperimentSpec {
             grid = grid.point(x, self.axis.kind.apply(template.clone(), x));
         }
         for arm in &self.arms {
-            grid.arms.push(arm.instantiate(solver));
+            grid = grid.arm(SpecArm::new(arm.clone(), solver));
         }
         Ok(grid)
     }
@@ -2269,6 +2246,7 @@ impl<'a> Obj<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Arm;
 
     fn tiny_spec() -> ExperimentSpec {
         let mut spec = ExperimentSpec::new(
@@ -2310,16 +2288,20 @@ mod tests {
         );
 
         // A retired engine switch is an unknown key like any typo.
-        let mut retired = spec.to_json();
-        if let Json::Obj(members) = &mut retired {
-            let engine = members.iter_mut().find(|(key, _)| key == "engine").unwrap();
-            engine.1 = Json::obj([("scenario_sharing", Json::Bool(false))]);
+        for (key, value) in [
+            ("scenario_sharing", Json::Bool(false)),
+            ("streaming", Json::Bool(false)),
+            ("seed_chunk", Json::uint(7)),
+        ] {
+            let mut retired = spec.to_json();
+            if let Json::Obj(members) = &mut retired {
+                let engine = members.iter_mut().find(|(k, _)| k == "engine").unwrap();
+                engine.1 = Json::obj([(key, value)]);
+            }
+            let err = ExperimentSpec::from_json(&retired).unwrap_err();
+            let expected = format!("spec.engine.{key}");
+            assert!(matches!(&err, SpecError::Invalid { path, .. } if *path == expected), "{err}");
         }
-        let err = ExperimentSpec::from_json(&retired).unwrap_err();
-        assert!(
-            matches!(&err, SpecError::Invalid { path, .. } if path == "spec.engine.scenario_sharing"),
-            "{err}"
-        );
 
         let mut wrong_version = spec.to_json();
         if let Json::Obj(members) = &mut wrong_version {
@@ -2382,6 +2364,16 @@ mod tests {
             ..max_range.seeds
         };
         assert!(max_range.validate().is_ok(), "the cap itself is allowed");
+
+        // Arm streams always derive with `xor-golden32`; another named rule would be
+        // silently ignored, so it is refused.
+        let mut other_stream = tiny_spec();
+        other_stream.seeds.stream_derivation = StreamDerivation::RoundChannelFnv;
+        assert!(
+            matches!(other_stream.validate(), Err(SpecError::Invalid { path, .. })
+                if path == "seeds.stream_derivation"),
+            "a stream rule sweeps do not use must be rejected"
+        );
     }
 
     #[test]
@@ -2399,9 +2391,7 @@ mod tests {
     fn engine_spec_round_trips_and_builds() {
         let spec = EngineSpec {
             threads: Some(2),
-            warm_start: Some(true),
-            streaming: Some(false),
-            seed_chunk: Some(7),
+            warm_start: Some(false),
             shard_retries: Some(3),
             shard_timeout_s: Some(120),
         };
@@ -2409,8 +2399,8 @@ mod tests {
         assert_eq!(parsed, spec);
         let engine = spec.to_engine();
         assert_eq!(engine.threads(), 2);
-        assert!(!engine.streams_reduction());
-        assert_eq!(engine.seed_chunk(), 7);
+        // The spec's warm-start default applies unless the environment pins one.
+        assert_eq!(engine.warm_starts(), crate::engine::warm_start_env().unwrap_or(false));
         // The empty spec serializes to an empty object.
         assert_eq!(EngineSpec::default().to_json(), Json::Obj(vec![]));
     }
@@ -2461,7 +2451,7 @@ mod tests {
         let arm = ArmSpec::new(ArmKind::Proposed { weights: Weights::balanced() })
             .labeled("N = 3")
             .with_scenario(ScenarioSpec { devices: Some(3), ..ScenarioSpec::default() });
-        let live = arm.instantiate(SolverConfig::fast());
+        let live = SpecArm::new(arm, SolverConfig::fast());
         assert_eq!(live.name(), "N = 3");
         let base = ScenarioBuilder::paper_default();
         assert_eq!(live.prepare(&base), base.clone().with_devices(3));

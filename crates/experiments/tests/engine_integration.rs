@@ -204,9 +204,10 @@ impl Arm for SyntheticArm {
 }
 
 /// The headline property of the streaming reduction: on a 10⁴-draw grid it must reproduce
-/// the materializing path bit for bit — means, standard deviations, feasible counts and
-/// attempt counts — while holding only O(points × arms) accumulators plus a bounded window
-/// of in-flight chunks (the materializing path holds all 60 000 cell outputs).
+/// the materialized `run_cells(..).into_sweep_result()` bit for bit — means, standard
+/// deviations, feasible counts and attempt counts — while holding only O(points × arms)
+/// accumulators plus a bounded window of in-flight chunks (`run_cells` holds all 60 000
+/// cell outputs).
 #[test]
 fn ten_thousand_draw_grid_streams_bit_identically_to_materializing() {
     let grid = || {
@@ -219,8 +220,7 @@ fn ten_thousand_draw_grid_streams_bit_identically_to_materializing() {
             .arm(SyntheticArm { tag: 2.5 })
     };
 
-    let materialized =
-        SweepEngine::with_threads(2).with_streaming_reduction(false).run(&grid()).unwrap();
+    let materialized = SweepEngine::with_threads(2).run_cells(&grid()).unwrap().into_sweep_result();
     // 13 of every 97 seeds... exactly the draws with seed % 97 == 13 are infeasible.
     let expected_infeasible = (0..10_000u64).filter(|s| s % 97 == 13).count();
     for row in &materialized.aggregates {
@@ -231,28 +231,25 @@ fn ten_thousand_draw_grid_streams_bit_identically_to_materializing() {
     }
 
     for threads in [1usize, 4] {
-        let streamed =
-            SweepEngine::with_threads(threads).with_streaming_reduction(true).run(&grid()).unwrap();
+        let streamed = SweepEngine::with_threads(threads).run(&grid()).unwrap();
         assert_eq!(streamed, materialized, "streaming diverged at {threads} thread(s)");
     }
 }
 
 /// Every figure's quick preset must produce bit-identical runs (aggregates, counters and
-/// reports) through the streaming and the materializing reductions — the acceptance bar
-/// of the streaming refactor. The seed chunk is forced to 1 so even the 2-seed quick
-/// grids exercise multi-chunk folding.
+/// reports) through the streaming `run` and the materialized
+/// `run_cells(..).into_sweep_result()` — the acceptance bar of the streaming refactor. At
+/// 2 workers the engine already schedules one-seed chunks for every quick preset (at most
+/// 4 points × 2 seeds is fewer than the 8 work items it aims for), so even these grids
+/// exercise multi-chunk folding.
 #[test]
 fn all_figure_quick_presets_stream_bit_identically() {
-    let streamed = SweepEngine::with_threads(2).with_streaming_reduction(true).with_seed_chunk(1);
-    let materialized = streamed.with_streaming_reduction(false);
-
+    let engine = SweepEngine::with_threads(2);
     for &fig in &presets::FIGURES {
         let spec = presets::spec(fig, Variant::Quick).expect("figure preset exists");
-        assert_eq!(
-            run(&spec, &streamed),
-            run(&spec, &materialized),
-            "fig{fig} quick preset diverged"
-        );
+        let cells = engine.run_cells(&spec.grid().unwrap()).unwrap().into_sweep_result();
+        let materialized = SpecRun { reports: spec.render_reports(&cells), result: cells };
+        assert_eq!(run(&spec, &engine), materialized, "fig{fig} quick preset diverged");
     }
 }
 

@@ -187,8 +187,6 @@ fn arbitrary_spec(rng: &mut TestRng) -> ExperimentSpec {
     spec.engine = EngineSpec {
         threads: (rng.below(3) == 0).then(|| 1 + rng.below(16) as usize),
         warm_start: (rng.below(3) == 0).then(|| rng.below(2) == 0),
-        streaming: (rng.below(4) == 0).then(|| rng.below(2) == 0),
-        seed_chunk: (rng.below(4) == 0).then(|| 1 + rng.below(256) as usize),
         shard_retries: (rng.below(4) == 0).then(|| rng.below(5)),
         shard_timeout_s: (rng.below(4) == 0).then(|| 1 + rng.below(600)),
     };

@@ -5,15 +5,19 @@
 //! cargo run --release --example large_sweep -- --seeds 10000
 //! ```
 //!
-//! The engine evaluates `points × arms × seeds` cells but never materialises them: each
-//! worker streams chunks of one point's seeds into `points × arms` constant-size
-//! accumulators (plus a bounded window of in-flight chunks), so `--seeds 10000` costs the
-//! same memory as `--seeds 10`. Output is bit-identical to the materializing reduction and
-//! to a single-threaded run. Drop `--seeds` (or pass a smaller value) for a quicker demo;
-//! the default reproduces the full 10⁴-draw grid.
+//! The sweep is the quick Figure 2 preset cut to two `p_max` points, two arms and small
+//! scenarios, compiled with `spec.grid()`. The engine evaluates `points × arms × seeds`
+//! cells but never materialises them: each worker streams chunks of one point's seeds into
+//! `points × arms` constant-size accumulators (plus a bounded window of in-flight chunks),
+//! so `--seeds 10000` costs the same memory as `--seeds 10`. Output is bit-identical to
+//! the materialized `run_cells` reduction and to a single-threaded run. Drop `--seeds` (or
+//! pass a smaller value) for a quicker demo; the default reproduces the full 10⁴-draw
+//! grid.
 
-use fedopt::experiments::engine::{SweepEngine, SweepGrid};
+use fedopt::experiments::engine::DEFAULT_SEED_CHUNK;
 use fedopt::prelude::*;
+use fedopt::presets::{self, Variant};
+use fedopt::spec::{ArmKind, ArmSpec, BenchmarkDraw};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut seeds: u64 = 10_000;
@@ -29,19 +33,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A solver-bound Figure-2 slice: two p_max points, one energy-leaning weight pair,
     // small devices so 10⁴ draws finish in minutes rather than hours.
-    let solver = SolverConfig::fast();
-    let mut grid = SweepGrid::new((0..seeds).collect::<Vec<u64>>());
-    for p_max_dbm in [5.0, 12.0] {
-        grid = grid.point(
-            p_max_dbm,
-            ScenarioBuilder::paper_default().with_devices(6).with_p_max_dbm(p_max_dbm),
-        );
-    }
-    let grid = grid
-        .arm(fedopt::experiments::arms::ProposedArm::new(Weights::new(0.9, 0.1)?, solver))
-        .arm(fedopt::experiments::arms::BenchmarkArm::random_frequency());
+    let mut spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
+    spec.scenario.devices = Some(6);
+    spec.axis.values = vec![5.0, 12.0];
+    spec.arms = vec![
+        ArmSpec::new(ArmKind::Proposed { weights: Weights::new(0.9, 0.1)? }),
+        ArmSpec::new(ArmKind::Benchmark { draw: BenchmarkDraw::Frequency }),
+    ];
+    spec.override_seed_count(seeds);
+    let grid = spec.grid()?;
 
-    let engine = SweepEngine::new(); // streaming reduction is the default
+    let engine = SweepEngine::new();
     let (points, arms) = (grid.points.len(), grid.arms.len());
     println!(
         "sweeping {points} points × {arms} arms × {seeds} draws = {} cells on {} thread(s)",
@@ -52,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "streaming reduction: {points}×{arms} = {} accumulators + a {} seed chunk window \
          (vs {} materialised cells)",
         points * arms,
-        engine.seed_chunk(),
+        DEFAULT_SEED_CHUNK,
         grid.num_cells(),
     );
 
