@@ -4,7 +4,7 @@
 //! iteration counters on each path, fleet-scale single-scenario solves at 10³/10⁴/10⁵
 //! devices, sharded-fleet sweep rows (1/2/4 worker subprocesses on the fig2 100-draw
 //! grid, plus a cold-vs-cached re-run over the content-addressed shard cache), the
-//! adaptive-vs-fixed warm μ-bracket eval counts, and the streaming reducer's
+//! warm Newton-vs-fixed-bracket `g'(μ)` pass counts, and the streaming reducer's
 //! accumulator footprint, then writes the per-run `BENCH_PR7.capture.json` at the
 //! workspace root (gitignored; CI uploads it as an artifact so the perf trajectory is
 //! recorded per commit). The curated, committed before/after snapshots live separately
@@ -143,8 +143,9 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
 
-    // --- Adaptive warm μ-bracket (PR 7): the warm path with and without the adaptive
-    // bracket width + endpoint-value reuse, counters only (same grid as above).
+    // --- Warm μ search: the default (Newton from the carried price) against the legacy
+    // fixed-width warm bracket refined by Brent, counters only (same grid as above). The
+    // JSON keys keep their earlier names so captures stay comparable across commits.
     let fixed_mu = SweepEngine::single_thread()
         .with_warm_start(true)
         .with_adaptive_mu_bracket(false)
@@ -276,7 +277,7 @@ fn main() {
     assert!(cold_counters.lp_sorts <= cold_counters.kkt_solves, "lp re-sorted per μ-eval");
     assert!(
         adaptive_mu < fixed_mu,
-        "the adaptive warm μ-bracket must spend fewer evals than the fixed width"
+        "the warm Newton μ search must spend fewer g'(μ) passes than the fixed warm bracket"
     );
     assert_eq!(warm_stats.shard_cache_misses, 0, "a warm re-run must be pure cache reads");
 }

@@ -16,7 +16,12 @@ pub struct SolverConfig {
     /// Newton-like loop settings for Subproblem 2 (the paper's Algorithm 1).
     #[serde(skip, default = "default_jong")]
     pub jong: JongConfig,
-    /// Relative tolerance of the bisection that finds the bandwidth-budget multiplier `μ`.
+    /// Tolerance of the search for the bandwidth-budget multiplier `μ`, as a fraction of
+    /// `10·j_max` (the cold search's starting price, `j_max` the largest Appendix-B
+    /// constant `ν_n d_n N₀ / g_n`), not of `μ` itself: the search stops within
+    /// `mu_tol·10·j_max` of the root, or as close as the rounding of `g'(μ)` allows where
+    /// that is finer. The legacy bracketed searches scale it by their expanded upper
+    /// bracket instead when they start cold.
     pub mu_tol: f64,
     /// Tolerance of the one-dimensional searches (Subproblem 1 over `T`, baselines).
     pub scalar_tol: f64,
@@ -29,8 +34,9 @@ pub struct SolverConfig {
     /// direct reference solver and keeps whichever attains lower communication energy.
     pub polish_with_reference: bool,
     /// Enables the warm-start continuation through the solver stack: Subproblem 2 seeds its
-    /// Newton-like loop with the previous solve's `(β, ν)` multipliers, reuses the previous
-    /// `μ`-root bracket, skips the loop entirely once the rate floors stop moving (see
+    /// Newton-like loop with the previous solve's `(β, ν)` multipliers, starts the `μ`
+    /// search from the previous price, skips the loop entirely once the rate floors stop
+    /// moving (see
     /// [`SolverConfig::warm_rmin_tol`]), Subproblem 1 narrows its golden-section bracket
     /// around the previous round time, and Algorithm 2 carries the previous `(p, B)`
     /// iterate between outer iterations instead of restaging it.
@@ -45,27 +51,23 @@ pub struct SolverConfig {
     /// engine's `FEDOPT_WARM_START=0` escape hatch forces it sweep-wide.
     #[serde(default)]
     pub warm_start: bool,
-    /// Finds the Theorem-2 bandwidth multiplier `μ` with the superlinear Brent iteration
-    /// instead of pure bisection (same bracket, same tolerance, bisection safeguard inside
-    /// the step — see `numopt::roots::brent`). `true` (the default) typically cuts the
-    /// `g'(μ)` evaluation count by an order of magnitude; `false` is the legacy
-    /// pure-bisection path, pinned bit-identical by regression goldens. Both paths clamp
-    /// identically when the budget constraint is inactive, and the drift between them is
-    /// bounded by the `mu_tol`-wide final bracket, i.e. within the solver's own tolerance.
+    /// Finds the Theorem-2 bandwidth multiplier `μ` with the superlinear search instead of
+    /// pure bisection. `true` (the default) is the safeguarded Newton iteration on the
+    /// convex decreasing `g'(μ)` (see `numopt::roots::root_of_decreasing_newton`): 6–8
+    /// `g'(μ)` passes per cold KKT solve and 2.6–3.4 per warm one on the quick figure
+    /// presets. `false` is the legacy path, pinned
+    /// bit-identical by a frozen regression golden: pure bisection over a bracket, cold or
+    /// around the warm seed. Both clamp identically when the budget constraint is inactive,
+    /// and both stop within the solver's own `mu_tol`.
     #[serde(default = "default_superlinear_mu")]
     pub superlinear_mu: bool,
-    /// Carries the *width* of the converged warm `μ` bracket across parametric solves in
-    /// addition to its center ([`KktScratch`](crate::KktScratch) already carries the
-    /// previous root). The first warm bracket after a reset still opens at the
-    /// conservative relative half-width `1e-3`; afterwards the width adapts to how far
-    /// the root actually moved last time (clamped to `[1e-5, 1e-3]`), so near-stationary
-    /// arms validate their bracket with probes that are three orders of magnitude
-    /// tighter and the Brent refinement starts essentially converged. `true` (the
-    /// default) only changes *which* bracket the warm path searches — the tolerance and
-    /// the cold fallback are untouched, so drift stays within the solver's own `mu_tol`
-    /// band; `false` restores the fixed-width warm bracket bit-exactly (the gate works
-    /// like [`SolverConfig::superlinear_mu`]). Only read when
-    /// [`SolverConfig::warm_start`] is set.
+    /// Lets a warm-started solve run the Newton `μ` search from the previous price (see
+    /// [`SolverConfig::superlinear_mu`]). `false` is the legacy warm path: a fixed bracket
+    /// of relative half-width `1e-3` around the previous price, validated by its two end
+    /// probes, widened up to four times and refined by Brent, with the cold search as the
+    /// fallback. Cold solves run Newton either way. Only read when
+    /// [`SolverConfig::warm_start`] and [`SolverConfig::superlinear_mu`] are set; kept only
+    /// because the benchmark harness builds against it.
     #[serde(default = "default_adaptive_mu_bracket")]
     pub adaptive_mu_bracket: bool,
     /// Maximum relative drift of Subproblem 2's rate floors `r_n^min` (against the previous
@@ -152,15 +154,15 @@ impl SolverConfig {
         Self { warm_start, ..self }
     }
 
-    /// This configuration with the superlinear `μ`-root step switched on or off
+    /// This configuration with the superlinear `μ` search switched on or off
     /// (`false` = the legacy pure-bisection path; see [`SolverConfig::superlinear_mu`]).
     #[must_use]
     pub fn with_superlinear_mu(self, superlinear_mu: bool) -> Self {
         Self { superlinear_mu, ..self }
     }
 
-    /// This configuration with the adaptive warm `μ`-bracket width switched on or off
-    /// (`false` = the fixed `1e-3` warm bracket; see
+    /// This configuration with the warm Newton `μ` search switched on or off
+    /// (`false` = the fixed `1e-3` warm bracket refined by Brent; see
     /// [`SolverConfig::adaptive_mu_bracket`]).
     #[must_use]
     pub fn with_adaptive_mu_bracket(self, adaptive_mu_bracket: bool) -> Self {

@@ -15,28 +15,35 @@
 //! 2. Eliminating `p` yields a dual in `(τ, μ)`; the stationarity condition (A.3) links
 //!    `τ_n` to the bandwidth price `μ` through a Lambert-W expression (A.4):
 //!    `τ_n = (μ − j_n) ln 2 / W₀((μ − j_n)/(e·j_n)) − ν_nβ_n`, `j_n = ν_n d_n N₀ / g_n`.
-//! 3. `μ` is the root of the scalar concave dual derivative `g'(μ) = 0`, found by a
-//!    safeguarded Brent iteration (or, behind
-//!    [`SolverConfig::superlinear_mu`](crate::SolverConfig) `= false`, the paper's pure
-//!    bisection).
-//!    We use the algebraically simplified form
+//! 3. `μ` is the root of the scalar concave dual derivative `g'(μ) = 0`. We use the
+//!    algebraically simplified form
 //!    `g'(μ) = Σ_n r_n^min·ln2 / (W₀((μ − j_n)/(e·j_n)) + 1) − B`,
 //!    which is equivalent to the paper's expression but avoids the removable singularity at
-//!    `μ = j_n`.
+//!    `μ = j_n`. It is convex and decreasing in `μ` (`1/(1 + t)` is convex and decreasing,
+//!    `W₀` concave), so the root is found by safeguarded Newton steps
+//!    ([`root_of_decreasing_newton`]); the derivative
+//!    `g''(μ) = −Σ_n r_n^min·ln2·W / ((μ − j_n)(1 + W)³)` comes from the same lane pass as
+//!    `g'(μ)`, reusing its `W₀` values. Behind the legacy gates
+//!    [`SolverConfig::superlinear_mu`] `= false` (the paper's pure bisection) and
+//!    [`SolverConfig::adaptive_mu_bracket`] `= false` (a fixed warm bracket refined by
+//!    Brent) the search brackets the root instead.
 //! 4. Devices with `τ_n > 0` have a tight rate constraint: `B_n = r_n^min / log2(Λ_n)` and
-//!    `p_n` from (A.1). The remaining devices solve the bounded linear program (A.6) in their
-//!    bandwidths, which a greedy pass over the cost coefficients solves exactly.
+//!    `p_n` from (A.1). The `W₀` of step 2 at the final `μ` is read from the lane the last
+//!    `g'(μ)` pass left behind. The remaining devices solve the bounded linear program (A.6)
+//!    in their bandwidths, which a greedy pass over the cost coefficients solves exactly.
 //!
 //! Box constraints on `p` (equation (38)) are applied by clamping, exactly as in the paper.
 
 use super::{PowerBandwidth, Sp2Problem};
-use numopt::lambertw::{lambert_w0, ratio_over_w0};
-use numopt::roots::{brent_with_endpoints, root_of_decreasing, root_of_decreasing_brent};
+use crate::SolverConfig;
+use numopt::lambertw::{lambert_w0, lambert_w0_seeded, ratio_over_w0};
+use numopt::roots::{root_of_decreasing, root_of_decreasing_brent, root_of_decreasing_newton};
 use numopt::scalar::clamp;
 use numopt::NumError;
 use wireless::channel::power_for_rate;
 
 const LN2: f64 = std::f64::consts::LN_2;
+const E: f64 = std::f64::consts::E;
 
 /// Per-device LP data of step 4b: cost coefficient `ρ_n` and the bandwidth bounds implied by
 /// the power box under the affine relation (A.1) with `τ_n = 0`.
@@ -57,9 +64,9 @@ pub(crate) struct LpEntry {
 ///
 /// Two kinds of *non-scratch* state ride along, neither of which affects the reference
 /// path: cumulative work counters ([`KktScratch::parametric_solves`],
-/// [`KktScratch::mu_bisect_evals`] — instrumentation only), and the warm-start `μ` seed —
-/// the previous bisection root, read **only** when
-/// [`SolverConfig::warm_start`](crate::SolverConfig) is set, and droppable at any time via
+/// [`KktScratch::mu_bisect_evals`], [`KktScratch::lp_sorts`] — instrumentation only), and
+/// the warm-start `μ` seed — the previous solve's price, read **only** when
+/// [`SolverConfig::warm_start`] is set, and droppable at any time via
 /// [`KktScratch::reset_warm_start`].
 #[derive(Debug, Clone, Default)]
 pub struct KktScratch {
@@ -74,43 +81,44 @@ pub struct KktScratch {
     /// hoisted out of the per-probe loop; `(r·ln2)/denom` is bit-identical to
     /// `r·ln2/denom` — same left-to-right grouping).
     rc_rmin_ln2: Vec<f64>,
+    /// Matching `W₀((μ − j_n)/(e·j_n))` lane at the `μ` of the latest `g'(μ)` pass, which
+    /// every pass rewrites. The searches end with a pass at the returned price, so step 2/4
+    /// reads `W₀` here instead of evaluating it again, and each Newton pass after the first
+    /// starts every device's Halley iteration from its value in the previous pass.
+    rc_w: Vec<f64>,
     /// LP entries of the devices whose rate constraint is slack (step 4b).
     entries: Vec<LpEntry>,
     /// Cumulative count of Theorem-2 parametric solves performed with this scratch.
     pub parametric_solves: u64,
-    /// Cumulative count of `g'(μ)` evaluations spent in the `μ` root search (bracket
-    /// validation, expansion and root refinement alike; bisection and Brent count the
-    /// same way).
+    /// Cumulative count of `g'(μ)` lane passes spent finding `μ`: one pass over the
+    /// rate-constrained devices counts once, whether it was a Newton probe (which also
+    /// yields `g''(μ)`), a bracket probe of the legacy searches, or the re-evaluation at the
+    /// returned price that a legacy search needs when it did not probe that price last. The
+    /// name predates the Newton search and is kept because benchmark and JSON readers use it.
     pub mu_bisect_evals: u64,
     /// Cumulative count of step-4b `(ρ, idx)` key sorts. The LP ordering is `μ`-invariant,
     /// so this advances exactly once per parametric solve — never once per `g'(μ)`
     /// evaluation. The complexity audit asserts this ratio.
     pub lp_sorts: u64,
-    /// The previous solve's bandwidth price `μ` — the warm-start bracket seed.
+    /// The previous solve's bandwidth price `μ` — the warm-start seed: the start of the
+    /// Newton search, or the center of the legacy fixed-width bracket.
     warm_mu: f64,
     /// Whether [`KktScratch::warm_mu`] holds a usable seed.
     warm_mu_valid: bool,
-    /// Adaptive relative half-width of the next warm bracket, learned from how far the
-    /// root moved in the previous solve. `0.0` means "no history" — the warm path then
-    /// opens at the conservative [`INITIAL_WARM_DELTA`]. Only read when
-    /// [`SolverConfig::adaptive_mu_bracket`](crate::SolverConfig) is set.
-    warm_delta: f64,
 }
 
-/// Relative half-width of the first warm `μ` bracket after a reset (and the fixed width
-/// of every warm bracket when the adaptive carry is gated off).
-const INITIAL_WARM_DELTA: f64 = 1e-3;
-/// Floor of the adaptive warm-bracket half-width: the bracket never collapses below this
-/// even for a root that did not move at all, so one pair of validation probes still has a
-/// realistic chance of straddling the new root.
-const MIN_WARM_DELTA: f64 = 1e-5;
+/// Relative half-width of the legacy warm `μ` bracket
+/// ([`SolverConfig::adaptive_mu_bracket`] `= false`, or pure bisection); a stale bracket
+/// widens 16-fold, up to four tries, before the cold bracket takes over.
+const WARM_DELTA: f64 = 1e-3;
+/// Iteration budget of every `μ` search.
+const MAX_ITER: usize = 300;
 
 impl KktScratch {
-    /// Drops the carried `μ`-bracket seed: the next warm-start solve brackets from the
-    /// full conservative interval again.
+    /// Drops the carried `μ` seed: the next warm-start solve searches from the cold start
+    /// again.
     pub fn reset_warm_start(&mut self) {
         self.warm_mu_valid = false;
-        self.warm_delta = 0.0;
     }
 }
 
@@ -121,8 +129,11 @@ impl KktScratch {
 ///
 /// # Errors
 ///
-/// Returns an error if the Lambert-W evaluation or the `μ` bisection fails on non-finite
-/// inputs; callers treat that as "fall back to the reference solver".
+/// * [`NumError::NonFiniteValue`] (with `at` the device index) if some `ν_n` or `β_n` is
+///   NaN or infinite.
+/// * The Lambert-W error of a failed `W₀` evaluation, or the error of a failed `μ` search.
+///
+/// Callers treat any error as "fall back to the reference solver".
 pub fn solve_parametric(
     problem: &Sp2Problem<'_>,
     nu: &[f64],
@@ -156,18 +167,21 @@ pub fn solve_parametric_into(
     let b_total = problem.total_bandwidth();
     let floor = problem.config().bandwidth_floor_hz;
     let r_min = problem.r_min_bps();
+    if let Some(i) = nu.iter().zip(beta).position(|(v, b)| !(v.is_finite() && b.is_finite())) {
+        return Err(NumError::NonFiniteValue { at: i as f64 });
+    }
     let mut scratch = problem.scratch_mut();
     let KktScratch {
         j,
         rc_j,
         rc_rmin_ln2,
+        rc_w,
         entries,
         parametric_solves,
         mu_bisect_evals,
         lp_sorts,
         warm_mu,
         warm_mu_valid,
-        warm_delta,
     } = &mut *scratch;
     *parametric_solves += 1;
 
@@ -185,9 +199,7 @@ pub fn solve_parametric_into(
 
     // --- Step 3: bandwidth price μ from g'(μ) = 0 (root of a decreasing function). ---
     let has_rate_constraints = r_min.iter().any(|&r| r > 0.0);
-    let warm_start = problem.config().warm_start;
-    let superlinear = problem.config().superlinear_mu;
-    let adaptive = problem.config().adaptive_mu_bracket;
+    let config = problem.config();
     let mu = if has_rate_constraints {
         // Compact the summation set once per parametric solve: the μ search only ever
         // touches the rate-constrained devices, and their (j_n, r_n^min·ln2) pairs are
@@ -201,109 +213,19 @@ pub fn solve_parametric_into(
                 rc_rmin_ln2.push(r_min[i] * LN2);
             }
         }
-        let evals = std::cell::Cell::new(0u64);
-        let g_prime = |mu: f64| -> f64 {
-            evals.set(evals.get() + 1);
-            let mut sum = 0.0;
-            for (&ji, &rml) in rc_j.iter().zip(rc_rmin_ln2.iter()) {
-                let arg = (mu - ji) / (std::f64::consts::E * ji);
-                let w = lambert_w0(arg.max(-1.0 / std::f64::consts::E)).unwrap_or(0.0);
-                // Simplified derivative term: r_min·ln2 / (W + 1).
-                let denom = (w + 1.0).max(1e-12);
-                sum += rml / denom;
-            }
-            sum - b_total
-        };
-        // Brent (superlinear, with a bisection safeguard inside the step) or the legacy
-        // pure bisection — same bracket, same tolerance semantics either way.
-        let find_root = |lo: f64, hi: f64, tol: f64| -> Result<f64, NumError> {
-            if superlinear {
-                root_of_decreasing_brent(&g_prime, lo, hi, tol, 300)
-            } else {
-                root_of_decreasing(&g_prime, lo, hi, tol, 300)
-            }
-        };
+        rc_w.resize(rc_j.len(), 0.0);
         let j_max = j.iter().cloned().fold(0.0_f64, f64::max).max(1e-300);
         let j_min = j.iter().cloned().fold(f64::INFINITY, f64::min).max(1e-300);
-
-        // Warm start: the Newton-like outer loop moves (ν, β) — and with them the root of
-        // g' — only a little per iteration, so bracket tightly around the previous root and
-        // expand geometrically if that turned out stale. Signs are validated before
-        // bisecting (g' decreasing ⇒ g'(lo) > 0 ≥ g'(hi)); any failure after a few
-        // expansions falls back to the full conservative bracket below. The tolerance is
-        // pinned to the *conservative* bracket's scale so a tight warm bracket saves
-        // halvings instead of buying unasked-for accuracy.
-        let mut warm_root = None;
-        if warm_start && *warm_mu_valid && *warm_mu > 0.0 && warm_mu.is_finite() {
-            let tol = problem.config().mu_tol * (10.0 * j_max);
-            // Open at the adaptively carried half-width when there is movement history
-            // (one extra escalation keeps the worst-case expansion reach identical),
-            // otherwise at the conservative fixed width — which is also the gated-off
-            // legacy path, probe for probe.
-            let (mut delta, tries) = if adaptive && *warm_delta > 0.0 {
-                (*warm_delta, 5)
-            } else {
-                (INITIAL_WARM_DELTA, 4)
-            };
-            for _ in 0..tries {
-                let lo = (*warm_mu * (1.0 - delta)).max(1e-9 * j_min);
-                let hi = *warm_mu * (1.0 + delta);
-                let (g_lo, g_hi) = (g_prime(lo), g_prime(hi));
-                if g_lo > 0.0 && g_hi <= 0.0 {
-                    // A failed refinement (e.g. a non-finite interior probe) falls back to
-                    // the conservative bracket below rather than failing the solve — the
-                    // warm bracket is only ever a hint.
-                    warm_root = if adaptive && superlinear && g_lo.is_finite() && g_hi.is_finite() {
-                        // The validation probes double as Brent's endpoint values: the
-                        // refinement starts with zero redundant `g'` evaluations (the
-                        // wrapper-and-Brent entry probes used to re-evaluate both ends
-                        // twice). `g_hi == 0.0` returns `hi` exactly like the wrapper's
-                        // endpoint clamp.
-                        brent_with_endpoints(&g_prime, lo, g_lo, hi, g_hi, tol, 300)
-                            .map(|o| o.root)
-                            .or_else(|_| find_root(lo, hi, tol))
-                            .ok()
-                    } else {
-                        find_root(lo, hi, tol).ok()
-                    };
-                    break;
-                }
-                // A stale adaptive width first re-tries the proven fixed width before the
-                // geometric escalation takes over.
-                delta = if adaptive && delta < INITIAL_WARM_DELTA {
-                    INITIAL_WARM_DELTA
-                } else {
-                    delta * 16.0
-                };
-            }
-        }
-        let mu = match warm_root {
-            Some(mu) => mu,
-            None => {
-                let mu_lo = 1e-9 * j_min;
-                // Expand the upper bracket until the derivative is negative.
-                let mut mu_hi = 10.0 * j_max;
-                let mut expansions = 0;
-                while g_prime(mu_hi) > 0.0 && expansions < 200 {
-                    mu_hi *= 4.0;
-                    expansions += 1;
-                }
-                find_root(mu_lo, mu_hi, problem.config().mu_tol * mu_hi)?
-            }
-        };
-        *mu_bisect_evals += evals.get();
-        mu
+        let warm = (config.warm_start && *warm_mu_valid && *warm_mu > 0.0 && warm_mu.is_finite())
+            .then_some(*warm_mu);
+        let mut lanes = PriceLanes::new(rc_j, rc_rmin_ln2, rc_w, b_total);
+        let price = bandwidth_price(&mut lanes, config, warm, j_min, j_max);
+        *mu_bisect_evals += lanes.passes;
+        price?
     } else {
         0.0
     };
-    if warm_start && mu > 0.0 {
-        if adaptive && *warm_mu_valid && *warm_mu > 0.0 {
-            // Next bracket's half-width: a small multiple of the observed relative root
-            // movement, clamped so it neither collapses to nothing nor exceeds the
-            // conservative opening width.
-            let rel = (mu - *warm_mu).abs() / *warm_mu;
-            *warm_delta = (16.0 * rel).clamp(MIN_WARM_DELTA, INITIAL_WARM_DELTA);
-        }
+    if config.warm_start && mu > 0.0 {
         *warm_mu = mu;
         *warm_mu_valid = true;
     }
@@ -319,13 +241,17 @@ pub fn solve_parametric_into(
     let bandwidths = &mut out.bandwidths_hz;
     entries.clear();
     let mut budget_used = 0.0;
+    // Position in the rate-constrained lanes: `rc_w[k]` is device `i`'s W₀ at `μ`.
+    let mut k = 0;
 
     for i in 0..n {
         let g = arrays.gain[i];
         let d = arrays.upload_bits[i];
         let (p_min, p_max) = (arrays.p_min_w[i], arrays.p_max_w[i]);
         let tau = if r_min[i] > 0.0 && mu > 0.0 {
-            (ratio_over_w0(mu - j[i], j[i])? * LN2 - nu[i] * beta[i]).max(0.0)
+            let w = rc_w[k];
+            k += 1;
+            (ratio_over_w0(mu - j[i], j[i], w)? * LN2 - nu[i] * beta[i]).max(0.0)
         } else {
             0.0
         };
@@ -424,6 +350,154 @@ pub fn solve_parametric_into(
 
     problem.sanitize(out);
     Ok(())
+}
+
+/// The `g'(μ)` lane walk of one parametric solve: the compacted rate-constrained lanes,
+/// the `W₀` lane every pass rewrites, and what the price search records about its passes.
+struct PriceLanes<'a> {
+    j: &'a [f64],
+    rmin_ln2: &'a [f64],
+    w: &'a mut [f64],
+    b_total: f64,
+    /// The `μ` of the latest pass — the price the `w` lane belongs to.
+    mu: f64,
+    /// Passes performed.
+    passes: u64,
+    /// The first failed `W₀` evaluation. Its pass reports `g'(μ) = NaN`, which fails every
+    /// search, and the solve returns this error instead of the search's.
+    error: Option<NumError>,
+}
+
+impl<'a> PriceLanes<'a> {
+    fn new(j: &'a [f64], rmin_ln2: &'a [f64], w: &'a mut [f64], b_total: f64) -> Self {
+        Self { j, rmin_ln2, w, b_total, mu: f64::NAN, passes: 0, error: None }
+    }
+
+    /// One lane pass at `μ`: `(g'(μ), g''(μ))`, leaving each device's `W₀` in the lane.
+    /// With `seeded`, each device's Halley iteration starts from its value in the previous
+    /// pass instead of the cold guess. `g''` reuses the pass's `W₀`: no extra `exp` or
+    /// `ln`.
+    fn pass(&mut self, mu: f64, seeded: bool) -> (f64, f64) {
+        self.passes += 1;
+        self.mu = mu;
+        let (mut sum, mut slope) = (0.0, 0.0);
+        for ((&ji, &rml), wi) in self.j.iter().zip(self.rmin_ln2).zip(self.w.iter_mut()) {
+            let arg = ((mu - ji) / (E * ji)).max(-1.0 / E);
+            let w = match if seeded { lambert_w0_seeded(arg, *wi) } else { lambert_w0(arg) } {
+                Ok(w) => w,
+                Err(e) => {
+                    self.error.get_or_insert(e);
+                    return (f64::NAN, f64::NAN);
+                }
+            };
+            *wi = w;
+            // Simplified derivative term: r_min·ln2 / (W + 1).
+            let denom = (w + 1.0).max(1e-12);
+            sum += rml / denom;
+            // Its μ-derivative is −r_min·ln2·W / ((μ − j)(1 + W)³); W/(μ − j) → 1/(e·j) at
+            // μ = j.
+            let w_over_y = if w == 0.0 { 1.0 / (E * ji) } else { w / (mu - ji) };
+            slope += rml * w_over_y / (denom * denom * denom);
+        }
+        (sum - self.b_total, -slope)
+    }
+
+    /// `g'(μ)` alone, for the legacy bracketing searches. Unseeded, so each probe's `W₀`
+    /// is bit-identical to a plain [`lambert_w0`] evaluation (the frozen bisection golden
+    /// pins those bits).
+    fn g_prime(&mut self, mu: f64) -> f64 {
+        self.pass(mu, false).0
+    }
+}
+
+/// Step 3: the bandwidth price `μ`, with the lane left holding `W₀` at that price.
+///
+/// The default search is Newton on the convex decreasing `g'` from the carried root
+/// (`warm`) or, cold, from `10·j_max`; its tolerance is `mu_tol·10·j_max` either way. The
+/// legacy gates bracket instead: a warm seed under `adaptive_mu_bracket = false`, or any
+/// solve under `superlinear_mu = false`.
+fn bandwidth_price(
+    lanes: &mut PriceLanes<'_>,
+    config: &SolverConfig,
+    warm: Option<f64>,
+    j_min: f64,
+    j_max: f64,
+) -> Result<f64, NumError> {
+    let lo = 1e-9 * j_min;
+    let tol = config.mu_tol * (10.0 * j_max);
+    let price = if config.superlinear_mu && (config.adaptive_mu_bracket || warm.is_none()) {
+        let mut seeded = false;
+        let newton = |mu: f64| {
+            let pass = lanes.pass(mu, seeded);
+            seeded = true;
+            pass
+        };
+        // No upper bracket to validate: from left of the root Newton never passes it.
+        root_of_decreasing_newton(newton, lo, f64::MAX, warm.unwrap_or(10.0 * j_max), tol, MAX_ITER)
+    } else {
+        bracketed_price(lanes, config, warm, lo, tol, j_max)
+    };
+    if let Some(e) = lanes.error.take() {
+        return Err(e);
+    }
+    let mu = price?;
+    // Brent may return an iterate it did not probe last: evaluate the lane there, unseeded,
+    // so step 2/4 reads the W₀ a plain evaluation at μ gives.
+    if lanes.mu != mu {
+        lanes.pass(mu, false);
+        if let Some(e) = lanes.error.take() {
+            return Err(e);
+        }
+    }
+    Ok(mu)
+}
+
+/// The legacy `μ` searches behind [`SolverConfig::superlinear_mu`] and
+/// [`SolverConfig::adaptive_mu_bracket`]: a warm bracket of relative half-width
+/// [`WARM_DELTA`] around the seed, validated by its two end probes (`g'(lo) > 0 ≥ g'(hi)`)
+/// and widened 16-fold up to four times, then a cold bracket `[lo, 10·j_max·4^k]`, its
+/// upper end expanded until `g'` turns non-positive. The bracket is refined by Brent or,
+/// without `superlinear_mu`, by pure bisection.
+fn bracketed_price(
+    lanes: &mut PriceLanes<'_>,
+    config: &SolverConfig,
+    warm: Option<f64>,
+    lo: f64,
+    tol: f64,
+    j_max: f64,
+) -> Result<f64, NumError> {
+    let search = |lanes: &mut PriceLanes<'_>, lo: f64, hi: f64, tol: f64| {
+        if config.superlinear_mu {
+            root_of_decreasing_brent(|mu| lanes.g_prime(mu), lo, hi, tol, MAX_ITER)
+        } else {
+            root_of_decreasing(|mu| lanes.g_prime(mu), lo, hi, tol, MAX_ITER)
+        }
+    };
+    if let Some(seed) = warm {
+        let mut delta = WARM_DELTA;
+        for _ in 0..4 {
+            let (w_lo, w_hi) = ((seed * (1.0 - delta)).max(lo), seed * (1.0 + delta));
+            let (g_lo, g_hi) = (lanes.g_prime(w_lo), lanes.g_prime(w_hi));
+            if g_lo > 0.0 && g_hi <= 0.0 {
+                // A failed refinement (e.g. a non-finite interior probe) falls back to the
+                // cold bracket below rather than failing the solve — the warm bracket is
+                // only ever a hint.
+                if let Ok(mu) = search(lanes, w_lo, w_hi, tol) {
+                    return Ok(mu);
+                }
+                break;
+            }
+            delta *= 16.0;
+        }
+    }
+    // Expand the upper bracket until the derivative is non-positive.
+    let mut mu_hi = 10.0 * j_max;
+    let mut expansions = 0;
+    while lanes.g_prime(mu_hi) > 0.0 && expansions < 200 {
+        mu_hi *= 4.0;
+        expansions += 1;
+    }
+    search(lanes, lo, mu_hi, config.mu_tol * mu_hi)
 }
 
 /// Smallest bandwidth at which a device with channel gain `g` can reach `r_min` at its
@@ -640,6 +714,156 @@ mod tests {
             (b_sum - b_total).abs() / b_total < 1e-6,
             "scarce band must be spent exactly: used {b_sum} of {b_total}"
         );
+    }
+
+    /// The lanes `solve_parametric` compacts for `(ν, β)`, with `j_min` and `j_max` over all
+    /// devices: `(rc_j, rc_rmin_ln2, j_min, j_max)`.
+    fn price_lanes_of(
+        problem: &Sp2Problem<'_>,
+        nu: &[f64],
+        beta: &[f64],
+    ) -> (Vec<f64>, Vec<f64>, f64, f64) {
+        solve_parametric(problem, nu, beta).unwrap();
+        let scratch = problem.scratch_mut();
+        let j_max = scratch.j.iter().cloned().fold(0.0_f64, f64::max);
+        let j_min = scratch.j.iter().cloned().fold(f64::INFINITY, f64::min);
+        (scratch.rc_j.clone(), scratch.rc_rmin_ln2.clone(), j_min, j_max)
+    }
+
+    /// How far apart two searches may place the root of `g'` at `mu` through rounding
+    /// alone. W₀ stops at a 1e-14-relative residual, so each g' term, and their sum (B at
+    /// the root), carries ~1e-14 relative error; two searches may disagree by twice that
+    /// over |g''|. Where the price dwarfs `j_max` (scarce bands, floors out of reach) this
+    /// exceeds the search tolerance `mu_tol·10·j_max`.
+    fn root_noise(j: &[f64], rml: &[f64], b_total: f64, mu: f64) -> f64 {
+        let mut w = vec![0.0; j.len()];
+        2e-14 * b_total / PriceLanes::new(j, rml, &mut w, b_total).pass(mu, false).1.abs()
+    }
+
+    /// A tight bisection root of `g'` over the legacy cold bracket.
+    fn tight_root(lanes: &mut PriceLanes<'_>, j_min: f64, j_max: f64, tol: f64) -> f64 {
+        let mut hi = 10.0 * j_max;
+        while lanes.g_prime(hi) > 0.0 {
+            hi *= 4.0;
+        }
+        root_of_decreasing(|mu| lanes.g_prime(mu), 1e-9 * j_min, hi, tol, 3000).unwrap()
+    }
+
+    #[test]
+    fn lane_pass_second_derivative_matches_a_central_difference() {
+        for n in [10, 1000] {
+            let (s, arrays, cfg, r_min) = problem_fixture(n, 11, 0.05);
+            let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
+            let a = Allocation::equal_split_max(&s);
+            let (nu, beta) =
+                nominal_multipliers(&problem, &PowerBandwidth::new(a.powers_w, a.bandwidths_hz));
+            let (j, rml, j_min, j_max) = price_lanes_of(&problem, &nu, &beta);
+            let mut w = vec![0.0; j.len()];
+            let mut lanes = PriceLanes::new(&j, &rml, &mut w, problem.total_bandwidth());
+            let root = tight_root(&mut lanes, j_min, j_max, 1e-14 * j_max);
+            // Around the root, far on either side, and exactly at a device's `j` (where the
+            // W/(μ − j) factor takes its limit).
+            for mu in [0.01 * root, 0.5 * root, root, 3.0 * root, 10.0 * j_max, j[0]] {
+                let (_, slope) = lanes.pass(mu, false);
+                let h = 1e-5 * mu;
+                let central = (lanes.g_prime(mu + h) - lanes.g_prime(mu - h)) / (2.0 * h);
+                assert!(
+                    (slope - central).abs() <= 1e-6 * central.abs(),
+                    "n = {n}, μ = {mu:e}: g'' {slope:e} vs central difference {central:e}"
+                );
+            }
+            assert!(lanes.error.is_none());
+        }
+    }
+
+    #[test]
+    fn newton_price_is_within_tolerance_of_a_tight_bisection_root() {
+        let cfg = SolverConfig::default();
+        for (family, s) in crate::sp2::reference::tests::families() {
+            let arrays = ScenarioArrays::from_scenario(&s);
+            for r_min in crate::sp2::reference::tests::floor_levels(&s) {
+                let problem =
+                    Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
+                let a = Allocation::equal_split_max(&s);
+                let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
+                let (nu, beta) = nominal_multipliers(&problem, &start);
+                let (j, rml, j_min, j_max) = price_lanes_of(&problem, &nu, &beta);
+                let tol = cfg.mu_tol * (10.0 * j_max);
+                let mut w = vec![0.0; j.len()];
+                let mut lanes = PriceLanes::new(&j, &rml, &mut w, problem.total_bandwidth());
+                let tight = tight_root(&mut lanes, j_min, j_max, 1e-3 * tol);
+                let noise = root_noise(&j, &rml, problem.total_bandwidth(), tight);
+                // Cold, and warm from seeds on either side of the root.
+                for warm in [None, Some(0.9 * tight), Some(tight), Some(1.1 * tight)] {
+                    let mu = bandwidth_price(&mut lanes, &cfg, warm, j_min, j_max).unwrap();
+                    assert!(
+                        (mu - tight).abs() <= tol.max(noise),
+                        "{family}: μ {mu:e} vs tight root {tight:e} from {warm:?} \
+                         (tol {tol:e}, noise {noise:e})"
+                    );
+                    assert_eq!(lanes.mu, mu, "{family}: the W₀ lane must belong to μ");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeat_solve_at_unchanged_multipliers_takes_at_most_two_passes() {
+        let cfg = SolverConfig::default();
+        assert!(cfg.warm_start && cfg.superlinear_mu && cfg.adaptive_mu_bracket);
+        for (family, s) in crate::sp2::reference::tests::families() {
+            let arrays = ScenarioArrays::from_scenario(&s);
+            for r_min in crate::sp2::reference::tests::floor_levels(&s) {
+                let problem =
+                    Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
+                let a = Allocation::equal_split_max(&s);
+                let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
+                let (nu, beta) = nominal_multipliers(&problem, &start);
+                let (j, rml, _, j_max) = price_lanes_of(&problem, &nu, &beta);
+                problem.scratch_mut().reset_warm_start();
+                let before = problem.scratch_mut().mu_bisect_evals;
+                let first = solve_parametric(&problem, &nu, &beta).unwrap();
+                let (after_first, mu) = {
+                    let scratch = problem.scratch_mut();
+                    (scratch.mu_bisect_evals, scratch.warm_mu)
+                };
+                let cold_passes = after_first - before;
+                let repeat = solve_parametric(&problem, &nu, &beta).unwrap();
+                let passes = problem.scratch_mut().mu_bisect_evals - after_first;
+                if root_noise(&j, &rml, problem.total_bandwidth(), mu) <= cfg.mu_tol * 10.0 * j_max
+                {
+                    assert!(passes <= 2, "{family}: the repeat solve took {passes} passes");
+                } else {
+                    // Below the resolution of g' the repeat still ends by collapsing its
+                    // bracket, in no more passes than the cold search.
+                    assert!(passes <= cold_passes, "{family}: {passes} vs cold {cold_passes}");
+                }
+                for (x, y) in first.bandwidths_hz.iter().zip(&repeat.bandwidths_hz) {
+                    assert!((x - y).abs() <= 1e-6 * x.abs(), "{family}: B {x} vs {y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_multipliers_are_typed_errors_not_panics() {
+        let (s, arrays, cfg, r_min) = problem_fixture(6, 11, 0.05);
+        let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
+        let a = Allocation::equal_split_max(&s);
+        let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
+        let (nu, beta) = nominal_multipliers(&problem, &start);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut nu_bad = nu.clone();
+            nu_bad[2] = bad;
+            let err = solve_parametric(&problem, &nu_bad, &beta).unwrap_err();
+            assert_eq!(err, NumError::NonFiniteValue { at: 2.0 }, "ν[2] = {bad}");
+            let mut beta_bad = beta.clone();
+            beta_bad[2] = bad;
+            let err = solve_parametric(&problem, &nu, &beta_bad).unwrap_err();
+            assert_eq!(err, NumError::NonFiniteValue { at: 2.0 }, "β[2] = {bad}");
+        }
+        // The rejected calls left the scratch usable.
+        assert!(solve_parametric(&problem, &nu, &beta).is_ok());
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl PowerBandwidth {
 ///
 /// With [`SolverConfig::warm_start`] enabled, four more pieces deliberately survive
 /// between solves and seed the next one: the Newton-like loop's converged `(β, ν)` (in the
-/// [`JongScratch`]), the previous `μ`-bisection root (in the [`KktScratch`]), the reference
+/// [`JongScratch`]), the previous bandwidth price `μ` (in the [`KktScratch`]), the reference
 /// polish's clearing price, and the rate floors of the previous solve (`warm_r_min`, gating
 /// the fast path). None of them are ever read on the cold path, and
 /// [`Sp2Scratch::reset_warm_start`] drops them all — the sweep engine does so at every
@@ -144,7 +144,7 @@ impl Sp2Scratch {
         &self.point
     }
 
-    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` bracket,
+    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` seed,
     /// reference price, rate floors): the next solve behaves as if this scratch had never
     /// solved anything, even with [`SolverConfig::warm_start`] enabled.
     pub fn reset_warm_start(&mut self) {
@@ -173,8 +173,10 @@ pub struct Sp2Summary {
     pub fast_path: bool,
     /// Theorem-2 parametric (KKT) solves this call performed.
     pub kkt_solves: u64,
-    /// `g'(μ)` evaluations the `μ` root searches of this call performed (bisection or
-    /// Brent alike).
+    /// `g'(μ)` lane passes the `μ` searches of this call performed, one count per pass over
+    /// the rate-constrained devices whichever search ran it (see
+    /// [`KktScratch::mu_bisect_evals`]; the name predates the Newton search and is kept
+    /// because benchmark and JSON readers use it).
     pub mu_bisect_evals: u64,
     /// Step-4b `(ρ, idx)` key sorts this call performed — exactly one per parametric KKT
     /// solve (the LP ordering is `μ`-invariant and is never re-sorted per `g'(μ)` probe).
@@ -778,7 +780,7 @@ mod tests {
             let mut scratch = Sp2Scratch::new();
             let mut mu = 0;
             let mut kkt = 0;
-            // Re-stage every time (so no fast path): isolate the μ-bracket carry.
+            // Re-stage every time (so no fast path): isolate the carried μ seed.
             for window in [0.050, 0.0502, 0.0504] {
                 let floors: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / window).collect();
                 scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
@@ -793,7 +795,7 @@ mod tests {
         assert!(cold_kkt > 0 && warm_kkt > 0);
         assert!(
             warm_mu < cold_mu,
-            "warm μ-bracket reuse must save g'(μ) evaluations: warm {warm_mu} vs cold {cold_mu}"
+            "the carried μ seed must save g'(μ) passes: warm {warm_mu} vs cold {cold_mu}"
         );
     }
 

@@ -448,7 +448,7 @@ pub fn solve_reference_into(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::SolverConfig;
     use flsys::{Allocation, Scenario, ScenarioArrays, ScenarioBuilder, Weights};
@@ -469,8 +469,8 @@ mod tests {
     }
 
     /// The scenario families the exact solve is checked on: paper defaults, then one
-    /// off-default knob each.
-    fn families() -> Vec<(&'static str, Scenario)> {
+    /// off-default knob each. The KKT solver's `μ`-search tests reuse them.
+    pub(crate) fn families() -> Vec<(&'static str, Scenario)> {
         let base = || ScenarioBuilder::paper_default().with_devices(12);
         vec![
             ("paper defaults", base().build(31).unwrap()),
@@ -488,7 +488,7 @@ mod tests {
     /// alone claim from a third of the band to more than all of it, some out of reach) to
     /// energy-only slack, where `t_n` is device `n`'s computation time at `f_max` — the
     /// floors Algorithm 2 hands Subproblem 2 for a round time `T = t_max + window`.
-    fn floor_levels(s: &Scenario) -> Vec<Vec<f64>> {
+    pub(crate) fn floor_levels(s: &Scenario) -> Vec<Vec<f64>> {
         let rounds = f64::from(s.params.local_iterations);
         let t_cmp: Vec<f64> = s
             .devices

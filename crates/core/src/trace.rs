@@ -38,8 +38,9 @@ pub struct SolveCounters {
     pub jong_iterations: u64,
     /// Theorem-2 parametric (KKT) solves across all Subproblem-2 solves.
     pub kkt_solves: u64,
-    /// `g'(μ)` evaluations across all `μ`-root searches (bisection or Brent — the name
-    /// predates the superlinear step and is kept for bench-history continuity).
+    /// `g'(μ)` lane passes across all `μ` searches: one count per pass over the
+    /// rate-constrained devices, whether Newton, bisection or Brent ran it (the name
+    /// predates the Newton search and is kept because benchmark and JSON readers use it).
     pub mu_bisect_evals: u64,
     /// Subproblem-2 solves short-circuited by the warm-start fast path.
     pub sp2_fast_path_hits: u64,

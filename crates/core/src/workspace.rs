@@ -21,8 +21,8 @@
 //! * [`SolverWorkspace::counters`] accumulates iteration counts across solves —
 //!   instrumentation only, never read by any solver.
 //! * With [`SolverConfig::warm_start`](crate::SolverConfig) **enabled**, the Subproblem-2
-//!   scratch deliberately carries the previous solve's Jong multipliers, `μ`-bisection
-//!   bracket and rate floors to seed the next solve. Results then converge to the same
+//!   scratch deliberately carries the previous solve's Jong multipliers, bandwidth price
+//!   `μ` and rate floors to seed the next solve. Results then converge to the same
 //!   fixed point within the configured tolerances but may differ in the last bits
 //!   depending on what the workspace solved before;
 //!   [`SolverWorkspace::reset_warm_start`] restores the fresh-workspace behaviour. With
@@ -124,7 +124,7 @@ impl SolverWorkspace {
         }
     }
 
-    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` bracket, rate
+    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` seed, rate
     /// floors), restoring fresh-workspace behaviour for the next warm-started solve. A
     /// no-op for results when [`SolverConfig::warm_start`](crate::SolverConfig) is off.
     pub fn reset_warm_start(&mut self) {

@@ -100,12 +100,13 @@ pub struct CellContext<'a> {
     /// through [`CellContext::solver_config`] so the engine-level switch wins over
     /// whatever the arm was constructed with.
     pub warm_start: bool,
-    /// Whether this sweep runs with the superlinear (Brent) `μ`-root step
-    /// ([`SweepEngine::with_superlinear_mu`]); gated through
-    /// [`CellContext::solver_config`] like [`Self::warm_start`].
+    /// Whether this sweep finds the bandwidth price `μ` by the superlinear (Newton) search
+    /// rather than the legacy bisection ([`SweepEngine::with_superlinear_mu`]); gated
+    /// through [`CellContext::solver_config`] like [`Self::warm_start`].
     pub superlinear_mu: bool,
-    /// Whether this sweep carries the adaptive warm `μ`-bracket width across the solves of
-    /// a cell-group ([`SweepEngine::with_adaptive_mu_bracket`]); gated through
+    /// Whether warm-started solves of this sweep run the Newton `μ` search from the carried
+    /// price rather than the legacy fixed warm bracket
+    /// ([`SweepEngine::with_adaptive_mu_bracket`]); gated through
     /// [`CellContext::solver_config`] like [`Self::warm_start`].
     pub adaptive_mu_bracket: bool,
     /// Whether the solve may re-open Algorithm 2's outer loop at the workspace's carried
@@ -461,7 +462,7 @@ impl SweepEngine {
 
     /// Enables or disables the warm-start continuation for every arm of the sweep
     /// (default: the [`WARM_START_ENV`] setting, on when unset). With warm start on, the
-    /// solver carries Jong multipliers, `μ`-bisection brackets and rate floors between the
+    /// solver carries Jong multipliers, bandwidth prices `μ` and rate floors between the
     /// outer iterations of each solve **and** across the arms of one (point, seed,
     /// scenario) cell-group — in the grid's fixed arm order, reset at every group boundary,
     /// so the output is still bit-identical across thread counts (just not bit-identical to
@@ -479,8 +480,8 @@ impl SweepEngine {
         self.warm_start
     }
 
-    /// Enables or disables the superlinear (Brent) `μ`-root step for every arm of the
-    /// sweep (default: enabled). `with_superlinear_mu(false)` is the legacy pure-bisection
+    /// Enables or disables the superlinear (Newton) `μ` search for every arm of the sweep
+    /// (default: enabled). `with_superlinear_mu(false)` is the legacy pure-bisection
     /// reference path — kept selectable so the historical goldens remain reproducible
     /// bit for bit (see `SolverConfig::superlinear_mu`).
     #[must_use]
@@ -489,25 +490,25 @@ impl SweepEngine {
         self
     }
 
-    /// Whether this engine runs sweeps with the superlinear (Brent) `μ`-root step.
+    /// Whether this engine runs sweeps with the superlinear (Newton) `μ` search.
     pub fn superlinear_mu(&self) -> bool {
         self.superlinear_mu
     }
 
-    /// Enables or disables the adaptive warm `μ`-bracket width for every arm of the sweep
-    /// (default: enabled). With it on, each worker's KKT scratch remembers how far the
-    /// `μ`-root moved in its previous solve and opens the next warm bracket that tight —
-    /// near-stationary arms of a cell-group then resolve `μ` in a handful of `g'(μ)`
-    /// evaluations. `with_adaptive_mu_bracket(false)` restores the fixed-width warm
-    /// bracket bit for bit (see `SolverConfig::adaptive_mu_bracket`); either way the cold
-    /// path (`with_warm_start(false)`) never reads the carried width.
+    /// Enables or disables the warm Newton `μ` search for every arm of the sweep (default:
+    /// enabled). With it on, a warm-started solve starts Newton from the price its
+    /// worker's KKT scratch carries from the previous solve, and near-stationary arms of a
+    /// cell-group resolve `μ` in one or two `g'(μ)` passes.
+    /// `with_adaptive_mu_bracket(false)` restores the legacy fixed-width warm bracket
+    /// refined by Brent (see `SolverConfig::adaptive_mu_bracket`); cold solves
+    /// (`with_warm_start(false)`, or the first solve after a reset) run Newton either way.
     #[must_use]
     pub fn with_adaptive_mu_bracket(mut self, adaptive_mu_bracket: bool) -> Self {
         self.adaptive_mu_bracket = adaptive_mu_bracket;
         self
     }
 
-    /// Whether this engine runs sweeps with the adaptive warm `μ`-bracket width.
+    /// Whether this engine runs warm sweeps with the Newton `μ` search.
     pub fn adaptive_mu_bracket(&self) -> bool {
         self.adaptive_mu_bracket
     }
@@ -882,10 +883,9 @@ struct GroupEvaluator<'a> {
     cells_evaluated: &'a AtomicUsize,
     /// Engine-level warm-start switch, handed to every cell via [`CellContext`].
     warm_start: bool,
-    /// Engine-level superlinear `μ`-root switch, handed to every cell via [`CellContext`].
+    /// Engine-level superlinear `μ`-search switch, handed to every cell via [`CellContext`].
     superlinear_mu: bool,
-    /// Engine-level adaptive warm `μ`-bracket switch, handed to every cell via
-    /// [`CellContext`].
+    /// Engine-level warm Newton `μ`-search switch, handed to every cell via [`CellContext`].
     adaptive_mu_bracket: bool,
     /// Per-sweep solver-iteration totals (folded once per cell-group; integer sums, so
     /// thread count and fold order cannot change the result).

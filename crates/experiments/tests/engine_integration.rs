@@ -115,12 +115,28 @@ fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
     }
 }
 
-/// The PR 7 solver-speed satellite in counter form: carrying the warm `μ`-bracket *width*
-/// across the solves of a cell-group (the adaptive default) must spend strictly fewer
-/// `g'(μ)` evaluations on the warm fig2 quick grid than the fixed-width bracket
-/// (`with_adaptive_mu_bracket(false)`, the pre-PR-7 warm path) — while agreeing with the
-/// fixed-width means to well within the solver's own outer tolerance. The cold path never
-/// reads the carried width, so the gate must be invisible there.
+/// The Newton `μ` search in counter form: on the warm fig2 quick grid each parametric KKT
+/// solve spends at most 4 `g'(μ)` lane passes on average (about 2.6 measured; the
+/// bracketed Brent search it replaced spent 6.4: 2 bracket-validation probes plus the
+/// refinement).
+#[test]
+fn warm_newton_mu_search_spends_at_most_four_passes_per_kkt_solve_on_fig2_quick() {
+    let warm = SweepEngine::with_threads(2).with_warm_start(true).run_spec(&fig2_quick()).unwrap();
+    let c = warm.counters.solver;
+    assert!(c.kkt_solves > 0, "the warm sweep must do real work");
+    assert!(
+        c.mu_bisect_evals <= 4 * c.kkt_solves,
+        "{} g'(μ) passes over {} KKT solves: more than 4 per solve",
+        c.mu_bisect_evals,
+        c.kkt_solves
+    );
+}
+
+/// The default warm `μ` search (Newton from the carried root) must spend strictly fewer
+/// `g'(μ)` passes on the warm fig2 quick grid than the legacy fixed-width warm bracket
+/// refined by Brent (`with_adaptive_mu_bracket(false)`) — while agreeing with it to well
+/// within the solver's own outer tolerance. Cold sweeps carry no seed, so both settings
+/// run the same Newton search there and the gate must be invisible.
 #[test]
 fn adaptive_mu_bracket_spends_strictly_fewer_mu_evals_on_warm_fig2_quick() {
     assert!(SweepEngine::new().adaptive_mu_bracket(), "adaptive width is the default");

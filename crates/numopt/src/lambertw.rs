@@ -31,25 +31,74 @@ pub const NEG_INV_E: f64 = -0.367_879_441_171_442_33;
 /// # Ok::<(), numopt::NumError>(())
 /// ```
 pub fn lambert_w0(x: f64) -> Result<f64, NumError> {
+    match edge_value(x)? {
+        Some(w) => Ok(w),
+        None => halley(x, initial_guess(x)),
+    }
+}
+
+/// [`lambert_w0`] with the Halley iteration started from `guess` instead of the built-in
+/// initial guess — the warm entry point for callers that evaluate `W₀` at a slowly moving
+/// argument (the `g'(μ)` passes of one bandwidth-price search seed each device from its
+/// value in the previous pass).
+///
+/// Same domain handling, the same Halley loop and the same stopping rule as
+/// [`lambert_w0`], so the result agrees with it to within that loop's tolerance (it is
+/// not bit-identical: the iterates differ). A guess that is not finite or not above the
+/// branch point `−1` cannot start Halley, and one from which Halley does not reach the
+/// principal branch within its budget is abandoned; both fall back to the built-in guess,
+/// so this entry fails only where [`lambert_w0`] does. A poor guess costs iterations, never
+/// accuracy.
+///
+/// # Errors
+///
+/// Same as [`lambert_w0`].
+///
+/// # Examples
+///
+/// ```rust
+/// # use numopt::lambertw::{lambert_w0, lambert_w0_seeded};
+/// let cold = lambert_w0(50.0)?;
+/// let warm = lambert_w0_seeded(50.0, 1.1 * cold)?;
+/// assert!((warm - cold).abs() <= 1e-14 * cold);
+/// # Ok::<(), numopt::NumError>(())
+/// ```
+pub fn lambert_w0_seeded(x: f64, guess: f64) -> Result<f64, NumError> {
+    match edge_value(x)? {
+        Some(w) => Ok(w),
+        None if guess > -1.0 && guess.is_finite() => match halley(x, guess) {
+            Ok(w) if w >= -1.0 => Ok(w),
+            _ => halley(x, initial_guess(x)),
+        },
+        None => halley(x, initial_guess(x)),
+    }
+}
+
+/// The domain check and the closed-form values of `W₀`: `Ok(Some(w))` for `x = 0`, `+∞`
+/// and round-off just below `−1/e`, `Ok(None)` when `x` needs the Halley iteration.
+fn edge_value(x: f64) -> Result<Option<f64>, NumError> {
     if x.is_nan() {
         return Err(NumError::DomainError { value: x, expected: "x >= -1/e" });
     }
     if x < NEG_INV_E {
         // Tolerate round-off just below the edge; reject anything materially outside.
         if x > NEG_INV_E - 1e-12 {
-            return Ok(-1.0);
+            return Ok(Some(-1.0));
         }
         return Err(NumError::DomainError { value: x, expected: "x >= -1/e" });
     }
     if x == 0.0 {
-        return Ok(0.0);
+        return Ok(Some(0.0));
     }
     if x.is_infinite() {
-        return Ok(f64::INFINITY);
+        return Ok(Some(f64::INFINITY));
     }
+    Ok(None)
+}
 
-    // Initial guess.
-    let mut w = if x < -0.25 {
+/// The built-in starting point of the Halley iteration for `x` in `[−1/e, ∞)`, `x ≠ 0`.
+fn initial_guess(x: f64) -> f64 {
+    if x < -0.25 {
         // Near the branch point use the series in p = sqrt(2(ex + 1)).
         let p = (2.0 * (std::f64::consts::E * x + 1.0)).max(0.0).sqrt();
         -1.0 + p - p * p / 3.0 + 11.0 * p * p * p / 72.0
@@ -61,9 +110,11 @@ pub fn lambert_w0(x: f64) -> Result<f64, NumError> {
         let l1 = x.ln();
         let l2 = l1.ln();
         l1 - l2 + l2 / l1
-    };
+    }
+}
 
-    // Halley iterations.
+/// Halley iterations on `w·e^w − x` from `w`, to `|w e^w − x| ≤ 1e−14·max(1, |x|)`.
+fn halley(x: f64, mut w: f64) -> Result<f64, NumError> {
     for _ in 0..50 {
         let ew = w.exp();
         let wew = w * ew;
@@ -88,27 +139,34 @@ pub fn lambert_w0(x: f64) -> Result<f64, NumError> {
 }
 
 /// Evaluates the expression `y / W₀(y / (e·j))` that appears in equation (A.4) of the paper,
-/// with the removable singularity at `y = 0` filled in by its limit `e·j`.
+/// given `w = W₀(y / (e·j))`, with the removable singularity at `y = 0` filled in by its
+/// limit `e·j`.
 ///
 /// Here `y = μ − j_n` and `j = j_n = ν_n d_n N₀ / g_n > 0`. For `y → 0` the ratio
-/// `y / W₀(y/(e·j)) → e·j` because `W₀(z) ≈ z` near zero.
+/// `y / W₀(y/(e·j)) → e·j` because `W₀(z) ≈ z` near zero. The caller supplies `w` — the
+/// KKT solver reads it from the lane its last `g'(μ)` pass left behind instead of
+/// evaluating `W₀` a second time; `w` is not read when the singular limit applies.
 ///
 /// # Errors
 ///
 /// * [`NumError::NonPositiveParameter`] if `j ≤ 0`.
-/// * Propagates [`NumError::DomainError`] from [`lambert_w0`] (cannot occur for `y ≥ −j`,
-///   i.e. `μ ≥ 0`, which the callers guarantee).
-pub fn ratio_over_w0(y: f64, j: f64) -> Result<f64, NumError> {
+///
+/// # Examples
+///
+/// ```rust
+/// # use numopt::lambertw::{lambert_w0, ratio_over_w0};
+/// let (y, j) = (3.0, 2.0);
+/// let w = lambert_w0(y / (std::f64::consts::E * j))?;
+/// assert_eq!(ratio_over_w0(y, j, w)?, y / w);
+/// # Ok::<(), numopt::NumError>(())
+/// ```
+pub fn ratio_over_w0(y: f64, j: f64, w: f64) -> Result<f64, NumError> {
     if j <= 0.0 || !j.is_finite() {
         return Err(NumError::NonPositiveParameter { name: "j", value: j });
     }
     let arg = y / (std::f64::consts::E * j);
     // Removable singularity at y = 0 (W0(0) = 0).
-    if y.abs() < 1e-300 || arg.abs() < 1e-16 {
-        return Ok(std::f64::consts::E * j);
-    }
-    let w = lambert_w0(arg)?;
-    if w == 0.0 {
+    if y.abs() < 1e-300 || arg.abs() < 1e-16 || w == 0.0 {
         return Ok(std::f64::consts::E * j);
     }
     Ok(y / w)
@@ -117,6 +175,18 @@ pub fn ratio_over_w0(y: f64, j: f64) -> Result<f64, NumError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `x` values of the inverse-identity check, shared with the seeded entry's test.
+    const INVERSE_INPUTS: [f64; 17] = [
+        -0.367, -0.3, -0.2, -0.1, -0.01, -1e-6, 1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e4,
+        1e8, 1e15,
+    ];
+
+    /// `ratio_over_w0` fed the `W₀` of its own argument.
+    fn ratio(y: f64, j: f64) -> Result<f64, NumError> {
+        let w = lambert_w0(y / (std::f64::consts::E * j)).unwrap_or(f64::NAN);
+        ratio_over_w0(y, j, w)
+    }
 
     fn check_inverse(x: f64) {
         let w = lambert_w0(x).unwrap();
@@ -138,12 +208,39 @@ mod tests {
 
     #[test]
     fn inverse_identity_over_wide_range() {
-        for &x in &[
-            -0.367, -0.3, -0.2, -0.1, -0.01, -1e-6, 1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0,
-            1e4, 1e8, 1e15,
-        ] {
+        for x in INVERSE_INPUTS {
             check_inverse(x);
         }
+    }
+
+    /// Both entries stop once `|w e^w − x| ≤ 1e−14·max(1, |x|)`, so two converged iterates
+    /// can differ by up to twice that residual over the slope `e^w (1 + w)` of `w e^w` —
+    /// the bound below. (It is not a fixed relative bound: near `x = 0` the residual
+    /// tolerance is absolute, near `−1/e` the slope vanishes.)
+    #[test]
+    fn seeded_entry_matches_the_cold_entry_from_guesses_off_by_half() {
+        for x in INVERSE_INPUTS {
+            let cold = lambert_w0(x).unwrap();
+            let bound = 2e-14 * x.abs().max(1.0) / (cold.exp() * (1.0 + cold));
+            for factor in [0.5, 0.9, 1.0, 1.1, 1.5] {
+                let warm = lambert_w0_seeded(x, factor * cold).unwrap();
+                assert!(
+                    (warm - cold).abs() <= bound,
+                    "seeded W0({x}) from {factor} x the root: {warm} vs cold {cold}"
+                );
+                let back = warm * warm.exp();
+                assert!((back - x).abs() <= 1e-14 * x.abs().max(1.0), "residual at x={x}");
+            }
+        }
+        // Unusable guesses fall back to the built-in one, and so does a guess so far off that
+        // Halley runs out of iterations (it walks down about 2 per step from 700); closed-form
+        // values ignore the guess.
+        for guess in [-1.0, -3.0, f64::NAN, f64::INFINITY, 700.0] {
+            assert_eq!(lambert_w0_seeded(2.0, guess).unwrap(), lambert_w0(2.0).unwrap());
+        }
+        assert_eq!(lambert_w0_seeded(0.0, 5.0).unwrap(), 0.0);
+        assert_eq!(lambert_w0_seeded(f64::INFINITY, 5.0).unwrap(), f64::INFINITY);
+        assert!(matches!(lambert_w0_seeded(-1.0, 0.5), Err(NumError::DomainError { .. })));
     }
 
     #[test]
@@ -178,17 +275,17 @@ mod tests {
     #[test]
     fn ratio_limit_at_zero() {
         let j = 2.5;
-        let lim = ratio_over_w0(0.0, j).unwrap();
+        let lim = ratio(0.0, j).unwrap();
         assert!((lim - std::f64::consts::E * j).abs() < 1e-12);
         // Continuity: tiny y gives nearly the same value.
-        let near = ratio_over_w0(1e-12, j).unwrap();
+        let near = ratio(1e-12, j).unwrap();
         assert!((near - lim).abs() / lim < 1e-6);
     }
 
     #[test]
     fn ratio_rejects_nonpositive_j() {
-        assert!(matches!(ratio_over_w0(1.0, 0.0), Err(NumError::NonPositiveParameter { .. })));
-        assert!(matches!(ratio_over_w0(1.0, -3.0), Err(NumError::NonPositiveParameter { .. })));
+        assert!(matches!(ratio(1.0, 0.0), Err(NumError::NonPositiveParameter { .. })));
+        assert!(matches!(ratio(1.0, -3.0), Err(NumError::NonPositiveParameter { .. })));
     }
 
     #[test]
@@ -196,7 +293,7 @@ mod tests {
         // y in (-j, 0): argument in (-1/e, 0), W0 in (-1, 0), ratio positive.
         let j = 1.0;
         for &y in &[-0.9, -0.5, -0.1, -0.001] {
-            let r = ratio_over_w0(y, j).unwrap();
+            let r = ratio(y, j).unwrap();
             assert!(r > 0.0, "ratio should be positive for y={y}");
         }
     }

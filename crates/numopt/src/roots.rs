@@ -1,4 +1,5 @@
-//! Scalar root finding: safeguarded bisection and a Brent-style hybrid.
+//! Scalar root finding: safeguarded bisection, a Brent-style hybrid and a safeguarded Newton
+//! iteration for convex decreasing functions.
 //!
 //! The paper's Theorem 2 finds the bandwidth-budget multiplier `μ` as the root of the
 //! monotone decreasing derivative `g'(μ)` of a concave dual function; the baselines use the
@@ -381,6 +382,120 @@ where
     }
 }
 
+/// How many times closer to `lo` one step of [`root_of_decreasing_newton`] may move while
+/// no probe left of the root is known.
+const DESCENT: f64 = 16.0;
+
+/// [`root_of_decreasing`] for a **convex** decreasing function with a known derivative:
+/// safeguarded Newton steps from `start`, quadratically convergent and with no bracket to
+/// validate first.
+///
+/// `f` returns `(f(x), f'(x))`. On a convex decreasing `f`, a Newton step from left of the
+/// root never passes it and a step from right of the root lands left of it, so once a probe
+/// lies left of the root the iterates climb monotonically onto it. This is the shape of the
+/// Theorem-2 dual derivative `g'(μ)`, whose own derivative the KKT solver gets from the same
+/// lane pass.
+///
+/// Safeguards, all inside `[lo, hi]` (`start` is clamped into it):
+///
+/// * The search keeps the sign bracket of its probes (`f > 0` at its left end, `f ≤ 0` at
+///   its right end; an end not yet probed is `lo` or `hi`). A step that leaves it, or a
+///   derivative that is not finite and negative, bisects it instead.
+/// * While every probe lies right of the root, a step moves at most 16-fold closer to `lo`,
+///   and onto `lo` itself once that is within `tol`. A flat right tail would otherwise throw
+///   the tangent far below the root, and near a pole of `f` Newton climbs back by only a
+///   constant factor per step.
+/// * It clamps as [`root_of_decreasing`] does: `lo` when `f(lo) ≤ 0`, `hi` when
+///   `f(hi) ≥ 0`.
+///
+/// The search stops when the next step would move `x` by at most `tol + 4ε|x|`, and returns
+/// the point it probed **last**: a caller that caches per-probe work (the KKT solver's `W₀`
+/// lane) then holds exactly the values at the returned root. A step from right of the root
+/// overshoots the distance to it, so it bounds the error. A step from left of the root falls
+/// short, badly so next to a pole of `f` at `lo`, so it ends the search only if it is also
+/// at most a quarter of `x − lo`.
+///
+/// # Errors
+///
+/// * [`NumError::InvalidInterval`] for a malformed bracket.
+/// * [`NumError::NonFiniteValue`] if an evaluation of `f` is NaN/∞.
+/// * [`NumError::MaxIterations`] if `max_iter` probes do not converge (a smooth convex
+///   decreasing function converges in a handful).
+///
+/// # Examples
+///
+/// ```rust
+/// # use numopt::roots::root_of_decreasing_newton;
+/// // f(x) = 1/x − 0.25: convex and decreasing on x > 0, root at 4.
+/// let f = |x: f64| (1.0 / x - 0.25, -1.0 / (x * x));
+/// let root = root_of_decreasing_newton(f, 0.1, 100.0, 5.0, 1e-12, 100)?;
+/// assert!((root - 4.0).abs() < 1e-10);
+/// // Root below the bracket: clamp to `lo`.
+/// assert_eq!(root_of_decreasing_newton(f, 5.0, 100.0, 10.0, 1e-12, 100)?, 5.0);
+/// # Ok::<(), numopt::NumError>(())
+/// ```
+pub fn root_of_decreasing_newton<F>(
+    mut f: F,
+    lo: f64,
+    hi: f64,
+    start: f64,
+    tol: f64,
+    max_iter: usize,
+) -> Result<f64, NumError>
+where
+    F: FnMut(f64) -> (f64, f64),
+{
+    check_interval(lo, hi)?;
+    // Sign bracket of the probes so far; an end not yet probed is still `lo` / `hi`.
+    let (mut a, mut b) = (lo, hi);
+    let (mut a_probed, mut b_probed) = (false, false);
+    let mut x = start.max(lo).min(hi);
+    for _ in 0..max_iter {
+        let (fx, dfx) = f(x);
+        if !fx.is_finite() {
+            return Err(NumError::NonFiniteValue { at: x });
+        }
+        if fx > 0.0 {
+            if x == hi {
+                return Ok(hi);
+            }
+            a = x;
+            a_probed = true;
+        } else {
+            if fx == 0.0 || x == lo {
+                return Ok(x);
+            }
+            b = x;
+            b_probed = true;
+        }
+        let tol_x = tol + 4.0 * f64::EPSILON * x.abs();
+        let newton = x - fx / dfx;
+        let bisection = a + 0.5 * (b - a);
+        let next = if !(dfx < 0.0 && dfx.is_finite()) {
+            bisection
+        } else if !a_probed {
+            let floor = lo + (x - lo) / DESCENT;
+            if newton > floor {
+                newton
+            } else if floor - lo > tol_x {
+                floor
+            } else {
+                lo
+            }
+        } else if newton <= a || (b_probed && newton >= b) {
+            bisection
+        } else {
+            newton.min(hi)
+        };
+        let step = (next - x).abs();
+        if step <= tol_x && (fx < 0.0 || step <= 0.25 * (x - lo)) {
+            return Ok(x);
+        }
+        x = next;
+    }
+    Err(NumError::MaxIterations { iterations: max_iter, residual: b - a })
+}
+
 /// Expands `hi` geometrically until `f(hi)` changes sign relative to `f(lo)`, then bisects.
 ///
 /// Useful when only a lower bound of the bracket is known (e.g. searching for the completion
@@ -548,6 +663,139 @@ mod tests {
         // Clamps are bit-identical to the bisection helper.
         assert_eq!(root_of_decreasing_brent(|x| -1.0 - x, 0.0, 10.0, 1e-12, 200).unwrap(), 0.0);
         assert_eq!(root_of_decreasing_brent(|x| 100.0 - x, 0.0, 10.0, 1e-12, 200).unwrap(), 10.0);
+    }
+
+    /// `a / ln(1 + x/c) − b` and its derivative: convex and decreasing on `x > 0`, root at
+    /// `c·(e^{a/b} − 1)`.
+    fn log_ratio(a: f64, b: f64, c: f64) -> impl Fn(f64) -> (f64, f64) {
+        move |x| {
+            let l = (x / c).ln_1p();
+            (a / l - b, -a / (l * l * (c + x)))
+        }
+    }
+
+    /// `Σ r_n / (1 + W₀((x − j_n)/(e·j_n))) − budget` and its derivative — the shape of the
+    /// Theorem-2 `g'(μ)`, convex and decreasing on `x > 0`.
+    fn lambert_sum(terms: &[(f64, f64)], budget: f64) -> impl Fn(f64) -> (f64, f64) + '_ {
+        move |x| {
+            let (mut f, mut df) = (-budget, 0.0);
+            for &(r, j) in terms {
+                let w = crate::lambertw::lambert_w0((x - j) / (std::f64::consts::E * j)).unwrap();
+                let w_over_y = if w == 0.0 { 1.0 / (std::f64::consts::E * j) } else { w / (x - j) };
+                f += r / (1.0 + w);
+                df -= r * w_over_y / ((1.0 + w) * (1.0 + w) * (1.0 + w));
+            }
+            (f, df)
+        }
+    }
+
+    const LAMBERT_TERMS: [(f64, f64); 4] = [(3.0, 0.5), (1.0, 2.0), (0.5, 7.0), (2.0, 1.0)];
+
+    #[test]
+    fn newton_agrees_with_brent_on_convex_decreasing_functions() {
+        let tol = 1e-10;
+        let check = |f: &dyn Fn(f64) -> (f64, f64), start: f64| {
+            let (lo, hi) = (1e-9, 1e9);
+            let newton = root_of_decreasing_newton(f, lo, hi, start, tol, 100).unwrap();
+            let brent = root_of_decreasing_brent(|x| f(x).0, lo, hi, tol, 300).unwrap();
+            assert!(
+                (newton - brent).abs() <= 2.0 * tol + 8.0 * f64::EPSILON * brent,
+                "newton {newton} vs brent {brent}"
+            );
+        };
+        check(&log_ratio(1.0, 0.5, 2.0), 1.0);
+        check(&log_ratio(3.0, 0.2, 0.01), 50.0);
+        check(&lambert_sum(&LAMBERT_TERMS, 2.0), 10.0);
+        check(&lambert_sum(&LAMBERT_TERMS, 0.7), 40.0);
+        // The closed form of the log ratio's root.
+        let root = root_of_decreasing_newton(log_ratio(1.0, 0.5, 2.0), 1e-9, 1e9, 1.0, 1e-13, 100);
+        assert!((root.unwrap() - 2.0 * (2f64.exp() - 1.0)).abs() < 1e-11);
+    }
+
+    #[test]
+    fn newton_converges_from_either_side_of_the_root() {
+        let f = lambert_sum(&LAMBERT_TERMS, 2.0);
+        let reference = root_of_decreasing_brent(|x| f(x).0, 1e-9, 1e9, 1e-13, 300).unwrap();
+        for start in [1e-3, 0.1, 0.5 * reference, reference, 2.0 * reference, 1e3, 1e6] {
+            let mut probes = Vec::new();
+            let root = root_of_decreasing_newton(
+                |x| {
+                    probes.push(x);
+                    f(x)
+                },
+                1e-9,
+                1e9,
+                start,
+                1e-12,
+                100,
+            )
+            .unwrap();
+            assert!((root - reference).abs() < 1e-10, "from {start}: {root} vs {reference}");
+            // Probes right of the root only step down; once one lands left of it, the rest
+            // climb monotonically (up to round-off at the root itself).
+            let first_left = probes.iter().position(|&x| f(x).0 > 0.0).unwrap_or(probes.len());
+            for pair in probes[..first_left].windows(2) {
+                assert!(pair[1] < pair[0], "from {start}: probes {probes:?}");
+            }
+            for pair in probes[first_left..].windows(2) {
+                assert!(pair[1] >= pair[0] - 1e-12, "from {start}: probes {probes:?}");
+            }
+            assert!(probes.len() <= 40, "from {start}: {} probes", probes.len());
+        }
+    }
+
+    #[test]
+    fn newton_returns_the_point_it_probed_last() {
+        let f = lambert_sum(&LAMBERT_TERMS, 2.0);
+        for (lo, hi, start) in
+            [(1e-9, 1e9, 5.0), (1e-9, 1e9, 0.01), (4.0, 1e9, 5.0), (1e-9, 0.5, 0.1)]
+        {
+            let mut last = f64::NAN;
+            let root = root_of_decreasing_newton(
+                |x| {
+                    last = x;
+                    f(x)
+                },
+                lo,
+                hi,
+                start,
+                1e-12,
+                100,
+            )
+            .unwrap();
+            assert_eq!(root, last, "bracket [{lo}, {hi}] from {start}");
+        }
+    }
+
+    #[test]
+    fn newton_clamps_like_root_of_decreasing() {
+        // Root below `lo`: the answer is `lo`, whichever side the search starts from.
+        for start in [0.0, 5.0, 50.0, 1e9] {
+            let clamped =
+                root_of_decreasing_newton(log_ratio(1.0, 0.5, 2.0), 20.0, 1e9, start, 1e-12, 100);
+            assert_eq!(clamped.unwrap(), 20.0, "from {start}");
+        }
+        let f = |x: f64| (-1.0 - x, -1.0);
+        assert_eq!(root_of_decreasing_newton(f, 0.0, 10.0, 3.0, 1e-12, 100).unwrap(), 0.0);
+        // Root beyond `hi`: the answer is `hi`.
+        let f = |x: f64| (100.0 - x, -1.0);
+        assert_eq!(root_of_decreasing_newton(f, 0.0, 10.0, 3.0, 1e-12, 100).unwrap(), 10.0);
+        assert_eq!(root_of_decreasing_newton(f, 0.0, 10.0, 10.0, 1e-12, 100).unwrap(), 10.0);
+    }
+
+    #[test]
+    fn newton_bisects_past_a_useless_derivative_and_reports_bad_input() {
+        // A zero derivative gives no Newton step; the bracket bisection still converges.
+        let f = |x: f64| (2.0 - x, 0.0);
+        let root = root_of_decreasing_newton(f, 0.0, 10.0, 5.0, 1e-12, 200).unwrap();
+        assert!((root - 2.0).abs() < 1e-11, "root {root}");
+        let err = root_of_decreasing_newton(f, 2.0, 1.0, 1.5, 1e-12, 100).unwrap_err();
+        assert!(matches!(err, NumError::InvalidInterval { .. }));
+        let nan = |x: f64| (if x > 1.0 { f64::NAN } else { 1.0 }, -1.0);
+        let err = root_of_decreasing_newton(nan, 0.0, 10.0, 5.0, 1e-12, 100).unwrap_err();
+        assert!(matches!(err, NumError::NonFiniteValue { .. }));
+        let err = root_of_decreasing_newton(f, 0.0, 10.0, 5.0, 1e-12, 3).unwrap_err();
+        assert!(matches!(err, NumError::MaxIterations { .. }));
     }
 
     #[test]

@@ -60,13 +60,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     assert!(k.outer_iterations > 0, "the solve never iterated");
     assert!(k.mu_bisect_evals > 0, "the μ-root search never ran");
-    // Flat-in-n ceilings: one cold solve measures ~450 μ-evals and ~260 SP1 probes at
-    // every device count from 10³ to 10⁵ (BENCH_PR6.json). A regression that made either
-    // search iterate per device would overshoot these bounds a thousandfold.
+    // Flat-in-n ceilings: one solve measures 115-119 g'(μ) passes over 41-47 KKT solves and
+    // 194-285 SP1 probes at every device count from 10³ to 10⁵. A regression that made
+    // either search iterate per device would overshoot these bounds a thousandfold.
     assert!(
         k.mu_bisect_evals < 5_000,
         "μ-evals exploded: {} (expected a flat, n-independent count)",
         k.mu_bisect_evals
+    );
+    // The Newton μ search: the first (cold) KKT solve takes a handful of passes and each
+    // warm one after it two or three, so at most 4 per solve on average.
+    assert!(
+        k.mu_bisect_evals <= 4 * k.kkt_solves,
+        "{} g'(μ) passes over {} KKT solves: more than 4 per solve",
+        k.mu_bisect_evals,
+        k.kkt_solves
     );
     assert!(
         k.sp1_probe_evals < 5_000,
