@@ -31,30 +31,15 @@ impl CompOnlyAllocator {
         scenario: &Scenario,
         total_deadline_s: f64,
     ) -> Result<BaselineResult, CoreError> {
-        self.allocate_with(scenario, total_deadline_s, &mut SolverWorkspace::new())
+        let mut ws = SolverWorkspace::new();
+        self.allocate_summary_with(scenario, total_deadline_s, &mut ws)?;
+        BaselineResult::evaluate(scenario, ws.allocation).map_err(CoreError::from)
     }
 
-    /// [`Self::allocate`] against a caller-owned [`SolverWorkspace`] — reusing the
-    /// workspace's per-device buffers instead of allocating per call (bit-identical
-    /// results; the workspace is pure scratch).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::allocate`].
-    pub fn allocate_with(
-        &self,
-        scenario: &Scenario,
-        total_deadline_s: f64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<BaselineResult, CoreError> {
-        self.allocate_summary_with(scenario, total_deadline_s, ws)?;
-        BaselineResult::evaluate(scenario, ws.allocation.clone()).map_err(CoreError::from)
-    }
-
-    /// [`Self::allocate_with`] without materialising a [`BaselineResult`] — the sweep hot
-    /// path, allocation-free in steady state. The chosen allocation stays in
-    /// [`SolverWorkspace::allocation`]; the returned [`CostSummary`] totals are
-    /// bit-identical to the full result's.
+    /// [`Self::allocate`] against a caller-owned [`SolverWorkspace`], without materialising
+    /// a [`BaselineResult`] — the sweep hot path, allocation-free in steady state. The
+    /// chosen allocation stays in [`SolverWorkspace::allocation`]; the returned
+    /// [`CostSummary`] totals are bit-identical to the full result's.
     ///
     /// # Errors
     ///

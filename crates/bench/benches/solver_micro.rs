@@ -2,8 +2,8 @@
 //! Subproblem 2, and the full Algorithm 2 at several system sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fedopt_core::sp2::{self, PowerBandwidth};
-use fedopt_core::{sp1, JointOptimizer, KktScratch, SolverConfig, SolverWorkspace};
+use fedopt_core::sp2;
+use fedopt_core::{sp1, JointOptimizer, SolverConfig, SolverWorkspace};
 use flsys::{Allocation, ScenarioBuilder, Weights};
 use std::time::Duration;
 
@@ -50,25 +50,8 @@ fn bench_subproblems(c: &mut Criterion) {
         });
         let alloc = Allocation::equal_split_max(&scenario);
         let r_min: Vec<f64> = scenario.devices.iter().map(|d| d.upload_bits / 0.05).collect();
-        group.bench_with_input(BenchmarkId::new("sp2_solve", n), &n, |b, _| {
-            let mut scratch = KktScratch::default();
-            b.iter(|| {
-                let start =
-                    PowerBandwidth::new(alloc.powers_w.clone(), alloc.bandwidths_hz.clone());
-                sp2::solve_scratch(
-                    &scenario,
-                    Weights::balanced(),
-                    &r_min,
-                    start,
-                    &cfg,
-                    &mut scratch,
-                )
-                .unwrap()
-                .comm_energy_per_round_j
-            })
-        });
-        // The all-scratch form the sweep engine drives: bit-identical solution, zero heap
-        // allocations in steady state.
+        // The all-scratch form the sweep engine drives: zero heap allocations in steady
+        // state.
         group.bench_with_input(BenchmarkId::new("sp2_solve_in", n), &n, |b, _| {
             let mut scratch = sp2::Sp2Scratch::new();
             b.iter(|| {

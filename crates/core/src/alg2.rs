@@ -309,29 +309,16 @@ impl JointOptimizer {
         scenario: &Scenario,
         total_deadline_s: f64,
     ) -> Result<Outcome, CoreError> {
-        self.solve_with_deadline_in(scenario, total_deadline_s, &mut SolverWorkspace::new())
+        let mut ws = SolverWorkspace::new();
+        let summary = self.solve_with_deadline_summary_in(scenario, total_deadline_s, &mut ws)?;
+        self.outcome_from_workspace(scenario, Weights::energy_only(), &ws, summary)
     }
 
-    /// [`Self::solve_with_deadline`] against a caller-owned [`SolverWorkspace`] (same reuse
-    /// contract as [`Self::solve_with`]; bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_with_deadline`].
-    pub fn solve_with_deadline_in(
-        &self,
-        scenario: &Scenario,
-        total_deadline_s: f64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<Outcome, CoreError> {
-        let summary = self.solve_with_deadline_summary_in(scenario, total_deadline_s, ws)?;
-        self.outcome_from_workspace(scenario, Weights::energy_only(), ws, summary)
-    }
-
-    /// [`Self::solve_with_deadline_in`] without materialising an [`Outcome`] — the sweep
-    /// hot path of Figures 7 and 8, with the same workspace conventions as
-    /// [`Self::solve_summary_with`] (winning allocation in [`SolverWorkspace::best`], trace
-    /// in [`SolverWorkspace::trace`]; bit-identical numbers).
+    /// [`Self::solve_with_deadline`] against a caller-owned [`SolverWorkspace`], without
+    /// materialising an [`Outcome`] — the sweep hot path of Figures 7 and 8, with the same
+    /// workspace conventions as [`Self::solve_summary_with`] (winning allocation in
+    /// [`SolverWorkspace::best`], trace in [`SolverWorkspace::trace`]; bit-identical
+    /// numbers).
     ///
     /// # Errors
     ///

@@ -25,8 +25,6 @@ pub struct SolverConfig {
     pub mu_tol: f64,
     /// Tolerance of the one-dimensional searches (Subproblem 1 over `T`, baselines).
     pub scalar_tol: f64,
-    /// Feasibility tolerance used when validating the final allocation.
-    pub feasibility_tol: f64,
     /// Lower floor on any device's bandwidth share in hertz (keeps Shannon rates strictly
     /// positive so the sum-of-ratios denominators never vanish).
     pub bandwidth_floor_hz: f64,
@@ -36,10 +34,12 @@ pub struct SolverConfig {
     /// Enables the warm-start continuation through the solver stack: Subproblem 2 seeds its
     /// Newton-like loop with the previous solve's `(β, ν)` multipliers, starts the `μ`
     /// search from the previous price, skips the loop entirely once the rate floors stop
-    /// moving (see
-    /// [`SolverConfig::warm_rmin_tol`]), Subproblem 1 narrows its golden-section bracket
-    /// around the previous round time, and Algorithm 2 carries the previous `(p, B)`
-    /// iterate between outer iterations instead of restaging it.
+    /// moving (a relative drift of at most [`SolverConfig::outer_tol`] against the previous
+    /// solve's floors, a movement the outer alternation itself would already call
+    /// converged) while the carried multipliers still satisfy `jong.phi_tol` at the staged
+    /// point, Subproblem 1 narrows its golden-section bracket around the previous round
+    /// time, and Algorithm 2 carries the previous `(p, B)` iterate between outer iterations
+    /// instead of restaging it.
     ///
     /// `true` (the default) is the production path: the solver converges to the same fixed
     /// point within the configured tolerances (`outer_tol`, `jong.phi_tol`) along a cheaper
@@ -70,16 +70,6 @@ pub struct SolverConfig {
     /// because the benchmark harness builds against it.
     #[serde(default = "default_adaptive_mu_bracket")]
     pub adaptive_mu_bracket: bool,
-    /// Maximum relative drift of Subproblem 2's rate floors `r_n^min` (against the previous
-    /// solve's floors) under which the warm-start fast path may skip the Newton-like loop.
-    /// Only read when [`SolverConfig::warm_start`] is set. The fast path additionally
-    /// requires the carried multipliers to satisfy `jong.phi_tol` at the staged point, so
-    /// this bound caps the *constraint* staleness the skip can hide; the objective error it
-    /// admits is of the same relative order. The defaults therefore track `outer_tol` — a
-    /// rate-floor movement the outer alternation itself would already call converged is the
-    /// natural definition of "the denominators stopped moving".
-    #[serde(default = "default_warm_rmin_tol")]
-    pub warm_rmin_tol: f64,
     /// Starts Algorithm 2's weighted outer loop from the workspace's carried best
     /// allocation ([`SolverWorkspace::best`](crate::SolverWorkspace::best)) instead of the
     /// equal-split initial point, when that allocation matches the scenario's device
@@ -102,10 +92,6 @@ fn default_jong() -> JongConfig {
     JongConfig::default()
 }
 
-fn default_warm_rmin_tol() -> f64 {
-    1.0e-4
-}
-
 fn default_superlinear_mu() -> bool {
     true
 }
@@ -122,11 +108,9 @@ impl Default for SolverConfig {
             jong: default_jong(),
             mu_tol: 1.0e-11,
             scalar_tol: 1.0e-7,
-            feasibility_tol: 1.0e-6,
             bandwidth_floor_hz: 1.0,
             polish_with_reference: true,
             warm_start: true,
-            warm_rmin_tol: default_warm_rmin_tol(),
             superlinear_mu: default_superlinear_mu(),
             adaptive_mu_bracket: default_adaptive_mu_bracket(),
             outer_continuation: false,
@@ -140,10 +124,9 @@ impl SolverConfig {
         Self {
             outer_max_iter: 10,
             outer_tol: 1.0e-3,
-            jong: JongConfig { max_iter: 25, phi_tol: 1.0e-6, ..JongConfig::default() },
+            jong: JongConfig { max_iter: 25, phi_tol: 1.0e-6 },
             mu_tol: 1.0e-9,
             scalar_tol: 1.0e-6,
-            warm_rmin_tol: 1.0e-3,
             ..Self::default()
         }
     }
@@ -201,12 +184,12 @@ mod tests {
 
     #[test]
     fn warm_start_defaults_on_and_rmin_tol_tracks_outer_tol() {
+        // The fast path's rate-floor drift bound is `outer_tol` itself, so it tracks by
+        // construction; what is left to pin is the warm-start default.
         let def = SolverConfig::default();
         assert!(def.warm_start, "warm start is the library-wide default since PR 6");
-        assert_eq!(def.warm_rmin_tol, def.outer_tol);
         let fast = SolverConfig::fast();
         assert!(fast.warm_start);
-        assert_eq!(fast.warm_rmin_tol, fast.outer_tol);
         assert!(!SolverConfig::default().with_warm_start(false).warm_start);
     }
 

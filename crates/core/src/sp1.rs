@@ -195,8 +195,20 @@ pub fn solve_direct(
     upload_times_s: &[f64],
     config: &SolverConfig,
 ) -> Result<Sp1Solution, CoreError> {
+    // A throwaway lane view and a fresh (invalid) warm state: this reference form is the
+    // historical cold full-bracket search regardless of `config.warm_start`.
+    let arrays = ScenarioArrays::from_scenario(scenario);
     let mut frequencies_hz = Vec::with_capacity(scenario.devices.len());
-    let summary = solve_direct_in(scenario, weights, upload_times_s, config, &mut frequencies_hz)?;
+    let summary = solve_direct_with_arrays_in(
+        scenario,
+        &arrays,
+        weights,
+        upload_times_s,
+        &SolverConfig { warm_start: false, ..*config },
+        &mut frequencies_hz,
+        &mut Sp1WarmState::default(),
+        &mut 0,
+    )?;
     Ok(Sp1Solution {
         frequencies_hz,
         round_time_s: summary.round_time_s,
@@ -204,57 +216,24 @@ pub fn solve_direct(
     })
 }
 
-/// [`solve_direct`] with the optimal frequencies written into a caller-owned buffer
-/// (cleared first), so the alternating outer loop can reuse one allocation per worker.
+/// [`solve_direct`] over a caller-held lane view, with the optimal frequencies written into
+/// a caller-owned buffer (cleared first) — the Algorithm-2 hot-path form.
 ///
-/// The search itself is allocation-free: each golden-section probe evaluates the objective
-/// device by device instead of materialising a frequency vector per probe (the old
-/// per-probe `Vec` was the hottest allocation site of the whole sweep), and the per-device
+/// The search is allocation-free: each golden-section probe evaluates the objective device
+/// by device instead of materialising a frequency vector per probe, and the per-device
 /// energy coefficient `κ·R_l·c_n·D_n` is hoisted out of the probe loop — it is staged in
-/// `frequencies_out` (pure scratch until the search ends) rather than recomputed for every
-/// probe, with the exact multiplication grouping of the unhoisted expression so results
-/// stay bit-identical.
+/// `frequencies_out` (pure scratch until the search ends) with the exact multiplication
+/// grouping of the unhoisted expression, so results stay bit-identical. The probe loop
+/// walks the [`ScenarioArrays`] lanes (contiguous, bounds-check-free via `zip`).
 ///
-/// # Errors
-///
-/// Same as [`solve_direct`].
-pub fn solve_direct_in(
-    scenario: &Scenario,
-    weights: Weights,
-    upload_times_s: &[f64],
-    config: &SolverConfig,
-    frequencies_out: &mut Vec<f64>,
-) -> Result<Sp1Summary, CoreError> {
-    // Build a throwaway lane view (this convenience form allocates; the sweep hot path
-    // holds lanes in its workspace and calls `solve_direct_with_arrays_in` directly). A
-    // fresh (invalid) warm state keeps this entry bit-identical to the historical cold
-    // full-bracket search regardless of `config.warm_start`.
-    let arrays = ScenarioArrays::from_scenario(scenario);
-    let mut warm = Sp1WarmState::default();
-    let mut probes = 0u64;
-    solve_direct_with_arrays_in(
-        scenario,
-        &arrays,
-        weights,
-        upload_times_s,
-        &SolverConfig { warm_start: false, ..*config },
-        frequencies_out,
-        &mut warm,
-        &mut probes,
-    )
-}
-
-/// [`solve_direct_in`] over a caller-held lane view — the Algorithm-2 hot-path form.
-///
-/// Differences from the wrapper: the per-device reads of the probe loop walk the
-/// [`ScenarioArrays`] lanes (contiguous, bounds-check-free via `zip`); `warm` carries the
-/// previous solve's optimal `T` and, with [`SolverConfig::warm_start`] enabled, narrows the
-/// golden-section bracket to `[T/γ, T·γ] ∩ [T_min, T_max]` — the objective is unimodal in
-/// `T`, so an argmin strictly inside the narrowed bracket is the global one, and an argmin
-/// landing on a clipped bracket edge falls back to the full `[T_min, T_max]` search;
-/// `probe_evals` accumulates the number of objective probes the search spends (the
-/// [`SolveCounters::sp1_probe_evals`](crate::SolveCounters) evidence). With warm start off
-/// the search trajectory — and hence every result bit — matches the historical cold path.
+/// `warm` carries the previous solve's optimal `T` and, with [`SolverConfig::warm_start`]
+/// enabled, narrows the golden-section bracket to `[T/γ, T·γ] ∩ [T_min, T_max]` — the
+/// objective is unimodal in `T`, so an argmin strictly inside the narrowed bracket is the
+/// global one, and an argmin landing on a clipped bracket edge falls back to the full
+/// `[T_min, T_max]` search; `probe_evals` accumulates the number of objective probes the
+/// search spends (the [`SolveCounters::sp1_probe_evals`](crate::SolveCounters) evidence).
+/// With warm start off the search trajectory — and hence every result bit — matches the
+/// historical cold path.
 ///
 /// # Errors
 ///
@@ -402,26 +381,6 @@ pub fn solve_dual(
     upload_times_s: &[f64],
     config: &SolverConfig,
 ) -> Result<Sp1Solution, CoreError> {
-    solve_dual_in(scenario, weights, upload_times_s, config, &mut Vec::new())
-}
-
-/// [`solve_dual`] with the `c_n·D_n` coefficient vector pooled through a caller-owned
-/// buffer (the [`SolverWorkspace::sp1_cd`](crate::SolverWorkspace) field is reserved for
-/// exactly this), so the dual reference path stops allocating that vector — and its
-/// historical per-closure clones of it and of the upload times — on every call. The ascent
-/// start vector and the projected-gradient internals still allocate; this path exists for
-/// fidelity and cross-checking, not for the sweep hot loop.
-///
-/// # Errors
-///
-/// Same as [`solve_dual`].
-pub fn solve_dual_in(
-    scenario: &Scenario,
-    weights: Weights,
-    upload_times_s: &[f64],
-    config: &SolverConfig,
-    cd_scratch: &mut Vec<f64>,
-) -> Result<Sp1Solution, CoreError> {
     check_lengths(scenario, upload_times_s)?;
     let w1 = weights.energy();
     let w2 = weights.time();
@@ -435,9 +394,9 @@ pub fn solve_dual_in(
     let h = rl * (w1 * kappa * rg).powf(1.0 / 3.0);
     let coef: f64 = 2f64.powf(-2.0 / 3.0) + 2f64.powf(1.0 / 3.0);
 
-    cd_scratch.clear();
-    cd_scratch.extend(scenario.devices.iter().map(|d| d.cycles_per_local_iteration()));
-    let cd: &[f64] = cd_scratch;
+    let cd_lane: Vec<f64> =
+        scenario.devices.iter().map(|d| d.cycles_per_local_iteration()).collect();
+    let cd: &[f64] = &cd_lane;
     let t_up = upload_times_s;
     let radius = w2 * rg;
     let n = scenario.devices.len();
@@ -662,8 +621,7 @@ mod tests {
         let uploads = uniform_uploads(&s, 0.012);
         let w = Weights::new(0.6, 0.4).unwrap();
 
-        let mut wrapper_freqs = Vec::new();
-        let wrapper = solve_direct_in(&s, w, &uploads, &cfg, &mut wrapper_freqs).unwrap();
+        let wrapper = solve_direct(&s, w, &uploads, &cfg).unwrap();
 
         let mut lane_freqs = Vec::new();
         let mut warm = Sp1WarmState::default();
@@ -679,8 +637,11 @@ mod tests {
             &mut probes,
         )
         .unwrap();
-        assert_eq!(wrapper, lanes);
-        assert_eq!(wrapper_freqs, lane_freqs);
+        assert_eq!(
+            (wrapper.round_time_s, wrapper.objective),
+            (lanes.round_time_s, lanes.objective)
+        );
+        assert_eq!(wrapper.frequencies_hz, lane_freqs);
         assert!(probes > 0, "the probe counter must observe the search");
     }
 

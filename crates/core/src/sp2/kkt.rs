@@ -33,6 +33,9 @@
 //!    in their bandwidths, which a greedy pass over the cost coefficients solves exactly.
 //!
 //! Box constraints on `p` (equation (38)) are applied by clamping, exactly as in the paper.
+//!
+//! [`solve_parametric_into`] is the one entry point: it writes into a caller-owned point and
+//! keeps every buffer in a pooled [`KktScratch`].
 
 use super::{PowerBandwidth, Sp2Problem};
 use crate::SolverConfig;
@@ -57,7 +60,7 @@ pub(crate) struct LpEntry {
 
 /// Reusable scratch buffers of the Theorem-2 KKT construction.
 ///
-/// Every buffer is pure scratch: [`solve_parametric`] overwrites the contents on entry and
+/// Every buffer is pure scratch: [`solve_parametric_into`] overwrites the contents on entry and
 /// never reads state left by a previous call, so one instance can be reused across
 /// arbitrarily many solves (and across scenarios of different device counts — the buffers
 /// are resized per call). Reuse only saves the allocations.
@@ -123,9 +126,12 @@ impl KktScratch {
 }
 
 /// Solves the parametric subproblem `SP2_v2` for fixed `(ν, β)` via the Theorem-2
-/// construction.
+/// construction, into a caller-owned point.
 ///
-/// Allocating convenience form of [`solve_parametric_into`].
+/// `out` is pure scratch: whatever it holds on entry (any device count, any values) is
+/// discarded, its vectors are resized to the scenario and every entry is written before the
+/// final sanitize pass reads it. Together with the pooled [`KktScratch`] buffers this makes
+/// the whole Theorem-2 construction allocation-free in steady state.
 ///
 /// # Errors
 ///
@@ -134,27 +140,6 @@ impl KktScratch {
 /// * The Lambert-W error of a failed `W₀` evaluation, or the error of a failed `μ` search.
 ///
 /// Callers treat any error as "fall back to the reference solver".
-pub fn solve_parametric(
-    problem: &Sp2Problem<'_>,
-    nu: &[f64],
-    beta: &[f64],
-) -> Result<PowerBandwidth, NumError> {
-    let mut point = PowerBandwidth::new(Vec::new(), Vec::new());
-    solve_parametric_into(problem, nu, beta, &mut point)?;
-    Ok(point)
-}
-
-/// [`solve_parametric`] into a caller-owned point — the allocation-free hot-path form.
-///
-/// `out` is pure scratch: whatever it holds on entry (any device count, any values) is
-/// discarded, its vectors are resized to the scenario and every entry is written before the
-/// final sanitize pass reads it. Together with the pooled [`KktScratch`] buffers this makes
-/// the whole Theorem-2 construction allocation-free in steady state; results are
-/// bit-identical to [`solve_parametric`].
-///
-/// # Errors
-///
-/// Same as [`solve_parametric`].
 pub fn solve_parametric_into(
     problem: &Sp2Problem<'_>,
     nu: &[f64],
@@ -536,6 +521,17 @@ mod tests {
     use flsys::{Allocation, ScenarioArrays, ScenarioBuilder, Weights};
     use numopt::fractional::FractionalProblem;
     use wireless::channel::shannon_rate_raw;
+
+    /// [`solve_parametric_into`] into a fresh point.
+    fn solve_parametric(
+        problem: &Sp2Problem<'_>,
+        nu: &[f64],
+        beta: &[f64],
+    ) -> Result<PowerBandwidth, NumError> {
+        let mut point = PowerBandwidth::default();
+        solve_parametric_into(problem, nu, beta, &mut point)?;
+        Ok(point)
+    }
 
     fn problem_fixture(
         n: usize,

@@ -15,9 +15,10 @@
 //!
 //! * the generic outer loop lives in [`numopt::fractional`];
 //! * the parametric inner problem `SP2_v2` (equation (21)) is solved in closed form by the
-//!   KKT construction of Theorem 2 — bisection on the bandwidth multiplier `μ`, Lambert-W
-//!   expression (A.4) for the per-device rate multipliers `τ_n`, closed-form bandwidth for
-//!   rate-tight devices and the small LP (A.6) for the rest ([`kkt`]);
+//!   KKT construction of Theorem 2 — a safeguarded Newton root of `g'(μ)` for the bandwidth
+//!   multiplier `μ`, Lambert-W expression (A.4) for the per-device rate multipliers `τ_n`,
+//!   closed-form bandwidth for rate-tight devices and the small LP (A.6) for the rest
+//!   ([`kkt`]);
 //! * [`reference`](mod@reference) solves the same problem exactly by another route. For a
 //!   fixed bandwidth the energy-optimal power is the smallest feasible one, which leaves a
 //!   convex energy per device in its bandwidth; a bandwidth price, cleared by a Brent root,
@@ -32,6 +33,10 @@
 //! problem (the round simulation) keep the reference point almost every time; the paper's
 //! sweeps keep it in a few percent of solves.
 //!
+//! [`solve_in`] is the entry point: it solves from the point staged in an [`Sp2Scratch`]
+//! and leaves the solution there, allocation-free in steady state. Algorithm 2 holds the
+//! scenario's lanes already and calls [`solve_with_arrays_in`].
+//!
 //! [`SolverConfig::polish_with_reference`]: crate::SolverConfig
 
 pub mod kkt;
@@ -41,7 +46,7 @@ use crate::config::SolverConfig;
 use crate::error::CoreError;
 use flsys::{Scenario, ScenarioArrays, Weights};
 use kkt::KktScratch;
-use numopt::fractional::{solve_sum_of_ratios_warm_in, FractionalProblem, JongScratch, WarmMode};
+use numopt::fractional::{solve_sum_of_ratios_in, FractionalProblem, JongScratch, WarmMode};
 use numopt::scalar::clamp;
 use numopt::NumError;
 use std::cell::RefCell;
@@ -114,7 +119,7 @@ pub struct Sp2Scratch {
     /// once the polish first runs) and the warm-start price seed.
     ref_scratch: reference::ReferenceScratch,
     /// Rate floors of the previous warm-start solve (the fast path fires only while the
-    /// current floors are within [`SolverConfig::warm_rmin_tol`] of these).
+    /// current floors are within [`SolverConfig::outer_tol`] of these, relatively).
     warm_r_min: Vec<f64>,
     /// Whether [`Sp2Scratch::warm_r_min`] holds the floors of a successful previous solve.
     warm_r_min_valid: bool,
@@ -183,24 +188,6 @@ pub struct Sp2Summary {
     pub lp_sorts: u64,
 }
 
-/// Result of a Subproblem-2 solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sp2Solution {
-    /// Optimal transmit power per device (W).
-    pub powers_w: Vec<f64>,
-    /// Optimal bandwidth per device (Hz).
-    pub bandwidths_hz: Vec<f64>,
-    /// Per-round communication energy `Σ_n p_n d_n / r_n` at the solution (J), *not* scaled
-    /// by `w1 R_g`.
-    pub comm_energy_per_round_j: f64,
-    /// Whether the Newton-like outer loop reported convergence.
-    pub converged: bool,
-    /// Outer (Algorithm-1) iterations used.
-    pub iterations: usize,
-    /// `true` when the reference polish replaced the Newton-like solution.
-    pub polished: bool,
-}
-
 /// The Subproblem-2 instance handed to the sum-of-ratios machinery.
 pub struct Sp2Problem<'a> {
     scenario: &'a Scenario,
@@ -213,7 +200,7 @@ pub struct Sp2Problem<'a> {
     /// Per-device minimum rate `r_n^min` (bit/s); `0` disables the rate constraint.
     r_min_bps: &'a [f64],
     config: &'a SolverConfig,
-    /// KKT scratch buffers shared by every [`kkt::solve_parametric`] call on this instance
+    /// KKT scratch buffers shared by every [`kkt::solve_parametric_into`] call on this instance
     /// (the Newton-like outer loop makes dozens). `RefCell` because the `FractionalProblem`
     /// trait hands the problem out by shared reference; `Sp2Problem` is not `Sync` and is
     /// never shared across threads.
@@ -255,7 +242,7 @@ impl<'a> Sp2Problem<'a> {
         Ok(Self { scenario, arrays, weight, r_min_bps, config, scratch: RefCell::default() })
     }
 
-    /// Mutable access to the KKT scratch buffers (for [`kkt::solve_parametric`]).
+    /// Mutable access to the KKT scratch buffers (for [`kkt::solve_parametric_into`]).
     pub(crate) fn scratch_mut(&self) -> std::cell::RefMut<'_, KktScratch> {
         self.scratch.borrow_mut()
     }
@@ -364,10 +351,6 @@ impl FractionalProblem for Sp2Problem<'_> {
         self.rate(i, x)
     }
 
-    fn solve_parametric(&self, nu: &[f64], beta: &[f64]) -> Result<PowerBandwidth, NumError> {
-        kkt::solve_parametric(self, nu, beta)
-    }
-
     fn solve_parametric_into(
         &self,
         nu: &[f64],
@@ -378,71 +361,22 @@ impl FractionalProblem for Sp2Problem<'_> {
     }
 }
 
-/// Solves Subproblem 2 starting from a feasible `(p, B)` point.
+/// Solves Subproblem 2 from the point staged via [`Sp2Scratch::stage_start`] and leaves
+/// the solution in [`Sp2Scratch::solution`], performing **zero heap allocations in steady
+/// state** (after the scratch buffers have grown to the scenario's device count once).
 ///
 /// Runs the paper's Algorithm 1 (Newton-like sum-of-ratios loop with the Theorem-2 KKT inner
 /// solver). When [`SolverConfig::polish_with_reference`] is enabled the result is compared
 /// against the direct reference solver on the true communication energy and the better point
-/// is returned.
+/// is kept.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Model`] for shape mismatches and [`CoreError::Numerical`] if both the
-/// Newton-like path and the reference solver fail.
+/// Returns [`CoreError::Model`] for shape mismatches and [`CoreError::SolverFailure`] if
+/// both the Newton-like path and the reference solver fail. On error the staged point's
+/// contents are unspecified.
 ///
 /// [`SolverConfig::polish_with_reference`]: crate::SolverConfig
-pub fn solve(
-    scenario: &Scenario,
-    weights: Weights,
-    r_min_bps: &[f64],
-    initial: PowerBandwidth,
-    config: &SolverConfig,
-) -> Result<Sp2Solution, CoreError> {
-    solve_scratch(scenario, weights, r_min_bps, initial, config, &mut KktScratch::default())
-}
-
-/// [`solve`] with caller-owned KKT scratch buffers, so repeated solves reuse the KKT
-/// allocations. Superseded on the sweep hot path by [`solve_in`], which additionally pools
-/// the outer loop's buffers and the `(p, B)` points; this form is kept for callers that
-/// want an owned [`Sp2Solution`] without managing a full [`Sp2Scratch`].
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_scratch(
-    scenario: &Scenario,
-    weights: Weights,
-    r_min_bps: &[f64],
-    initial: PowerBandwidth,
-    config: &SolverConfig,
-    scratch: &mut KktScratch,
-) -> Result<Sp2Solution, CoreError> {
-    let mut sp2_scratch = Sp2Scratch::default();
-    std::mem::swap(&mut sp2_scratch.kkt, scratch);
-    sp2_scratch.point = initial;
-    let result = solve_in(scenario, weights, r_min_bps, config, &mut sp2_scratch);
-    std::mem::swap(&mut sp2_scratch.kkt, scratch);
-    let summary = result?;
-    let PowerBandwidth { powers_w, bandwidths_hz } = sp2_scratch.point;
-    Ok(Sp2Solution {
-        powers_w,
-        bandwidths_hz,
-        comm_energy_per_round_j: summary.comm_energy_per_round_j,
-        converged: summary.converged,
-        iterations: summary.iterations,
-        polished: summary.polished,
-    })
-}
-
-/// The all-scratch Subproblem-2 entry point: solves from the point staged via
-/// [`Sp2Scratch::stage_start`] and leaves the solution in [`Sp2Scratch::solution`],
-/// performing **zero heap allocations in steady state** (after the scratch buffers have
-/// grown to the scenario's device count once). Results are bit-identical to [`solve`] /
-/// [`solve_scratch`] — same arithmetic, same order, different buffer ownership.
-///
-/// # Errors
-///
-/// Same as [`solve`]. On error the staged point's contents are unspecified.
 pub fn solve_in(
     scenario: &Scenario,
     weights: Weights,
@@ -467,7 +401,7 @@ pub fn solve_in(
 ///
 /// # Errors
 ///
-/// Same as [`solve`], plus [`CoreError::Model`] if `arrays` does not match the scenario
+/// Same as [`solve_in`], plus [`CoreError::Model`] if `arrays` does not match the scenario
 /// size.
 pub fn solve_with_arrays_in(
     scenario: &Scenario,
@@ -498,7 +432,7 @@ pub fn solve_with_arrays_in(
         let floors_static = *warm_r_min_valid
             && warm_r_min.len() == n
             && r_min_bps.iter().zip(warm_r_min.iter()).all(|(&r, &prev)| {
-                (r - prev).abs() <= config.warm_rmin_tol * r.abs().max(prev.abs()).max(1.0)
+                (r - prev).abs() <= config.outer_tol * r.abs().max(prev.abs()).max(1.0)
             });
         if floors_static {
             WarmMode::FastPath
@@ -511,7 +445,7 @@ pub fn solve_with_arrays_in(
     *warm_r_min_valid = false; // revalidated below on success
 
     // Newton-like path, running in place on the staged point (double-buffered with `spare`).
-    let newton = solve_sum_of_ratios_warm_in(&problem, point, spare, config.jong, jong, mode);
+    let newton = solve_sum_of_ratios_in(&problem, point, spare, config.jong, jong, mode);
 
     let mut best_energy = f64::INFINITY;
     let mut have_best = false;
@@ -601,6 +535,21 @@ mod tests {
         vec![1.0e5; s.devices.len()]
     }
 
+    /// Solves from `start` on a fresh scratch: the solution point and its per-round
+    /// communication energy.
+    fn solve(
+        s: &Scenario,
+        weights: Weights,
+        r_min: &[f64],
+        start: PowerBandwidth,
+        cfg: &SolverConfig,
+    ) -> Result<(PowerBandwidth, f64), CoreError> {
+        let mut scratch = Sp2Scratch::new();
+        scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
+        let summary = solve_in(s, weights, r_min, cfg, &mut scratch)?;
+        Ok((scratch.point, summary.comm_energy_per_round_j))
+    }
+
     #[test]
     fn solve_reduces_comm_energy_vs_start() {
         let (s, cfg) = setup(10, 1);
@@ -609,19 +558,18 @@ mod tests {
         let r_min = loose_r_min(&s);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
         let start_energy = problem.comm_energy(&start);
-        let sol = solve(&s, Weights::balanced(), &r_min, start, &cfg).unwrap();
+        let (_, energy) = solve(&s, Weights::balanced(), &r_min, start, &cfg).unwrap();
         assert!(
-            sol.comm_energy_per_round_j <= start_energy * (1.0 + 1e-9),
-            "sp2 {} should not exceed start {}",
-            sol.comm_energy_per_round_j,
-            start_energy
+            energy <= start_energy * (1.0 + 1e-9),
+            "sp2 {energy} should not exceed start {start_energy}"
         );
     }
 
     #[test]
     fn solution_is_feasible() {
         let (s, cfg) = setup(12, 2);
-        let sol = solve(&s, Weights::balanced(), &loose_r_min(&s), equal_start(&s), &cfg).unwrap();
+        let (sol, _) =
+            solve(&s, Weights::balanced(), &loose_r_min(&s), equal_start(&s), &cfg).unwrap();
         let b_sum: f64 = sol.bandwidths_hz.iter().sum();
         assert!(b_sum <= s.params.total_bandwidth.value() * (1.0 + 1e-6));
         for (i, dev) in s.devices.iter().enumerate() {
@@ -636,7 +584,7 @@ mod tests {
         let (s, cfg) = setup(8, 3);
         // Moderate rate floor: 28.1 kbit in at most 50 ms.
         let r_min: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.05).collect();
-        let sol = solve(&s, Weights::balanced(), &r_min, equal_start(&s), &cfg).unwrap();
+        let (sol, _) = solve(&s, Weights::balanced(), &r_min, equal_start(&s), &cfg).unwrap();
         let n0 = s.params.noise.watts_per_hz();
         for (i, dev) in s.devices.iter().enumerate() {
             let rate =
@@ -665,7 +613,8 @@ mod tests {
         let start = equal_start(&s);
 
         let cfg_newton = SolverConfig { polish_with_reference: false, ..SolverConfig::default() };
-        let newton = solve(&s, Weights::balanced(), &r_min, start.clone(), &cfg_newton).unwrap();
+        let (_, newton) =
+            solve(&s, Weights::balanced(), &r_min, start.clone(), &cfg_newton).unwrap();
 
         let cfg = SolverConfig::default();
         let arrays = ScenarioArrays::from_scenario(&s);
@@ -673,12 +622,10 @@ mod tests {
         let reference = reference::solve_reference(&problem, &start).unwrap();
         let ref_energy = problem.comm_energy(&reference);
 
-        let ratio = newton.comm_energy_per_round_j / ref_energy;
+        let ratio = newton / ref_energy;
         assert!(
             (0.5..=2.0).contains(&ratio),
-            "newton {} vs reference {} (ratio {ratio})",
-            newton.comm_energy_per_round_j,
-            ref_energy
+            "newton {newton} vs reference {ref_energy} (ratio {ratio})"
         );
     }
 
@@ -726,7 +673,7 @@ mod tests {
         assert_eq!(second.kkt_solves, 0);
         assert_eq!(second.comm_energy_per_round_j, first.comm_energy_per_round_j);
 
-        // Moving the rate floors beyond warm_rmin_tol must disarm the fast path.
+        // Moving the rate floors beyond outer_tol must disarm the fast path.
         let moved: Vec<f64> = r_min.iter().map(|r| r * 1.05).collect();
         let third = solve_in(&s, Weights::balanced(), &moved, &cfg, &mut scratch).unwrap();
         assert!(!third.fast_path, "5% floor move must force a real solve");
@@ -804,12 +751,8 @@ mod tests {
         let (s, cfg) = setup(10, 7);
         let loose: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.2).collect();
         let tight: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.01).collect();
-        let e_loose = solve(&s, Weights::balanced(), &loose, equal_start(&s), &cfg)
-            .unwrap()
-            .comm_energy_per_round_j;
-        let e_tight = solve(&s, Weights::balanced(), &tight, equal_start(&s), &cfg)
-            .unwrap()
-            .comm_energy_per_round_j;
+        let e_loose = solve(&s, Weights::balanced(), &loose, equal_start(&s), &cfg).unwrap().1;
+        let e_tight = solve(&s, Weights::balanced(), &tight, equal_start(&s), &cfg).unwrap().1;
         assert!(
             e_tight >= e_loose * (1.0 - 1e-6),
             "tight deadline energy {e_tight} should be at least loose {e_loose}"

@@ -3,9 +3,10 @@
 //! Every call into [`JointOptimizer::solve`] used to allocate a fresh set of per-device
 //! vectors (uplink rates, upload times, rate floors, frequencies, KKT scratch) — dozens of
 //! allocations per outer iteration, millions across a figure sweep at the paper's 100
-//! scenario draws per point. A [`SolverWorkspace`] owns those buffers once; the
-//! `*_with`/`*_in`/`*_scratch` solver entry points borrow it mutably and reuse the
-//! allocations call after call.
+//! scenario draws per point. A [`SolverWorkspace`] owns those buffers once; the entry
+//! points that take one (`JointOptimizer::{solve_with, solve_summary_with,
+//! solve_with_deadline_summary_in}` and the baselines' `allocate_summary_with`) borrow it
+//! mutably and reuse the allocations call after call.
 //!
 //! # Reuse contract: everything is scratch, nothing is carried
 //!
@@ -74,9 +75,6 @@ pub struct SolverWorkspace {
     /// Cumulative iteration counters of every solve that borrowed this workspace
     /// (instrumentation only; reset with [`SolveCounters::reset`]).
     pub counters: SolveCounters,
-    /// Pooled coefficient vector of the Subproblem-1 dual reference path
-    /// ([`crate::sp1::solve_dual_in`]).
-    pub sp1_cd: Vec<f64>,
     /// Struct-of-arrays view of the scenario's per-device quantities, rebuilt (capacity
     /// reused) at the top of every solve that borrows the workspace. The inner loops of
     /// Subproblems 1 and 2 read these contiguous lanes instead of chasing
@@ -117,7 +115,6 @@ impl SolverWorkspace {
             best: Allocation::default(),
             trace: Vec::new(),
             counters: SolveCounters::default(),
-            sp1_cd: Vec::with_capacity(n),
             arrays: ScenarioArrays::with_capacity(n),
             sp1_warm: Sp1WarmState::default(),
             solve_deadline: None,
@@ -199,11 +196,13 @@ mod tests {
             assert_eq!(&plain, reused_out);
         }
 
-        // Same for the deadline-constrained path.
+        // Same for the deadline-constrained path (the winning allocation and the trace).
         let mut reused = SolverWorkspace::with_capacity(10);
-        let d_big = opt.solve_with_deadline_in(&big, 150.0, &mut reused).unwrap();
-        let d_small = opt.solve_with_deadline_in(&small, 150.0, &mut reused).unwrap();
-        assert_eq!(d_big, opt.solve_with_deadline(&big, 150.0).unwrap());
-        assert_eq!(d_small, opt.solve_with_deadline(&small, 150.0).unwrap());
+        for s in [&big, &small] {
+            let summary = opt.solve_with_deadline_summary_in(s, 150.0, &mut reused).unwrap();
+            let fresh = opt.solve_with_deadline(s, 150.0).unwrap();
+            assert_eq!((&reused.best, &reused.trace), (&fresh.allocation, &fresh.trace.iterations));
+            assert_eq!(summary.converged, fresh.converged);
+        }
     }
 }

@@ -1104,6 +1104,8 @@ mod tests {
             "{\"schema_version\":1,\"deadline_ms\":0}",
             // Non-positive axis deadline.
             "{\"schema_version\":1,\"deadline_s\":0}",
+            // A retired solver knob.
+            "{\"schema_version\":1,\"solver\":{\"preset\":\"fast\",\"warm_rmin_tol\":1e-4}}",
             // Not an object.
             "[1,2,3]",
             // Not JSON at all.
@@ -1111,6 +1113,9 @@ mod tests {
         ] {
             assert!(RequestSpec::from_json_str(bad).is_err(), "{bad:?} must be rejected");
         }
+        // The same solver section without the retired knob is fine.
+        RequestSpec::from_json_str("{\"schema_version\":1,\"solver\":{\"preset\":\"fast\"}}")
+            .unwrap();
         // A deadline arm with deadline_s is fine.
         RequestSpec::from_json_str(
             "{\"schema_version\":1,\"arm\":{\"kind\":\"comm_only\"},\"deadline_s\":150}",

@@ -985,14 +985,10 @@ pub struct SolverSpec {
     pub mu_tol: Option<f64>,
     /// Override of [`SolverConfig::scalar_tol`].
     pub scalar_tol: Option<f64>,
-    /// Override of [`SolverConfig::feasibility_tol`].
-    pub feasibility_tol: Option<f64>,
     /// Override of [`SolverConfig::bandwidth_floor_hz`].
     pub bandwidth_floor_hz: Option<f64>,
     /// Override of [`SolverConfig::polish_with_reference`].
     pub polish_with_reference: Option<bool>,
-    /// Override of [`SolverConfig::warm_rmin_tol`].
-    pub warm_rmin_tol: Option<f64>,
 }
 
 impl SolverSpec {
@@ -1016,17 +1012,11 @@ impl SolverSpec {
         if let Some(v) = self.scalar_tol {
             config.scalar_tol = v;
         }
-        if let Some(v) = self.feasibility_tol {
-            config.feasibility_tol = v;
-        }
         if let Some(v) = self.bandwidth_floor_hz {
             config.bandwidth_floor_hz = v;
         }
         if let Some(v) = self.polish_with_reference {
             config.polish_with_reference = v;
-        }
-        if let Some(v) = self.warm_rmin_tol {
-            config.warm_rmin_tol = v;
         }
         config
     }
@@ -1036,9 +1026,7 @@ impl SolverSpec {
             ("outer_tol", self.outer_tol),
             ("mu_tol", self.mu_tol),
             ("scalar_tol", self.scalar_tol),
-            ("feasibility_tol", self.feasibility_tol),
             ("bandwidth_floor_hz", self.bandwidth_floor_hz),
-            ("warm_rmin_tol", self.warm_rmin_tol),
         ] {
             if let Some(v) = value {
                 if !(v.is_finite() && v > 0.0) {
@@ -1067,10 +1055,8 @@ impl SolverSpec {
         push("outer_tol", self.outer_tol.map(Json::Num));
         push("mu_tol", self.mu_tol.map(Json::Num));
         push("scalar_tol", self.scalar_tol.map(Json::Num));
-        push("feasibility_tol", self.feasibility_tol.map(Json::Num));
         push("bandwidth_floor_hz", self.bandwidth_floor_hz.map(Json::Num));
         push("polish_with_reference", self.polish_with_reference.map(Json::Bool));
-        push("warm_rmin_tol", self.warm_rmin_tol.map(Json::Num));
         Json::Obj(members)
     }
 
@@ -1084,10 +1070,8 @@ impl SolverSpec {
                 "outer_tol",
                 "mu_tol",
                 "scalar_tol",
-                "feasibility_tol",
                 "bandwidth_floor_hz",
                 "polish_with_reference",
-                "warm_rmin_tol",
             ],
         )?;
         let preset = match obj.str("preset")? {
@@ -1106,10 +1090,8 @@ impl SolverSpec {
             outer_tol: obj.opt_f64("outer_tol")?,
             mu_tol: obj.opt_f64("mu_tol")?,
             scalar_tol: obj.opt_f64("scalar_tol")?,
-            feasibility_tol: obj.opt_f64("feasibility_tol")?,
             bandwidth_floor_hz: obj.opt_f64("bandwidth_floor_hz")?,
             polish_with_reference: obj.opt_bool("polish_with_reference")?,
-            warm_rmin_tol: obj.opt_f64("warm_rmin_tol")?,
         };
         spec.validate(path)?;
         Ok(spec)
@@ -2287,19 +2269,23 @@ mod tests {
             "{err}"
         );
 
-        // A retired engine switch is an unknown key like any typo.
-        for (key, value) in [
-            ("scenario_sharing", Json::Bool(false)),
-            ("streaming", Json::Bool(false)),
-            ("seed_chunk", Json::uint(7)),
+        // A retired engine switch or solver knob is an unknown key like any typo.
+        for (section, key, value) in [
+            ("engine", "scenario_sharing", Json::Bool(false)),
+            ("engine", "streaming", Json::Bool(false)),
+            ("engine", "seed_chunk", Json::uint(7)),
+            ("solver", "feasibility_tol", Json::Num(1e-6)),
+            ("solver", "warm_rmin_tol", Json::Num(1e-4)),
         ] {
             let mut retired = spec.to_json();
             if let Json::Obj(members) = &mut retired {
-                let engine = members.iter_mut().find(|(k, _)| k == "engine").unwrap();
-                engine.1 = Json::obj([(key, value)]);
+                let (_, table) = members.iter_mut().find(|(k, _)| k == section).unwrap();
+                if let Json::Obj(fields) = table {
+                    fields.push((key.to_string(), value));
+                }
             }
             let err = ExperimentSpec::from_json(&retired).unwrap_err();
-            let expected = format!("spec.engine.{key}");
+            let expected = format!("spec.{section}.{key}");
             assert!(matches!(&err, SpecError::Invalid { path, .. } if *path == expected), "{err}");
         }
 

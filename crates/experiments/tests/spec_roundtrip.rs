@@ -179,10 +179,8 @@ fn arbitrary_spec(rng: &mut TestRng) -> ExperimentSpec {
         outer_tol: (rng.below(3) == 0).then(|| small_f64(rng, 1.0e-8, 1.0e-2)),
         mu_tol: (rng.below(4) == 0).then(|| small_f64(rng, 1.0e-12, 1.0e-6)),
         scalar_tol: (rng.below(4) == 0).then(|| small_f64(rng, 1.0e-9, 1.0e-4)),
-        feasibility_tol: (rng.below(4) == 0).then(|| small_f64(rng, 1.0e-9, 1.0e-4)),
         bandwidth_floor_hz: (rng.below(4) == 0).then(|| small_f64(rng, 0.1, 100.0)),
         polish_with_reference: (rng.below(3) == 0).then(|| rng.below(2) == 0),
-        warm_rmin_tol: (rng.below(4) == 0).then(|| small_f64(rng, 1.0e-6, 1.0e-2)),
     };
     spec.engine = EngineSpec {
         threads: (rng.below(3) == 0).then(|| 1 + rng.below(16) as usize),

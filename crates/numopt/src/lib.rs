@@ -8,18 +8,20 @@
 //! characterized by their KKT conditions, so a general-purpose modelling language is not
 //! required. This crate provides the numerical primitives those KKT systems need:
 //!
-//! * [`roots`] — safeguarded bisection and Brent-style hybrid root finding for monotone and
-//!   general continuous scalar functions (used for the bandwidth price `μ` in Theorem 2, and
-//!   for water-filling style allocations in the baselines).
-//! * [`scalar`] — golden-section and ternary search for one-dimensional convex minimization
-//!   (used by the direct Subproblem-1 solver and the Scheme-1 baseline).
+//! * [`roots`] — safeguarded bisection, Brent-style hybrid and safeguarded Newton root
+//!   finding for monotone and general continuous scalar functions (used for the bandwidth
+//!   price `μ` in Theorem 2 and for the clearing price of the Subproblem-2 reference solver).
+//! * [`scalar`] — golden-section search for one-dimensional convex minimization (used by the
+//!   direct Subproblem-1 solver and the per-device time split of Algorithm 2's deadline
+//!   variant).
 //! * [`lambertw`] — the principal branch `W₀` of the Lambert W function, needed by equation
 //!   (A.4) of the paper.
 //! * [`simplex`] — Euclidean projection onto the scaled probability simplex, used to solve the
 //!   dual problem (17) by projected gradient ascent.
 //! * [`projgrad`] — projected gradient ascent/descent with diminishing or backtracking steps.
 //! * [`fractional`] — a generic implementation of Jong's Newton-like algorithm for
-//!   sum-of-ratios ("fractional programming") problems, the skeleton of the paper's Algorithm 1.
+//!   sum-of-ratios ("fractional programming") problems, the skeleton of the paper's
+//!   Algorithm 1: one in-place, warm-startable entry point taking the full Newton step.
 //! * [`grid`] — brute-force grid search, used only by tests and cross-validation helpers.
 //!
 //! All routines are deterministic, allocation-light, and return typed errors instead of
@@ -57,8 +59,7 @@ pub mod simplex;
 
 pub use error::NumError;
 pub use fractional::{
-    solve_sum_of_ratios, solve_sum_of_ratios_in, solve_sum_of_ratios_warm_in, FractionalProblem,
-    FractionalSolution, FractionalSummary, JongConfig, JongScratch, WarmMode,
+    solve_sum_of_ratios_in, FractionalProblem, FractionalSummary, JongConfig, JongScratch, WarmMode,
 };
 pub use lambertw::lambert_w0;
 pub use roots::{bisect, brent, BisectOutcome};

@@ -2,9 +2,10 @@
 //! iteration for convex decreasing functions.
 //!
 //! The paper's Theorem 2 finds the bandwidth-budget multiplier `μ` as the root of the
-//! monotone decreasing derivative `g'(μ)` of a concave dual function; the baselines use the
-//! same machinery to price bandwidth. Bisection is slow but unconditionally robust, which is
-//! what an inner solver that runs thousands of times per experiment sweep needs.
+//! monotone decreasing derivative `g'(μ)` of a concave dual function (safeguarded Newton,
+//! with the bisection and Brent searches behind `fedopt-core`'s legacy gates), and the
+//! Subproblem-2 reference solver clears its bandwidth price with Brent. Bisection is slow but
+//! unconditionally robust; the faster searches keep it as their safeguard.
 
 use crate::error::NumError;
 
@@ -102,8 +103,8 @@ where
 /// Finds the root of a **monotone decreasing** function on `[lo, hi]`, clamping to the
 /// endpoints when the root lies outside the bracket.
 ///
-/// This is the shape of every "price" search in the paper (bandwidth multiplier `μ`,
-/// bandwidth price in Scheme 1): the derivative of a concave dual is decreasing, and a root
+/// This is the shape of every "price" search in the paper (the bandwidth multiplier `μ`,
+/// the reference solver's clearing price): the derivative of a concave dual is decreasing, and a root
 /// below `lo` (resp. above `hi`) simply means the constraint is inactive (resp. the budget is
 /// binding at the boundary). Returning the clamped endpoint is the economically meaningful
 /// answer, so this helper never fails on a missing sign change.
@@ -496,53 +497,6 @@ where
     Err(NumError::MaxIterations { iterations: max_iter, residual: b - a })
 }
 
-/// Expands `hi` geometrically until `f(hi)` changes sign relative to `f(lo)`, then bisects.
-///
-/// Useful when only a lower bound of the bracket is known (e.g. searching for the completion
-/// time `T` at which a feasibility function flips). The bracket grows by `factor` up to
-/// `max_expansions` times.
-///
-/// # Errors
-///
-/// Same as [`bisect`], plus [`NumError::NoSignChange`] if no sign change is found after all
-/// expansions.
-pub fn bisect_with_expansion<F>(
-    mut f: F,
-    lo: f64,
-    initial_hi: f64,
-    factor: f64,
-    max_expansions: usize,
-    tol: f64,
-    max_iter: usize,
-) -> Result<BisectOutcome, NumError>
-where
-    F: FnMut(f64) -> f64,
-{
-    check_interval(lo, initial_hi)?;
-    if factor <= 1.0 {
-        return Err(NumError::NonPositiveParameter { name: "factor - 1", value: factor - 1.0 });
-    }
-    let f_lo = f(lo);
-    if !f_lo.is_finite() {
-        return Err(NumError::NonFiniteValue { at: lo });
-    }
-    let mut hi = initial_hi;
-    let mut f_hi = f(hi);
-    let mut expansions = 0usize;
-    while f_hi.is_finite() && f_lo.signum() == f_hi.signum() && expansions < max_expansions {
-        hi *= factor;
-        f_hi = f(hi);
-        expansions += 1;
-    }
-    if !f_hi.is_finite() {
-        return Err(NumError::NonFiniteValue { at: hi });
-    }
-    if f_lo.signum() == f_hi.signum() {
-        return Err(NumError::NoSignChange { f_lo, f_hi });
-    }
-    bisect(f, lo, hi, tol, max_iter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,23 +750,5 @@ mod tests {
         assert!(matches!(err, NumError::NonFiniteValue { .. }));
         let err = root_of_decreasing_newton(f, 0.0, 10.0, 5.0, 1e-12, 3).unwrap_err();
         assert!(matches!(err, NumError::MaxIterations { .. }));
-    }
-
-    #[test]
-    fn expansion_finds_far_root() {
-        let out = bisect_with_expansion(|x| x - 1000.0, 0.0, 1.0, 2.0, 60, 1e-9, 300).unwrap();
-        assert!((out.root - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn expansion_gives_up_gracefully() {
-        let err = bisect_with_expansion(|x| x + 1.0, 0.0, 1.0, 2.0, 5, 1e-9, 100).unwrap_err();
-        assert!(matches!(err, NumError::NoSignChange { .. }));
-    }
-
-    #[test]
-    fn expansion_rejects_bad_factor() {
-        let err = bisect_with_expansion(|x| x - 3.0, 0.0, 1.0, 0.5, 5, 1e-9, 100).unwrap_err();
-        assert!(matches!(err, NumError::NonPositiveParameter { .. }));
     }
 }

@@ -1,9 +1,9 @@
 //! One-dimensional minimization of unimodal (convex) functions.
 //!
 //! Subproblem 1 of the paper reduces, after eliminating the per-device frequencies, to a
-//! one-dimensional convex minimization over the round completion time `T`; the Scheme-1
-//! baseline does the same per-device over the compute/upload time split. Golden-section
-//! search solves both without derivatives.
+//! one-dimensional convex minimization over the round completion time `T`; Algorithm 2's
+//! deadline variant does the same per device over the compute/upload time split.
+//! Golden-section search solves both without derivatives.
 
 use crate::error::NumError;
 
