@@ -5,19 +5,17 @@
 //! > `B_n = B/(2N)`."
 
 use crate::result::BaselineResult;
-use fedopt_core::{sp1, CoreError, SolverConfig, SolverWorkspace};
+use fedopt_core::{sp1, CoreError, SolverWorkspace};
 use flsys::{CostSummary, Scenario};
 
 /// Deadline-constrained energy minimization that only touches the CPU frequencies.
-#[derive(Debug, Clone, Default)]
-pub struct CompOnlyAllocator {
-    config: SolverConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CompOnlyAllocator;
 
 impl CompOnlyAllocator {
-    /// Creates the allocator with the given solver configuration.
-    pub fn new(config: SolverConfig) -> Self {
-        Self { config }
+    /// Creates the allocator.
+    pub fn new() -> Self {
+        Self
     }
 
     /// Minimizes computation energy under the total completion-time deadline
@@ -55,13 +53,11 @@ impl CompOnlyAllocator {
         ws.allocation.set_half_split_max(scenario);
         ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
         ws.upload_times_from_rates(scenario);
-        let SolverWorkspace { uploads_s, frequencies_hz, allocation, .. } = &mut *ws;
+        let SolverWorkspace { uploads_s, allocation, .. } = &mut *ws;
 
         // The cheapest frequencies that still meet the deadline given the fixed uplink times.
-        sp1::frequencies_for_deadline_into(scenario, round_deadline, uploads_s, frequencies_hz);
-        let _ = &self.config;
-
-        allocation.frequencies_hz.copy_from_slice(frequencies_hz);
+        let frequencies = &mut allocation.frequencies_hz;
+        sp1::frequencies_for_deadline_into(scenario, round_deadline, uploads_s, frequencies);
         allocation.project_feasible(scenario);
         scenario.cost_summary(allocation).map_err(CoreError::from)
     }
@@ -75,7 +71,7 @@ mod tests {
     #[test]
     fn allocation_is_feasible_and_uses_fixed_p_and_b() {
         let s = ScenarioBuilder::paper_default().with_devices(8).build(51).unwrap();
-        let alloc = CompOnlyAllocator::new(SolverConfig::fast());
+        let alloc = CompOnlyAllocator::new();
         let r = alloc.allocate(&s, 120.0).unwrap();
         assert!(r.allocation.is_feasible(&s, 1e-6));
         let half_share = s.params.total_bandwidth.value() / (2.0 * 8.0);
@@ -90,7 +86,7 @@ mod tests {
     #[test]
     fn roughly_meets_deadline_when_feasible() {
         let s = ScenarioBuilder::paper_default().with_devices(8).build(52).unwrap();
-        let alloc = CompOnlyAllocator::new(SolverConfig::fast());
+        let alloc = CompOnlyAllocator::new();
         let deadline = 130.0;
         let r = alloc.allocate(&s, deadline).unwrap();
         assert!(r.total_time_s() <= deadline * 1.1);
@@ -99,7 +95,7 @@ mod tests {
     #[test]
     fn looser_deadline_reduces_computation_energy() {
         let s = ScenarioBuilder::paper_default().with_devices(8).build(53).unwrap();
-        let alloc = CompOnlyAllocator::new(SolverConfig::fast());
+        let alloc = CompOnlyAllocator::new();
         let tight = alloc.allocate(&s, 100.0).unwrap();
         let loose = alloc.allocate(&s, 150.0).unwrap();
         assert!(loose.cost.computation_energy_j <= tight.cost.computation_energy_j * (1.0 + 1e-9));

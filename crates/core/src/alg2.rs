@@ -12,18 +12,23 @@
 //! point.
 //!
 //! [`JointOptimizer::solve_with_deadline`] is the deadline-constrained variant used for the
-//! comparisons of Figures 7 and 8 (`w1 = 1, w2 = 0`, completion time as a hard constraint),
-//! and [`JointOptimizer::minimize_round_time`] is the pure delay-minimization path used when
+//! comparisons of Figures 7 and 8 (`w1 = 1, w2 = 0`, completion time as a hard constraint).
+//! It runs the same outer loop, from two starting splits, and differs in two places only:
+//! in Subproblem 1's place every device's round deadline is split between computation and
+//! upload to minimize its energy at its current bandwidth share, and the best iterate is
+//! the cheapest one that meets the deadline. The loop's Subproblem-2 half is the public
+//! [`subproblem2_step`], which the fixed-split baselines call too.
+//! [`JointOptimizer::minimize_round_time`] is the pure delay-minimization path used when
 //! `w2 = 1`.
 
 use crate::config::SolverConfig;
 use crate::error::CoreError;
 use crate::sp1;
-use crate::sp2;
+use crate::sp2::kkt::bandwidth_for_rate;
+use crate::sp2::{self, Sp2Summary};
 use crate::trace::{OuterIteration, Trace};
 use crate::workspace::SolverWorkspace;
-use flsys::{Allocation, CostBreakdown, Scenario, ScenarioArrays, Weights};
-use wireless::channel::shannon_rate_raw;
+use flsys::{Allocation, CostBreakdown, CostSummary, Scenario, ScenarioArrays, Weights};
 
 /// The scalar outcome of a `*_summary_*` solve: everything the sweep hot path consumes,
 /// with no owned buffers. The winning allocation itself stays in
@@ -171,122 +176,10 @@ impl JointOptimizer {
             ws.allocation.set_equal_split_max(scenario);
         }
         ws.arrays.rebuild(scenario);
-        let mut best_objective = f64::INFINITY;
-        let mut have_best = false;
-        let mut converged = false;
-
-        for k in 1..=self.config.outer_max_iter {
-            // Deadline watchdog: the caller's wall-clock budget is checked at every
-            // outer-iteration boundary, so an expired budget costs at most one more
-            // (bounded) iteration before the solve degrades to the typed error.
-            Self::check_deadline(ws, k - 1)?;
-            ws.previous.clone_from(&ws.allocation);
-
-            // --- Subproblem 1: frequencies and the auxiliary round time T. ---
-            ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
-            ws.upload_times_from_rates(scenario);
-            let SolverWorkspace {
-                uploads_s,
-                r_min_bps,
-                frequencies_hz,
-                sp2,
-                allocation,
-                previous,
-                best,
-                trace,
-                counters,
-                arrays,
-                sp1_warm,
-                ..
-            } = &mut *ws;
-            counters.outer_iterations += 1;
-            let sp1_sol = match sp1::solve_direct_with_arrays_in(
-                scenario,
-                arrays,
-                weights,
-                uploads_s,
-                &self.config,
-                frequencies_hz,
-                sp1_warm,
-                &mut counters.sp1_probe_evals,
-            ) {
-                Ok(sol) => sol,
-                // Watchdog: a non-finite subproblem objective (overflowed energy, NaN
-                // cost) is a property of the draw, not a solver bug — degrade the whole
-                // solve to the typed infeasibility instead of escalating a hard error
-                // that would abort an entire sweep shard.
-                Err(CoreError::Numerical(numopt::NumError::NonFiniteValue { .. })) => {
-                    counters.degraded_solves += 1;
-                    return Err(CoreError::NonFiniteObjective { iterations: k });
-                }
-                Err(e) => return Err(e),
-            };
-            allocation.frequencies_hz.copy_from_slice(frequencies_hz);
-
-            // --- Subproblem 2: powers and bandwidths under the rate floors implied by T. ---
-            rate_floors_into(
-                arrays,
-                scenario.params.rl(),
-                sp1_sol.round_time_s,
-                frequencies_hz,
-                weights,
-                r_min_bps,
-            );
-            if !(self.config.warm_start && (k > 1 || continued)) {
-                // Warm continuation keeps the previous SP2 iterate staged in the scratch
-                // (un-projected, which is what the fast path recognises); the cold path
-                // restages the projected allocation every iteration, as Algorithm 2 writes.
-                // An outer-continued solve extends the same rule to k = 1: the scratch
-                // still stages the previous solve's iterate of this very problem.
-                sp2.stage_start(&allocation.powers_w, &allocation.bandwidths_hz);
-            }
-            let sp2_sol = match sp2::solve_with_arrays_in(
-                scenario,
-                arrays,
-                weights,
-                r_min_bps,
-                &self.config,
-                sp2,
-            ) {
-                Ok(sol) => sol,
-                Err(CoreError::Numerical(numopt::NumError::NonFiniteValue { .. })) => {
-                    counters.degraded_solves += 1;
-                    return Err(CoreError::NonFiniteObjective { iterations: k });
-                }
-                Err(e) => return Err(e),
-            };
-            counters.record_sp2(&sp2_sol);
-            allocation.powers_w.copy_from_slice(&sp2.solution().powers_w);
-            allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
-            allocation.project_feasible(scenario);
-
-            // --- Bookkeeping. ---
-            let cost = scenario.cost_summary_arrays(arrays, allocation)?;
-            let objective = cost.objective(weights);
-            let change = allocation.normalized_distance(previous);
-            trace.push(OuterIteration {
-                k,
-                objective,
-                total_energy_j: cost.total_energy_j,
-                total_time_s: cost.total_time_s,
-                solution_change: change,
-                sp2_converged: sp2_sol.converged,
-                sp2_iterations: sp2_sol.iterations,
-            });
-            // Watchdog: a non-finite objective (overflowed energy, NaN cost) must never be
-            // accepted as "best" — it would propagate straight into the summary totals.
-            if objective.is_finite() && (!have_best || objective < best_objective) {
-                best_objective = objective;
-                have_best = true;
-                best.clone_from(allocation);
-            }
-            if change <= self.config.outer_tol {
-                converged = true;
-                break;
-            }
-        }
-
-        if !have_best {
+        let mut best = None;
+        let converged =
+            self.alternate(scenario, Subproblem1::Weighted(weights), continued, &mut best, ws)?;
+        if best.is_none() {
             // Every iteration in the budget produced a non-finite objective: degrade the
             // solve (typed error + counter) instead of panicking or returning garbage.
             // Sweep layers map this to an infeasible cell, so one pathological draw
@@ -347,32 +240,22 @@ impl JointOptimizer {
             });
         }
 
-        // The alternation below is a local search, and at fixed deadlines its quality depends
-        // on the starting bandwidth split: the equal split is the better seed when the
-        // deadline is loose, the time-optimal split (which hands far devices the bandwidth
-        // they need) is the better seed when the deadline is tight. Run both seeds and keep
-        // the cheaper feasible result (tracked across both runs in `ws.best`).
+        // The alternation is a local search, and at fixed deadlines its quality depends on
+        // the starting bandwidth split: the equal split is the better seed when the deadline
+        // is loose, the time-optimal split (which hands far devices the bandwidth they need)
+        // is the better seed when the deadline is tight. Run both seeds and keep the cheaper
+        // result that meets the deadline (tracked across both runs in `ws.best`). Each run
+        // restages its own seed at k = 1, so warm continuation never crosses seeds.
         ws.trace.clear();
         ws.arrays.rebuild(scenario);
-        let mut best_energy = f64::INFINITY;
-        let mut have_best = false;
-        let mut converged = false;
-        for tight_seed in [false, true] {
-            if tight_seed {
-                ws.allocation.clone_from(&fastest_alloc);
-            } else {
-                ws.allocation.set_equal_split_max(scenario);
-            }
-            converged |= self.deadline_iterations(
-                scenario,
-                round_deadline,
-                &mut best_energy,
-                &mut have_best,
-                ws,
-            )?;
-        }
+        let step = Subproblem1::Deadline { round_deadline };
+        let mut best = None;
+        ws.allocation.set_equal_split_max(scenario);
+        let mut converged = self.alternate(scenario, step, false, &mut best, ws)?;
+        ws.allocation.clone_from(&fastest_alloc);
+        converged |= self.alternate(scenario, step, false, &mut best, ws)?;
 
-        if !have_best {
+        if best.is_none() {
             // Every iterate somehow missed the deadline (only possible in pathological corner
             // cases): fall back to the fastest allocation, which was proven to meet it.
             ws.best.clone_from(&fastest_alloc);
@@ -380,90 +263,39 @@ impl JointOptimizer {
         self.finish_summary(scenario, weights, ws, converged)
     }
 
-    /// One run of the deadline-constrained alternation from the allocation staged in
-    /// [`SolverWorkspace::allocation`]. Updates the cross-seed best (energy in
-    /// `best_energy`/`have_best`, allocation in [`SolverWorkspace::best`]) and returns
-    /// whether the loop converged.
-    fn deadline_iterations(
+    /// Algorithm 2's outer loop from the allocation staged in [`SolverWorkspace::allocation`],
+    /// over the lanes already in [`SolverWorkspace::arrays`]: `step`, then
+    /// [`subproblem2_step`], then one [`OuterIteration`] whose `k` continues the trace. An
+    /// iterate `step` ranks eligible and better than `best` is copied into
+    /// [`SolverWorkspace::best`]. Returns whether the change fell to `outer_tol`.
+    ///
+    /// Subproblem 2 restarts from the projected allocation every iteration on the cold
+    /// path; with warm start only at `k = 1`, and not even then when `continued` (the
+    /// scratch stages the previous solve's un-projected iterate, which the fast path needs).
+    fn alternate(
         &self,
         scenario: &Scenario,
-        round_deadline: f64,
-        best_energy: &mut f64,
-        have_best: &mut bool,
+        step: Subproblem1,
+        continued: bool,
+        best: &mut Option<f64>,
         ws: &mut SolverWorkspace,
     ) -> Result<bool, CoreError> {
-        let weights = Weights::energy_only();
-        let mut converged = false;
         let k_offset = ws.trace.len();
-
         for k in 1..=self.config.outer_max_iter {
-            // Same wall-clock watchdog as the weighted loop (see `solve_summary_with`).
+            // Deadline watchdog: the caller's wall-clock budget is checked at every
+            // outer-iteration boundary, so an expired budget costs at most one more
+            // (bounded) iteration before the solve degrades to the typed error.
             Self::check_deadline(ws, k_offset + k - 1)?;
             ws.previous.clone_from(&ws.allocation);
-            let SolverWorkspace {
-                r_min_bps,
-                frequencies_hz,
-                sp2,
-                allocation,
-                previous,
-                best,
-                trace,
-                counters,
-                arrays,
-                ..
-            } = &mut *ws;
-            counters.outer_iterations += 1;
+            ws.counters.outer_iterations += 1;
+            self.subproblem1(scenario, step, k_offset + k, ws)?;
 
-            // Split every device's round deadline between computation and upload so that the
-            // *total* per-device energy (computation at the implied frequency plus the
-            // cheapest transmission meeting the implied rate) is minimized, given the current
-            // bandwidth shares. This plays the role Subproblem 1 plays in the weighted
-            // problem: it decides the frequencies and the rate floors handed to Subproblem 2.
-            self.optimal_split_for_deadline(
-                scenario,
-                round_deadline,
-                &allocation.bandwidths_hz,
-                frequencies_hz,
-                r_min_bps,
-            );
-            allocation.frequencies_hz.copy_from_slice(frequencies_hz);
-
-            // Powers/bandwidths: communication-energy minimization under those rate floors.
-            if !(self.config.warm_start && k > 1) {
-                // Same warm continuation as the weighted loop — but never across the two
-                // seed runs: each run restages its own starting point at k = 1, preserving
-                // the dual-seed diversity the deadline search relies on.
-                sp2.stage_start(&allocation.powers_w, &allocation.bandwidths_hz);
-            }
-            let sp2_sol = match sp2::solve_with_arrays_in(
-                scenario,
-                arrays,
-                weights,
-                r_min_bps,
-                &self.config,
-                sp2,
-            ) {
-                Ok(sol) => sol,
-                // Same degradation contract as the weighted loop: non-finite subproblem
-                // values become the typed watchdog error, never a shard-killing abort.
-                Err(CoreError::Numerical(numopt::NumError::NonFiniteValue { .. })) => {
-                    counters.degraded_solves += 1;
-                    return Err(CoreError::NonFiniteObjective { iterations: k });
-                }
-                Err(e) => return Err(e),
-            };
-            counters.record_sp2(&sp2_sol);
-            allocation.powers_w.copy_from_slice(&sp2.solution().powers_w);
-            allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
-            allocation.project_feasible(scenario);
-
-            let cost = scenario.cost_summary_arrays(arrays, allocation)?;
-            // Track energy among allocations that actually meet the deadline (tiny slack for
-            // the floating-point repairs in the sanitize pass).
-            let meets_deadline = cost.round_time_s <= round_deadline * (1.0 + 1e-3);
-            let objective = cost.total_energy_j;
-            let change = allocation.normalized_distance(previous);
-            trace.push(OuterIteration {
+            let restage = !(self.config.warm_start && (k > 1 || continued));
+            let (sp2_sol, cost) =
+                subproblem2_step(scenario, step.weights(), &self.config, restage, ws)?;
+            let (objective, eligible) = step.rank(&cost);
+            let change = ws.allocation.normalized_distance(&ws.previous);
+            ws.trace.push(OuterIteration {
                 k: k_offset + k,
                 objective,
                 total_energy_j: cost.total_energy_j,
@@ -472,26 +304,77 @@ impl JointOptimizer {
                 sp2_converged: sp2_sol.converged,
                 sp2_iterations: sp2_sol.iterations,
             });
-            // The same non-finite watchdog as the weighted loop: an overflowed energy can
-            // never become "best" (the deadline search falls back to `fastest_alloc` or a
-            // typed infeasibility when nothing finite survives).
-            if objective.is_finite() && meets_deadline && (!*have_best || objective < *best_energy)
-            {
-                *best_energy = objective;
-                *have_best = true;
-                best.clone_from(allocation);
+            // Watchdog: a non-finite objective (overflowed energy, NaN cost) must never be
+            // accepted as "best" — it would propagate straight into the summary totals.
+            if objective.is_finite() && eligible && best.map_or(true, |best| objective < best) {
+                *best = Some(objective);
+                ws.best.clone_from(&ws.allocation);
             }
             if change <= self.config.outer_tol {
-                converged = true;
-                break;
+                return Ok(true);
             }
         }
-        Ok(converged)
+        Ok(false)
     }
 
-    /// For a fixed round deadline and fixed bandwidth shares, chooses each device's
-    /// computation/upload time split to minimize its per-round energy, writing the implied
-    /// CPU frequencies and rate floors into the caller's buffers (cleared first).
+    /// The half of an outer iteration that plays Subproblem 1's role: writes the CPU
+    /// frequencies into [`SolverWorkspace::frequencies_hz`] and the working allocation, and
+    /// the rate floors for [`subproblem2_step`] into [`SolverWorkspace::r_min_bps`]. `k` is
+    /// the iteration's trace index (what a degraded solve reports).
+    fn subproblem1(
+        &self,
+        scenario: &Scenario,
+        step: Subproblem1,
+        k: usize,
+        ws: &mut SolverWorkspace,
+    ) -> Result<(), CoreError> {
+        match step {
+            Subproblem1::Weighted(weights) => {
+                ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
+                ws.upload_times_from_rates(scenario);
+                let round_time_s = match sp1::solve_direct_with_arrays_in(
+                    scenario,
+                    &ws.arrays,
+                    weights,
+                    &ws.uploads_s,
+                    &self.config,
+                    &mut ws.frequencies_hz,
+                    &mut ws.sp1_warm,
+                    &mut ws.counters.sp1_probe_evals,
+                ) {
+                    Ok(sol) => sol.round_time_s,
+                    // Watchdog: a non-finite subproblem objective (overflowed energy, NaN
+                    // cost) is a property of the draw, not a solver bug — degrade the whole
+                    // solve to the typed infeasibility instead of escalating a hard error
+                    // that would abort an entire sweep shard.
+                    Err(CoreError::Numerical(numopt::NumError::NonFiniteValue { .. })) => {
+                        ws.counters.degraded_solves += 1;
+                        return Err(CoreError::NonFiniteObjective { iterations: k });
+                    }
+                    Err(e) => return Err(e),
+                };
+                rate_floors_into(
+                    &ws.arrays,
+                    scenario.params.rl(),
+                    round_time_s,
+                    &ws.frequencies_hz,
+                    weights,
+                    &mut ws.r_min_bps,
+                );
+            }
+            Subproblem1::Deadline { round_deadline } => {
+                self.optimal_split_for_deadline(scenario, round_deadline, ws);
+            }
+        }
+        ws.allocation.frequencies_hz.copy_from_slice(&ws.frequencies_hz);
+        Ok(())
+    }
+
+    /// For a fixed round deadline and the working allocation's bandwidth shares, chooses
+    /// each device's computation/upload time split to minimize its per-round energy,
+    /// writing the implied CPU frequencies and rate floors into
+    /// [`SolverWorkspace::frequencies_hz`] and [`SolverWorkspace::r_min_bps`] (cleared
+    /// first). This plays Subproblem 1's role in the deadline variant.
     ///
     /// For device `n` with bandwidth `B_n`, an upload time `t` implies the frequency
     /// `f_n = R_l c_n D_n / (deadline − t)` and the cheapest power reaching rate `d_n / t`;
@@ -502,17 +385,16 @@ impl JointOptimizer {
         &self,
         scenario: &Scenario,
         round_deadline: f64,
-        bandwidths_hz: &[f64],
-        frequencies: &mut Vec<f64>,
-        r_min: &mut Vec<f64>,
+        ws: &mut SolverWorkspace,
     ) {
+        let SolverWorkspace { allocation, frequencies_hz: frequencies, r_min_bps: r_min, .. } = ws;
         let params = &scenario.params;
         let rl = params.rl();
         let n0 = params.noise.watts_per_hz();
         frequencies.clear();
         r_min.clear();
 
-        for (dev, &bandwidth_hz) in scenario.devices.iter().zip(bandwidths_hz) {
+        for (dev, &bandwidth_hz) in scenario.devices.iter().zip(&allocation.bandwidths_hz) {
             let cycles = rl * dev.cycles_per_local_iteration();
             let b = bandwidth_hz.max(self.config.bandwidth_floor_hz);
             let g = dev.gain.value();
@@ -593,7 +475,8 @@ impl JointOptimizer {
                 return f64::INFINITY;
             }
             let r_req = dev.upload_bits / budget;
-            min_bandwidth_for_rate(dev.gain.value(), dev.p_max.value(), r_req, n0, b_total, floor)
+            let (g, p_max) = (dev.gain.value(), dev.p_max.value());
+            bandwidth_for_rate(g, p_max, r_req, n0, b_total, floor, 1e-10).unwrap_or(f64::INFINITY)
         };
         let feasible = |t: f64| -> bool {
             let mut sum = 0.0;
@@ -692,33 +575,82 @@ impl JointOptimizer {
     }
 }
 
-/// Rate floors `r_n^min = d_n / (T − R_l c_n D_n / f_n)` implied by a round deadline `T`.
+/// What plays Subproblem 1's role in an outer iteration of Algorithm 2's loop, and which
+/// iterate counts as best.
+#[derive(Debug, Clone, Copy)]
+enum Subproblem1 {
+    /// The weighted problem (9): Subproblem 1's search over the round time `T`, then the
+    /// rate floors that `T` implies. The best iterate has the lowest finite weighted
+    /// objective.
+    Weighted(Weights),
+    /// The deadline variant: the per-device split of the round deadline (seconds). The best
+    /// iterate has the lowest finite energy among those whose round time meets the
+    /// deadline, up to a 1e-3 relative slack for the sanitize pass's floating-point repairs.
+    Deadline { round_deadline: f64 },
+}
+
+impl Subproblem1 {
+    /// The weights Subproblem 2 minimizes under.
+    fn weights(self) -> Weights {
+        match self {
+            Self::Weighted(weights) => weights,
+            Self::Deadline { .. } => Weights::energy_only(),
+        }
+    }
+
+    /// The objective an iterate is traced and ranked by, and whether it may become the
+    /// best iterate at all.
+    fn rank(self, cost: &CostSummary) -> (f64, bool) {
+        match self {
+            Self::Weighted(weights) => (cost.objective(weights), true),
+            Self::Deadline { round_deadline } => {
+                (cost.total_energy_j, cost.round_time_s <= round_deadline * (1.0 + 1e-3))
+            }
+        }
+    }
+}
+
+/// The Subproblem-2 half of an Algorithm-2 outer iteration, and the one place a
+/// Subproblem-2 point becomes an allocation: both variants of the loop and the fixed-split
+/// baselines (comm-only, Scheme 1) call it.
+///
+/// Restages the working allocation's `(p, B)` as the start point if `restage` is set,
+/// solves Subproblem 2 under [`SolverWorkspace::r_min_bps`] over the lanes in
+/// [`SolverWorkspace::arrays`] (which must describe `scenario`), counts the solve, copies
+/// the solution's `(p, B)` into the working allocation (its frequencies are the caller's)
+/// and projects it feasible. Returns the solve's summary and the allocation's cost.
+///
+/// # Errors
+///
+/// [`CoreError::Model`] if the rate floors or the lanes do not match the scenario, and
+/// [`CoreError::SolverFailure`] if both Subproblem-2 solvers fail.
+pub fn subproblem2_step(
+    scenario: &Scenario,
+    weights: Weights,
+    config: &SolverConfig,
+    restage: bool,
+    ws: &mut SolverWorkspace,
+) -> Result<(Sp2Summary, CostSummary), CoreError> {
+    let SolverWorkspace { r_min_bps, sp2, allocation, counters, arrays, .. } = ws;
+    if restage {
+        sp2.stage_start(&allocation.powers_w, &allocation.bandwidths_hz);
+    }
+    let summary = sp2::solve_with_arrays_in(scenario, arrays, weights, r_min_bps, config, sp2)?;
+    counters.record_sp2(&summary);
+    allocation.powers_w.copy_from_slice(&sp2.solution().powers_w);
+    allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
+    allocation.project_feasible(scenario);
+    let cost = scenario.cost_summary_arrays(arrays, allocation)?;
+    Ok((summary, cost))
+}
+
+/// Rate floors `r_n^min = d_n / (T − R_l c_n D_n / f_n)` implied by a round deadline `T`,
+/// written into a caller-owned buffer (cleared first). Reads the [`ScenarioArrays`] lanes
+/// (one zip, no per-device struct chasing); `rl` is the scenario's local-iteration count
+/// `R_l`.
 ///
 /// With no pressure on time (`w2 = 0` and no explicit deadline handling by the caller) the
 /// floors are zero — the paper's constraint (9a) is slack in that regime.
-#[cfg(test)]
-fn rate_floors(
-    scenario: &Scenario,
-    round_time_s: f64,
-    frequencies_hz: &[f64],
-    weights: Weights,
-) -> Vec<f64> {
-    let arrays = ScenarioArrays::from_scenario(scenario);
-    let mut out = Vec::with_capacity(scenario.devices.len());
-    rate_floors_into(
-        &arrays,
-        scenario.params.rl(),
-        round_time_s,
-        frequencies_hz,
-        weights,
-        &mut out,
-    );
-    out
-}
-
-/// `rate_floors` into a caller-owned buffer (cleared first) — the hot-path form used by
-/// Algorithm 2's outer loop. Reads the [`ScenarioArrays`] lanes (one zip, no per-device
-/// struct chasing); `rl` is the scenario's local-iteration count `R_l`.
 fn rate_floors_into(
     arrays: &ScenarioArrays,
     rl: f64,
@@ -745,38 +677,6 @@ fn rate_floors_into(
             }
         },
     ));
-}
-
-/// Smallest bandwidth at which a device with channel gain `gain` can reach `r_min` at power
-/// `p_max` (monotone bisection), capped at `b_total`.
-fn min_bandwidth_for_rate(
-    gain: f64,
-    p_max: f64,
-    r_min: f64,
-    n0: f64,
-    b_total: f64,
-    floor: f64,
-) -> f64 {
-    if r_min <= 0.0 {
-        return floor;
-    }
-    if shannon_rate_raw(p_max, b_total, gain, n0) < r_min {
-        return f64::INFINITY;
-    }
-    let mut lo = floor;
-    let mut hi = b_total;
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if shannon_rate_raw(p_max, mid, gain, n0) >= r_min {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if (hi - lo) / hi < 1e-10 {
-            break;
-        }
-    }
-    hi
 }
 
 #[cfg(test)]
@@ -1076,8 +976,14 @@ mod tests {
     fn rate_floors_shrink_with_looser_deadline() {
         let s = scenario(5, 39);
         let freqs: Vec<f64> = s.devices.iter().map(|d| d.f_max.value()).collect();
-        let tight = rate_floors(&s, 0.1, &freqs, Weights::balanced());
-        let loose = rate_floors(&s, 1.0, &freqs, Weights::balanced());
+        let arrays = ScenarioArrays::from_scenario(&s);
+        let floors = |round_time_s| {
+            let mut out = Vec::new();
+            let (rl, w) = (s.params.rl(), Weights::balanced());
+            rate_floors_into(&arrays, rl, round_time_s, &freqs, w, &mut out);
+            out
+        };
+        let (tight, loose) = (floors(0.1), floors(1.0));
         for (t, l) in tight.iter().zip(&loose) {
             assert!(t > l);
         }

@@ -12,8 +12,9 @@
 //! * [`sp2`] — Subproblem 2 (powers + bandwidths): a sum-of-ratios problem, solved with the
 //!   Newton-like parametric method (the paper's Algorithm 1) whose inner problem is the
 //!   Theorem-2 KKT system, plus an independent reference solver for cross-checking.
-//! * [`alg2`] — Algorithm 2: the alternating outer loop, the deadline-constrained variant
-//!   used by Figures 7–8, and the pure delay-minimization path.
+//! * [`alg2`] — Algorithm 2: one alternating outer loop for the weighted problem and the
+//!   deadline-constrained variant used by Figures 7–8, its Subproblem-2 step (which the
+//!   fixed-split baselines share), and the pure delay-minimization path.
 //!
 //! ## Example
 //!

@@ -171,18 +171,6 @@ pub fn frequencies_for_deadline_into(
     );
 }
 
-/// The smallest round time any frequency assignment can achieve given the uplink times
-/// (every device at `f_max`).
-pub fn min_feasible_round_time(scenario: &Scenario, upload_times_s: &[f64]) -> f64 {
-    let rl = scenario.params.rl();
-    scenario
-        .devices
-        .iter()
-        .zip(upload_times_s)
-        .map(|(dev, &t_up)| t_up + rl * dev.cycles_per_local_iteration() / dev.f_max.value())
-        .fold(0.0, f64::max)
-}
-
 /// Solves Subproblem 1 exactly by reducing it to a one-dimensional convex search over `T`.
 ///
 /// # Errors
@@ -599,18 +587,6 @@ mod tests {
         let cfg = SolverConfig::default();
         let err = solve_direct(&s, Weights::balanced(), &[0.01, 0.01], &cfg).unwrap_err();
         assert!(matches!(err, CoreError::Model(_)));
-    }
-
-    #[test]
-    fn min_feasible_round_time_is_lower_bound() {
-        let s = scenario(10);
-        let uploads = uniform_uploads(&s, 0.02);
-        let t_min = min_feasible_round_time(&s, &uploads);
-        let cfg = SolverConfig::default();
-        for w in Weights::paper_sweep() {
-            let sol = solve_direct(&s, w, &uploads, &cfg).unwrap();
-            assert!(sol.round_time_s >= t_min - 1e-9);
-        }
     }
 
     #[test]

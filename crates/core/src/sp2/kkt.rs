@@ -265,9 +265,11 @@ pub fn solve_parametric_into(
             // The unconstrained stationary power would be non-positive: the device sits at
             // p_min and simply wants as much bandwidth as the budget allows (the objective
             // is decreasing in B there). Its lower bound is whatever keeps the rate
-            // constraint satisfiable at maximum power.
+            // constraint satisfiable at maximum power, or the whole band when even that
+            // falls short (the sanitize pass scales it back together with everyone else).
             rho = -nu[i] * beta[i]; // strictly negative ⇒ prioritized for leftover bandwidth
-            b_lo = bandwidth_for_rate(g, p_max, r_min[i], n0, b_total, floor);
+            b_lo =
+                bandwidth_for_rate(g, p_max, r_min[i], n0, b_total, floor, 1e-9).unwrap_or(b_total);
             b_hi = b_total;
         }
         entries.push(LpEntry { idx: i, rho, b_lo, b_hi });
@@ -485,18 +487,25 @@ fn bracketed_price(
     search(lanes, lo, mu_hi, config.mu_tol * mu_hi)
 }
 
-/// Smallest bandwidth at which a device with channel gain `g` can reach `r_min` at its
-/// maximum power `p_max` (bisection on the monotone-increasing map `B ↦ G(p_max, B)`),
-/// capped at `b_total`.
-fn bandwidth_for_rate(g: f64, p_max: f64, r_min: f64, n0: f64, b_total: f64, floor: f64) -> f64 {
+/// Smallest bandwidth in `[floor, b_total]` at which a device with channel gain `g` reaches
+/// the rate `r_min` at power `p_max`: `floor` when there is no floor (`r_min ≤ 0`), `None`
+/// when even `b_total` falls short. Bisection on the increasing map `B ↦ G(p_max, B)`,
+/// stopped once the bracket is narrower than `rel_tol` of its upper end, which it returns.
+pub(crate) fn bandwidth_for_rate(
+    g: f64,
+    p_max: f64,
+    r_min: f64,
+    n0: f64,
+    b_total: f64,
+    floor: f64,
+    rel_tol: f64,
+) -> Option<f64> {
     if r_min <= 0.0 {
-        return floor;
+        return Some(floor);
     }
     let rate_at = |b: f64| wireless::channel::shannon_rate_raw(p_max, b, g, n0);
     if rate_at(b_total) < r_min {
-        // Not reachable even with the whole band: ask for the whole band (the sanitize pass
-        // will scale it back together with everyone else).
-        return b_total;
+        return None;
     }
     let mut lo = floor;
     let mut hi = b_total;
@@ -507,11 +516,11 @@ fn bandwidth_for_rate(g: f64, p_max: f64, r_min: f64, n0: f64, b_total: f64, flo
         } else {
             lo = mid;
         }
-        if (hi - lo) / hi < 1e-9 {
+        if (hi - lo) / hi < rel_tol {
             break;
         }
     }
-    hi
+    Some(hi)
 }
 
 #[cfg(test)]
@@ -869,12 +878,13 @@ mod tests {
         let n0 = s.params.noise.watts_per_hz();
         let b_total = s.params.total_bandwidth.value();
         let r_min = 1.0e6;
-        let b = bandwidth_for_rate(dev.gain.value(), dev.p_max.value(), r_min, n0, b_total, 1.0);
-        let achieved = shannon_rate_raw(dev.p_max.value(), b, dev.gain.value(), n0);
+        let (g, p_max) = (dev.gain.value(), dev.p_max.value());
+        let b = bandwidth_for_rate(g, p_max, r_min, n0, b_total, 1.0, 1e-9).unwrap();
+        let achieved = shannon_rate_raw(p_max, b, g, n0);
         assert!((achieved - r_min).abs() / r_min < 1e-3);
-        assert_eq!(
-            bandwidth_for_rate(dev.gain.value(), dev.p_max.value(), 0.0, n0, b_total, 1.0),
-            1.0
-        );
+        assert_eq!(bandwidth_for_rate(g, p_max, 0.0, n0, b_total, 1.0, 1e-9), Some(1.0));
+        // A rate the whole band cannot carry is reported, not clamped: each caller maps it.
+        let out_of_reach = shannon_rate_raw(p_max, b_total, g, n0) * 2.0;
+        assert_eq!(bandwidth_for_rate(g, p_max, out_of_reach, n0, b_total, 1.0, 1e-9), None);
     }
 }

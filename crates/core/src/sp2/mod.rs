@@ -34,8 +34,9 @@
 //! sweeps keep it in a few percent of solves.
 //!
 //! [`solve_in`] is the entry point: it solves from the point staged in an [`Sp2Scratch`]
-//! and leaves the solution there, allocation-free in steady state. Algorithm 2 holds the
-//! scenario's lanes already and calls [`solve_with_arrays_in`].
+//! and leaves the solution there, allocation-free in steady state. Algorithm 2's
+//! Subproblem-2 step ([`crate::alg2::subproblem2_step`]) holds the scenario's lanes
+//! already and calls [`solve_with_arrays_in`].
 //!
 //! [`SolverConfig::polish_with_reference`]: crate::SolverConfig
 

@@ -9,7 +9,7 @@
 
 use crate::engine::{Arm, CellContext, CellOutput};
 use crate::spec::{ArmKind, ArmSpec, BenchmarkDraw, DeadlineSpec};
-use baselines::{BenchmarkAllocator, CommOnlyAllocator, CompOnlyAllocator, Scheme1Allocator};
+use baselines::{BenchmarkAllocator, CompOnlyAllocator, FixedSplitAllocator};
 use fedopt_core::{CoreError, JointOptimizer, SolverConfig};
 use flsys::{Scenario, ScenarioBuilder};
 
@@ -76,13 +76,13 @@ impl Arm for SpecArm {
                 .map(|s| CellOutput::new(s.total_energy_j, s.total_time_s))
                 .map_err(CoreError::from)
             }
-            ArmKind::CommOnly => CommOnlyAllocator::new(solver)
+            ArmKind::CommOnly => FixedSplitAllocator::comm_only(solver)
                 .allocate_summary_with(scenario, ctx.x, ws)
                 .map(|s| CellOutput::new(s.total_energy_j, s.total_time_s)),
-            ArmKind::CompOnly => CompOnlyAllocator::new(solver)
+            ArmKind::CompOnly => CompOnlyAllocator::new()
                 .allocate_summary_with(scenario, ctx.x, ws)
                 .map(|s| CellOutput::new(s.total_energy_j, s.total_time_s)),
-            ArmKind::Scheme1 { deadline_s } => Scheme1Allocator::new(solver)
+            ArmKind::Scheme1 { deadline_s } => FixedSplitAllocator::scheme1(solver)
                 .allocate_summary_with(scenario, *deadline_s, ws)
                 .map(|s| CellOutput::new(s.total_energy_j, s.total_time_s)),
         };

@@ -761,21 +761,10 @@ pub fn run_document_with_fleet(
     fleet: Option<&FleetStats>,
 ) -> Json {
     let counters = &run.result.counters;
-    let solver = &counters.solver;
-    let mut solver_members = vec![
-        ("outer_iterations", Json::uint(solver.outer_iterations)),
-        ("jong_iterations", Json::uint(solver.jong_iterations)),
-        ("kkt_solves", Json::uint(solver.kkt_solves)),
-        ("mu_bisect_evals", Json::uint(solver.mu_bisect_evals)),
-        ("sp2_fast_path_hits", Json::uint(solver.sp2_fast_path_hits)),
-    ];
-    if solver.degraded_solves > 0 {
-        solver_members.push(("degraded_solves", Json::uint(solver.degraded_solves)));
-    }
     let mut counter_members = vec![
         ("scenarios_built", Json::uint(counters.scenarios_built as u64)),
         ("cells_evaluated", Json::uint(counters.cells_evaluated as u64)),
-        ("solver", Json::obj(solver_members)),
+        ("solver", serve::counters_json(&counters.solver)),
     ];
     if let Some(stats) = fleet {
         if stats.cache_enabled {

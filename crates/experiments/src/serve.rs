@@ -919,9 +919,11 @@ fn render_response(
     Json::Obj(members).to_compact_string()
 }
 
-/// The response's `counters` member — the *delta* this request contributed, mirroring
-/// the gating of the sweep report writer (`degraded_solves` only when non-zero).
-fn counters_json(c: &fedopt_core::SolveCounters) -> Json {
+/// Solver work counters as JSON: a response's `counters` member (the *delta* its request
+/// contributed) and the `counters.solver` member of `fedopt run --json`. Five members
+/// always, plus `degraded_solves` only when the watchdog degraded a solve, so fault-free
+/// output stays byte-stable.
+pub(crate) fn counters_json(c: &fedopt_core::SolveCounters) -> Json {
     let mut members: Vec<(String, Json)> = vec![
         ("outer_iterations".to_string(), Json::uint(c.outer_iterations)),
         ("jong_iterations".to_string(), Json::uint(c.jong_iterations)),

@@ -44,7 +44,7 @@
 
 use crate::engine::{
     warm_start_env, Aggregate, AggregateAccumulator, CellMatrix, CellOutput, SweepCounters,
-    SweepResult, THREADS_ENV,
+    SweepResult,
 };
 use crate::json::{fnv1a_64, Json};
 use crate::spec::{EngineSpec, ExperimentSpec, SeedPolicy, SolverPreset, SpecError};
@@ -935,16 +935,13 @@ impl ShardRunner for InProcessRunner {
 /// into a [`STDERR_TAIL_BUDGET`]-bounded tail for failure reports, so a log-flooding
 /// worker cannot balloon the coordinator's memory. The child inherits the coordinator's
 /// environment — crucially including [`crate::engine::WARM_START_ENV`], so the
-/// warm-start switch (and with it the cache key) agrees across the fleet — with only the
-/// worker thread count ([`crate::engine::THREADS_ENV`]) overridden to divide the machine
-/// between concurrent shards.
+/// warm-start switch (and with it the cache key) agrees across the fleet.
 #[derive(Debug, Clone)]
 pub struct SubprocessRunner {
     program: PathBuf,
     timeout: Duration,
     heartbeat_timeout: Option<Duration>,
     heartbeat_interval: Option<Duration>,
-    child_threads: Option<usize>,
 }
 
 impl SubprocessRunner {
@@ -955,7 +952,6 @@ impl SubprocessRunner {
             timeout: DEFAULT_SHARD_TIMEOUT,
             heartbeat_timeout: Some(DEFAULT_HEARTBEAT_TIMEOUT),
             heartbeat_interval: None,
-            child_threads: None,
         }
     }
 
@@ -980,13 +976,6 @@ impl SubprocessRunner {
     #[must_use]
     pub fn with_heartbeat_interval(mut self, interval: Duration) -> Self {
         self.heartbeat_interval = Some(interval);
-        self
-    }
-
-    /// Pins every child's worker thread count (via [`crate::engine::THREADS_ENV`]).
-    #[must_use]
-    pub fn with_child_threads(mut self, threads: usize) -> Self {
-        self.child_threads = Some(threads.max(1));
         self
     }
 }
@@ -1073,9 +1062,6 @@ impl ShardRunner for SubprocessRunner {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
-        if let Some(threads) = self.child_threads {
-            cmd.env(THREADS_ENV, threads.to_string());
-        }
         if let Some(interval) = self.heartbeat_interval {
             cmd.env(HEARTBEAT_INTERVAL_ENV, interval.as_millis().to_string());
         }

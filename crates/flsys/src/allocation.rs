@@ -4,7 +4,7 @@
 //! power, one CPU frequency and one bandwidth share per device. [`CostBreakdown`] is the
 //! result of plugging an allocation into the energy/latency formulas — every algorithm in the
 //! workspace (the paper's and all baselines) is scored through the same
-//! [`crate::Scenario::evaluate`] path so comparisons are apples-to-apples.
+//! [`crate::Scenario::cost`] path so comparisons are apples-to-apples.
 
 use crate::device::DeviceProfile;
 use crate::energy;

@@ -39,7 +39,7 @@ pub fn computation_energy_per_round(
 /// `E = R_g · Σ_n (E_n^trans + E_n^cmp)`.
 ///
 /// The slices must be indexed consistently (device `i` ↔ `powers[i]`, `rates[i]`,
-/// `frequencies[i]`); the caller (`Scenario::evaluate`) guarantees the lengths match.
+/// `frequencies[i]`); the caller (`Scenario::cost`) guarantees the lengths match.
 pub fn total_energy(
     params: &SystemParams,
     devices: &[DeviceProfile],

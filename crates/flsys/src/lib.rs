@@ -17,9 +17,9 @@
 //! let scenario = ScenarioBuilder::paper_default().with_devices(8).build(7)?;
 //! // A trivially feasible allocation: max power, equal bandwidth, max frequency.
 //! let alloc = Allocation::equal_split_max(&scenario);
-//! let weights = Weights::new(0.5, 0.5)?;
-//! let cost = scenario.evaluate(&alloc, weights)?;
+//! let cost = scenario.cost(&alloc)?;
 //! assert!(cost.total_energy_j > 0.0);
+//! assert!(cost.objective(Weights::new(0.5, 0.5)?) > 0.0);
 //! assert!(cost.total_time_s > 0.0);
 //! assert!(alloc.is_feasible(&scenario, 1e-9));
 //! # Ok(())

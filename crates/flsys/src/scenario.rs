@@ -11,7 +11,6 @@ use crate::allocation::{
 use crate::device::DeviceProfile;
 use crate::error::FlError;
 use crate::params::SystemParams;
-use crate::weights::Weights;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -58,22 +57,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`FlError::AllocationSizeMismatch`] if the allocation does not match the
-    /// scenario's device count. (`weights` only affects the scalar objective, which the
-    /// returned [`CostBreakdown::objective`] computes on demand — it is accepted here so call
-    /// sites read naturally and future cost terms can depend on it.)
-    pub fn evaluate(
-        &self,
-        allocation: &Allocation,
-        _weights: Weights,
-    ) -> Result<CostBreakdown, FlError> {
-        evaluate_allocation(self, allocation)
-    }
-
-    /// Evaluates an allocation without specifying weights (identical cost breakdown).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scenario::evaluate`].
+    /// scenario's device count.
     pub fn cost(&self, allocation: &Allocation) -> Result<CostBreakdown, FlError> {
         evaluate_allocation(self, allocation)
     }
@@ -84,7 +68,7 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Same as [`Scenario::evaluate`].
+    /// Same as [`Scenario::cost`].
     pub fn cost_summary(&self, allocation: &Allocation) -> Result<CostSummary, FlError> {
         evaluate_allocation_summary(self, allocation)
     }
@@ -438,15 +422,6 @@ mod tests {
         let a = ScenarioBuilder::paper_default().with_shadowing_db(0.0);
         let b = ScenarioBuilder::paper_default().without_shadowing();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn evaluate_and_cost_agree() {
-        let s = ScenarioBuilder::paper_default().with_devices(6).build(11).unwrap();
-        let a = Allocation::equal_split_max(&s);
-        let c1 = s.evaluate(&a, Weights::balanced()).unwrap();
-        let c2 = s.cost(&a).unwrap();
-        assert_eq!(c1, c2);
     }
 
     #[test]

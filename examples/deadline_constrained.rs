@@ -16,9 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ScenarioBuilder::paper_default().with_devices(20).with_p_max_dbm(10.0).build(99)?;
     let config = SolverConfig::default();
     let optimizer = JointOptimizer::new(config);
-    let scheme1 = Scheme1Allocator::new(config);
-    let comm_only = CommOnlyAllocator::new(config);
-    let comp_only = CompOnlyAllocator::new(config);
+    let scheme1 = FixedSplitAllocator::scheme1(config);
+    let comm_only = FixedSplitAllocator::comm_only(config);
+    let comp_only = CompOnlyAllocator::new();
 
     println!(
         "{:>12} {:>14} {:>14} {:>14} {:>14}",

@@ -64,9 +64,9 @@ fn deadline_variant_dominates_every_deadline_baseline() {
     let s = scenario(10, 103);
     let cfg = SolverConfig::fast();
     let optimizer = JointOptimizer::new(cfg);
-    let scheme1 = Scheme1Allocator::new(cfg);
-    let comm = CommOnlyAllocator::new(cfg);
-    let comp = CompOnlyAllocator::new(cfg);
+    let scheme1 = FixedSplitAllocator::scheme1(cfg);
+    let comm = FixedSplitAllocator::comm_only(cfg);
+    let comp = CompOnlyAllocator::new();
     for deadline in [60.0, 100.0, 150.0] {
         let ours = optimizer.solve_with_deadline(&s, deadline).unwrap();
         assert!(ours.total_time_s <= deadline * 1.01, "missed deadline {deadline}");
