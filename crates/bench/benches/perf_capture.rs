@@ -4,7 +4,7 @@
 //! iteration counters on each path, fleet-scale single-scenario solves at 10³/10⁴/10⁵
 //! devices, sharded-fleet sweep rows (1/2/4 worker subprocesses on the fig2 100-draw
 //! grid, plus a cold-vs-cached re-run over the content-addressed shard cache), the
-//! warm Newton-vs-fixed-bracket `g'(μ)` pass counts, and the streaming reducer's
+//! warm Newton-vs-fixed-bracket `g'(μ)` pass counts, and the streaming reduction's
 //! accumulator footprint, then writes the per-run `BENCH_PR7.capture.json` at the
 //! workspace root (gitignored; CI uploads it as an artifact so the perf trajectory is
 //! recorded per commit). The curated, committed before/after snapshots live separately
@@ -100,7 +100,7 @@ fn main() {
         best_of(10, &mut once)
     };
 
-    // --- Streaming reducer footprint: accumulators are O(points × arms) by construction.
+    // --- Streaming reduction footprint: accumulators are O(points × arms) by construction.
     let peak_accumulators = points * arms;
 
     // --- Fleet-scale single-scenario solves (PR 6): one cold solve per device count on

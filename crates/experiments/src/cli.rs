@@ -997,7 +997,7 @@ fn run_worker(spec: &ExperimentSpec) -> Result<String, CliError> {
                 }
             }
         });
-        let result = shard::run_shard_in_process_with_progress(spec, Some(&progress));
+        let result = shard::run_shard_in_process(spec, Some(&progress));
         stop.store(true, Ordering::Relaxed);
         result
     })?;
@@ -1052,7 +1052,6 @@ fn fleet_options(
     Ok(FleetOptions {
         shards,
         cache,
-        concurrency: None,
         max_retries: fleet
             .shard_retries
             .or(spec.engine.shard_retries)
@@ -1571,7 +1570,7 @@ mod tests {
         let out = main_with(&argv(&format!("run --spec {} --shard-json", path.display()))).unwrap();
         let result = crate::shard::ShardResult::from_json_str(&out).unwrap();
         assert_eq!(result.spec_id, spec.id);
-        assert_eq!(result.n_seeds, 2);
+        assert_eq!(result.cells.n_seeds, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

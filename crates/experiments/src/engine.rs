@@ -51,16 +51,21 @@
 //! sample counts travel with the [`FigureReport`], so "no feasible draw" is a labelled
 //! condition instead of a silent `NaN`.
 //!
-//! Threading uses scoped `std::thread` workers: an in-order streaming reducer for
-//! [`SweepEngine::run`] and a work-stealing indexed map ([`par_map_indexed_with`]) for
-//! [`SweepEngine::run_cells`]; the environment cannot fetch `rayon`, and the engine needs
-//! nothing more.
+//! Threading is one scheduler, `fold_in_order`: scoped `std::thread` workers claim work
+//! items in increasing order and their outputs are folded in item order, at most a window
+//! of items ahead of the fold. [`SweepEngine::run`] and [`SweepEngine::run_cells`] run the
+//! same (point, seed-chunk) work body on it and differ only in the fold; the round
+//! simulator and the fleet coordinator use it too. The environment cannot fetch `rayon`,
+//! and the engine needs nothing more.
 //!
 //! [`FigureReport`]: crate::report::FigureReport
 
 use fedopt_core::{CoreError, SolveCounters, SolverConfig, SolverWorkspace};
 use flsys::{Scenario, ScenarioBuilder};
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -335,9 +340,8 @@ impl AggregateAccumulator {
 ///
 /// With arms that don't specialise their builder, `scenarios_built == points × seeds`
 /// while `cells_evaluated == points × arms × seeds` — the build cost is amortised across
-/// the arm count. Both counters are deterministic for a successful sweep (independent of
-/// thread count); after an aborted sweep they reflect only the work done before the
-/// abort.
+/// the arm count. Both counters are deterministic (independent of thread count); a sweep
+/// that fails returns its error instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepCounters {
     /// Number of `ScenarioBuilder::build` calls the sweep performed.
@@ -388,12 +392,12 @@ pub const THREADS_ENV: &str = "FEDOPT_SWEEP_THREADS";
 /// [`SweepEngine::with_warm_start`]`(false)` explicitly.
 pub const WARM_START_ENV: &str = "FEDOPT_WARM_START";
 
-/// The most seeds one streaming work item holds. A chunk of one point's seeds is the unit
-/// of parallel work of [`SweepEngine::run`]; larger chunks amortise reduction overhead on
-/// 10⁴-draw grids, and the engine shrinks chunks below this cap when a grid would
-/// otherwise yield too few work items to keep every worker busy (a few-point, 100-seed
-/// paper grid on a many-core host). Output is bit-identical for every chunk size — chunks
-/// are folded in order, seeds in order within each chunk.
+/// The most seeds one work item holds. A chunk of one point's seeds is the unit of parallel
+/// work of [`SweepEngine::run`] and [`SweepEngine::run_cells`]; larger chunks amortise
+/// reduction overhead on 10⁴-draw grids, and the engine shrinks chunks below this cap when
+/// a grid would otherwise yield too few work items to keep every worker busy (a few-point,
+/// 100-seed paper grid on a many-core host). Output is bit-identical for every chunk size —
+/// chunks are folded in order, seeds in order within each chunk.
 pub const DEFAULT_SEED_CHUNK: usize = 64;
 
 /// The [`WARM_START_ENV`] setting, if the environment states one explicitly: `Some(true)`
@@ -414,7 +418,7 @@ pub fn warm_start_env() -> Option<bool> {
 #[derive(Debug, Clone, Copy)]
 pub struct SweepEngine {
     threads: NonZeroUsize,
-    /// Cap on seeds per streaming work item: [`DEFAULT_SEED_CHUNK`] (unit tests set other
+    /// Cap on seeds per work item: [`DEFAULT_SEED_CHUNK`] (unit tests set other
     /// values through struct-update syntax).
     seed_chunk: usize,
     warm_start: bool,
@@ -514,9 +518,9 @@ impl SweepEngine {
     }
 
     /// The effective seeds-per-chunk for a grid: the cap, shrunk (never grown) until the
-    /// grid yields at least ~4 work items per worker, so streaming never schedules coarser
-    /// than the worker pool can use. At the floor of 1 seed per chunk the granularity
-    /// equals [`SweepEngine::run_cells`]'s per-(point, seed) cell-groups.
+    /// grid yields at least ~4 work items per worker, so a sweep never schedules coarser
+    /// than the worker pool can use. At the floor of 1 seed per chunk a work item is one
+    /// (point, seed) cell-group.
     fn effective_seed_chunk(&self, n_points: usize, n_seeds: usize) -> usize {
         let mut chunk = self.seed_chunk;
         if n_points == 0 || n_seeds == 0 {
@@ -537,136 +541,40 @@ impl SweepEngine {
 
     /// Evaluates every cell of the grid and reduces the per-(point, arm) aggregates.
     ///
-    /// The unit of parallel work is a chunk of one point's seeds (at most
-    /// [`DEFAULT_SEED_CHUNK`]): per seed, the scenario is built once per set of arms whose
-    /// prepared builders compare equal, and every arm of the set evaluates against the
-    /// shared build by reference. A bounded-window reducer folds the chunks into
-    /// per-(point, arm) [`AggregateAccumulator`]s in strict item order, seeds in order
-    /// within each chunk, so the result is bit-identical across thread counts and chunk
-    /// sizes, and to the materialized `run_cells(grid)?.into_sweep_result()`. Peak memory
-    /// is `O(points × arms)` accumulators plus `O(window × arms × chunk)` pending cell
-    /// outputs (window ≈ 4 × workers) — independent of the seed count, which is what makes
-    /// `--seeds 10000` grids feasible.
+    /// The work item is a chunk of one point's seeds (at most [`DEFAULT_SEED_CHUNK`]): per
+    /// seed, the scenario is built once per set of arms whose prepared builders compare
+    /// equal, and every arm of the set evaluates against the shared build by reference.
+    /// The chunks fold into per-(point, arm) [`AggregateAccumulator`]s in item order, seeds
+    /// in order within each chunk, so the result is bit-identical across thread counts and
+    /// chunk sizes, and to the materialized `run_cells(grid, None)?.into_sweep_result()`,
+    /// which runs the same work body with another fold. No chunk is claimed more than
+    /// 4 × workers items ahead of the fold, so peak memory is `O(points × arms)`
+    /// accumulators plus `O(workers × arms × chunk)` pending cell outputs — independent of
+    /// the seed count, which is what makes `--seeds 10000` grids feasible.
     ///
     /// # Errors
     ///
-    /// A hard cell error aborts the sweep: workers stop picking up new work as soon as one
-    /// cell fails, and in-flight groups abandon their remaining cells at the next cell
-    /// boundary (the cell being solved still finishes), so a deterministic early failure
-    /// does not burn through the rest of an expensive grid. The error surfaced is the
-    /// failing cell with the lowest `(point, arm, seed)` slot index among those evaluated —
-    /// with one thread the work runs in order, so that is the first error the run hit; with
-    /// more, scheduling decides which failing cells were reached first. Infeasible cells
-    /// (`Ok(None)`) are not errors.
+    /// A hard cell error aborts the sweep: workers stop claiming work as soon as one cell
+    /// fails, and in-flight chunks abandon their remaining cells at the next cell boundary
+    /// (the cell being solved still finishes), so a deterministic early failure does not
+    /// burn through the rest of an expensive grid. The error surfaced is the failing cell of
+    /// the lowest work item among those evaluated — with one thread the work runs in order,
+    /// so that is the first error the run hit; with more, scheduling decides which failing
+    /// cells were reached first. Infeasible cells (`Ok(None)`) are not errors.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepResult, CoreError> {
-        let (builders, groups) = self.prepare_groups(grid);
-        let n_points = grid.points.len();
         let n_arms = grid.arms.len();
-        let n_seeds = grid.seeds.len();
-        let chunk = self.effective_seed_chunk(n_points, n_seeds);
-        let n_chunks = n_seeds.div_ceil(chunk);
-        let n_items = n_points * n_chunks;
-        let workers = self.threads().min(n_items).max(1);
-        let window = streaming_window(workers);
-
-        let failed = AtomicBool::new(false);
-        let scenarios_built = AtomicUsize::new(0);
-        let cells_evaluated = AtomicUsize::new(0);
-        let solver_totals = Mutex::new(SolveCounters::default());
-        let reducer = StreamReducer::new(n_points, n_arms, n_chunks, chunk, n_seeds, window);
-        let evaluator = GroupEvaluator {
-            grid,
-            builders: &builders,
-            groups: &groups,
-            failed: &failed,
-            scenarios_built: &scenarios_built,
-            cells_evaluated: &cells_evaluated,
-            warm_start: self.warm_start,
-            superlinear_mu: self.superlinear_mu,
-            adaptive_mu_bracket: self.adaptive_mu_bracket,
-            solver_totals: &solver_totals,
-            progress: None,
-        };
-
-        // The (point, arm, seed) slot index of a cell — the same error-ordering key
-        // `run_cells` uses.
-        let slot_of = |point: usize, arm: usize, seed_idx: usize| -> usize {
-            (point * n_arms + arm) * n_seeds + seed_idx
-        };
-
-        let worker_loop = || {
-            let mut ws = SolverWorkspace::new();
-            let mut buf: Vec<Option<CellOutput>> = Vec::new();
-            while let Some(item) = reducer.claim() {
-                // A claimed item that is neither deposited nor aborted would pin the fold
-                // frontier and leave peers blocked in `claim` forever. The only way to exit
-                // this block without reaching the deposit/abort decision below is a panic
-                // mid-cell — the guard's Drop then poisons the reducer so every peer drains
-                // and the panic propagates through the scope join instead of deadlocking.
-                let mut guard = ClaimGuard { reducer: &reducer, armed: true };
-                let point_idx = item / n_chunks;
-                let chunk_idx = item % n_chunks;
-                let seed_lo = chunk_idx * chunk;
-                let seed_hi = (seed_lo + chunk).min(n_seeds);
-                let clen = seed_hi - seed_lo;
-                buf.clear();
-                buf.resize(n_arms * clen, None);
-
-                let mut error: Option<(usize, CoreError)> = None;
-                'seeds: for (si, &seed) in grid.seeds[seed_lo..seed_hi].iter().enumerate() {
-                    let outcome = evaluator.evaluate(point_idx, seed, &mut ws, &mut |arm, s| {
-                        buf[arm * clen + si] = s;
-                    });
-                    match outcome {
-                        GroupOutcome::Complete => {}
-                        GroupOutcome::Abandoned => break 'seeds,
-                        GroupOutcome::Failed(arm_idx, e) => {
-                            error = Some((slot_of(point_idx, arm_idx, seed_lo + si), e));
-                            break 'seeds;
-                        }
-                    }
-                }
-                guard.armed = false;
-
-                if let Some((slot, e)) = error {
-                    reducer.abort(slot, e);
-                } else if !failed.load(Ordering::Relaxed) {
-                    reducer.deposit(item, &mut buf);
-                }
-                // A chunk abandoned because *another* worker failed is simply not
-                // deposited; the reducer is already aborted (or about to be) and the
-                // partial results are discarded with the whole run.
-            }
-        };
-
-        if workers == 1 {
-            worker_loop();
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker_loop)).collect();
-                for h in handles {
-                    h.join().expect("sweep worker panicked");
-                }
-            });
-        }
-
-        let (accumulators, error, _peak_pending) = reducer.into_parts();
-        if let Some((_, e)) = error {
-            return Err(e);
-        }
-        let aggregates: Vec<Vec<Aggregate>> = (0..n_points)
+        let mut accumulators = vec![AggregateAccumulator::new(); grid.points.len() * n_arms];
+        let counters = self.sweep(grid, 4 * self.threads(), None, |point, arm, _, samples| {
+            accumulators[point * n_arms + arm].merge_samples(samples);
+        })?;
+        let aggregates: Vec<Vec<Aggregate>> = (0..grid.points.len())
             .map(|p| (0..n_arms).map(|a| accumulators[p * n_arms + a].finish()).collect())
             .collect();
-
         Ok(SweepResult {
             xs: grid.points.iter().map(|p| p.x).collect(),
             arm_names: grid.arms.iter().map(|a| a.name()).collect(),
             aggregates,
-            counters: SweepCounters {
-                scenarios_built: scenarios_built.into_inner(),
-                cells_evaluated: cells_evaluated.into_inner(),
-                solver: solver_totals.into_inner().expect("counter totals poisoned"),
-            },
+            counters,
         })
     }
 
@@ -676,160 +584,81 @@ impl SweepEngine {
     /// This is the worker half of the sharded fleet path ([`crate::shard`]): a shard runs
     /// `run_cells` on its seed sub-range and ships the samples, and the coordinator
     /// replays them through [`AggregateAccumulator::merge_samples`] in shard order —
-    /// reproducing the single-process [`SweepEngine::run`] reduction bit for bit. The
-    /// unit of parallel work is one (point, seed) cell-group with the same build sharing
-    /// and error attribution as [`SweepEngine::run`], so every determinism property
-    /// (bit-identical across thread counts, seed-order reduction keys) carries over
-    /// unchanged; memory is `O(points × arms × seeds)` samples, which is exactly the
-    /// payload a shard has to ship anyway. Tests use
+    /// reproducing the single-process [`SweepEngine::run`] reduction bit for bit. It runs
+    /// the work body of [`SweepEngine::run`] and differs only in the fold, which writes
+    /// each chunk's samples to their slots; since the matrix keeps every output anyway,
+    /// claims may run any distance ahead of the fold. Memory is `O(points × arms × seeds)`
+    /// samples, which is exactly the payload a shard has to ship. Tests use
     /// [`CellMatrix::into_sweep_result`] of it as the materialized reference for
     /// [`SweepEngine::run`].
     ///
-    /// # Errors
-    ///
-    /// Same contract as [`SweepEngine::run`].
-    pub fn run_cells(&self, grid: &SweepGrid) -> Result<CellMatrix, CoreError> {
-        self.run_cells_with_progress(grid, None)
-    }
-
-    /// [`SweepEngine::run_cells`] with a live progress observer: `progress` (when given)
-    /// is incremented once per evaluated cell, from whichever worker thread evaluated it.
-    /// The fleet worker's heartbeat thread reads it to report cells-completed progress on
-    /// stderr while the sweep is still running — the counter is observational only and
-    /// never influences scheduling or results.
+    /// `progress` (when given) is incremented once per evaluated cell, from whichever
+    /// worker evaluated it. The fleet worker's heartbeat thread reads it to report
+    /// cells-completed progress on stderr while the sweep runs; the counter never
+    /// influences scheduling or results.
     ///
     /// # Errors
     ///
     /// Same contract as [`SweepEngine::run`].
-    pub fn run_cells_with_progress(
+    pub fn run_cells(
         &self,
         grid: &SweepGrid,
         progress: Option<&AtomicUsize>,
     ) -> Result<CellMatrix, CoreError> {
-        let (builders, groups) = self.prepare_groups(grid);
-        let n_points = grid.points.len();
-        let n_arms = grid.arms.len();
-        let n_seeds = grid.seeds.len();
-
-        enum Cell {
-            Computed(Option<CellOutput>),
-            Failed(CoreError),
-            /// Not evaluated because some cell (of this group or an earlier one) failed.
-            Skipped,
-        }
-
-        let failed = AtomicBool::new(false);
-        let scenarios_built = AtomicUsize::new(0);
-        let cells_evaluated = AtomicUsize::new(0);
-        let solver_totals = Mutex::new(SolveCounters::default());
-        let evaluator = GroupEvaluator {
-            grid,
-            builders: &builders,
-            groups: &groups,
-            failed: &failed,
-            scenarios_built: &scenarios_built,
-            cells_evaluated: &cells_evaluated,
-            warm_start: self.warm_start,
-            superlinear_mu: self.superlinear_mu,
-            adaptive_mu_bracket: self.adaptive_mu_bracket,
-            solver_totals: &solver_totals,
-            progress,
-        };
-        // One cell-group = all arms of one (point, seed); returns one Cell per arm.
-        let evaluate_group = |ws: &mut SolverWorkspace, item: usize| -> Vec<Cell> {
-            let mut cells: Vec<Cell> = (0..n_arms).map(|_| Cell::Skipped).collect();
-            let point_idx = item / n_seeds;
-            let seed = grid.seeds[item % n_seeds];
-            let outcome = evaluator.evaluate(point_idx, seed, ws, &mut |arm, sample| {
-                cells[arm] = Cell::Computed(sample);
-            });
-            if let GroupOutcome::Failed(arm_idx, e) = outcome {
-                cells[arm_idx] = Cell::Failed(e);
-            }
-            cells
-        };
-
-        let mut group_outputs = par_map_indexed_with(
-            n_points * n_seeds,
-            self.threads(),
-            SolverWorkspace::new,
-            evaluate_group,
-        );
-
-        // Re-slot the (point, seed)-major group outputs into (point, arm, seed) order and
-        // surface the lowest-slot-indexed error among the evaluated cells.
-        let mut samples: Vec<Option<CellOutput>> = Vec::with_capacity(grid.num_cells());
-        let mut first_error: Option<CoreError> = None;
-        let mut skipped = 0usize;
-        // The read below transposes (item, arm) into (point, arm, seed) slot order, so
-        // index arithmetic is clearer than nested iterators here.
-        #[allow(clippy::needless_range_loop)]
-        for p in 0..n_points {
-            for a in 0..n_arms {
-                for s in 0..n_seeds {
-                    let cell =
-                        std::mem::replace(&mut group_outputs[p * n_seeds + s][a], Cell::Skipped);
-                    match cell {
-                        Cell::Computed(sample) => samples.push(sample),
-                        Cell::Failed(e) => {
-                            if first_error.is_none() {
-                                first_error = Some(e);
-                            }
-                        }
-                        Cell::Skipped => skipped += 1,
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        debug_assert_eq!(skipped, 0, "skips must imply a surfaced failure");
-        debug_assert_eq!(samples.len(), grid.num_cells());
-
+        let (n_arms, n_seeds) = (grid.arms.len(), grid.seeds.len());
+        let mut samples = vec![None; grid.num_cells()];
+        let counters = self.sweep(grid, usize::MAX, progress, |point, arm, seeds, cells| {
+            let base = (point * n_arms + arm) * n_seeds;
+            samples[base + seeds.start..base + seeds.end].copy_from_slice(cells);
+        })?;
         Ok(CellMatrix {
             xs: grid.points.iter().map(|p| p.x).collect(),
             arm_names: grid.arms.iter().map(|a| a.name()).collect(),
             n_seeds,
             samples,
-            counters: SweepCounters {
-                scenarios_built: scenarios_built.into_inner(),
-                cells_evaluated: cells_evaluated.into_inner(),
-                solver: solver_totals.into_inner().expect("counter totals poisoned"),
-            },
+            counters,
         })
     }
 
-    /// Specialises the grid's builders once per (point, arm) and groups each point's arms
-    /// by identical prepared builder — the shared preamble of `run` and `run_cells`. Every
-    /// group shares one scenario build per seed.
-    #[allow(clippy::type_complexity)]
-    fn prepare_groups(
+    /// The work body of [`SweepEngine::run`] and [`SweepEngine::run_cells`]: evaluates the
+    /// grid in (point, seed-chunk) work items on [`fold_in_order`] with the given window,
+    /// and hands each item's samples to `sink(point_idx, arm_idx, seeds, samples)` in item
+    /// order, arm by arm, where `seeds` is the chunk's range of [`SweepGrid::seeds`].
+    /// Returns the sweep's counters.
+    fn sweep(
         &self,
         grid: &SweepGrid,
-    ) -> (Vec<Vec<ScenarioBuilder>>, Vec<Vec<Vec<usize>>>) {
-        // Builders are pure data; specialise them once per (point, arm) up front.
-        let builders: Vec<Vec<ScenarioBuilder>> = grid
-            .points
-            .iter()
-            .map(|p| grid.arms.iter().map(|a| a.prepare(&p.builder)).collect())
-            .collect();
-
-        let groups: Vec<Vec<Vec<usize>>> = builders
-            .iter()
-            .map(|point_builders| {
-                let mut point_groups: Vec<Vec<usize>> = Vec::new();
-                for (arm_idx, builder) in point_builders.iter().enumerate() {
-                    match point_groups.iter_mut().find(|group| &point_builders[group[0]] == builder)
-                    {
-                        Some(group) => group.push(arm_idx),
-                        None => point_groups.push(vec![arm_idx]),
-                    }
+        window: usize,
+        progress: Option<&AtomicUsize>,
+        mut sink: impl FnMut(usize, usize, Range<usize>, &[Option<CellOutput>]) + Send,
+    ) -> Result<SweepCounters, CoreError> {
+        let n_seeds = grid.seeds.len();
+        let chunk = self.effective_seed_chunk(grid.points.len(), n_seeds);
+        let n_chunks = n_seeds.div_ceil(chunk);
+        let item_of = |item: usize| {
+            let seed_lo = (item % n_chunks) * chunk;
+            (item / n_chunks, seed_lo..(seed_lo + chunk).min(n_seeds))
+        };
+        let evaluator = GroupEvaluator::new(self, grid, progress);
+        let mut totals = SweepCounters::default();
+        fold_in_order(
+            grid.points.len() * n_chunks,
+            self.threads(),
+            window,
+            SolverWorkspace::new,
+            |ws, item| {
+                let (point, seeds) = item_of(item);
+                evaluator.evaluate_chunk(point, seeds, ws)
+            },
+            |item, (samples, counters): (Vec<Option<CellOutput>>, SweepCounters)| {
+                let (point, seeds) = item_of(item);
+                for (arm, arm_samples) in samples.chunks_exact(seeds.len()).enumerate() {
+                    sink(point, arm, seeds.clone(), arm_samples);
                 }
-                point_groups
-            })
-            .collect();
-        (builders, groups)
+                totals.merge(&counters);
+            },
+        )?;
+        Ok(totals)
     }
 }
 
@@ -869,357 +698,284 @@ impl CellMatrix {
     }
 }
 
-/// The shared per-sweep evaluation context of [`SweepEngine::run`] and
-/// [`SweepEngine::run_cells`]: the grid, the prepared builders and their arm-groups, the
-/// abort flag, and the work counters. Keeping the build-group-evaluate body (and its
-/// failed-flag boundaries and error attribution) in exactly one place is what makes
-/// `run_cells` a meaningful regression reference for the streaming `run`.
+/// The one (point, seed-chunk) work body of a sweep: the grid, its prepared builders and
+/// their arm-groups, and the abort flag. [`SweepEngine::run`] and
+/// [`SweepEngine::run_cells`] both evaluate every chunk here and differ only in how they
+/// fold the results, which is what makes `run_cells` a meaningful regression reference
+/// for the streaming `run`.
 struct GroupEvaluator<'a> {
+    engine: &'a SweepEngine,
     grid: &'a SweepGrid,
-    builders: &'a [Vec<ScenarioBuilder>],
-    groups: &'a [Vec<Vec<usize>>],
-    failed: &'a AtomicBool,
-    scenarios_built: &'a AtomicUsize,
-    cells_evaluated: &'a AtomicUsize,
-    /// Engine-level warm-start switch, handed to every cell via [`CellContext`].
-    warm_start: bool,
-    /// Engine-level superlinear `μ`-search switch, handed to every cell via [`CellContext`].
-    superlinear_mu: bool,
-    /// Engine-level warm Newton `μ`-search switch, handed to every cell via [`CellContext`].
-    adaptive_mu_bracket: bool,
-    /// Per-sweep solver-iteration totals (folded once per cell-group; integer sums, so
-    /// thread count and fold order cannot change the result).
-    solver_totals: &'a Mutex<SolveCounters>,
-    /// Optional live cells-completed observer (see
-    /// [`SweepEngine::run_cells_with_progress`]); bumped alongside `cells_evaluated`.
+    /// `builders[point][arm]`: the point's builder specialised by [`Arm::prepare`].
+    builders: Vec<Vec<ScenarioBuilder>>,
+    /// `groups[point]`: the point's arms grouped by identical prepared builder; every group
+    /// shares one scenario build per seed.
+    groups: Vec<Vec<Vec<usize>>>,
+    /// Set by the first failing cell; in-flight chunks abandon their remaining cells.
+    failed: AtomicBool,
+    /// Optional live cells-completed observer (see [`SweepEngine::run_cells`]).
     progress: Option<&'a AtomicUsize>,
 }
 
-/// How one (point, seed) cell-group evaluation ended.
-enum GroupOutcome {
-    /// Every cell of the group was delivered to the sink.
-    Complete,
-    /// Another worker failed the sweep; the group abandoned its remaining cells at a
-    /// build/cell boundary (output is discarded with the whole run).
-    Abandoned,
-    /// This group hit a hard error on the given arm (the shared `failed` flag is set).
-    Failed(usize, CoreError),
-}
-
-impl GroupEvaluator<'_> {
-    /// Evaluates every arm of one (point, seed) cell-group, building each distinct
-    /// prepared scenario once and delivering each computed cell to
-    /// `sink(arm_idx, sample)`. Folds the group's solver-iteration counts into the
-    /// per-sweep totals on every exit path.
-    fn evaluate(
-        &self,
-        point_idx: usize,
-        seed: u64,
-        ws: &mut SolverWorkspace,
-        sink: &mut dyn FnMut(usize, Option<CellOutput>),
-    ) -> GroupOutcome {
-        let counters_before = ws.counters;
-        let outcome = self.evaluate_cells(point_idx, seed, ws, sink);
-        let delta = ws.counters.since(&counters_before);
-        if delta != SolveCounters::default() {
-            self.solver_totals.lock().expect("counter totals poisoned").add(&delta);
-        }
-        outcome
-    }
-
-    fn evaluate_cells(
-        &self,
-        point_idx: usize,
-        seed: u64,
-        ws: &mut SolverWorkspace,
-        sink: &mut dyn FnMut(usize, Option<CellOutput>),
-    ) -> GroupOutcome {
-        for group in &self.groups[point_idx] {
-            // A build is the expensive step worth skipping once some other worker has
-            // already failed the sweep.
-            if self.failed.load(Ordering::Relaxed) {
-                return GroupOutcome::Abandoned;
-            }
-            let scenario = match self.builders[point_idx][group[0]].build(seed) {
-                Ok(scenario) => {
-                    self.scenarios_built.fetch_add(1, Ordering::Relaxed);
-                    scenario
-                }
-                Err(e) => {
-                    self.failed.store(true, Ordering::Relaxed);
-                    return GroupOutcome::Failed(group[0], CoreError::from(e));
-                }
-            };
-            // Warm-start state must never leak across scenario groups: each group's output
-            // has to be a pure function of the group's own cells (in fixed arm order), or
-            // determinism across thread counts — which decide who solved what before —
-            // would be lost. Within the group, the arms deliberately seed each other.
-            ws.reset_warm_start();
-            for &arm_idx in group {
-                // Another worker may have failed while this group was mid-flight: abandon
-                // the remaining (expensive) cells at the next cell boundary rather than
-                // draining the whole group.
-                if self.failed.load(Ordering::Relaxed) {
-                    return GroupOutcome::Abandoned;
-                }
-                let mut ctx = CellContext {
-                    x: self.grid.points[point_idx].x,
-                    seed,
-                    stream_seed: baselines::derive_stream_seed(seed),
-                    point_idx,
-                    arm_idx,
-                    warm_start: self.warm_start,
-                    superlinear_mu: self.superlinear_mu,
-                    adaptive_mu_bracket: self.adaptive_mu_bracket,
-                    outer_continuation: false,
-                    workspace: &mut *ws,
-                };
-                self.cells_evaluated.fetch_add(1, Ordering::Relaxed);
-                if let Some(progress) = self.progress {
-                    progress.fetch_add(1, Ordering::Relaxed);
-                }
-                match self.grid.arms[arm_idx].evaluate(&scenario, &mut ctx) {
-                    Ok(sample) => sink(arm_idx, sample),
-                    Err(e) => {
-                        self.failed.store(true, Ordering::Relaxed);
-                        return GroupOutcome::Failed(arm_idx, e);
+impl<'a> GroupEvaluator<'a> {
+    /// Specialises the grid's builders once per (point, arm) and groups each point's arms
+    /// by identical prepared builder.
+    fn new(
+        engine: &'a SweepEngine,
+        grid: &'a SweepGrid,
+        progress: Option<&'a AtomicUsize>,
+    ) -> Self {
+        let builders: Vec<Vec<ScenarioBuilder>> = grid
+            .points
+            .iter()
+            .map(|p| grid.arms.iter().map(|a| a.prepare(&p.builder)).collect())
+            .collect();
+        let groups = builders
+            .iter()
+            .map(|point_builders| {
+                let mut point_groups: Vec<Vec<usize>> = Vec::new();
+                for (arm_idx, builder) in point_builders.iter().enumerate() {
+                    match point_groups.iter_mut().find(|group| &point_builders[group[0]] == builder)
+                    {
+                        Some(group) => group.push(arm_idx),
+                        None => point_groups.push(vec![arm_idx]),
                     }
                 }
-            }
-        }
-        GroupOutcome::Complete
-    }
-}
-
-/// The streaming reducer's window: how many chunk items may be in flight or deposited but
-/// not yet folded. Bounds the reducer's pending memory to `window × arms × seed_chunk`
-/// cell outputs while leaving every worker a few items of slack.
-fn streaming_window(workers: usize) -> usize {
-    (workers * 4).max(2)
-}
-
-/// Bounded-window, in-order chunk reducer of [`SweepEngine::run`].
-///
-/// Work items (`point × chunk-of-seeds`) are claimed in increasing index order but finish
-/// in arbitrary order; deposits park in a `window`-sized ring until every earlier item has
-/// been folded, then fold — chunks in item order, seeds in order within each chunk — into
-/// the per-(point, arm) [`AggregateAccumulator`]s. [`StreamReducer::claim`] blocks while
-/// the claimant would run more than `window` items ahead of the fold frontier, which is
-/// what bounds the ring: at most `window` chunks of cell outputs ever exist at once,
-/// however many seeds the grid has. The fold order makes the result bit-identical to the
-/// materialized [`SweepEngine::run_cells`] reduction (and independent of worker count) by
-/// construction.
-struct StreamReducer {
-    state: Mutex<ReduceState>,
-    progressed: Condvar,
-    n_items: usize,
-    n_arms: usize,
-    n_chunks: usize,
-    seed_chunk: usize,
-    n_seeds: usize,
-    window: usize,
-}
-
-struct ReduceState {
-    /// Next unclaimed work item.
-    next_item: usize,
-    /// First item not yet folded (the fold frontier).
-    floor: usize,
-    /// Ring flag per window slot: deposited and awaiting its turn to fold.
-    deposited: Vec<bool>,
-    /// Ring of parked chunk outputs (`arm`-major, seed order within each arm).
-    ring: Vec<Vec<Option<CellOutput>>>,
-    /// One accumulator per (point, arm) — the whole reduction state.
-    accumulators: Vec<AggregateAccumulator>,
-    /// Set on the first hard cell error; stops claims and folding.
-    aborted: bool,
-    /// The lowest-slot error observed, surfaced as the sweep's result.
-    error: Option<(usize, CoreError)>,
-    /// High-water mark of deposited-but-unfolded chunks (bounded by `window`).
-    peak_pending: usize,
-    pending: usize,
-}
-
-/// Unwind guard of one claimed streaming work item: if the worker panics between claiming
-/// and the deposit/abort decision, the Drop poisons the reducer so blocked peers drain
-/// instead of waiting on a fold frontier that can never advance (the panic itself then
-/// surfaces through the scope join).
-struct ClaimGuard<'a> {
-    reducer: &'a StreamReducer,
-    armed: bool,
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.reducer.poison();
-        }
-    }
-}
-
-impl StreamReducer {
-    fn new(
-        n_points: usize,
-        n_arms: usize,
-        n_chunks: usize,
-        seed_chunk: usize,
-        n_seeds: usize,
-        window: usize,
-    ) -> Self {
-        Self {
-            state: Mutex::new(ReduceState {
-                next_item: 0,
-                floor: 0,
-                deposited: vec![false; window],
-                ring: (0..window).map(|_| Vec::new()).collect(),
-                accumulators: vec![AggregateAccumulator::new(); n_points * n_arms],
-                aborted: false,
-                error: None,
-                peak_pending: 0,
-                pending: 0,
-            }),
-            progressed: Condvar::new(),
-            n_items: n_points * n_chunks,
-            n_arms,
-            n_chunks,
-            seed_chunk,
-            n_seeds,
-            window,
-        }
+                point_groups
+            })
+            .collect();
+        Self { engine, grid, builders, groups, failed: AtomicBool::new(false), progress }
     }
 
-    /// Claims the next work item, blocking while the claim would run more than `window`
-    /// items ahead of the fold frontier. Returns `None` when the grid is drained or the
-    /// sweep aborted.
-    fn claim(&self) -> Option<usize> {
-        let mut st = self.state.lock().expect("reducer poisoned");
-        loop {
-            if st.aborted || st.next_item >= self.n_items {
-                return None;
-            }
-            if st.next_item < st.floor + self.window {
-                let item = st.next_item;
-                st.next_item += 1;
-                return Some(item);
-            }
-            st = self.progressed.wait(st).expect("reducer poisoned");
-        }
-    }
-
-    /// Records a hard cell error (keeping the lowest slot index) and aborts the sweep.
-    fn abort(&self, slot: usize, error: CoreError) {
-        let mut st = self.state.lock().expect("reducer poisoned");
-        if st.error.as_ref().map_or(true, |(s, _)| slot < *s) {
-            st.error = Some((slot, error));
-        }
-        st.aborted = true;
-        self.progressed.notify_all();
-    }
-
-    /// Aborts the sweep without recording an error — called by a panicking worker's
-    /// [`ClaimGuard`] so peers blocked in [`StreamReducer::claim`] wake up and drain.
-    /// Tolerates a poisoned mutex (the panic may have happened while holding the lock, in
-    /// which case every peer's own lock attempt already unblocks them by panicking).
-    fn poison(&self) {
-        if let Ok(mut st) = self.state.lock() {
-            st.aborted = true;
-        }
-        self.progressed.notify_all();
-    }
-
-    /// Deposits a completed chunk (swapping the caller's buffer into the ring so both
-    /// sides reuse their allocations) and folds every consecutive ready chunk from the
-    /// frontier.
-    fn deposit(&self, item: usize, buf: &mut Vec<Option<CellOutput>>) {
-        let mut st = self.state.lock().expect("reducer poisoned");
-        if st.aborted {
-            return;
-        }
-        let slot = item % self.window;
-        debug_assert!(!st.deposited[slot], "window slot collision");
-        std::mem::swap(&mut st.ring[slot], buf);
-        st.deposited[slot] = true;
-        st.pending += 1;
-        st.peak_pending = st.peak_pending.max(st.pending);
-        debug_assert!(st.pending <= self.window, "pending chunks exceeded the window");
-
-        while st.floor < st.next_item && st.deposited[st.floor % self.window] {
-            let fold_slot = st.floor % self.window;
-            st.deposited[fold_slot] = false;
-            st.pending -= 1;
-            let cells = std::mem::take(&mut st.ring[fold_slot]);
-            let point_idx = st.floor / self.n_chunks;
-            let chunk_idx = st.floor % self.n_chunks;
-            let seed_lo = chunk_idx * self.seed_chunk;
-            let clen = (seed_lo + self.seed_chunk).min(self.n_seeds) - seed_lo;
-            debug_assert_eq!(cells.len(), self.n_arms * clen);
-            for arm in 0..self.n_arms {
-                let acc = &mut st.accumulators[point_idx * self.n_arms + arm];
-                for sample in &cells[arm * clen..(arm + 1) * clen] {
-                    acc.push(*sample);
+    /// Evaluates the cell-groups of one point over a range of its seeds: per seed, each
+    /// distinct prepared scenario is built once and every arm of its group evaluates
+    /// against it. Returns the samples arm-major, seeds in order within each arm, and the
+    /// chunk's counters. After another chunk's failure the chunk stops at the next build or
+    /// cell boundary; its partial output is discarded with the whole run.
+    fn evaluate_chunk(
+        &self,
+        point_idx: usize,
+        seeds: Range<usize>,
+        ws: &mut SolverWorkspace,
+    ) -> Result<(Vec<Option<CellOutput>>, SweepCounters), CoreError> {
+        let n_seeds = seeds.len();
+        let mut samples = vec![None; self.grid.arms.len() * n_seeds];
+        let mut counters = SweepCounters::default();
+        let solver_before = ws.counters;
+        'seeds: for (si, &seed) in self.grid.seeds[seeds].iter().enumerate() {
+            for group in &self.groups[point_idx] {
+                if self.failed.load(Ordering::Relaxed) {
+                    break 'seeds;
+                }
+                let scenario = self.builders[point_idx][group[0]]
+                    .build(seed)
+                    .map_err(|e| self.fail(CoreError::from(e)))?;
+                counters.scenarios_built += 1;
+                // Warm-start state must never leak across scenario groups: each group's
+                // output has to be a pure function of the group's own cells (in fixed arm
+                // order), or determinism across thread counts — which decide who solved
+                // what before — would be lost. Within the group, the arms deliberately seed
+                // each other.
+                ws.reset_warm_start();
+                for &arm_idx in group {
+                    if self.failed.load(Ordering::Relaxed) {
+                        break 'seeds;
+                    }
+                    let mut ctx = CellContext {
+                        x: self.grid.points[point_idx].x,
+                        seed,
+                        stream_seed: baselines::derive_stream_seed(seed),
+                        point_idx,
+                        arm_idx,
+                        warm_start: self.engine.warm_start,
+                        superlinear_mu: self.engine.superlinear_mu,
+                        adaptive_mu_bracket: self.engine.adaptive_mu_bracket,
+                        outer_continuation: false,
+                        workspace: &mut *ws,
+                    };
+                    counters.cells_evaluated += 1;
+                    if let Some(progress) = self.progress {
+                        progress.fetch_add(1, Ordering::Relaxed);
+                    }
+                    samples[arm_idx * n_seeds + si] = self.grid.arms[arm_idx]
+                        .evaluate(&scenario, &mut ctx)
+                        .map_err(|e| self.fail(e))?;
                 }
             }
-            st.ring[fold_slot] = cells;
-            st.floor += 1;
         }
-        self.progressed.notify_all();
+        counters.solver = ws.counters.since(&solver_before);
+        Ok((samples, counters))
     }
 
-    /// Consumes the reducer: `(accumulators, error, peak_pending)`.
-    fn into_parts(self) -> (Vec<AggregateAccumulator>, Option<(usize, CoreError)>, usize) {
-        let st = self.state.into_inner().expect("reducer poisoned");
-        (st.accumulators, st.error, st.peak_pending)
+    /// Raises the abort flag and passes the error through.
+    fn fail(&self, error: CoreError) -> CoreError {
+        self.failed.store(true, Ordering::Relaxed);
+        error
     }
 }
 
-/// Maps `f` over `0..n` using up to `threads` scoped workers, each owning one worker state
-/// created by `init` (the engine's per-worker [`SolverWorkspace`]), and returns the outputs
-/// in index order.
+/// Runs `produce(state, item)` for every item of `0..n` on up to `threads` scoped workers
+/// and hands each output to `fold(item, output)` in item order: the one scheduler behind
+/// sweeps, shard workers, round simulations and the fleet coordinator.
 ///
-/// Work is distributed by an atomic cursor (dynamic scheduling — solver cells vary wildly
-/// in cost), but each worker tags outputs with their index and the final vector is
-/// assembled by index, so the result is identical to the sequential map *provided `f` is a
-/// pure function of its index* — the worker state must be scratch, never carried signal
-/// (which is exactly the [`SolverWorkspace`] contract). With one thread — or one item — no
-/// worker threads are spawned at all and a single state serves the whole range.
-pub fn par_map_indexed_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
+/// Each worker owns one `init()` state (the engine's per-worker [`SolverWorkspace`], or
+/// nothing) and claims items in increasing order; an output that finishes early is parked
+/// until every earlier item is folded. No item is claimed more than `window` items ahead of
+/// the fold, which bounds the parked outputs to `window`; callers that keep every output
+/// anyway pass `n` or more. The first `Err` stops further claims, and the error of the
+/// lowest failing item among those produced is returned — with one worker that is the
+/// first error, and no later item runs. A panicking worker releases the workers waiting on
+/// the window, then its panic propagates. With one worker no thread is spawned.
+///
+/// Outputs reach `fold` in the same order whatever the worker count, so the result is
+/// independent of scheduling *provided `produce` is a pure function of its item*: the
+/// worker state must be scratch, never carried signal (the [`SolverWorkspace`] contract).
+///
+/// # Errors
+///
+/// The error of the lowest failing item among those produced.
+pub(crate) fn fold_in_order<S, T, E, I, P, F>(
+    n: usize,
+    threads: usize,
+    window: usize,
+    init: I,
+    produce: P,
+    mut fold: F,
+) -> Result<(), E>
 where
     T: Send,
+    E: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    P: Fn(&mut S, usize) -> Result<T, E> + Sync,
+    F: FnMut(usize, T) + Send,
 {
     let workers = threads.min(n).max(1);
     if workers == 1 {
         let mut state = init();
-        return (0..n).map(|idx| f(&mut state, idx)).collect();
+        for item in 0..n {
+            fold(item, produce(&mut state, item)?);
+        }
+        return Ok(());
+    }
+    let pool = Pool {
+        state: Mutex::new(PoolState {
+            next: 0,
+            folded: 0,
+            parked: VecDeque::new(),
+            fold,
+            error: None,
+            halted: false,
+        }),
+        progressed: Condvar::new(),
+        n,
+        window: window.max(1),
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..workers).map(|_| scope.spawn(|| pool.work(&init, &produce))).collect();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    // Every worker returned, so none panicked while holding the lock.
+    match pool.state.into_inner().expect("no worker panicked").error {
+        Some((_, error)) => Err(error),
+        None => Ok(()),
+    }
+}
+
+/// The shared state of one multi-worker [`fold_in_order`] run.
+struct Pool<T, E, F> {
+    state: Mutex<PoolState<T, E, F>>,
+    /// Signalled whenever the fold advances or the pool halts.
+    progressed: Condvar,
+    n: usize,
+    window: usize,
+}
+
+struct PoolState<T, E, F> {
+    /// The next unclaimed item.
+    next: usize,
+    /// The first item not yet folded.
+    folded: usize,
+    /// `parked[i]`: the output of item `folded + i`, once produced.
+    parked: VecDeque<Option<T>>,
+    fold: F,
+    /// The lowest failing item and its error.
+    error: Option<(usize, E)>,
+    /// Set by the first error or a panicking worker; stops further claims.
+    halted: bool,
+}
+
+impl<T, E, F: FnMut(usize, T)> Pool<T, E, F> {
+    /// One worker: claims, produces and delivers until the items run out or the pool
+    /// halts. A panic halts the pool before it propagates, so no peer waits forever on a
+    /// fold that can no longer advance.
+    fn work<S>(&self, init: impl Fn() -> S, produce: impl Fn(&mut S, usize) -> Result<T, E>) {
+        let worker = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut state = init();
+            while let Some(item) = self.claim() {
+                self.deliver(item, produce(&mut state, item));
+            }
+        }));
+        if let Err(panic) = worker {
+            // A panic inside `fold` poisoned the lock, which halts the pool by itself.
+            if let Ok(mut st) = self.state.lock() {
+                st.halted = true;
+            }
+            self.progressed.notify_all();
+            std::panic::resume_unwind(panic);
+        }
     }
 
-    let cursor = AtomicUsize::new(0);
-    let init = &init;
-    let f = &f;
-    let cursor = &cursor;
-    let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        local.push((idx, f(&mut state, idx)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("sweep worker panicked")).collect()
-    });
-    tagged.sort_by_key(|(idx, _)| *idx);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.into_iter().map(|(_, value)| value).collect()
+    /// The next item, waiting while it would run `window` or more items ahead of the
+    /// fold; `None` once the items run out or the pool halts. A poisoned lock counts as
+    /// halted.
+    fn claim(&self) -> Option<usize> {
+        let mut st = self.state.lock().ok()?;
+        loop {
+            if st.halted || st.next == self.n {
+                return None;
+            }
+            if st.next - st.folded < self.window {
+                st.next += 1;
+                return Some(st.next - 1);
+            }
+            st = self.progressed.wait(st).ok()?;
+        }
+    }
+
+    /// Records an error (halting the pool), or parks an output and folds every
+    /// consecutive output from the fold frontier.
+    fn deliver(&self, item: usize, output: Result<T, E>) {
+        let Ok(mut guard) = self.state.lock() else { return };
+        let st = &mut *guard;
+        match output {
+            Err(error) => {
+                if st.error.as_ref().map_or(true, |(first, _)| item < *first) {
+                    st.error = Some((item, error));
+                }
+                st.halted = true;
+            }
+            Ok(_) if st.halted => {}
+            Ok(value) => {
+                let slot = item - st.folded;
+                if st.parked.len() <= slot {
+                    st.parked.resize_with(slot + 1, || None);
+                }
+                st.parked[slot] = Some(value);
+                while let Some(value) = st.parked.front_mut().and_then(Option::take) {
+                    st.parked.pop_front();
+                    (st.fold)(st.folded, value);
+                    st.folded += 1;
+                }
+            }
+        }
+        drop(guard);
+        self.progressed.notify_all();
+    }
 }
 
 #[cfg(test)]
@@ -1271,15 +1027,77 @@ mod tests {
         SweepEngine { seed_chunk, ..engine }
     }
 
+    /// Folds `0..n` on `threads` workers, item `i` yielding `i * 31 % 17` after a delay
+    /// that makes later items finish first. Asserts inside `produce` that no item is
+    /// claimed `window` or more items ahead of the fold; returns the folded sequence.
+    fn fold_all(n: usize, threads: usize, window: usize) -> Vec<(usize, usize)> {
+        let frontier = AtomicUsize::new(0);
+        let mut folded = Vec::new();
+        let result: Result<(), ()> = fold_in_order(
+            n,
+            threads,
+            window,
+            || (),
+            |_, item| {
+                let at = frontier.load(Ordering::SeqCst);
+                assert!(item < at + window, "item {item} claimed at fold {at}, window {window}");
+                std::thread::sleep(std::time::Duration::from_micros((n - item) as u64 % 4 * 200));
+                Ok(item * 31 % 17)
+            },
+            |item, output| {
+                folded.push((item, output));
+                frontier.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        assert!(result.is_ok());
+        folded
+    }
+
     #[test]
-    fn par_map_matches_sequential_for_any_thread_count() {
-        let f = |i: usize| (i * 31) % 17;
-        let expected: Vec<usize> = (0..100).map(f).collect();
-        let map = |n, threads| par_map_indexed_with(n, threads, || (), |_, i| f(i));
+    fn fold_in_order_folds_the_sequential_sequence_at_any_worker_count() {
+        let expected: Vec<(usize, usize)> = (0..40).map(|i| (i, i * 31 % 17)).collect();
         for threads in [1, 2, 3, 8] {
-            assert_eq!(map(100, threads), expected);
+            assert_eq!(fold_all(40, threads, 40), expected, "{threads} worker(s)");
+            assert_eq!(fold_all(0, threads, 4), [], "{threads} worker(s), no items");
         }
-        assert_eq!(map(0, 4), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn fold_in_order_never_claims_more_than_the_window_ahead_of_the_fold() {
+        let expected: Vec<(usize, usize)> = (0..40).map(|i| (i, i * 31 % 17)).collect();
+        for threads in [2, 3, 8] {
+            for window in [2, 4 * threads, 40] {
+                assert_eq!(fold_all(40, threads, window), expected, "{threads}, window {window}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_in_order_returns_the_first_error_and_runs_nothing_after_it() {
+        // Claims run in item order and every claimed item finishes, so at any worker count
+        // the lowest failing item is among those produced; at one, nothing after it runs.
+        for threads in [1, 2, 4] {
+            let (produced, mut folded) = (AtomicUsize::new(0), Vec::new());
+            let result = fold_in_order(
+                10,
+                threads,
+                10,
+                || (),
+                |_, item| {
+                    produced.fetch_add(1, Ordering::Relaxed);
+                    if item == 3 || item == 5 {
+                        Err(item)
+                    } else {
+                        Ok(item)
+                    }
+                },
+                |item, _| folded.push(item),
+            );
+            assert_eq!(result, Err(3), "{threads} worker(s)");
+            if threads == 1 {
+                assert_eq!((produced.into_inner(), folded), (4, vec![0, 1, 2]));
+            }
+        }
     }
 
     #[test]
@@ -1447,85 +1265,62 @@ mod tests {
         assert_eq!(with_chunk(SweepEngine::with_threads(2), 5).effective_seed_chunk(100, 1000), 5);
     }
 
-    /// Streaming must hold exactly points×arms accumulators and a window-sized ring —
-    /// never per-cell storage — and fold out-of-order deposits in item order.
+    /// A small two-point grid over `seeds` with the given arms.
+    fn small_grid(seeds: &[u64], arms: Vec<Box<dyn Arm>>) -> SweepGrid {
+        let mut grid = SweepGrid::new(seeds);
+        for x in [6.0, 12.0] {
+            grid = grid.point(
+                x,
+                flsys::ScenarioBuilder::paper_default().with_devices(4).with_p_max_dbm(x),
+            );
+        }
+        grid.arms = arms;
+        grid
+    }
+
     #[test]
-    fn stream_reducer_is_bounded_and_folds_in_order() {
-        let (points, arms, n_chunks, chunk, n_seeds) = (2usize, 3usize, 4usize, 2usize, 8usize);
-        let window = 3;
-        let reducer = StreamReducer::new(points, arms, n_chunks, chunk, n_seeds, window);
-        {
-            let st = reducer.state.lock().unwrap();
-            assert_eq!(st.accumulators.len(), points * arms, "must be O(points×arms)");
-            assert_eq!(st.ring.len(), window, "pending storage must be window-bounded");
+    fn run_cells_progress_counts_every_evaluated_cell() {
+        for threads in [1, 3] {
+            let arms: Vec<Box<dyn Arm>> = vec![
+                Box::new(proposed(Weights::balanced())),
+                Box::new(proposed(Weights::new(0.9, 0.1).unwrap())),
+            ];
+            let grid = small_grid(&[1, 2, 3], arms);
+            let progress = AtomicUsize::new(0);
+            let cells =
+                SweepEngine::with_threads(threads).run_cells(&grid, Some(&progress)).unwrap();
+            assert_eq!(progress.into_inner(), cells.counters.cells_evaluated, "{threads} threads");
+            assert_eq!(cells.counters.cells_evaluated, grid.num_cells());
         }
+    }
 
-        // Claim everything the window allows; the next claim would have to block, so check
-        // the guard condition instead of claiming from this single thread.
-        let mut claimed = Vec::new();
-        for _ in 0..window {
-            claimed.push(reducer.claim().unwrap());
-        }
-        assert_eq!(claimed, vec![0, 1, 2]);
-        {
-            let st = reducer.state.lock().unwrap();
-            assert!(st.next_item >= st.floor + window, "further claims must block");
-        }
-
-        // Deposit out of order: 2 and 1 park in the ring, 0 unlocks the in-order fold of
-        // all three.
-        let sample = |v: f64| Some(CellOutput::new(v, 10.0 * v));
-        let chunk_cells = |base: f64| -> Vec<Option<CellOutput>> {
-            // arm-major, 2 seeds per chunk: arm a gets (base + a·10), (base + a·10 + 1).
-            (0..arms)
-                .flat_map(|a| (0..chunk).map(move |s| sample(base + (a * 10 + s) as f64)))
-                .collect()
+    #[test]
+    fn zero_arm_and_zero_seed_grids_keep_their_shapes() {
+        // Per point, the attempts behind each arm's aggregate.
+        let shape = |r: &SweepResult| -> Vec<Vec<usize>> {
+            r.aggregates.iter().map(|row| row.iter().map(|a| a.attempts).collect()).collect()
         };
-        reducer.deposit(2, &mut chunk_cells(200.0));
-        reducer.deposit(1, &mut chunk_cells(100.0));
-        {
-            let st = reducer.state.lock().unwrap();
-            assert_eq!(st.floor, 0, "nothing folds before item 0 lands");
-            assert_eq!(st.pending, 2);
+        for threads in [1, 3] {
+            let engine = SweepEngine::with_threads(threads);
+            for (grid, expected) in [
+                (small_grid(&[1, 2, 3], Vec::new()), vec![vec![]; 2]),
+                (small_grid(&[], vec![Box::new(proposed(Weights::balanced()))]), vec![vec![0]; 2]),
+            ] {
+                let cells = engine.run_cells(&grid, None).unwrap().into_sweep_result();
+                for result in [engine.run(&grid).unwrap(), cells] {
+                    assert_eq!(shape(&result), expected, "{threads} thread(s)");
+                    assert_eq!(result.counters, SweepCounters::default());
+                }
+            }
         }
-        reducer.deposit(0, &mut chunk_cells(0.0));
-        {
-            let st = reducer.state.lock().unwrap();
-            assert_eq!(st.floor, 3, "items 0..3 fold as one run");
-            assert_eq!(st.pending, 0);
-            assert!(st.peak_pending <= window);
-        }
-
-        // The folded accumulators must equal the sequential per-(point, arm) fold.
-        let (accs, error, peak) = reducer.into_parts();
-        assert!(error.is_none());
-        assert!(peak <= window);
-        // Point 0, arm 0 saw chunks 0,1,2 (seeds 0..6): samples base+0, base+1 per chunk.
-        let expected = Aggregate::from_samples(&[
-            sample(0.0),
-            sample(1.0),
-            sample(100.0),
-            sample(101.0),
-            sample(200.0),
-            sample(201.0),
-        ]);
-        assert_eq!(accs[0].finish(), expected);
     }
 
     #[test]
     fn streaming_and_materializing_reductions_are_bit_identical() {
-        let grid = || {
-            let mut grid = SweepGrid::new((0..7).collect::<Vec<u64>>());
-            for x in [6.0, 12.0] {
-                grid = grid.point(
-                    x,
-                    flsys::ScenarioBuilder::paper_default().with_devices(4).with_p_max_dbm(x),
-                );
-            }
-            grid.arm(proposed(Weights::balanced()))
-        };
+        let grid =
+            || small_grid(&[0, 1, 2, 3, 4, 5, 6], vec![Box::new(proposed(Weights::balanced()))]);
         let materialized =
-            SweepEngine::with_threads(2).run_cells(&grid()).unwrap().into_sweep_result();
+            SweepEngine::with_threads(2).run_cells(&grid(), None).unwrap().into_sweep_result();
         // Chunk sizes that divide, straddle and exceed the seed count, at 1 and 3 workers —
         // every combination must reproduce the materialized reduction bit for bit,
         // standard deviations included.

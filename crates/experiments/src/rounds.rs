@@ -28,13 +28,14 @@
 //!
 //! # Determinism
 //!
-//! Seeds are simulated in parallel via the engine's indexed map; every per-seed
-//! simulation is a pure function of `(spec, seed)` — round `t`'s channel redraw comes
-//! from [`baselines::StreamDerivation::derive_round`]`(seed, t)` and straggler draws from an
+//! Seeds are simulated in parallel on the engine's workers, which hand the per-seed runs
+//! back in seed order; every per-seed simulation is a pure function of `(spec, seed)` —
+//! round `t`'s channel redraw comes from
+//! [`baselines::StreamDerivation::derive_round`]`(seed, t)` and straggler draws from an
 //! independent stream, so no draw depends on simulation history — and the cross-seed
 //! reduction folds in seed order. Output is therefore bit-identical across thread counts.
 
-use crate::engine::{par_map_indexed_with, SweepEngine};
+use crate::engine::{fold_in_order, SweepEngine};
 use crate::json::Json;
 use crate::spec::{ExperimentSpec, RoundPolicy, RoundsSpec, SpecError};
 use baselines::derive_stream_seed;
@@ -177,33 +178,31 @@ pub fn simulate_with_engine(
 
     // One simulation per seed, engine-parallel. Each is a pure function of (spec, seed):
     // workspaces are per-worker scratch, warm state never crosses a (policy, seed) pair.
-    let per_seed: Vec<Result<Vec<Vec<RoundSample>>, SpecError>> =
-        par_map_indexed_with(seeds.len(), engine.threads(), SolverWorkspace::new, |ws, idx| {
-            simulate_seed(rounds, &template, solver, seeds[idx], ws)
-        });
-    let mut trajectories = Vec::with_capacity(per_seed.len());
-    for result in per_seed {
-        trajectories.push(result?);
-    }
-
-    let devices = template
-        .clone()
-        .build(seeds[0])
-        .map_err(|e| SpecError::from(CoreError::Model(e)))?
-        .devices
-        .len();
+    let mut devices = 0;
+    let mut trajectories = Vec::with_capacity(seeds.len());
+    fold_in_order(
+        seeds.len(),
+        engine.threads(),
+        seeds.len(),
+        SolverWorkspace::new,
+        |ws, idx| simulate_seed(rounds, &template, solver, seeds[idx], ws),
+        |_, (n, trajectory)| {
+            devices = n;
+            trajectories.push(trajectory);
+        },
+    )?;
     Ok(reduce(spec, rounds, devices, seeds.len(), &trajectories))
 }
 
-/// Simulates every policy over all rounds for one scenario seed. Returns
-/// `[policy][round] -> RoundSample`.
+/// Simulates every policy over all rounds for one scenario seed. Returns the scenario's
+/// device count and `[policy][round] -> RoundSample`.
 fn simulate_seed(
     rounds: &RoundsSpec,
     template: &ScenarioBuilder,
     solver: fedopt_core::SolverConfig,
     seed: u64,
     ws: &mut SolverWorkspace,
-) -> Result<Vec<Vec<RoundSample>>, SpecError> {
+) -> Result<(usize, Vec<Vec<RoundSample>>), SpecError> {
     let scenario0 =
         template.clone().build(seed).map_err(|e| SpecError::from(CoreError::Model(e)))?;
     let n = scenario0.devices.len();
@@ -285,7 +284,7 @@ fn simulate_seed(
         }
         out.push(samples);
     }
-    Ok(out)
+    Ok((n, out))
 }
 
 /// Round `t`'s scenario: the base realisation with every gain refaded by an independent

@@ -86,7 +86,7 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 16;
 pub const DEFAULT_WARM_STALENESS: u64 = 64;
 
 /// Hard cap on one request line, bytes. Longer lines are answered `invalid` without
-/// being parsed (a malicious or corrupted stream must not balloon memory).
+/// being stored or parsed (a malicious or corrupted stream must not balloon memory).
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Hard cap on the echoed `id` member, bytes.
@@ -523,17 +523,25 @@ pub fn serve_session<R: BufRead, W: Write + Send>(
 
         // Reader (this thread): admission control.
         let mut seq = 0u64;
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             if drain.load(Ordering::SeqCst) {
                 break;
             }
-            line.clear();
-            if input.read_line(&mut line)? == 0 {
+            let len = read_request_line(&mut input, &mut line)?;
+            if len == 0 {
                 break;
             }
-            let text = line.trim();
-            if text.is_empty() {
+            // Only a line under the cap is decoded; an oversized one is answered by length.
+            let text = if len > MAX_REQUEST_BYTES {
+                None
+            } else {
+                let utf8 = std::str::from_utf8(&line).map_err(|_| {
+                    io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+                })?;
+                Some(utf8.trim())
+            };
+            if text == Some("") {
                 continue;
             }
             let this_seq = seq;
@@ -543,14 +551,11 @@ pub fn serve_session<R: BufRead, W: Write + Send>(
                 guard.requests += 1;
             }
             let admitted_at = Instant::now();
-            if line.len() > MAX_REQUEST_BYTES {
-                let error = format!(
-                    "request line exceeds {MAX_REQUEST_BYTES} bytes ({} bytes)",
-                    line.len()
-                );
+            let Some(text) = text else {
+                let error = format!("request line exceeds {MAX_REQUEST_BYTES} bytes ({len} bytes)");
                 reject(this_seq, None, "invalid", &error, opts, admitted_at, &stats, &out_tx);
                 continue;
-            }
+            };
             let req = match RequestSpec::from_json_str(text) {
                 Ok(req) => req,
                 Err(error) => {
@@ -623,6 +628,35 @@ pub fn serve_session<R: BufRead, W: Write + Send>(
     });
     io_result?;
     Ok(stats.into_inner().expect("serve stats lock poisoned"))
+}
+
+/// Reads one request line into `buf`, newline included, storing at most
+/// `MAX_REQUEST_BYTES + 1` bytes of it: the rest of an oversized line is consumed and
+/// counted but never stored. Returns the line's full length in bytes (`0` at EOF).
+fn read_request_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result<usize> {
+    buf.clear();
+    let mut len = 0;
+    loop {
+        let available = match input.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(len);
+        }
+        let (end, complete) = match available.iter().position(|&b| b == b'\n') {
+            Some(newline) => (newline + 1, true),
+            None => (available.len(), false),
+        };
+        let room = (MAX_REQUEST_BYTES + 1).saturating_sub(buf.len());
+        buf.extend_from_slice(&available[..end.min(room)]);
+        input.consume(end);
+        len += end;
+        if complete {
+            return Ok(len);
+        }
+    }
 }
 
 /// Builds and enqueues a reader-side rejection response (`shed` or `invalid`).

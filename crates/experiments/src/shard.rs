@@ -43,15 +43,17 @@
 //! Failed shards are retried with deterministic exponential backoff ([`backoff_delay`]).
 
 use crate::engine::{
-    warm_start_env, Aggregate, AggregateAccumulator, CellMatrix, CellOutput, SweepCounters,
-    SweepResult,
+    fold_in_order, warm_start_env, Aggregate, AggregateAccumulator, CellMatrix, CellOutput,
+    SweepCounters, SweepResult,
 };
 use crate::json::{fnv1a_64, Json};
 use crate::spec::{EngineSpec, ExperimentSpec, SeedPolicy, SolverPreset, SpecError};
 use fedopt_core::SolveCounters;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::fmt;
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -365,45 +367,24 @@ pub fn cache_key(spec: &ExperimentSpec) -> String {
 // The shard result and its codec
 // ---------------------------------------------------------------------------
 
-/// The raw output of one shard: every cell sample of its seed sub-range in
-/// `(point, arm, seed)` slot order, plus the shard's work counters — the
-/// [`CellMatrix`] of the shard spec, stamped with the spec id and cache key it answers.
+/// The raw output of one shard: the [`CellMatrix`] of the shard spec — every cell sample
+/// of its seed sub-range plus the shard's work counters — stamped with the spec id and
+/// cache key it answers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
     /// `id` of the (parent and shard) spec this result answers.
     pub spec_id: String,
     /// [`cache_key`] of the shard spec, as computed by the process that ran it.
     pub key: String,
-    /// The sweep points' x values, in grid order.
-    pub xs: Vec<f64>,
-    /// The arm (column) names, in grid order.
-    pub arm_names: Vec<String>,
-    /// Seeds per (point, arm) in this shard.
-    pub n_seeds: usize,
-    /// `samples[(point_idx * arms + arm_idx) * n_seeds + seed_idx]`; `None` = infeasible.
-    pub samples: Vec<Option<CellOutput>>,
-    /// The shard run's counters (exact integer sums; merge by addition).
-    pub counters: SweepCounters,
+    /// The shard's samples and counters (the counters are exact integer sums that merge by
+    /// addition).
+    pub cells: CellMatrix,
 }
 
 impl ShardResult {
     /// Stamps a [`CellMatrix`] with the shard spec's identity.
     pub fn from_cells(spec: &ExperimentSpec, cells: CellMatrix) -> Self {
-        Self {
-            spec_id: spec.id.clone(),
-            key: cache_key(spec),
-            xs: cells.xs,
-            arm_names: cells.arm_names,
-            n_seeds: cells.n_seeds,
-            samples: cells.samples,
-            counters: cells.counters,
-        }
-    }
-
-    /// The sample slice of one (point, arm) — `n_seeds` entries in seed order.
-    pub fn cell_slice(&self, point_idx: usize, arm_idx: usize) -> &[Option<CellOutput>] {
-        let base = (point_idx * self.arm_names.len() + arm_idx) * self.n_seeds;
-        &self.samples[base..base + self.n_seeds]
+        Self { spec_id: spec.id.clone(), key: cache_key(spec), cells }
     }
 
     /// Serializes to the deterministic wire document (the worker's stdout format).
@@ -413,15 +394,16 @@ impl ShardResult {
     /// single flipped byte anywhere in the document — even one that still parses as a
     /// different valid number — is a typed codec error, never a silently-wrong merge.
     pub fn to_json(&self) -> Json {
-        let n_arms = self.arm_names.len();
+        let cells = &self.cells;
         let samples = Json::Arr(
-            (0..self.xs.len())
+            (0..cells.xs.len())
                 .map(|p| {
                     Json::Arr(
-                        (0..n_arms)
+                        (0..cells.arm_names.len())
                             .map(|a| {
                                 Json::Arr(
-                                    self.cell_slice(p, a)
+                                    cells
+                                        .cell_slice(p, a)
                                         .iter()
                                         .map(|cell| match cell {
                                             None => Json::Null,
@@ -438,21 +420,24 @@ impl ShardResult {
                 })
                 .collect(),
         );
-        let solver = &self.counters.solver;
+        let solver = &cells.counters.solver;
         let mut doc = Json::obj([
             ("schema_version", Json::uint(SHARD_FORMAT_VERSION)),
             ("kind", Json::Str(RESULT_KIND.to_string())),
             ("spec_id", Json::Str(self.spec_id.clone())),
             ("key", Json::Str(self.key.clone())),
-            ("xs", Json::Arr(self.xs.iter().map(|&x| Json::Num(x)).collect())),
-            ("arm_names", Json::Arr(self.arm_names.iter().map(|n| Json::Str(n.clone())).collect())),
-            ("seeds", Json::uint(self.n_seeds as u64)),
+            ("xs", Json::Arr(cells.xs.iter().map(|&x| Json::Num(x)).collect())),
+            (
+                "arm_names",
+                Json::Arr(cells.arm_names.iter().map(|n| Json::Str(n.clone())).collect()),
+            ),
+            ("seeds", Json::uint(cells.n_seeds as u64)),
             ("samples", samples),
             (
                 "counters",
                 Json::obj([
-                    ("scenarios_built", Json::uint(self.counters.scenarios_built as u64)),
-                    ("cells_evaluated", Json::uint(self.counters.cells_evaluated as u64)),
+                    ("scenarios_built", Json::uint(cells.counters.scenarios_built as u64)),
+                    ("cells_evaluated", Json::uint(cells.counters.cells_evaluated as u64)),
                     (
                         "solver",
                         Json::obj([
@@ -614,7 +599,7 @@ impl ShardResult {
             },
         };
 
-        Ok(Self { spec_id, key, xs, arm_names, n_seeds, samples, counters })
+        Ok(Self { spec_id, key, cells: CellMatrix { xs, arm_names, n_seeds, samples, counters } })
     }
 
     /// [`ShardResult::from_json`] from text.
@@ -638,30 +623,20 @@ fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ShardError> {
 
 /// Runs one shard spec in this process: compile the grid, evaluate with the spec's
 /// engine, return the raw cell matrix stamped as a [`ShardResult`]. This is the body of
-/// the `fedopt run --spec - --shard-json` worker mode.
+/// the `fedopt run --spec - --shard-json` worker mode. `progress` (when given) is
+/// incremented once per evaluated cell while the sweep runs; the CLI worker mode's
+/// heartbeat thread reads it to put real progress numbers on its [`HEARTBEAT_PREFIX`]
+/// stderr lines.
 ///
 /// # Errors
 ///
 /// Validation errors, or any sweep error from the engine.
-pub fn run_shard_in_process(spec: &ExperimentSpec) -> Result<ShardResult, SpecError> {
-    run_shard_in_process_with_progress(spec, None)
-}
-
-/// [`run_shard_in_process`] with a live cells-completed observer: `progress` (when
-/// given) is incremented once per evaluated cell while the sweep runs. The CLI worker
-/// mode's heartbeat thread reads it to put real progress numbers on its
-/// [`HEARTBEAT_PREFIX`] stderr lines.
-///
-/// # Errors
-///
-/// Validation errors, or any sweep error from the engine.
-pub fn run_shard_in_process_with_progress(
+pub fn run_shard_in_process(
     spec: &ExperimentSpec,
     progress: Option<&AtomicUsize>,
 ) -> Result<ShardResult, SpecError> {
     let grid = spec.grid()?;
-    let engine = spec.engine.to_engine();
-    let cells = engine.run_cells_with_progress(&grid, progress)?;
+    let cells = spec.engine.to_engine().run_cells(&grid, progress)?;
     Ok(ShardResult::from_cells(spec, cells))
 }
 
@@ -922,7 +897,7 @@ pub struct InProcessRunner;
 
 impl ShardRunner for InProcessRunner {
     fn run_shard(&self, spec: &ExperimentSpec) -> Result<ShardResult, ShardRunError> {
-        run_shard_in_process(spec).map_err(|e| ShardRunError::from(e.to_string()))
+        run_shard_in_process(spec, None).map_err(|e| ShardRunError::from(e.to_string()))
     }
 }
 
@@ -1161,16 +1136,14 @@ impl ShardRunner for SubprocessRunner {
 // The coordinator
 // ---------------------------------------------------------------------------
 
-/// How a fleet run is shaped: shard count, optional result cache, worker-pool bound,
-/// retry policy, and the salvage switch.
+/// How a fleet run is shaped: shard count, optional result cache, retry policy, and the
+/// salvage switch. Up to one shard per available core runs at a time.
 #[derive(Debug)]
 pub struct FleetOptions {
     /// Number of shards to split into (clamped to the seed count; must be ≥ 1).
     pub shards: usize,
     /// Content-addressed result cache; `None` disables caching entirely.
     pub cache: Option<ShardCache>,
-    /// Maximum shards in flight at once. `None` = `min(shards, available cores)`.
-    pub concurrency: Option<usize>,
     /// Retries per failed shard beyond its first attempt (`0` disables retries).
     pub max_retries: usize,
     /// Base delay of the deterministic exponential backoff between attempts (see
@@ -1189,7 +1162,6 @@ impl Default for FleetOptions {
         Self {
             shards: 0,
             cache: None,
-            concurrency: None,
             max_retries: DEFAULT_MAX_RETRIES,
             backoff: DEFAULT_RETRY_BACKOFF,
             allow_partial: false,
@@ -1229,12 +1201,12 @@ pub struct FleetStats {
     pub cache_enabled: bool,
 }
 
-/// Splits the spec, runs every shard (bounded concurrency, cache-first, configurable
-/// retries with deterministic backoff), and merges the shard results into the exact
-/// [`SweepResult`] of a single-process run.
+/// Splits the spec, runs every shard (one per available core at a time, cache-first,
+/// configurable retries with deterministic backoff), and merges the shard results into the
+/// exact [`SweepResult`] of a single-process run.
 ///
-/// The worker pool claims shards in index order; results are merged strictly in shard
-/// order afterwards, so completion order never affects the output. A failed shard is
+/// The worker pool claims shards in index order and hands their outcomes back in shard
+/// order, so completion order never affects the output. A failed shard is
 /// retried [`FleetOptions::max_retries`] times with [`backoff_delay`] waits between
 /// attempts. Shards that still fail are collected into one loud [`ShardError::Partial`]
 /// report naming each failed shard's seed range, last error, and last heartbeat age —
@@ -1255,55 +1227,37 @@ pub fn run_fleet(
     let shard_specs = split(spec, opts.shards)?;
     let keys: Vec<String> = shard_specs.iter().map(cache_key).collect();
     let total = shard_specs.len();
-    let workers = opts
-        .concurrency
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-        .clamp(1, total);
-
-    let next = AtomicUsize::new(0);
     let hits = AtomicU64::new(0);
     let misses = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
-    let slots: Mutex<Vec<Option<Result<ShardResult, ShardFailure>>>> =
-        Mutex::new((0..total).map(|_| None).collect());
-
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= total {
-            return;
-        }
-        let shard_spec = &shard_specs[i];
-        let key = &keys[i];
-        let outcome = run_one_shard(shard_spec, key, opts, runner, (&hits, &misses, &retries))
-            .map_err(|(attempts, error)| ShardFailure {
-                index: i,
-                seeds: describe_seeds(shard_spec),
-                attempts,
-                error: error.message,
-                last_heartbeat_s: error.last_heartbeat_s,
-            });
-        slots.lock().expect("shard slots poisoned")[i] = Some(outcome);
-    };
-    if workers == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            for h in handles {
-                h.join().expect("fleet worker panicked");
-            }
-        });
-    }
-
-    let slots = slots.into_inner().expect("shard slots poisoned");
     let mut survivors: Vec<(usize, ShardResult)> = Vec::with_capacity(total);
     let mut failures: Vec<ShardFailure> = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every shard slot must be filled") {
+    // Every shard runs to an outcome — a failed shard never stops its peers — so the pool
+    // itself cannot fail; the window is the whole fleet, whose results are kept anyway.
+    fold_in_order(
+        total,
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        total,
+        || (),
+        |_, i| {
+            let shard_spec = &shard_specs[i];
+            let outcome =
+                run_one_shard(shard_spec, &keys[i], opts, runner, (&hits, &misses, &retries))
+                    .map_err(|(attempts, error)| ShardFailure {
+                        index: i,
+                        seeds: describe_seeds(shard_spec),
+                        attempts,
+                        error: error.message,
+                        last_heartbeat_s: error.last_heartbeat_s,
+                    });
+            Ok::<_, Infallible>(outcome)
+        },
+        |i, outcome| match outcome {
             Ok(result) => survivors.push((i, result)),
             Err(failure) => failures.push(failure),
-        }
-    }
+        },
+    )
+    .unwrap_or_else(|never| match never {});
     let completed = survivors.len();
     if !failures.is_empty() {
         let salvageable = opts.allow_partial && completed > 0;
@@ -1393,8 +1347,7 @@ fn merge(
 ) -> Result<SweepResult, ShardError> {
     let first =
         survivors.first().map(|(_, r)| r).ok_or_else(|| ShardError::Merge("no shards".into()))?;
-    let n_points = first.xs.len();
-    let n_arms = first.arm_names.len();
+    let (n_points, n_arms) = (first.cells.xs.len(), first.cells.arm_names.len());
     let mut accumulators: Vec<AggregateAccumulator> =
         vec![AggregateAccumulator::new(); n_points * n_arms];
     let mut counters = SweepCounters::default();
@@ -1407,32 +1360,32 @@ fn merge(
                 result.spec_id, spec.id
             )));
         }
-        if result.xs != first.xs || result.arm_names != first.arm_names {
+        if result.cells.xs != first.cells.xs || result.cells.arm_names != first.cells.arm_names {
             return Err(ShardError::Merge(format!(
                 "shard {i} evaluated a different grid (points/arms mismatch)"
             )));
         }
         let expected_seeds = shard_spec.seeds.len();
-        if result.n_seeds as u64 != expected_seeds {
+        if result.cells.n_seeds as u64 != expected_seeds {
             return Err(ShardError::Merge(format!(
                 "shard {i} carries {} seeds, its spec has {expected_seeds}",
-                result.n_seeds
+                result.cells.n_seeds
             )));
         }
         for p in 0..n_points {
             for a in 0..n_arms {
-                accumulators[p * n_arms + a].merge_samples(result.cell_slice(p, a));
+                accumulators[p * n_arms + a].merge_samples(result.cells.cell_slice(p, a));
             }
         }
-        counters.merge(&result.counters);
+        counters.merge(&result.cells.counters);
     }
 
     let aggregates: Vec<Vec<Aggregate>> = (0..n_points)
         .map(|p| (0..n_arms).map(|a| accumulators[p * n_arms + a].finish()).collect())
         .collect();
     Ok(SweepResult {
-        xs: first.xs.clone(),
-        arm_names: first.arm_names.clone(),
+        xs: first.cells.xs.clone(),
+        arm_names: first.cells.arm_names.clone(),
         aggregates,
         counters,
     })
@@ -1534,7 +1487,7 @@ mod tests {
     #[test]
     fn shard_result_round_trips_through_the_wire_format() {
         let spec = split(&tiny_spec(), 3).unwrap().remove(1);
-        let result = run_shard_in_process(&spec).unwrap();
+        let result = run_shard_in_process(&spec, None).unwrap();
         let text = result.to_json_string();
         let back = ShardResult::from_json_str(&text).unwrap();
         assert_eq!(back, result);
@@ -1545,7 +1498,7 @@ mod tests {
     #[test]
     fn malformed_shard_documents_are_rejected_with_context() {
         let spec = split(&tiny_spec(), 5).unwrap().remove(0);
-        let good = run_shard_in_process(&spec).unwrap().to_json_string();
+        let good = run_shard_in_process(&spec, None).unwrap().to_json_string();
         for (needle, replacement) in [
             ("\"kind\":\"fedopt_shard_result\"", "\"kind\":\"something\""),
             ("\"schema_version\":2", "\"schema_version\":9"),
@@ -1562,7 +1515,7 @@ mod tests {
     #[test]
     fn wire_checksum_rejects_single_byte_corruption() {
         let spec = split(&tiny_spec(), 5).unwrap().remove(0);
-        let good = run_shard_in_process(&spec).unwrap().to_json_string();
+        let good = run_shard_in_process(&spec, None).unwrap().to_json_string();
         let corrupted = crate::fault::corrupt_payload(&good);
         assert_ne!(corrupted, good);
         match ShardResult::from_json_str(&corrupted) {
@@ -1575,7 +1528,7 @@ mod tests {
             ),
         }
         // Dropping the checksum member entirely is equally fatal.
-        let good_doc = run_shard_in_process(&spec).unwrap().to_json();
+        let good_doc = run_shard_in_process(&spec, None).unwrap().to_json();
         if let Json::Obj(mut members) = good_doc {
             members.retain(|(k, _)| k != "checksum");
             let stripped = Json::Obj(members).to_compact_string();
@@ -1588,10 +1541,10 @@ mod tests {
     #[test]
     fn degraded_solves_travel_on_the_wire() {
         let spec = split(&tiny_spec(), 5).unwrap().remove(0);
-        let mut result = run_shard_in_process(&spec).unwrap();
-        result.counters.solver.degraded_solves = 3;
+        let mut result = run_shard_in_process(&spec, None).unwrap();
+        result.cells.counters.solver.degraded_solves = 3;
         let back = ShardResult::from_json_str(&result.to_json_string()).unwrap();
-        assert_eq!(back.counters.solver.degraded_solves, 3);
+        assert_eq!(back.cells.counters.solver.degraded_solves, 3);
     }
 
     #[test]
@@ -1676,7 +1629,7 @@ mod tests {
         let cache = ShardCache::open(&dir).unwrap();
         let shards = split(&tiny_spec(), 3).unwrap();
         let results: Vec<ShardResult> =
-            shards.iter().map(|s| run_shard_in_process(s).unwrap()).collect();
+            shards.iter().map(|s| run_shard_in_process(s, None).unwrap()).collect();
         for r in &results {
             cache.store(r).unwrap();
         }
@@ -1742,7 +1695,7 @@ mod tests {
                         last_heartbeat_s: Some(1.5),
                     });
                 }
-                run_shard_in_process(spec).map_err(|e| ShardRunError::from(e.to_string()))
+                run_shard_in_process(spec, None).map_err(|e| ShardRunError::from(e.to_string()))
             }
         }
         let runner = FailSeeds(failing.clone());
@@ -1769,8 +1722,8 @@ mod tests {
         assert!(!stats.cache_enabled);
 
         // Bit-identity: replay shards 0 and 2 by hand and compare every aggregate bit.
-        let r0 = run_shard_in_process(&shards[0]).unwrap();
-        let r2 = run_shard_in_process(&shards[2]).unwrap();
+        let r0 = run_shard_in_process(&shards[0], None).unwrap();
+        let r2 = run_shard_in_process(&shards[2], None).unwrap();
         let expected = merge(&spec, &shards, &[(0, r0), (2, r2)]).unwrap();
         assert_eq!(salvaged.xs, expected.xs);
         for (p, (got_row, want_row)) in

@@ -76,7 +76,7 @@ fn shard_counts_beyond_the_seed_count_still_merge_exactly() {
     spec.override_seed_count(2);
     let direct = spec.run().unwrap();
     for shards in [1, 2, 5, 16] {
-        let opts = FleetOptions { shards, concurrency: Some(2), ..FleetOptions::default() };
+        let opts = FleetOptions { shards, ..FleetOptions::default() };
         let (merged, _) = run_fleet(&spec, &opts, &InProcessRunner).unwrap();
         assert_bit_identical(&merged, &direct.result, &format!("{shards} shards"));
     }
@@ -171,7 +171,7 @@ fn a_failing_runner_produces_a_loud_partial_report() {
                     "synthetic failure for seed {first_seed}"
                 )))
             } else {
-                experiments::shard::run_shard_in_process(spec)
+                experiments::shard::run_shard_in_process(spec, None)
                     .map_err(|e| experiments::shard::ShardRunError::from(e.to_string()))
             }
         }

@@ -18,7 +18,7 @@ fn base() -> &'static (ShardResult, String) {
         let mut spec = presets::spec(2, Variant::Quick).unwrap();
         spec.override_seed_count(2);
         let shard_spec = split(&spec, 2).unwrap().remove(0);
-        let result = shard::run_shard_in_process(&shard_spec).unwrap();
+        let result = shard::run_shard_in_process(&shard_spec, None).unwrap();
         let line = result.to_json_string();
         (result, line)
     })

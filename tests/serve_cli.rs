@@ -189,3 +189,57 @@ fn sigterm_drains_the_socket_transport_gracefully() {
     assert!(!socket.exists(), "the socket file is removed on clean exit");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A 64 MiB request line between two valid requests: the server answers it `invalid` at
+/// its `seq` without storing it, serves its neighbours, and its peak resident set stays
+/// far below the line's size.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_oversized_request_line_is_rejected_without_buffering_it() {
+    use std::io::{BufRead as _, BufReader};
+
+    const LINE_BYTES: usize = 64 << 20;
+    let mut child = fedopt()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("fedopt must spawn");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(small_request("before", 3).as_bytes()).unwrap();
+    let filler = vec![b'x'; 1 << 20];
+    for _ in 0..LINE_BYTES / filler.len() {
+        stdin.write_all(&filler).unwrap();
+    }
+    stdin.write_all(b"\n").unwrap();
+    stdin.write_all(small_request("after", 4).as_bytes()).unwrap();
+    stdin.flush().unwrap();
+
+    // Read all three answers while stdin is still open, so the server is alive to be
+    // measured.
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let responses: Vec<Json> = (0..3)
+        .map(|_| {
+            let mut line = String::new();
+            stdout.read_line(&mut line).unwrap();
+            Json::parse(&line).expect("every response line must be valid JSON")
+        })
+        .collect();
+    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
+    let peak_kib: usize = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|value| value.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("/proc/<pid>/status must report VmHWM");
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+
+    let seq_of = |v: &Json| v.get("seq").and_then(Json::as_u64);
+    assert_eq!((seq_of(&responses[0]), status_of(&responses[0]).as_str()), (Some(0), "ok"));
+    assert_eq!((seq_of(&responses[1]), status_of(&responses[1]).as_str()), (Some(1), "invalid"));
+    let error = responses[1].get("error").and_then(Json::as_str).unwrap();
+    assert_eq!(error, format!("request line exceeds 1048576 bytes ({} bytes)", LINE_BYTES + 1));
+    assert_eq!((seq_of(&responses[2]), status_of(&responses[2]).as_str()), (Some(2), "ok"));
+    assert!(peak_kib < 32 << 10, "serve peaked at {peak_kib} KiB reading a 64 MiB line");
+}

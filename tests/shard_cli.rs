@@ -98,7 +98,7 @@ fn shard_split_then_worker_mode_round_trips_through_the_real_pipes() {
     let result =
         experiments::shard::ShardResult::from_json_str(&String::from_utf8(out.stdout).unwrap())
             .expect("worker stdout must be a shard result document");
-    assert_eq!(result.n_seeds, 2, "the first of two shards of 4 seeds carries 2");
+    assert_eq!(result.cells.n_seeds, 2, "the first of two shards of 4 seeds carries 2");
 }
 
 #[test]
