@@ -198,7 +198,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&cache_dir);
     let fleet_opts = || FleetOptions {
         shards: 4,
-        cache: Some(ShardCache::open(&cache_dir).expect("cache dir")),
+        cache: Some(ShardCache::open(&cache_dir)),
         ..FleetOptions::default()
     };
     let cold_start = Instant::now();

@@ -137,11 +137,6 @@ impl Trace {
             .map(|it| it.objective)
             .min_by(|a, b| a.partial_cmp(b).expect("finite"))
     }
-
-    /// Returns `true` if the recorded objectives are non-increasing within `tol` (relative).
-    pub fn is_monotone_non_increasing(&self, tol: f64) -> bool {
-        self.iterations.windows(2).all(|w| w[1].objective <= w[0].objective * (1.0 + tol) + tol)
-    }
 }
 
 #[cfg(test)]
@@ -169,17 +164,6 @@ mod tests {
         t.push(iter(3, 7.9));
         assert_eq!(t.len(), 3);
         assert_eq!(t.best_objective(), Some(7.9));
-        assert!(t.is_monotone_non_increasing(1e-9));
-    }
-
-    #[test]
-    fn detects_non_monotone() {
-        let mut t = Trace::new();
-        t.push(iter(1, 5.0));
-        t.push(iter(2, 6.0));
-        assert!(!t.is_monotone_non_increasing(1e-9));
-        // But a 25% tolerance masks it.
-        assert!(t.is_monotone_non_increasing(0.25));
     }
 
     #[test]

@@ -120,7 +120,7 @@ OPTIONS:
   --cache-dir DIR    content-addressed shard result cache (requires --shards)
   --shard-timeout S  per-shard wall-clock timeout in seconds (requires --shards)
   --shard-retries N  retries per failed shard before giving up; 0 disables
-                     (requires --shards; default 1, spec engine.shard_retries overridable)
+                     (requires --shards; default 1)
   --shard-backoff-ms MS
                      base of the exponential retry backoff (requires --shards; default 100)
   --shard-heartbeat S
@@ -900,7 +900,7 @@ pub fn main_with(args: &[String]) -> Result<String, CliError> {
             Ok(doc.to_pretty_string())
         }
         Command::CacheStats { dir } => {
-            let stats = ShardCache::open(&dir)?.stats()?;
+            let stats = ShardCache::open(&dir).stats()?;
             Ok(format!(
                 "cache {dir}\n  entries:   {} ({} bytes)\n  tmp files: {} ({} bytes)\n",
                 stats.entries, stats.entry_bytes, stats.tmp_files, stats.tmp_bytes
@@ -925,7 +925,7 @@ pub fn main_with(args: &[String]) -> Result<String, CliError> {
         }
         Command::CacheGc { dir, max_age_s, max_bytes } => {
             let report =
-                ShardCache::open(&dir)?.gc(max_age_s.map(Duration::from_secs), max_bytes)?;
+                ShardCache::open(&dir).gc(max_age_s.map(Duration::from_secs), max_bytes)?;
             Ok(format!(
                 "cache {dir}\n  evicted:   {} entries ({} bytes)\n  tmp files: {} removed\n  \
                  retained:  {} entries ({} bytes)\n",
@@ -1017,16 +1017,12 @@ fn run_worker(spec: &ExperimentSpec) -> Result<String, CliError> {
     }
 }
 
-/// The subprocess runner a fleet-mode (or fill-holes) command configures. Precedence
-/// for the hardening knobs: CLI flag > spec `engine` field > default.
-fn subprocess_runner(
-    fleet: &FleetArgs,
-    spec: &ExperimentSpec,
-) -> Result<SubprocessRunner, CliError> {
+/// The subprocess runner a fleet-mode (or fill-holes) command configures.
+fn subprocess_runner(fleet: &FleetArgs) -> Result<SubprocessRunner, CliError> {
     let program = std::env::current_exe()
         .map_err(|e| CliError::runtime(format!("cannot locate the fedopt binary: {e}")))?;
     let mut runner = SubprocessRunner::new(program);
-    if let Some(secs) = fleet.shard_timeout_s.or(spec.engine.shard_timeout_s) {
+    if let Some(secs) = fleet.shard_timeout_s {
         runner = runner.with_timeout(Duration::from_secs(secs));
     }
     if let Some(secs) = fleet.shard_heartbeat_s {
@@ -1039,26 +1035,14 @@ fn subprocess_runner(
 }
 
 /// The [`FleetOptions`] a fleet-mode (or fill-holes) command configures.
-fn fleet_options(
-    fleet: &FleetArgs,
-    spec: &ExperimentSpec,
-    shards: usize,
-    allow_partial: bool,
-) -> Result<FleetOptions, CliError> {
-    let cache = match &fleet.cache_dir {
-        Some(dir) => Some(ShardCache::open(dir)?),
-        None => None,
-    };
-    Ok(FleetOptions {
+fn fleet_options(fleet: &FleetArgs, shards: usize, allow_partial: bool) -> FleetOptions {
+    FleetOptions {
         shards,
-        cache,
-        max_retries: fleet
-            .shard_retries
-            .or(spec.engine.shard_retries)
-            .map_or(shard::DEFAULT_MAX_RETRIES, |n| n as usize),
+        cache: fleet.cache_dir.as_ref().map(ShardCache::open),
+        max_retries: fleet.shard_retries.map_or(shard::DEFAULT_MAX_RETRIES, |n| n as usize),
         backoff: fleet.shard_backoff_ms.map_or(shard::DEFAULT_RETRY_BACKOFF, Duration::from_millis),
         allow_partial,
-    })
+    }
 }
 
 /// The coordinator half of `fedopt run --shards N`: split, fan out to `fedopt`
@@ -1069,8 +1053,8 @@ fn run_fleet_command(
     fleet: &FleetArgs,
     json: bool,
 ) -> Result<String, CliError> {
-    let runner = subprocess_runner(fleet, spec)?;
-    let opts = fleet_options(fleet, spec, shards, fleet.allow_partial)?;
+    let runner = subprocess_runner(fleet)?;
+    let opts = fleet_options(fleet, shards, fleet.allow_partial);
     eprintln!(
         "running {} as a fleet ({} shards over {} draws/point{})...",
         spec.id,
@@ -1163,8 +1147,8 @@ fn run_fill_holes(
         holes.len(),
         missing.join(", "),
     );
-    let runner = subprocess_runner(fleet, spec)?;
-    let opts = fleet_options(fleet, spec, shard_count, false)?;
+    let runner = subprocess_runner(fleet)?;
+    let opts = fleet_options(fleet, shard_count, false);
     let (result, mut stats) = shard::run_fleet(spec, &opts, &runner)?;
     eprintln!(
         "holes filled: {} shard(s) answered from the cache, {} recomputed",
@@ -1569,7 +1553,7 @@ mod tests {
         std::fs::write(&path, spec.to_json_string()).unwrap();
         let out = main_with(&argv(&format!("run --spec {} --shard-json", path.display()))).unwrap();
         let result = crate::shard::ShardResult::from_json_str(&out).unwrap();
-        assert_eq!(result.spec_id, spec.id);
+        assert_eq!(result.key, crate::shard::cache_key(&spec));
         assert_eq!(result.cells.n_seeds, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }

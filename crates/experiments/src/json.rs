@@ -206,12 +206,12 @@ pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
 /// The 64-bit FNV-1a hash of a byte string.
 ///
 /// This is the content hash behind the shard result cache ([`crate::shard`]): cache keys
-/// hash the canonical compact JSON of a shard spec, and cache entries carry the hash of
-/// their payload so truncation or corruption is detected instead of trusted. FNV-1a is
-/// deliberate — a tiny, dependency-free, *stable* hash (the constants are part of the
-/// wire format, so `std`'s randomized `DefaultHasher` would not do); it is not
-/// collision-resistant against adversaries, which is fine for a local result cache whose
-/// entries are verified against the full spec text by the reader.
+/// hash the canonical compact JSON of a shard spec, and the shard document — on the
+/// worker pipe and on disk alike — carries the hash of its other members, so truncation
+/// or corruption is detected instead of trusted. FNV-1a is deliberate — a tiny,
+/// dependency-free, *stable* hash (the constants are part of the wire format, so `std`'s
+/// randomized `DefaultHasher` would not do); it is not collision-resistant against
+/// adversaries, which is fine for a local result cache.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -18,19 +18,19 @@
 //! output never depends on which other seeds share its process — which is what makes
 //! seed-granular sharding sound in the first place.
 //!
-//! ## The wire and cache formats
+//! ## The shard document
 //!
 //! Everything crossing a process or filesystem boundary uses the deterministic
-//! [`crate::json`] codec (never serde): the shard spec piped to a worker's stdin, the
-//! [`ShardResult`] streamed back on stdout (`fedopt run --spec - --shard-json`), and the
-//! cache entries under `--cache-dir`. Cache entries are content-addressed by
-//! [`cache_key`] — the FNV-1a 64 hash of a canonical preimage (cache-format version,
-//! schema version, solver preset, and the shard spec JSON normalized to drop
-//! result-invariant fields like `id`, `description`, `reports` and engine scheduling
-//! knobs) — and self-validating: each entry stores the FNV-1a hash of its payload, so a
-//! truncated or corrupted entry is detected and recomputed, never silently trusted.
-//! Since format version 2 the wire document itself also carries a whole-document
-//! `checksum`, so corruption is caught on the pipe as well as on disk.
+//! [`crate::json`] codec (never serde): the shard spec piped to a worker's stdin, and one
+//! [`ShardResult`] document that is both what the worker streams back on stdout
+//! (`fedopt run --spec - --shard-json`) and, byte for byte, the cache entry under
+//! `--cache-dir`. The document is identified by its [`cache_key`] alone — the FNV-1a 64
+//! hash of a canonical preimage (format version, schema version, solver preset, and the
+//! shard spec JSON normalized to drop result-invariant fields like `id`, `description`,
+//! `reports` and engine scheduling knobs), so a renamed sweep reuses its cache. Its
+//! whole-document `checksum` is verified on every read, so a truncated or corrupted
+//! document is a typed error on the pipe and a miss (recompute) on disk, never silently
+//! trusted.
 //!
 //! ## Failure semantics
 //!
@@ -43,27 +43,28 @@
 //! Failed shards are retried with deterministic exponential backoff ([`backoff_delay`]).
 
 use crate::engine::{
-    fold_in_order, warm_start_env, Aggregate, AggregateAccumulator, CellMatrix, CellOutput,
-    SweepCounters, SweepResult,
+    fold_in_order, Aggregate, AggregateAccumulator, CellMatrix, CellOutput, SweepCounters,
+    SweepResult,
 };
 use crate::json::{fnv1a_64, Json};
-use crate::spec::{EngineSpec, ExperimentSpec, SeedPolicy, SolverPreset, SpecError};
+use crate::spec::{EngineSpec, ExperimentSpec, Obj, SeedPolicy, SolverPreset, SpecError};
 use fedopt_core::SolveCounters;
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::fmt;
 use std::io::Write as _;
 use std::num::NonZeroUsize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
-/// Version of the shard result wire format and the cache entry format. Bumping it
-/// invalidates every existing cache entry (the key preimage includes it). Version 2
-/// added the whole-document `checksum` member and the `degraded_solves` counter.
-pub const SHARD_FORMAT_VERSION: u64 = 2;
+/// Version of the shard result document, on the worker pipe and in the cache alike.
+/// Bumping it invalidates every existing cache entry (the key preimage includes it).
+/// Version 2 added the whole-document `checksum` member and the `degraded_solves`
+/// counter; version 3 dropped `spec_id` and made the document the cache entry itself.
+pub const SHARD_FORMAT_VERSION: u64 = 3;
 
 /// Default per-shard wall-clock timeout of the subprocess runner.
 pub const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(600);
@@ -160,8 +161,6 @@ pub const TMP_GRACE: Duration = Duration::from_secs(60);
 
 /// `kind` tag of a shard result document.
 const RESULT_KIND: &str = "fedopt_shard_result";
-/// `kind` tag of a cache entry document.
-const ENTRY_KIND: &str = "fedopt_shard_cache_entry";
 /// `kind` tag of the cache-key preimage document (never written to disk; hashed).
 const KEY_KIND: &str = "fedopt_shard_cache_key";
 
@@ -213,7 +212,7 @@ pub struct ShardFailure {
 pub enum ShardError {
     /// The parent spec failed validation (or a shard grid failed to compile/run).
     Spec(SpecError),
-    /// A shard result or cache document was malformed.
+    /// A shard document was malformed.
     Codec(String),
     /// Some shards failed after their retry; the successful shards' work is described so
     /// nothing is silently dropped.
@@ -227,7 +226,7 @@ pub enum ShardError {
     },
     /// Shard results disagreed with each other or with the parent spec during the merge.
     Merge(String),
-    /// Filesystem trouble preparing the cache directory.
+    /// Filesystem trouble in the cache directory.
     Io(String),
 }
 
@@ -336,19 +335,17 @@ pub fn split(spec: &ExperimentSpec, n: usize) -> Result<Vec<ExperimentSpec>, Sha
 /// and the shard spec itself **normalized to what actually determines the samples**:
 /// `id`, `description` and `reports` are cleared (renaming a sweep or adding a report
 /// must not re-key its finished shards) and the engine block keeps only the *effective*
-/// warm-start switch — thread count and the fleet's retry and timeout policy are
-/// scheduling decisions, proven result-invariant by the engine's determinism tests.
-/// The warm-start switch *is* result-affecting (warm solves converge along a different
-/// trajectory), so the key pins it to the value the run will actually use:
-/// the [`crate::engine::WARM_START_ENV`] environment override when set, else the spec's
-/// own field, else the warm default.
+/// warm-start switch — the thread count is a scheduling decision, proven
+/// result-invariant by the engine's determinism tests. The warm-start switch *is*
+/// result-affecting (warm solves converge along a different trajectory), so the key pins
+/// it to the value the run will actually use, as [`EngineSpec::to_engine`] resolves it.
 pub fn cache_key(spec: &ExperimentSpec) -> String {
     let mut normalized = spec.clone();
     normalized.id = String::new();
     normalized.description = String::new();
     normalized.reports = Vec::new();
-    let effective_warm = warm_start_env().or(spec.engine.warm_start).unwrap_or(true);
-    normalized.engine = EngineSpec { warm_start: Some(effective_warm), ..EngineSpec::default() };
+    normalized.engine =
+        EngineSpec { threads: None, warm_start: Some(spec.engine.to_engine().warm_starts()) };
     let preset = match spec.solver.preset {
         SolverPreset::Default => "default",
         SolverPreset::Fast => "fast",
@@ -360,7 +357,12 @@ pub fn cache_key(spec: &ExperimentSpec) -> String {
         ("solver_preset", Json::Str(preset.to_string())),
         ("spec", normalized.to_json()),
     ]);
-    format!("{:016x}", fnv1a_64(preimage.to_compact_string().as_bytes()))
+    hash_hex(&preimage)
+}
+
+/// 16 lowercase hex digits of the FNV-1a 64 hash of a document's compact serialization.
+fn hash_hex(doc: &Json) -> String {
+    format!("{:016x}", fnv1a_64(doc.to_compact_string().as_bytes()))
 }
 
 // ---------------------------------------------------------------------------
@@ -368,12 +370,11 @@ pub fn cache_key(spec: &ExperimentSpec) -> String {
 // ---------------------------------------------------------------------------
 
 /// The raw output of one shard: the [`CellMatrix`] of the shard spec — every cell sample
-/// of its seed sub-range plus the shard's work counters — stamped with the spec id and
-/// cache key it answers.
+/// of its seed sub-range plus the shard's work counters — stamped with the cache key it
+/// answers. The key is the result's one identity: it pins everything that determines
+/// the samples and, by design, not the spec's name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
-    /// `id` of the (parent and shard) spec this result answers.
-    pub spec_id: String,
     /// [`cache_key`] of the shard spec, as computed by the process that ran it.
     pub key: String,
     /// The shard's samples and counters (the counters are exact integer sums that merge by
@@ -382,12 +383,13 @@ pub struct ShardResult {
 }
 
 impl ShardResult {
-    /// Stamps a [`CellMatrix`] with the shard spec's identity.
+    /// Stamps a [`CellMatrix`] with the shard spec's cache key.
     pub fn from_cells(spec: &ExperimentSpec, cells: CellMatrix) -> Self {
-        Self { spec_id: spec.id.clone(), key: cache_key(spec), cells }
+        Self { key: cache_key(spec), cells }
     }
 
-    /// Serializes to the deterministic wire document (the worker's stdout format).
+    /// Serializes to the deterministic shard document: the worker's stdout format and,
+    /// byte for byte, the cache entry format.
     ///
     /// The final `checksum` member is the FNV-1a 64 hash of the compact serialization of
     /// every *other* member. [`ShardResult::from_json`] re-derives and compares it, so a
@@ -424,7 +426,6 @@ impl ShardResult {
         let mut doc = Json::obj([
             ("schema_version", Json::uint(SHARD_FORMAT_VERSION)),
             ("kind", Json::Str(RESULT_KIND.to_string())),
-            ("spec_id", Json::Str(self.spec_id.clone())),
             ("key", Json::Str(self.key.clone())),
             ("xs", Json::Arr(cells.xs.iter().map(|&x| Json::Num(x)).collect())),
             (
@@ -454,152 +455,146 @@ impl ShardResult {
                 ]),
             ),
         ]);
-        let checksum = format!("{:016x}", fnv1a_64(doc.to_compact_string().as_bytes()));
+        let checksum = hash_hex(&doc);
         if let Json::Obj(members) = &mut doc {
             members.push(("checksum".to_string(), Json::Str(checksum)));
         }
         doc
     }
 
-    /// Serializes to the compact single-line wire string.
+    /// Serializes to the compact single-line document string.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_compact_string()
     }
 
-    /// Parses and structurally validates a wire document.
+    /// Parses and structurally validates a shard document through the strict object
+    /// reader that specs and serve requests use.
     ///
     /// # Errors
     ///
-    /// [`ShardError::Codec`] on any missing field, type mismatch, version/kind mismatch,
-    /// or dimension inconsistency (the sample tensor must be exactly
-    /// `points × arms × seeds`).
+    /// [`ShardError::Codec`] naming the offending member on any missing or unknown
+    /// member, type mismatch, version/kind/checksum mismatch, or dimension
+    /// inconsistency (the sample tensor must be exactly `points × arms × seeds`).
     pub fn from_json(doc: &Json) -> Result<Self, ShardError> {
-        let version = field(doc, "schema_version")?
-            .as_u64()
-            .ok_or_else(|| codec("schema_version must be an unsigned integer"))?;
-        if version != SHARD_FORMAT_VERSION {
-            return Err(codec(format!(
-                "shard format version mismatch: expected {SHARD_FORMAT_VERSION}, got {version}"
-            )));
+        Self::read(doc).map_err(|e| match e {
+            SpecError::Invalid { path, message } => codec(format!("{path}: {message}")),
+            other => codec(other.to_string()),
+        })
+    }
+
+    fn read(doc: &Json) -> Result<Self, SpecError> {
+        let obj = Obj::any(doc, "shard")?;
+        let (version, kind) = (obj.u64("schema_version")?, obj.str("kind")?);
+        if (version, kind) != (SHARD_FORMAT_VERSION, RESULT_KIND) {
+            return Err(SpecError::invalid(
+                "shard",
+                format!(
+                    "expected a {RESULT_KIND:?} document of format {SHARD_FORMAT_VERSION}, \
+                     got {kind:?} of format {version}"
+                ),
+            ));
         }
-        let kind = field(doc, "kind")?.as_str().ok_or_else(|| codec("kind must be a string"))?;
-        if kind != RESULT_KIND {
-            return Err(codec(format!("expected kind {RESULT_KIND:?}, got {kind:?}")));
-        }
+        obj.check_keys(&[
+            "schema_version",
+            "kind",
+            "key",
+            "xs",
+            "arm_names",
+            "seeds",
+            "samples",
+            "counters",
+            "checksum",
+        ])?;
         // Whole-document integrity check before trusting any value: hash the canonical
         // re-emission of everything but the checksum member. Our own compact output
         // re-emits byte-identically, so a corrupted byte either breaks the parse, changes
         // a value (hash mismatch), or was semantically inert — all three are safe.
-        let checksum =
-            field(doc, "checksum")?.as_str().ok_or_else(|| codec("checksum must be a string"))?;
-        let payload = match doc {
-            Json::Obj(members) => Json::Obj(
-                members.iter().filter(|(k, _)| k.as_str() != "checksum").cloned().collect(),
-            ),
-            _ => return Err(codec("a shard result document must be an object")),
-        };
-        let actual = format!("{:016x}", fnv1a_64(payload.to_compact_string().as_bytes()));
-        if actual != checksum {
-            return Err(codec(format!(
-                "checksum mismatch: document claims {checksum}, payload hashes to {actual} \
-                 — the document was corrupted in transit"
-            )));
+        let members = doc.as_object().unwrap_or_default().iter().filter(|(k, _)| k != "checksum");
+        let actual = hash_hex(&Json::Obj(members.cloned().collect()));
+        if actual != obj.str("checksum")? {
+            return Err(SpecError::invalid(
+                obj.path_of("checksum"),
+                format!("the other members hash to {actual}: the document was corrupted"),
+            ));
         }
-        let spec_id = field(doc, "spec_id")?
-            .as_str()
-            .ok_or_else(|| codec("spec_id must be a string"))?
-            .to_string();
-        let key =
-            field(doc, "key")?.as_str().ok_or_else(|| codec("key must be a string"))?.to_string();
-        let xs = field(doc, "xs")?
-            .as_array()
-            .ok_or_else(|| codec("xs must be an array"))?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| codec("xs entries must be numbers")))
-            .collect::<Result<Vec<f64>, _>>()?;
-        let arm_names = field(doc, "arm_names")?
-            .as_array()
-            .ok_or_else(|| codec("arm_names must be an array"))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| codec("arm_names entries must be strings"))
-            })
-            .collect::<Result<Vec<String>, _>>()?;
-        let n_seeds = field(doc, "seeds")?
-            .as_usize()
-            .ok_or_else(|| codec("seeds must be an unsigned integer"))?;
 
-        let points =
-            field(doc, "samples")?.as_array().ok_or_else(|| codec("samples must be an array"))?;
-        if points.len() != xs.len() {
-            return Err(codec(format!(
-                "samples has {} point rows, xs has {}",
-                points.len(),
-                xs.len()
-            )));
-        }
-        let mut samples = Vec::with_capacity(xs.len() * arm_names.len() * n_seeds);
-        for row in points {
-            let arms = row.as_array().ok_or_else(|| codec("sample point rows must be arrays"))?;
-            if arms.len() != arm_names.len() {
-                return Err(codec(format!(
-                    "a point row has {} arm cells, arm_names has {}",
-                    arms.len(),
+        let xs = obj.f64_array("xs")?;
+        let arm_names = obj
+            .array("arm_names")?
+            .iter()
+            .map(|name| name.as_str().map(str::to_string))
+            .collect::<Option<Vec<String>>>()
+            .ok_or_else(|| SpecError::invalid(obj.path_of("arm_names"), "expected strings"))?;
+        let n_seeds = obj.u64("seeds")? as usize;
+        let shape = || {
+            SpecError::invalid(
+                obj.path_of("samples"),
+                format!(
+                    "expected {} × {} × {n_seeds} samples, each null or [energy, time]",
+                    xs.len(),
                     arm_names.len()
-                )));
-            }
-            for cell in arms {
-                let seeds =
-                    cell.as_array().ok_or_else(|| codec("sample arm cells must be arrays"))?;
-                if seeds.len() != n_seeds {
-                    return Err(codec(format!(
-                        "an arm cell has {} seed samples, seeds says {n_seeds}",
-                        seeds.len()
-                    )));
-                }
-                for sample in seeds {
+                ),
+            )
+        };
+        let rows = obj.array("samples")?;
+        if rows.len() != xs.len() {
+            return Err(shape());
+        }
+        let mut samples = Vec::new();
+        for row in rows {
+            let arms = row.as_array().filter(|arms| arms.len() == arm_names.len());
+            for cell in arms.ok_or_else(shape)? {
+                let seeds = cell.as_array().filter(|seeds| seeds.len() == n_seeds);
+                for sample in seeds.ok_or_else(shape)? {
                     samples.push(match sample {
                         Json::Null => None,
-                        Json::Arr(pair) if pair.len() == 2 => {
-                            let energy_j = pair[0]
-                                .as_f64()
-                                .ok_or_else(|| codec("sample energy must be a number"))?;
-                            let time_s = pair[1]
-                                .as_f64()
-                                .ok_or_else(|| codec("sample time must be a number"))?;
-                            Some(CellOutput::new(energy_j, time_s))
-                        }
-                        _ => return Err(codec("samples must be null or [energy, time] pairs")),
+                        Json::Arr(pair) if pair.len() == 2 => Some(CellOutput::new(
+                            pair[0].as_f64().ok_or_else(shape)?,
+                            pair[1].as_f64().ok_or_else(shape)?,
+                        )),
+                        _ => return Err(shape()),
                     });
                 }
             }
         }
 
-        let counters_obj = field(doc, "counters")?;
-        let solver_obj = field(counters_obj, "solver")?;
-        let counter = |obj: &Json, name: &str| -> Result<u64, ShardError> {
-            field(obj, name)?
-                .as_u64()
-                .ok_or_else(|| codec(format!("counter {name} must be an unsigned integer")))
-        };
+        let counters_path = obj.path_of("counters");
+        let counters = Obj::new(
+            obj.req("counters")?,
+            &counters_path,
+            &["scenarios_built", "cells_evaluated", "solver"],
+        )?;
+        let solver_path = counters.path_of("solver");
+        let solver = Obj::new(
+            counters.req("solver")?,
+            &solver_path,
+            &[
+                "outer_iterations",
+                "jong_iterations",
+                "kkt_solves",
+                "mu_bisect_evals",
+                "sp2_fast_path_hits",
+                "sp1_probe_evals",
+                "lp_sorts",
+                "degraded_solves",
+            ],
+        )?;
         let counters = SweepCounters {
-            scenarios_built: counter(counters_obj, "scenarios_built")? as usize,
-            cells_evaluated: counter(counters_obj, "cells_evaluated")? as usize,
+            scenarios_built: counters.u64("scenarios_built")? as usize,
+            cells_evaluated: counters.u64("cells_evaluated")? as usize,
             solver: SolveCounters {
-                outer_iterations: counter(solver_obj, "outer_iterations")?,
-                jong_iterations: counter(solver_obj, "jong_iterations")?,
-                kkt_solves: counter(solver_obj, "kkt_solves")?,
-                mu_bisect_evals: counter(solver_obj, "mu_bisect_evals")?,
-                sp2_fast_path_hits: counter(solver_obj, "sp2_fast_path_hits")?,
-                sp1_probe_evals: counter(solver_obj, "sp1_probe_evals")?,
-                lp_sorts: counter(solver_obj, "lp_sorts")?,
-                degraded_solves: counter(solver_obj, "degraded_solves")?,
+                outer_iterations: solver.u64("outer_iterations")?,
+                jong_iterations: solver.u64("jong_iterations")?,
+                kkt_solves: solver.u64("kkt_solves")?,
+                mu_bisect_evals: solver.u64("mu_bisect_evals")?,
+                sp2_fast_path_hits: solver.u64("sp2_fast_path_hits")?,
+                sp1_probe_evals: solver.u64("sp1_probe_evals")?,
+                lp_sorts: solver.u64("lp_sorts")?,
+                degraded_solves: solver.u64("degraded_solves")?,
             },
         };
-
-        Ok(Self { spec_id, key, cells: CellMatrix { xs, arm_names, n_seeds, samples, counters } })
+        let key = obj.str("key")?.to_string();
+        Ok(Self { key, cells: CellMatrix { xs, arm_names, n_seeds, samples, counters } })
     }
 
     /// [`ShardResult::from_json`] from text.
@@ -615,10 +610,6 @@ impl ShardResult {
 
 fn codec(msg: impl Into<String>) -> ShardError {
     ShardError::Codec(msg.into())
-}
-
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ShardError> {
-    doc.get(key).ok_or_else(|| codec(format!("missing field {key:?}")))
 }
 
 /// Runs one shard spec in this process: compile the grid, evaluate with the spec's
@@ -647,9 +638,9 @@ pub fn run_shard_in_process(
 /// Content-addressed on-disk cache of finished shard results.
 ///
 /// One file per shard, named `shard-<key>.json` after the shard spec's [`cache_key`].
-/// Each entry wraps the [`ShardResult`] wire document with the FNV-1a hash of its
-/// compact payload bytes; [`ShardCache::load`] re-hashes on read, so a truncated,
-/// bit-flipped or hand-edited entry fails validation and reads as a miss (the shard is
+/// An entry is the [`ShardResult`] document exactly as a worker prints it, so the
+/// document's own checksum guards the disk as it guards the pipe: [`ShardCache::load`]
+/// reads a truncated, bit-flipped or hand-edited entry as a miss (the shard is
 /// recomputed and the entry overwritten) — corruption is never silently trusted. Writes
 /// go through a temp file + rename, so a crashed writer leaves no half-written entry
 /// under the final name. Entries carry no expiry: a key embeds everything that
@@ -661,21 +652,11 @@ pub struct ShardCache {
 }
 
 impl ShardCache {
-    /// Opens (creating if needed) a cache directory.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Io`] when the directory cannot be created.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, ShardError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| ShardError::Io(format!("cannot create {}: {e}", dir.display())))?;
-        Ok(Self { dir })
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// A cache over `dir`. Does no I/O: [`ShardCache::store`] creates the directory on
+    /// its first write, and [`ShardCache::stats`] / [`ShardCache::gc`] fail on a
+    /// directory that does not exist instead of creating a mistyped one.
+    pub fn open(dir: impl Into<PathBuf>) -> Self {
+        Self { dir: dir.into() }
     }
 
     /// The entry path of a cache key.
@@ -683,32 +664,12 @@ impl ShardCache {
         self.dir.join(format!("shard-{key}.json"))
     }
 
-    /// Loads and validates the entry of `key`. Any failure — missing file, unparsable
-    /// JSON, wrong kind/version, key mismatch, payload-hash mismatch, malformed payload —
-    /// is a miss (`None`), never an error: the coordinator recomputes and overwrites.
+    /// Loads and validates the entry of `key`. Any failure — missing file, a document
+    /// [`ShardResult::from_json_str`] rejects, a key mismatch — is a miss (`None`), never
+    /// an error: the coordinator recomputes and overwrites.
     pub fn load(&self, key: &str) -> Option<ShardResult> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        if doc.get("kind")?.as_str()? != ENTRY_KIND {
-            return None;
-        }
-        if doc.get("schema_version")?.as_u64()? != SHARD_FORMAT_VERSION {
-            return None;
-        }
-        if doc.get("key")?.as_str()? != key {
-            return None;
-        }
-        let payload = doc.get("payload")?;
-        let expected_hash = doc.get("payload_hash")?.as_str()?;
-        let actual_hash = format!("{:016x}", fnv1a_64(payload.to_compact_string().as_bytes()));
-        if actual_hash != expected_hash {
-            return None;
-        }
-        let result = ShardResult::from_json(payload).ok()?;
-        if result.key != key {
-            return None;
-        }
-        Some(result)
+        ShardResult::from_json_str(&text).ok().filter(|result| result.key == key)
     }
 
     /// Aggregate statistics of the cache directory: entry count/bytes plus leftover
@@ -819,25 +780,19 @@ impl ShardCache {
         Ok((entries, tmps))
     }
 
-    /// Stores a shard result under its own key (temp file + rename).
+    /// Stores a shard result under its own key (temp file + rename), creating the cache
+    /// directory first if needed.
     ///
     /// # Errors
     ///
-    /// [`ShardError::Io`] when the entry cannot be written.
+    /// [`ShardError::Io`] when the directory cannot be created or the entry written.
     pub fn store(&self, result: &ShardResult) -> Result<(), ShardError> {
-        let payload = result.to_json();
-        let payload_hash = format!("{:016x}", fnv1a_64(payload.to_compact_string().as_bytes()));
-        let entry = Json::obj([
-            ("schema_version", Json::uint(SHARD_FORMAT_VERSION)),
-            ("kind", Json::Str(ENTRY_KIND.to_string())),
-            ("key", Json::Str(result.key.clone())),
-            ("payload_hash", Json::Str(payload_hash)),
-            ("payload", payload),
-        ]);
+        let io = |e: std::io::Error, what: &str| ShardError::Io(format!("{what}: {e}"));
+        std::fs::create_dir_all(&self.dir)
+            .map_err(|e| io(e, &format!("cannot create {}", self.dir.display())))?;
         let path = self.entry_path(&result.key);
         let tmp = self.dir.join(format!("shard-{}.json.tmp.{}", result.key, std::process::id()));
-        let io = |e: std::io::Error, what: &str| ShardError::Io(format!("{what}: {e}"));
-        std::fs::write(&tmp, entry.to_compact_string())
+        std::fs::write(&tmp, result.to_json_string())
             .map_err(|e| io(e, "writing cache temp file"))?;
         std::fs::rename(&tmp, &path).map_err(|e| io(e, "publishing cache entry"))?;
         Ok(())
@@ -1274,7 +1229,7 @@ pub fn run_fleet(
         shards: total,
         cache_enabled: opts.cache.is_some(),
     };
-    let merged = merge(spec, &shard_specs, &survivors)?;
+    let merged = merge(&shard_specs, &survivors)?;
     Ok((merged, stats))
 }
 
@@ -1299,23 +1254,13 @@ fn run_one_shard(
         attempts += 1;
         match runner.run_shard(shard_spec) {
             Ok(result) => break result,
-            Err(error) if attempts <= opts.max_retries => {
+            Err(_) if attempts <= opts.max_retries => {
                 retries.fetch_add(1, Ordering::Relaxed);
-                let _ = error;
                 std::thread::sleep(backoff_delay(opts.backoff, attempts));
             }
             Err(error) => return Err((attempts, error)),
         }
     };
-    if result.spec_id != shard_spec.id {
-        return Err((
-            attempts,
-            ShardRunError::from(format!(
-                "worker answered for spec {:?}, expected {:?}",
-                result.spec_id, shard_spec.id
-            )),
-        ));
-    }
     if result.key != key {
         return Err((
             attempts,
@@ -1341,7 +1286,6 @@ fn run_one_shard(
 /// covers exactly the surviving shards' samples — bit-identical to those shards'
 /// fault-free contribution, never a renormalized approximation of the full sweep.
 fn merge(
-    spec: &ExperimentSpec,
     shard_specs: &[ExperimentSpec],
     survivors: &[(usize, ShardResult)],
 ) -> Result<SweepResult, ShardError> {
@@ -1354,12 +1298,6 @@ fn merge(
 
     for (i, result) in survivors {
         let shard_spec = &shard_specs[*i];
-        if result.spec_id != spec.id {
-            return Err(ShardError::Merge(format!(
-                "shard {i} answers spec {:?}, expected {:?}",
-                result.spec_id, spec.id
-            )));
-        }
         if result.cells.xs != first.cells.xs || result.cells.arm_names != first.cells.arm_names {
             return Err(ShardError::Merge(format!(
                 "shard {i} evaluated a different grid (points/arms mismatch)"
@@ -1403,7 +1341,9 @@ pub(crate) fn describe_seeds(spec: &ExperimentSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::warm_start_env;
     use crate::spec::SeedSpec;
+    use std::path::Path;
 
     fn tiny_spec() -> ExperimentSpec {
         let mut spec = crate::presets::spec(2, crate::presets::Variant::Quick).unwrap();
@@ -1454,14 +1394,12 @@ mod tests {
         let base = cache_key(&spec);
         assert_eq!(base.len(), 16, "16 hex digits");
 
-        // Renaming, describing, re-reporting, re-threading, re-tuning the fleet: same key.
+        // Renaming, describing, re-reporting, re-threading: same key.
         let mut renamed = spec.clone();
         renamed.id = "renamed".to_string();
         renamed.description = "something else".to_string();
         renamed.reports.clear();
         renamed.engine.threads = Some(7);
-        renamed.engine.shard_retries = Some(3);
-        renamed.engine.shard_timeout_s = Some(60);
         assert_eq!(cache_key(&renamed), base);
 
         // A different seed range: different key.
@@ -1499,9 +1437,10 @@ mod tests {
     fn malformed_shard_documents_are_rejected_with_context() {
         let spec = split(&tiny_spec(), 5).unwrap().remove(0);
         let good = run_shard_in_process(&spec, None).unwrap().to_json_string();
+        let version = format!("\"schema_version\":{SHARD_FORMAT_VERSION}");
         for (needle, replacement) in [
             ("\"kind\":\"fedopt_shard_result\"", "\"kind\":\"something\""),
-            ("\"schema_version\":2", "\"schema_version\":9"),
+            (version.as_str(), "\"schema_version\":9"),
             ("\"seeds\":1", "\"seeds\":2"),
         ] {
             let bad = good.replacen(needle, replacement, 1);
@@ -1626,12 +1565,15 @@ mod tests {
     fn cache_gc_respects_age_and_byte_budgets() {
         let dir = std::env::temp_dir().join(format!("fedopt-cache-gc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ShardCache::open(&dir).unwrap();
+        let cache = ShardCache::open(&dir);
         let shards = split(&tiny_spec(), 3).unwrap();
         let results: Vec<ShardResult> =
             shards.iter().map(|s| run_shard_in_process(s, None).unwrap()).collect();
         for r in &results {
             cache.store(r).unwrap();
+            // An entry is the shard document, byte for byte.
+            let entry = std::fs::read_to_string(cache.entry_path(&r.key)).unwrap();
+            assert_eq!(entry, r.to_json_string());
         }
         let stats = cache.stats().unwrap();
         assert_eq!(stats.entries, 3);
@@ -1724,7 +1666,7 @@ mod tests {
         // Bit-identity: replay shards 0 and 2 by hand and compare every aggregate bit.
         let r0 = run_shard_in_process(&shards[0], None).unwrap();
         let r2 = run_shard_in_process(&shards[2], None).unwrap();
-        let expected = merge(&spec, &shards, &[(0, r0), (2, r2)]).unwrap();
+        let expected = merge(&shards, &[(0, r0), (2, r2)]).unwrap();
         assert_eq!(salvaged.xs, expected.xs);
         for (p, (got_row, want_row)) in
             salvaged.aggregates.iter().zip(&expected.aggregates).enumerate()

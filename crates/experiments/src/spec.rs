@@ -1103,7 +1103,8 @@ impl SolverSpec {
 // ---------------------------------------------------------------------------
 
 /// Serializable engine options. Unset fields keep [`SweepEngine::new`]'s defaults
-/// (all cores / environment overrides).
+/// (all cores / environment overrides). A sharded run's retry and timeout policy is not
+/// spec data: it lives on the `--shard-retries` / `--shard-timeout` flags alone.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EngineSpec {
     /// Worker thread count ([`SweepEngine::with_threads`]).
@@ -1113,16 +1114,6 @@ pub struct EngineSpec {
     /// `FEDOPT_WARM_START=0` forces any spec cold), but when the environment is silent
     /// this field decides — the paper presets default it on.
     pub warm_start: Option<bool>,
-    /// Retries per failed fleet shard before the shard counts as failed
-    /// ([`crate::shard::FleetOptions::max_retries`]). `0` disables retries. Only
-    /// consulted by sharded (`--shards`) runs; an explicit `--shard-retries` CLI flag
-    /// wins over this field. Cache keys ignore it — retry policy cannot change results.
-    pub shard_retries: Option<u64>,
-    /// Per-shard wall-clock timeout in seconds for subprocess fleet workers
-    /// ([`crate::shard::SubprocessRunner`]). Must be at least 1. Only consulted by
-    /// sharded runs; an explicit `--shard-timeout` CLI flag wins over this field. Cache
-    /// keys ignore it — a timeout cannot change what a surviving shard computes.
-    pub shard_timeout_s: Option<u64>,
 }
 
 impl EngineSpec {
@@ -1147,12 +1138,6 @@ impl EngineSpec {
         if self.threads == Some(0) {
             return Err(SpecError::invalid(format!("{path}.threads"), "must be at least 1"));
         }
-        if self.shard_timeout_s == Some(0) {
-            return Err(SpecError::invalid(
-                format!("{path}.shard_timeout_s"),
-                "must be at least 1",
-            ));
-        }
         Ok(())
     }
 
@@ -1165,20 +1150,13 @@ impl EngineSpec {
         };
         push("threads", self.threads.map(|v| Json::uint(v as u64)));
         push("warm_start", self.warm_start.map(Json::Bool));
-        push("shard_retries", self.shard_retries.map(Json::uint));
-        push("shard_timeout_s", self.shard_timeout_s.map(Json::uint));
         Json::Obj(members)
     }
 
     fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj =
-            Obj::new(v, path, &["threads", "warm_start", "shard_retries", "shard_timeout_s"])?;
-        let spec = Self {
-            threads: obj.opt_usize("threads")?,
-            warm_start: obj.opt_bool("warm_start")?,
-            shard_retries: obj.opt_u64("shard_retries")?,
-            shard_timeout_s: obj.opt_u64("shard_timeout_s")?,
-        };
+        let obj = Obj::new(v, path, &["threads", "warm_start"])?;
+        let spec =
+            Self { threads: obj.opt_usize("threads")?, warm_start: obj.opt_bool("warm_start")? };
         spec.validate(path)?;
         Ok(spec)
     }
@@ -2274,6 +2252,8 @@ mod tests {
             ("engine", "scenario_sharing", Json::Bool(false)),
             ("engine", "streaming", Json::Bool(false)),
             ("engine", "seed_chunk", Json::uint(7)),
+            ("engine", "shard_retries", Json::uint(2)),
+            ("engine", "shard_timeout_s", Json::uint(60)),
             ("solver", "feasibility_tol", Json::Num(1e-6)),
             ("solver", "warm_rmin_tol", Json::Num(1e-4)),
         ] {
@@ -2375,12 +2355,7 @@ mod tests {
 
     #[test]
     fn engine_spec_round_trips_and_builds() {
-        let spec = EngineSpec {
-            threads: Some(2),
-            warm_start: Some(false),
-            shard_retries: Some(3),
-            shard_timeout_s: Some(120),
-        };
+        let spec = EngineSpec { threads: Some(2), warm_start: Some(false) };
         let parsed = EngineSpec::from_json(&spec.to_json(), "engine").unwrap();
         assert_eq!(parsed, spec);
         let engine = spec.to_engine();
@@ -2389,20 +2364,6 @@ mod tests {
         assert_eq!(engine.warm_starts(), crate::engine::warm_start_env().unwrap_or(false));
         // The empty spec serializes to an empty object.
         assert_eq!(EngineSpec::default().to_json(), Json::Obj(vec![]));
-    }
-
-    #[test]
-    fn engine_spec_fleet_fields_are_validated_strictly() {
-        // `shard_retries: 0` is legal (retries disabled)…
-        let spec = EngineSpec { shard_retries: Some(0), ..EngineSpec::default() };
-        assert_eq!(EngineSpec::from_json(&spec.to_json(), "engine").unwrap(), spec);
-        // …but a zero timeout can never complete a shard.
-        let bad = EngineSpec { shard_timeout_s: Some(0), ..EngineSpec::default() };
-        let err = EngineSpec::from_json(&bad.to_json(), "engine").unwrap_err();
-        assert!(err.to_string().contains("shard_timeout_s"), "{err}");
-        // Unknown keys stay rejected (strict parse).
-        let doc = Json::obj([("shard_retrys", Json::uint(1))]);
-        assert!(EngineSpec::from_json(&doc, "engine").is_err());
     }
 
     #[test]

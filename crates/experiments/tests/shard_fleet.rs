@@ -92,7 +92,7 @@ fn a_warm_cache_answers_every_shard_and_stays_bit_identical() {
 
     let opts = |dir: &std::path::Path| FleetOptions {
         shards: 3,
-        cache: Some(ShardCache::open(dir).unwrap()),
+        cache: Some(ShardCache::open(dir)),
         ..FleetOptions::default()
     };
     let (cold, cold_stats) = run_fleet(&spec, &opts(&dir), &InProcessRunner).unwrap();
@@ -105,6 +105,31 @@ fn a_warm_cache_answers_every_shard_and_stays_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Renaming a sweep keeps its cache: the key leaves out `id`, `description` and
+/// `reports`, and a shard result carries no identity beside its key, so the renamed
+/// re-run is answered entirely from disk and still merges to the single-process answer.
+#[test]
+fn a_renamed_sweep_is_answered_from_its_cache() {
+    let mut spec = presets::spec(2, Variant::Quick).unwrap();
+    spec.override_seed_count(6);
+    let direct = spec.run().unwrap();
+    let dir = std::env::temp_dir().join(format!("fedopt-shard-rename-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts =
+        FleetOptions { shards: 3, cache: Some(ShardCache::open(&dir)), ..FleetOptions::default() };
+    let (_, cold_stats) = run_fleet(&spec, &opts, &InProcessRunner).unwrap();
+    assert_eq!((cold_stats.shard_cache_hits, cold_stats.shard_cache_misses), (0, 3));
+
+    let mut renamed = spec.clone();
+    renamed.id = "fig2-renamed".to_string();
+    renamed.description = "the same sweep under another name".to_string();
+    renamed.reports.truncate(1);
+    let (merged, stats) = run_fleet(&renamed, &opts, &InProcessRunner).unwrap();
+    assert_eq!((stats.shard_cache_hits, stats.shard_cache_misses), (3, 0));
+    assert_bit_identical(&merged, &direct.result, "renamed sweep over its cache");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupted_cache_entries_are_recomputed_never_trusted() {
     let mut spec = presets::spec(2, Variant::Quick).unwrap();
@@ -114,7 +139,7 @@ fn corrupted_cache_entries_are_recomputed_never_trusted() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Populate the cache, then damage every entry a different way.
-    let cache = ShardCache::open(&dir).unwrap();
+    let cache = ShardCache::open(&dir);
     let shard_specs = split(&spec, 3).unwrap();
     let opts = FleetOptions { shards: 3, cache: Some(cache.clone()), ..FleetOptions::default() };
     run_fleet(&spec, &opts, &InProcessRunner).unwrap();

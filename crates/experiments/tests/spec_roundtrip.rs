@@ -185,8 +185,6 @@ fn arbitrary_spec(rng: &mut TestRng) -> ExperimentSpec {
     spec.engine = EngineSpec {
         threads: (rng.below(3) == 0).then(|| 1 + rng.below(16) as usize),
         warm_start: (rng.below(3) == 0).then(|| rng.below(2) == 0),
-        shard_retries: (rng.below(4) == 0).then(|| rng.below(5)),
-        shard_timeout_s: (rng.below(4) == 0).then(|| 1 + rng.below(600)),
     };
     let n_reports = rng.below(3) as usize;
     spec.reports = (0..n_reports)

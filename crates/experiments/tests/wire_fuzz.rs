@@ -100,7 +100,7 @@ proptest! {
         let dir = std::env::temp_dir()
             .join(format!("fedopt-wire-fuzz-{}-{seed:016x}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ShardCache::open(&dir).unwrap();
+        let cache = ShardCache::open(&dir);
         cache.store(result).unwrap();
 
         let mut bytes = line.clone().into_bytes();

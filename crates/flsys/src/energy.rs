@@ -1,4 +1,5 @@
-//! Energy formulas — equations (3)–(6) of the paper.
+//! Per-device energy formulas — equations (3)–(5) of the paper. Their total, equation (6),
+//! is summed by the cost kernels in [`crate::allocation`].
 
 use crate::device::DeviceProfile;
 use crate::params::SystemParams;
@@ -33,29 +34,6 @@ pub fn computation_energy_per_round(
     frequency_hz: f64,
 ) -> f64 {
     params.rl() * computation_energy_per_local_iteration(params, device, frequency_hz)
-}
-
-/// Total energy over the whole training process (equation (6)):
-/// `E = R_g · Σ_n (E_n^trans + E_n^cmp)`.
-///
-/// The slices must be indexed consistently (device `i` ↔ `powers[i]`, `rates[i]`,
-/// `frequencies[i]`); the caller (`Scenario::cost`) guarantees the lengths match.
-pub fn total_energy(
-    params: &SystemParams,
-    devices: &[DeviceProfile],
-    powers_w: &[f64],
-    rates_bps: &[f64],
-    frequencies_hz: &[f64],
-) -> f64 {
-    let per_round: f64 = devices
-        .iter()
-        .enumerate()
-        .map(|(i, dev)| {
-            transmission_energy_per_round(dev, powers_w[i], rates_bps[i])
-                + computation_energy_per_round(params, dev, frequencies_hz[i])
-        })
-        .sum();
-    params.rg() * per_round
 }
 
 #[cfg(test)]
@@ -106,24 +84,5 @@ mod tests {
         let e1 = computation_energy_per_round(&params, &device(), 0.5e9);
         let e2 = computation_energy_per_round(&params, &device(), 1.0e9);
         assert!((e2 / e1 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_energy_sums_and_scales_by_rounds() {
-        let params = SystemParams::paper_default();
-        let devices = vec![device(), device()];
-        let powers = [0.01, 0.005];
-        let rates = [2.81e6, 1.0e6];
-        let freqs = [1.0e9, 0.5e9];
-        let total = total_energy(&params, &devices, &powers, &rates, &freqs);
-        let manual: f64 = (0..2)
-            .map(|i| {
-                transmission_energy_per_round(&devices[i], powers[i], rates[i])
-                    + computation_energy_per_round(&params, &devices[i], freqs[i])
-            })
-            .sum::<f64>()
-            * 400.0;
-        assert!((total - manual).abs() < 1e-12);
-        assert!(total > 0.0);
     }
 }

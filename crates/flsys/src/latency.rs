@@ -22,42 +22,6 @@ pub fn computation_time(params: &SystemParams, device: &DeviceProfile, frequency
     params.rl() * device.cycles_per_local_iteration() / frequency_hz
 }
 
-/// Per-round completion time of device `n`: `T_n^cmp + T_n^up`.
-pub fn device_round_time(
-    params: &SystemParams,
-    device: &DeviceProfile,
-    frequency_hz: f64,
-    rate_bps: f64,
-) -> f64 {
-    computation_time(params, device, frequency_hz) + upload_time(device, rate_bps)
-}
-
-/// Per-round completion time of the whole system: `max_n (T_n^cmp + T_n^up)`.
-///
-/// Returns `0.0` for an empty device list (callers validate non-emptiness separately).
-pub fn round_completion_time(
-    params: &SystemParams,
-    devices: &[DeviceProfile],
-    frequencies_hz: &[f64],
-    rates_bps: &[f64],
-) -> f64 {
-    devices
-        .iter()
-        .enumerate()
-        .map(|(i, dev)| device_round_time(params, dev, frequencies_hz[i], rates_bps[i]))
-        .fold(0.0, f64::max)
-}
-
-/// Total completion time of the training process: `R_g · max_n (T_n^cmp + T_n^up)`.
-pub fn total_completion_time(
-    params: &SystemParams,
-    devices: &[DeviceProfile],
-    frequencies_hz: &[f64],
-    rates_bps: &[f64],
-) -> f64 {
-    params.rg() * round_completion_time(params, devices, frequencies_hz, rates_bps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,33 +53,5 @@ mod tests {
         // 10 * 1e7 cycles at 1 GHz = 0.1 s.
         assert!((computation_time(&params, &device(), 1.0e9) - 0.1).abs() < 1e-12);
         assert!(computation_time(&params, &device(), 0.0).is_infinite());
-    }
-
-    #[test]
-    fn round_time_is_max_over_devices() {
-        let params = SystemParams::paper_default();
-        let devices = vec![device(), device(), device()];
-        let freqs = [1.0e9, 0.5e9, 2.0e9];
-        let rates = [2.81e6, 2.81e6, 2.81e6];
-        let per_device: Vec<f64> =
-            (0..3).map(|i| device_round_time(&params, &devices[i], freqs[i], rates[i])).collect();
-        let round = round_completion_time(&params, &devices, &freqs, &rates);
-        assert_eq!(round, per_device.iter().cloned().fold(0.0, f64::max));
-        // The straggler is the 0.5 GHz device.
-        assert!((round - (0.2 + 0.01)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_time_scales_with_global_rounds() {
-        let params = SystemParams::paper_default();
-        let devices = vec![device()];
-        let total = total_completion_time(&params, &devices, &[1.0e9], &[2.81e6]);
-        assert!((total - 400.0 * 0.11).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_system_has_zero_round_time() {
-        let params = SystemParams::paper_default();
-        assert_eq!(round_completion_time(&params, &[], &[], &[]), 0.0);
     }
 }

@@ -169,13 +169,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the transmit-power box in dBm.
-    pub fn with_power_range_dbm(mut self, p_min: f64, p_max: f64) -> Self {
-        self.p_min = Dbm::new(p_min);
-        self.p_max = Dbm::new(p_max);
-        self
-    }
-
     /// Sets the maximum transmit power in dBm (keeps the current minimum).
     pub fn with_p_max_dbm(mut self, p_max: f64) -> Self {
         self.p_max = Dbm::new(p_max);
@@ -225,21 +218,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the whole [`SystemParams`] block.
-    pub fn with_params(mut self, params: SystemParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Sets the log-normal shadowing standard deviation in dB (`0.0` disables fading).
     pub fn with_shadowing_db(mut self, sigma_db: f64) -> Self {
         self.shadowing = LogNormalShadowing::new(sigma_db);
         self
-    }
-
-    /// Disables shadow fading (useful for deterministic tests).
-    pub fn without_shadowing(self) -> Self {
-        self.with_shadowing_db(0.0)
     }
 
     /// Builds the scenario, drawing device positions, channel gains and CPU parameters from a
@@ -365,13 +347,13 @@ mod tests {
         let near = ScenarioBuilder::paper_default()
             .with_devices(60)
             .with_radius_km(0.1)
-            .without_shadowing()
+            .with_shadowing_db(0.0)
             .build(5)
             .unwrap();
         let far = ScenarioBuilder::paper_default()
             .with_devices(60)
             .with_radius_km(1.5)
-            .without_shadowing()
+            .with_shadowing_db(0.0)
             .build(5)
             .unwrap();
         let avg = |s: &Scenario| {
@@ -418,10 +400,13 @@ mod tests {
             assert!((d.p_min.value() - Dbm::new(3.0).to_watts().value()).abs() < 1e-15);
             assert_eq!(d.f_min.value(), 2.0e6);
         }
-        // `with_shadowing_db(0.0)` is exactly `without_shadowing`.
-        let a = ScenarioBuilder::paper_default().with_shadowing_db(0.0);
-        let b = ScenarioBuilder::paper_default().without_shadowing();
-        assert_eq!(a, b);
+        // The shadowing knob reaches the channel draw: same seed, other σ, other gains.
+        let gains = |sigma_db: f64| -> Vec<f64> {
+            let builder = ScenarioBuilder::paper_default().with_devices(3);
+            let s = builder.with_shadowing_db(sigma_db).build(1).unwrap();
+            s.devices.iter().map(|d| d.gain.value()).collect()
+        };
+        assert_ne!(gains(0.0), gains(8.0));
     }
 
     #[test]

@@ -60,18 +60,6 @@ pub fn project_simplex(v: &mut [f64], radius: f64) -> Result<(), NumError> {
     Ok(())
 }
 
-/// Returns the squared Euclidean distance between two equal-length slices.
-///
-/// # Errors
-///
-/// * [`NumError::DimensionMismatch`] if the slices have different lengths.
-pub fn distance_sq(a: &[f64], b: &[f64]) -> Result<f64, NumError> {
-    if a.len() != b.len() {
-        return Err(NumError::DimensionMismatch { expected: a.len(), actual: b.len() });
-    }
-    Ok(a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,14 +132,6 @@ mod tests {
         project_simplex(&mut v, 1.5).unwrap();
         let first = v.clone();
         project_simplex(&mut v, 1.5).unwrap();
-        assert!(distance_sq(&first, &v).unwrap() < 1e-20);
-    }
-
-    #[test]
-    fn distance_sq_mismatch() {
-        assert!(matches!(
-            distance_sq(&[1.0], &[1.0, 2.0]),
-            Err(NumError::DimensionMismatch { .. })
-        ));
+        assert_eq!(first, v);
     }
 }

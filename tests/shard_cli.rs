@@ -108,3 +108,16 @@ fn fleet_usage_errors_name_the_offending_flag() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--cache-dir requires --shards"), "{stderr}");
 }
+
+#[test]
+fn cache_stats_and_gc_refuse_a_missing_directory_without_creating_it() {
+    let dir = temp_dir("missing");
+    let dir_str = dir.to_str().unwrap();
+    for verb in ["stats", "gc"] {
+        let out = fedopt().args(["shard", "cache", verb, "--cache-dir", dir_str]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "cache {verb} on a missing directory");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot list"), "cache {verb}: {stderr}");
+        assert!(!dir.exists(), "cache {verb} must not create {}", dir.display());
+    }
+}
