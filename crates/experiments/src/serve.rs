@@ -48,7 +48,7 @@ use crate::arms::SpecArm;
 use crate::engine::{warm_start_env, Arm, CellContext, CellOutput};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::json::{fnv1a_64, Json, MAX_EXACT_INT};
-use crate::spec::{ArmKind, ArmSpec, Obj, ScenarioSpec, SolverSpec, SpecError};
+use crate::spec::{object, ArmKind, ArmSpec, Field, Obj, ScenarioSpec, SolverSpec, SpecError};
 use baselines::derive_stream_seed;
 use fedopt_core::{CoreError, SolverWorkspace};
 use flsys::{ScenarioBuilder, Weights};
@@ -142,7 +142,7 @@ impl RequestSpec {
         let path = "request";
         let obj = Obj::new(
             v,
-            path,
+            &path,
             &[
                 "schema_version",
                 "id",
@@ -154,7 +154,7 @@ impl RequestSpec {
                 "deadline_s",
             ],
         )?;
-        let version = obj.u64("schema_version")?;
+        let version: u64 = obj.field("schema_version", None)?;
         if version != REQUEST_SCHEMA_VERSION {
             return Err(SpecError::invalid(
                 obj.path_of("schema_version"),
@@ -163,7 +163,7 @@ impl RequestSpec {
                 ),
             ));
         }
-        let id = obj.opt_str("id")?.map(str::to_string);
+        let id: Option<String> = obj.field("id", None)?;
         if let Some(id) = &id {
             if id.len() > MAX_ID_BYTES {
                 return Err(SpecError::invalid(
@@ -172,31 +172,22 @@ impl RequestSpec {
                 ));
             }
         }
-        let scenario = match obj.get("scenario") {
-            Some(patch) => ScenarioSpec::from_json(patch, &obj.path_of("scenario"))?,
-            None => ScenarioSpec::default(),
-        };
-        scenario.validate(&obj.path_of("scenario"))?;
-        let seed = obj.opt_u64("seed")?.unwrap_or(0);
+        let defaults = RequestSpec::default();
+        let scenario = obj.field("scenario", Some(defaults.scenario))?;
+        let seed = obj.field("seed", Some(defaults.seed))?;
         if seed > MAX_EXACT_INT {
             return Err(SpecError::invalid(
                 obj.path_of("seed"),
                 "must stay within the exact JSON integer range (2^53)",
             ));
         }
-        let arm = match obj.get("arm") {
-            Some(arm) => ArmSpec::from_json(arm, &obj.path_of("arm"))?,
-            None => RequestSpec::default().arm,
-        };
-        let solver = match obj.get("solver") {
-            Some(solver) => SolverSpec::from_json(solver, &obj.path_of("solver"))?,
-            None => SolverSpec::default(),
-        };
-        let deadline_ms = obj.opt_u64("deadline_ms")?;
+        let arm = obj.field("arm", Some(defaults.arm))?;
+        let solver = obj.field("solver", Some(defaults.solver))?;
+        let deadline_ms = obj.field("deadline_ms", None)?;
         if deadline_ms == Some(0) {
             return Err(SpecError::invalid(obj.path_of("deadline_ms"), "must be at least 1"));
         }
-        let deadline_s = obj.opt_f64("deadline_s")?;
+        let deadline_s: Option<f64> = obj.field("deadline_s", None)?;
         if let Some(t) = deadline_s {
             if !(t.is_finite() && t > 0.0) {
                 return Err(SpecError::invalid(
@@ -236,19 +227,14 @@ impl RequestSpec {
     /// excluded — a correlation id or wall-clock budget does not change the fixed
     /// point the solve converges to).
     pub fn canonical_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![
-            ("schema_version".to_string(), Json::uint(REQUEST_SCHEMA_VERSION)),
-            ("seed".to_string(), Json::uint(self.seed)),
-        ];
-        if !self.scenario.is_empty() {
-            members.push(("scenario".to_string(), self.scenario.to_json()));
-        }
-        members.push(("arm".to_string(), self.arm.to_json()));
-        members.push(("solver".to_string(), self.solver.to_json()));
-        if let Some(t) = self.deadline_s {
-            members.push(("deadline_s".to_string(), Json::Num(t)));
-        }
-        Json::Obj(members)
+        object([
+            ("schema_version", Some(Json::uint(REQUEST_SCHEMA_VERSION))),
+            ("seed", self.seed.write()),
+            ("scenario", self.scenario.write().filter(|_| !self.scenario.is_empty())),
+            ("arm", self.arm.write()),
+            ("solver", self.solver.write()),
+            ("deadline_s", self.deadline_s.write()),
+        ])
     }
 
     /// FNV-1a fingerprint of [`Self::canonical_json`] — the warm-start cache key: two

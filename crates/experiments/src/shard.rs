@@ -47,7 +47,7 @@ use crate::engine::{
     SweepResult,
 };
 use crate::json::{fnv1a_64, Json};
-use crate::spec::{EngineSpec, ExperimentSpec, Obj, SeedPolicy, SolverPreset, SpecError};
+use crate::spec::{EngineSpec, ExperimentSpec, Obj, SeedPolicy, SpecError};
 use fedopt_core::SolveCounters;
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -346,15 +346,11 @@ pub fn cache_key(spec: &ExperimentSpec) -> String {
     normalized.reports = Vec::new();
     normalized.engine =
         EngineSpec { threads: None, warm_start: Some(spec.engine.to_engine().warm_starts()) };
-    let preset = match spec.solver.preset {
-        SolverPreset::Default => "default",
-        SolverPreset::Fast => "fast",
-    };
     let preimage = Json::obj([
         ("kind", Json::Str(KEY_KIND.to_string())),
         ("cache_version", Json::uint(SHARD_FORMAT_VERSION)),
         ("schema_version", Json::uint(crate::spec::SCHEMA_VERSION)),
-        ("solver_preset", Json::Str(preset.to_string())),
+        ("solver_preset", Json::Str(spec.solver.preset.name().to_string())),
         ("spec", normalized.to_json()),
     ]);
     hash_hex(&preimage)
@@ -368,6 +364,20 @@ fn hash_hex(doc: &Json) -> String {
 // ---------------------------------------------------------------------------
 // The shard result and its codec
 // ---------------------------------------------------------------------------
+
+/// The solver counters a shard document carries, in member order. Each accessor serves
+/// both directions: emit reads the counter through it, parse writes it.
+type CounterField = fn(&mut SolveCounters) -> &mut u64;
+const SOLVER_COUNTERS: [(&str, CounterField); 8] = [
+    ("outer_iterations", |c| &mut c.outer_iterations),
+    ("jong_iterations", |c| &mut c.jong_iterations),
+    ("kkt_solves", |c| &mut c.kkt_solves),
+    ("mu_bisect_evals", |c| &mut c.mu_bisect_evals),
+    ("sp2_fast_path_hits", |c| &mut c.sp2_fast_path_hits),
+    ("sp1_probe_evals", |c| &mut c.sp1_probe_evals),
+    ("lp_sorts", |c| &mut c.lp_sorts),
+    ("degraded_solves", |c| &mut c.degraded_solves),
+];
 
 /// The raw output of one shard: the [`CellMatrix`] of the shard spec — every cell sample
 /// of its seed sub-range plus the shard's work counters — stamped with the cache key it
@@ -422,7 +432,7 @@ impl ShardResult {
                 })
                 .collect(),
         );
-        let solver = &cells.counters.solver;
+        let mut solver = cells.counters.solver;
         let mut doc = Json::obj([
             ("schema_version", Json::uint(SHARD_FORMAT_VERSION)),
             ("kind", Json::Str(RESULT_KIND.to_string())),
@@ -441,16 +451,14 @@ impl ShardResult {
                     ("cells_evaluated", Json::uint(cells.counters.cells_evaluated as u64)),
                     (
                         "solver",
-                        Json::obj([
-                            ("outer_iterations", Json::uint(solver.outer_iterations)),
-                            ("jong_iterations", Json::uint(solver.jong_iterations)),
-                            ("kkt_solves", Json::uint(solver.kkt_solves)),
-                            ("mu_bisect_evals", Json::uint(solver.mu_bisect_evals)),
-                            ("sp2_fast_path_hits", Json::uint(solver.sp2_fast_path_hits)),
-                            ("sp1_probe_evals", Json::uint(solver.sp1_probe_evals)),
-                            ("lp_sorts", Json::uint(solver.lp_sorts)),
-                            ("degraded_solves", Json::uint(solver.degraded_solves)),
-                        ]),
+                        Json::Obj(
+                            SOLVER_COUNTERS
+                                .iter()
+                                .map(|(name, counter)| {
+                                    (name.to_string(), Json::uint(*counter(&mut solver)))
+                                })
+                                .collect(),
+                        ),
                     ),
                 ]),
             ),
@@ -483,9 +491,10 @@ impl ShardResult {
     }
 
     fn read(doc: &Json) -> Result<Self, SpecError> {
-        let obj = Obj::any(doc, "shard")?;
-        let (version, kind) = (obj.u64("schema_version")?, obj.str("kind")?);
-        if (version, kind) != (SHARD_FORMAT_VERSION, RESULT_KIND) {
+        let obj = Obj::any(doc, &"shard")?;
+        let version: u64 = obj.field("schema_version", None)?;
+        let kind: String = obj.field("kind", None)?;
+        if (version, kind.as_str()) != (SHARD_FORMAT_VERSION, RESULT_KIND) {
             return Err(SpecError::invalid(
                 "shard",
                 format!(
@@ -511,21 +520,16 @@ impl ShardResult {
         // a value (hash mismatch), or was semantically inert — all three are safe.
         let members = doc.as_object().unwrap_or_default().iter().filter(|(k, _)| k != "checksum");
         let actual = hash_hex(&Json::Obj(members.cloned().collect()));
-        if actual != obj.str("checksum")? {
+        if actual != obj.field::<String>("checksum", None)? {
             return Err(SpecError::invalid(
                 obj.path_of("checksum"),
                 format!("the other members hash to {actual}: the document was corrupted"),
             ));
         }
 
-        let xs = obj.f64_array("xs")?;
-        let arm_names = obj
-            .array("arm_names")?
-            .iter()
-            .map(|name| name.as_str().map(str::to_string))
-            .collect::<Option<Vec<String>>>()
-            .ok_or_else(|| SpecError::invalid(obj.path_of("arm_names"), "expected strings"))?;
-        let n_seeds = obj.u64("seeds")? as usize;
+        let xs: Vec<f64> = obj.field("xs", None)?;
+        let arm_names: Vec<String> = obj.field("arm_names", None)?;
+        let n_seeds: usize = obj.field("seeds", None)?;
         let shape = || {
             SpecError::invalid(
                 obj.path_of("samples"),
@@ -536,12 +540,9 @@ impl ShardResult {
                 ),
             )
         };
-        let rows = obj.array("samples")?;
-        if rows.len() != xs.len() {
-            return Err(shape());
-        }
+        let rows = obj.req("samples")?.as_array().filter(|rows| rows.len() == xs.len());
         let mut samples = Vec::new();
-        for row in rows {
+        for row in rows.ok_or_else(shape)? {
             let arms = row.as_array().filter(|arms| arms.len() == arm_names.len());
             for cell in arms.ok_or_else(shape)? {
                 let seeds = cell.as_array().filter(|seeds| seeds.len() == n_seeds);
@@ -565,35 +566,18 @@ impl ShardResult {
             &["scenarios_built", "cells_evaluated", "solver"],
         )?;
         let solver_path = counters.path_of("solver");
-        let solver = Obj::new(
-            counters.req("solver")?,
-            &solver_path,
-            &[
-                "outer_iterations",
-                "jong_iterations",
-                "kkt_solves",
-                "mu_bisect_evals",
-                "sp2_fast_path_hits",
-                "sp1_probe_evals",
-                "lp_sorts",
-                "degraded_solves",
-            ],
-        )?;
+        let solver_names = SOLVER_COUNTERS.map(|(name, _)| name);
+        let solver_obj = Obj::new(counters.req("solver")?, &solver_path, &solver_names)?;
+        let mut solver = SolveCounters::default();
+        for (name, counter) in SOLVER_COUNTERS {
+            *counter(&mut solver) = solver_obj.field(name, None)?;
+        }
         let counters = SweepCounters {
-            scenarios_built: counters.u64("scenarios_built")? as usize,
-            cells_evaluated: counters.u64("cells_evaluated")? as usize,
-            solver: SolveCounters {
-                outer_iterations: solver.u64("outer_iterations")?,
-                jong_iterations: solver.u64("jong_iterations")?,
-                kkt_solves: solver.u64("kkt_solves")?,
-                mu_bisect_evals: solver.u64("mu_bisect_evals")?,
-                sp2_fast_path_hits: solver.u64("sp2_fast_path_hits")?,
-                sp1_probe_evals: solver.u64("sp1_probe_evals")?,
-                lp_sorts: solver.u64("lp_sorts")?,
-                degraded_solves: solver.u64("degraded_solves")?,
-            },
+            scenarios_built: counters.field("scenarios_built", None)?,
+            cells_evaluated: counters.field("cells_evaluated", None)?,
+            solver,
         };
-        let key = obj.str("key")?.to_string();
+        let key = obj.field("key", None)?;
         Ok(Self { key, cells: CellMatrix { xs, arm_names, n_seeds, samples, counters } })
     }
 
@@ -1342,7 +1326,7 @@ pub(crate) fn describe_seeds(spec: &ExperimentSpec) -> String {
 mod tests {
     use super::*;
     use crate::engine::warm_start_env;
-    use crate::spec::SeedSpec;
+    use crate::spec::{SeedSpec, SolverPreset};
     use std::path::Path;
 
     fn tiny_spec() -> ExperimentSpec {

@@ -46,6 +46,17 @@
 //! unset, object member order is fixed, and floats use shortest-round-trip formatting, so
 //! serialization is deterministic and byte-stable — see `examples/specs/` for a committed
 //! example and the README for the annotated schema.
+//!
+//! Each fixed-shape section — the spec itself, its scenario, solver, engine and reports,
+//! and the round simulation's rounds, straggler, training and report blocks — is declared
+//! as one row per key: the key's name, its type, the value an absent key takes, and its
+//! range check. The rows alone decide the section's member order, the keys it accepts, how
+//! each value parses, and that an out-of-range value is reported at
+//! `spec.<section>.<key>`. Every value on the wire (scalars, lists, options, sections, and
+//! the tagged arm and policy shapes) reads and writes through one crate-private `Field`
+//! trait. Only rules across keys or sections are written out by hand:
+//! `samples_per_device` ⊕ `total_samples`, axis-deadline arms, the seed range, and the
+//! one-point round-simulation axis.
 
 use crate::arms::SpecArm;
 use crate::engine::{Aggregate, SweepEngine, SweepGrid, SweepResult};
@@ -55,7 +66,7 @@ use baselines::StreamDerivation;
 use fedopt_core::{CoreError, SolverConfig};
 use flsys::{ScenarioBuilder, Weights};
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Display};
 
 /// The wire-format version this module reads and writes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -93,8 +104,8 @@ pub enum SpecError {
 }
 
 impl SpecError {
-    pub(crate) fn invalid(path: impl Into<String>, message: impl Into<String>) -> Self {
-        Self::Invalid { path: path.into(), message: message.into() }
+    pub(crate) fn invalid(path: impl Display, message: impl Into<String>) -> Self {
+        Self::Invalid { path: path.to_string(), message: message.into() }
     }
 }
 
@@ -133,6 +144,337 @@ impl From<CoreError> for SpecError {
 }
 
 // ---------------------------------------------------------------------------
+// Fields and sections: how every wire value reads, writes and validates
+// ---------------------------------------------------------------------------
+
+/// A value of the wire format. Paths are dotted (`spec.arms[2].w1`) and only formatted
+/// when an error needs one.
+pub(crate) trait Field: Sized {
+    /// Reads the value, naming `path` in any error.
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError>;
+
+    /// The value as JSON, or `None` to leave its key out (an unset option).
+    fn write(&self) -> Option<Json>;
+
+    /// What an absent key reads as; `None` makes the key required.
+    fn absent() -> Option<Self> {
+        None
+    }
+
+    /// Checks the value held at `path`. Sections and tagged shapes check their members;
+    /// a scalar's range is its row's check instead.
+    fn validate(&self, _path: &dyn Display) -> Result<(), SpecError> {
+        Ok(())
+    }
+}
+
+/// Scalars read with one [`Json`] accessor; a wrong-typed value fails as `expected …`.
+macro_rules! scalar_fields {
+    ($($ty:ty: $expected:literal, |$json:ident| $read:expr, |$value:ident| $write:expr;)*) => {$(
+        impl Field for $ty {
+            fn read($json: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+                $read.ok_or_else(|| SpecError::invalid(path, $expected))
+            }
+
+            fn write(&self) -> Option<Json> {
+                let $value = self;
+                Some($write)
+            }
+        }
+    )*};
+}
+
+scalar_fields! {
+    f64: "expected a number", |v| v.as_f64(), |x| Json::Num(*x);
+    u64: "expected a non-negative integer (≤ 2^53)", |v| v.as_u64(), |x| Json::uint(*x);
+    bool: "expected a boolean", |v| v.as_bool(), |x| Json::Bool(*x);
+    String: "expected a string", |v| v.as_str().map(str::to_string), |x| Json::Str(x.clone());
+}
+
+/// Narrower unsigned integers: read as a `u64`, then range-checked.
+macro_rules! narrow_fields {
+    ($($ty:ty: $expected:literal;)*) => {$(
+        impl Field for $ty {
+            fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+                Self::try_from(u64::read(v, path)?)
+                    .map_err(|_| SpecError::invalid(path, $expected))
+            }
+
+            fn write(&self) -> Option<Json> {
+                Some(Json::uint(*self as u64))
+            }
+        }
+    )*};
+}
+
+narrow_fields! {
+    u32: "expected a 32-bit unsigned integer";
+    usize: "does not fit this platform's usize";
+}
+
+impl Field for (f64, f64) {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        let invalid = |message| SpecError::invalid(path, message);
+        match v.as_array().ok_or_else(|| invalid("expected a two-number array"))? {
+            [lo, hi] => match (lo.as_f64(), hi.as_f64()) {
+                (Some(lo), Some(hi)) => Ok((lo, hi)),
+                _ => Err(invalid("expected a two-number array")),
+            },
+            _ => Err(invalid("expected exactly two numbers")),
+        }
+    }
+
+    fn write(&self) -> Option<Json> {
+        Some(Json::Arr(vec![Json::Num(self.0), Json::Num(self.1)]))
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        T::read(v, path).map(Some)
+    }
+
+    fn write(&self) -> Option<Json> {
+        self.as_ref()?.write()
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+
+    fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
+        self.as_ref().map_or(Ok(()), |value| value.validate(path))
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        let items = v.as_array().ok_or_else(|| SpecError::invalid(path, "expected an array"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::read(item, &format_args!("{path}[{i}]")))
+            .collect()
+    }
+
+    fn write(&self) -> Option<Json> {
+        Some(Json::Arr(self.iter().filter_map(Field::write).collect()))
+    }
+
+    fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
+        self.iter()
+            .enumerate()
+            .try_for_each(|(i, item)| item.validate(&format_args!("{path}[{i}]")))
+    }
+}
+
+/// A value written as its wire name: `name()` writes it, `from_name` reads it back, and
+/// an unknown name fails as `unknown <what> "…"`.
+macro_rules! name_field {
+    ($ty:ty, $what:literal) => {
+        impl Field for $ty {
+            fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+                let name =
+                    v.as_str().ok_or_else(|| SpecError::invalid(path, "expected a string"))?;
+                Self::from_name(name)
+                    .ok_or_else(|| SpecError::invalid(path, format!("unknown {} {name:?}", $what)))
+            }
+
+            fn write(&self) -> Option<Json> {
+                Some(Json::Str(self.name().to_string()))
+            }
+        }
+    };
+}
+
+name_field!(StreamDerivation, "stream derivation");
+
+/// Names each value of a wire enum once, for both its `name()` and parsing.
+macro_rules! wire_names {
+    ($vis:vis $ty:ident, $what:literal { $($variant:ident => $name:literal,)* }) => {
+        impl $ty {
+            /// The stable wire name of this value.
+            $vis const fn name(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $name,)*
+                }
+            }
+
+            /// Looks a value up by its wire name.
+            $vis fn from_name(name: &str) -> Option<Self> {
+                match name {
+                    $($name => Some(Self::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+
+        name_field!($ty, $what);
+    };
+}
+
+/// An object of the members that are set, in the given order.
+pub(crate) fn object<'k>(members: impl IntoIterator<Item = (&'k str, Option<Json>)>) -> Json {
+    Json::Obj(
+        members.into_iter().filter_map(|(key, value)| Some((key.to_string(), value?))).collect(),
+    )
+}
+
+/// Declares a fixed-shape section as one row per key, `key: Type [= default] [, check f];`,
+/// then an optional `cross f;` rule over the whole section.
+///
+/// The rows generate the public struct, its `KEYS` (the member order it writes and the
+/// allowed list an unknown key is rejected with) and its [`Field`] impl. An absent key
+/// reads as its row's default; without one it is unset (`Option` rows) or required.
+/// Validation walks the rows in order, each value's own members first and then the row's
+/// check, whose message is reported at `<path>.<key>`; the `cross` rule runs last.
+macro_rules! section {
+    (@default) => { None };
+    (@default $default:expr) => { Some($default) };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$row_meta:meta])*
+                $key:ident: $ty:ty $(= $default:expr)? $(, check $check:expr)?;
+            )*
+        }
+        $(cross $cross:ident;)?
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$row_meta])* pub $key: $ty,)*
+        }
+
+        impl $name {
+            /// The section's keys, in the order it writes them.
+            const KEYS: &'static [&'static str] = &[$(stringify!($key)),*];
+        }
+
+        impl Field for $name {
+            fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+                let obj = Obj::new(v, path, Self::KEYS)?;
+                let section = Self {
+                    $($key: obj.field(stringify!($key), section!(@default $($default)?))?,)*
+                };
+                Field::validate(&section, path)?;
+                Ok(section)
+            }
+
+            fn write(&self) -> Option<Json> {
+                Some(object([$((stringify!($key), self.$key.write())),*]))
+            }
+
+            fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
+                $(
+                    Field::validate(&self.$key, &format_args!("{path}.{}", stringify!($key)))?;
+                    $(check_at(path, stringify!($key), $check(&self.$key))?;)?
+                )*
+                $($cross(self, path)?;)?
+                Ok(())
+            }
+        }
+    };
+}
+
+// Row checks. Each returns what an out-of-range value must be; the section names the path.
+
+/// A check's failure, reported at `<path>.<key>`.
+fn check_at(path: &dyn Display, key: &str, check: Result<(), String>) -> Result<(), SpecError> {
+    check.map_err(|message| SpecError::invalid(format_args!("{path}.{key}"), message))
+}
+
+/// The check of an `Option` row: an unset value passes.
+fn opt<T>(check: fn(&T) -> Result<(), String>) -> impl Fn(&Option<T>) -> Result<(), String> {
+    move |value| value.as_ref().map_or(Ok(()), check)
+}
+
+fn ensure(ok: bool, message: impl Display) -> Result<(), String> {
+    ok.then_some(()).ok_or_else(|| message.to_string())
+}
+
+fn at_least_one<T: PartialEq + From<u8>>(n: &T) -> Result<(), String> {
+    ensure(*n != T::from(0), "must be at least 1")
+}
+
+/// Physical magnitudes.
+fn positive(v: &f64) -> Result<(), String> {
+    ensure(v.is_finite() && *v > 0.0, "must be a positive finite number")
+}
+
+/// dBm values: log-scale, so negative is meaningful.
+fn finite(v: &f64) -> Result<(), String> {
+    ensure(v.is_finite(), "must be finite")
+}
+
+/// Spreads in dB, where `0` disables the effect.
+fn non_negative(v: &f64) -> Result<(), String> {
+    ensure(v.is_finite() && *v >= 0.0, "must be finite and non-negative")
+}
+
+fn seconds(t: &f64) -> Result<(), String> {
+    ensure(t.is_finite() && *t > 0.0, "must be a positive finite number of seconds")
+}
+
+fn probability(v: &f64) -> Result<(), String> {
+    ensure(v.is_finite() && (0.0..1.0).contains(v), "must be a probability in [0, 1)")
+}
+
+fn multiplier(v: &f64) -> Result<(), String> {
+    ensure(v.is_finite() && *v >= 1.0, "must be a finite multiplier of at least 1")
+}
+
+/// A device count: at least one, at most [`MAX_DEVICES`] (also the `devices` axis check).
+fn devices_in_range(n: &usize) -> Result<(), String> {
+    at_least_one(n)?;
+    ensure(
+        *n <= MAX_DEVICES,
+        format_args!(
+            "capped at {MAX_DEVICES} devices per scenario (got {n}); fleet-scale \
+             experiments should start from the `large_n` quick preset \
+             (`experiments::presets::large_n`) and spread the seed grid with \
+             `fedopt run --shards N` instead of growing a single scenario past the guardrail"
+        ),
+    )
+}
+
+fn ordered_range(&(lo, hi): &(f64, f64)) -> Result<(), String> {
+    let ordered = lo.is_finite() && hi.is_finite() && lo > 0.0 && hi >= lo;
+    ensure(ordered, format_args!("range [{lo}, {hi}] must be positive and ordered"))
+}
+
+fn not_empty_str(s: &str) -> Result<(), String> {
+    ensure(!s.is_empty(), "must not be empty")
+}
+
+fn not_empty<T>(items: &[T]) -> Result<(), String> {
+    ensure(!items.is_empty(), "must not be empty")
+}
+
+fn synthetic_samples(n: &u64) -> Result<(), String> {
+    at_least_one(n)?;
+    ensure(*n <= 1_000_000, "capped at 1000000 synthetic samples per device")
+}
+
+fn sim_rounds(n: &u32) -> Result<(), String> {
+    at_least_one(n)?;
+    ensure(*n <= MAX_SIM_ROUNDS, format_args!("capped at {MAX_SIM_ROUNDS} simulated rounds"))
+}
+
+/// A round-sim stream rule must give each round its own stream.
+fn round_indexed(rule: &StreamDerivation) -> Result<(), String> {
+    ensure(
+        rule.derive_round(0, 0) != rule.derive_round(0, 1),
+        format_args!(
+            "must be a round-indexed stream derivation (e.g. {:?}); {:?} maps every round to \
+             one stream",
+            StreamDerivation::RoundChannelFnv.name(),
+            rule.name()
+        ),
+    )
+}
+
+// ---------------------------------------------------------------------------
 // Axis
 // ---------------------------------------------------------------------------
 
@@ -156,35 +498,17 @@ pub enum AxisKind {
     DeadlineS,
 }
 
+wire_names!(pub AxisKind, "axis name" {
+    PMaxDbm => "p_max_dbm",
+    FMaxGhz => "f_max_ghz",
+    Devices => "devices",
+    RadiusKm => "radius_km",
+    LocalIterations => "local_iterations",
+    GlobalRounds => "global_rounds",
+    DeadlineS => "deadline_s",
+});
+
 impl AxisKind {
-    /// The stable wire name of this axis.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Self::PMaxDbm => "p_max_dbm",
-            Self::FMaxGhz => "f_max_ghz",
-            Self::Devices => "devices",
-            Self::RadiusKm => "radius_km",
-            Self::LocalIterations => "local_iterations",
-            Self::GlobalRounds => "global_rounds",
-            Self::DeadlineS => "deadline_s",
-        }
-    }
-
-    /// Looks an axis up by its wire name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        [
-            Self::PMaxDbm,
-            Self::FMaxGhz,
-            Self::Devices,
-            Self::RadiusKm,
-            Self::LocalIterations,
-            Self::GlobalRounds,
-            Self::DeadlineS,
-        ]
-        .into_iter()
-        .find(|k| k.name() == name)
-    }
-
     /// Whether values on this axis must be positive integers.
     pub fn is_integer(self) -> bool {
         matches!(self, Self::Devices | Self::LocalIterations | Self::GlobalRounds)
@@ -200,17 +524,8 @@ impl AxisKind {
                 format!("axis `{}` requires positive integer values, got {x}", self.name()),
             ));
         }
-        if self == Self::Devices && x > MAX_DEVICES as f64 {
-            return Err(SpecError::invalid(
-                path,
-                format!(
-                    "axis `devices` is capped at {MAX_DEVICES} devices per scenario (got {x}); \
-                     fleet-scale experiments should start from the `large_n` quick preset \
-                     (`experiments::presets::large_n`) and split the seed grid across \
-                     workers with `fedopt run --shards N` or `fedopt shard split`, not \
-                     grow a single sweep past the guardrail"
-                ),
-            ));
+        if self == Self::Devices {
+            devices_in_range(&(x as usize)).map_err(|message| SpecError::invalid(path, message))?;
         }
         // dBm is a log scale (negative is meaningful); the physical magnitudes are not —
         // and a non-positive deadline would only produce silent all-infeasible rows,
@@ -248,21 +563,15 @@ pub struct AxisSpec {
     pub values: Vec<f64>,
 }
 
-impl AxisSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::Str(self.kind.name().to_string())),
-            ("values", Json::Arr(self.values.iter().map(|&v| Json::Num(v)).collect())),
-        ])
+/// The axis's values are checked with the whole spec ([`ExperimentSpec::validate`]).
+impl Field for AxisSpec {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        let obj = Obj::new(v, path, &["name", "values"])?;
+        Ok(Self { kind: obj.field("name", None)?, values: obj.field("values", None)? })
     }
 
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["name", "values"])?;
-        let name = obj.str("name")?;
-        let kind = AxisKind::from_name(name).ok_or_else(|| {
-            SpecError::invalid(obj.path_of("name"), format!("unknown axis name {name:?}"))
-        })?;
-        Ok(Self { kind, values: obj.f64_array("values")? })
+    fn write(&self) -> Option<Json> {
+        Some(object([("name", self.kind.write()), ("values", self.values.write())]))
     }
 }
 
@@ -270,42 +579,56 @@ impl AxisSpec {
 // Scenario template / patch
 // ---------------------------------------------------------------------------
 
-/// A serializable patch over [`ScenarioBuilder::paper_default`]: every field is optional
-/// and unset fields keep the paper's Section VII-A defaults.
-///
-/// Used twice: as the spec's scenario **template** (shared by every sweep point) and as a
-/// per-arm **patch** ([`ArmSpec::scenario`], how Figures 5 and 6 express per-series
-/// device counts and round counts).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ScenarioSpec {
-    /// Number of devices `N`.
-    pub devices: Option<usize>,
-    /// Radius of the placement disc in kilometres.
-    pub radius_km: Option<f64>,
-    /// Samples per device (mutually exclusive with [`Self::total_samples`]).
-    pub samples_per_device: Option<u64>,
-    /// Total samples split equally across devices (Figure 4's setting).
-    pub total_samples: Option<u64>,
-    /// Per-sample CPU-cycle range `[lo, hi]` from which `c_n` is drawn.
-    pub cycles_per_sample: Option<(f64, f64)>,
-    /// Upload payload `d_n` in bits.
-    pub upload_bits: Option<f64>,
-    /// Minimum transmit power in dBm.
-    pub p_min_dbm: Option<f64>,
-    /// Maximum transmit power in dBm.
-    pub p_max_dbm: Option<f64>,
-    /// Minimum CPU frequency in Hz.
-    pub f_min_hz: Option<f64>,
-    /// Maximum CPU frequency in GHz.
-    pub f_max_ghz: Option<f64>,
-    /// Global aggregation rounds `R_g`.
-    pub global_rounds: Option<u32>,
-    /// Local iterations per global round `R_l`.
-    pub local_iterations: Option<u32>,
-    /// Total uplink bandwidth `B` in Hz.
-    pub total_bandwidth_hz: Option<f64>,
-    /// Log-normal shadowing standard deviation in dB (`0` disables fading).
-    pub shadowing_db: Option<f64>,
+section! {
+    /// A serializable patch over [`ScenarioBuilder::paper_default`]: every field is optional
+    /// and unset fields keep the paper's Section VII-A defaults.
+    ///
+    /// Used twice: as the spec's scenario **template** (shared by every sweep point) and as a
+    /// per-arm **patch** ([`ArmSpec::scenario`], how Figures 5 and 6 express per-series
+    /// device counts and round counts).
+    #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+    pub struct ScenarioSpec {
+        /// Number of devices `N`.
+        devices: Option<usize>, check opt(devices_in_range);
+        /// Radius of the placement disc in kilometres.
+        radius_km: Option<f64>, check opt(positive);
+        /// Samples per device (mutually exclusive with [`Self::total_samples`]).
+        samples_per_device: Option<u64>, check opt(at_least_one);
+        /// Total samples split equally across devices (Figure 4's setting). It must cover
+        /// every device: building a scenario with fewer samples than devices fails.
+        total_samples: Option<u64>, check opt(at_least_one);
+        /// Per-sample CPU-cycle range `[lo, hi]` from which `c_n` is drawn.
+        cycles_per_sample: Option<(f64, f64)>, check opt(ordered_range);
+        /// Upload payload `d_n` in bits.
+        upload_bits: Option<f64>, check opt(positive);
+        /// Minimum transmit power in dBm.
+        p_min_dbm: Option<f64>, check opt(finite);
+        /// Maximum transmit power in dBm.
+        p_max_dbm: Option<f64>, check opt(finite);
+        /// Minimum CPU frequency in Hz.
+        f_min_hz: Option<f64>, check opt(positive);
+        /// Maximum CPU frequency in GHz.
+        f_max_ghz: Option<f64>, check opt(positive);
+        /// Global aggregation rounds `R_g`.
+        global_rounds: Option<u32>, check opt(at_least_one);
+        /// Local iterations per global round `R_l`.
+        local_iterations: Option<u32>, check opt(at_least_one);
+        /// Total uplink bandwidth `B` in Hz.
+        total_bandwidth_hz: Option<f64>, check opt(positive);
+        /// Log-normal shadowing standard deviation in dB (`0` disables fading).
+        shadowing_db: Option<f64>, check opt(non_negative);
+    }
+    cross samples_are_exclusive;
+}
+
+fn samples_are_exclusive(s: &ScenarioSpec, path: &dyn Display) -> Result<(), SpecError> {
+    if s.samples_per_device.is_some() && s.total_samples.is_some() {
+        return Err(SpecError::invalid(
+            path,
+            "`samples_per_device` and `total_samples` are mutually exclusive",
+        ));
+    }
+    Ok(())
 }
 
 impl ScenarioSpec {
@@ -348,7 +671,7 @@ impl ScenarioSpec {
             builder = builder.with_local_iterations(r);
         }
         if let Some(b) = self.total_bandwidth_hz {
-            builder = builder.with_total_bandwidth(wireless_hertz(b));
+            builder = builder.with_total_bandwidth(wireless::units::Hertz::new(b));
         }
         if let Some(s) = self.shadowing_db {
             builder = builder.with_shadowing_db(s);
@@ -360,146 +683,6 @@ impl ScenarioSpec {
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
     }
-
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        if self.samples_per_device.is_some() && self.total_samples.is_some() {
-            return Err(SpecError::invalid(
-                path,
-                "`samples_per_device` and `total_samples` are mutually exclusive",
-            ));
-        }
-        if let Some((lo, hi)) = self.cycles_per_sample {
-            if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && hi >= lo) {
-                return Err(SpecError::invalid(
-                    format!("{path}.cycles_per_sample"),
-                    format!("range [{lo}, {hi}] must be positive and ordered"),
-                ));
-            }
-        }
-        // dBm values are log-scale (negative is fine) and shadowing may be 0 (disabled);
-        // the physical magnitudes must be strictly positive.
-        for (name, value) in [("p_min_dbm", self.p_min_dbm), ("p_max_dbm", self.p_max_dbm)] {
-            if let Some(v) = value {
-                if !v.is_finite() {
-                    return Err(SpecError::invalid(format!("{path}.{name}"), "must be finite"));
-                }
-            }
-        }
-        if let Some(v) = self.shadowing_db {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(SpecError::invalid(
-                    format!("{path}.shadowing_db"),
-                    "must be finite and non-negative",
-                ));
-            }
-        }
-        for (name, value) in [
-            ("radius_km", self.radius_km),
-            ("upload_bits", self.upload_bits),
-            ("f_min_hz", self.f_min_hz),
-            ("f_max_ghz", self.f_max_ghz),
-            ("total_bandwidth_hz", self.total_bandwidth_hz),
-        ] {
-            if let Some(v) = value {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(SpecError::invalid(
-                        format!("{path}.{name}"),
-                        "must be a positive finite number",
-                    ));
-                }
-            }
-        }
-        if self.devices == Some(0) {
-            return Err(SpecError::invalid(format!("{path}.devices"), "must be at least 1"));
-        }
-        if let Some(n) = self.devices {
-            if n > MAX_DEVICES {
-                return Err(SpecError::invalid(
-                    format!("{path}.devices"),
-                    format!(
-                        "capped at {MAX_DEVICES} devices per scenario (got {n}); fleet-scale \
-                         experiments should start from the `large_n` quick preset \
-                         (`experiments::presets::large_n`) and spread the seed grid with \
-                         `fedopt run --shards N` instead of growing a single scenario \
-                         past the guardrail"
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = Vec::new();
-        let mut push = |key: &str, value: Option<Json>| {
-            if let Some(v) = value {
-                members.push((key.to_string(), v));
-            }
-        };
-        push("devices", self.devices.map(|n| Json::uint(n as u64)));
-        push("radius_km", self.radius_km.map(Json::Num));
-        push("samples_per_device", self.samples_per_device.map(Json::uint));
-        push("total_samples", self.total_samples.map(Json::uint));
-        push(
-            "cycles_per_sample",
-            self.cycles_per_sample.map(|(lo, hi)| Json::Arr(vec![Json::Num(lo), Json::Num(hi)])),
-        );
-        push("upload_bits", self.upload_bits.map(Json::Num));
-        push("p_min_dbm", self.p_min_dbm.map(Json::Num));
-        push("p_max_dbm", self.p_max_dbm.map(Json::Num));
-        push("f_min_hz", self.f_min_hz.map(Json::Num));
-        push("f_max_ghz", self.f_max_ghz.map(Json::Num));
-        push("global_rounds", self.global_rounds.map(|r| Json::uint(u64::from(r))));
-        push("local_iterations", self.local_iterations.map(|r| Json::uint(u64::from(r))));
-        push("total_bandwidth_hz", self.total_bandwidth_hz.map(Json::Num));
-        push("shadowing_db", self.shadowing_db.map(Json::Num));
-        Json::Obj(members)
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            path,
-            &[
-                "devices",
-                "radius_km",
-                "samples_per_device",
-                "total_samples",
-                "cycles_per_sample",
-                "upload_bits",
-                "p_min_dbm",
-                "p_max_dbm",
-                "f_min_hz",
-                "f_max_ghz",
-                "global_rounds",
-                "local_iterations",
-                "total_bandwidth_hz",
-                "shadowing_db",
-            ],
-        )?;
-        let spec = Self {
-            devices: obj.opt_usize("devices")?,
-            radius_km: obj.opt_f64("radius_km")?,
-            samples_per_device: obj.opt_u64("samples_per_device")?,
-            total_samples: obj.opt_u64("total_samples")?,
-            cycles_per_sample: obj.opt_f64_pair("cycles_per_sample")?,
-            upload_bits: obj.opt_f64("upload_bits")?,
-            p_min_dbm: obj.opt_f64("p_min_dbm")?,
-            p_max_dbm: obj.opt_f64("p_max_dbm")?,
-            f_min_hz: obj.opt_f64("f_min_hz")?,
-            f_max_ghz: obj.opt_f64("f_max_ghz")?,
-            global_rounds: obj.opt_u32("global_rounds")?,
-            local_iterations: obj.opt_u32("local_iterations")?,
-            total_bandwidth_hz: obj.opt_f64("total_bandwidth_hz")?,
-            shadowing_db: obj.opt_f64("shadowing_db")?,
-        };
-        spec.validate(path)?;
-        Ok(spec)
-    }
-}
-
-fn wireless_hertz(hz: f64) -> wireless::units::Hertz {
-    wireless::units::Hertz::new(hz)
 }
 
 // ---------------------------------------------------------------------------
@@ -515,14 +698,10 @@ pub enum BenchmarkDraw {
     Power,
 }
 
-impl BenchmarkDraw {
-    const fn name(self) -> &'static str {
-        match self {
-            Self::Frequency => "frequency",
-            Self::Power => "power",
-        }
-    }
-}
+wire_names!(BenchmarkDraw, "benchmark draw" {
+    Frequency => "frequency",
+    Power => "power",
+});
 
 /// Where a deadline-constrained arm reads its deadline from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -532,6 +711,23 @@ pub enum DeadlineSpec {
     Axis,
     /// A fixed deadline in seconds (one series per value, as in Figure 8).
     FixedS(f64),
+}
+
+impl Field for DeadlineSpec {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        match v {
+            Json::Str(s) if s == "axis" => Ok(Self::Axis),
+            Json::Num(t) => Ok(Self::FixedS(*t)),
+            _ => Err(SpecError::invalid(path, "must be \"axis\" or a number of seconds")),
+        }
+    }
+
+    fn write(&self) -> Option<Json> {
+        Some(match self {
+            Self::Axis => Json::Str("axis".to_string()),
+            Self::FixedS(t) => Json::Num(*t),
+        })
+    }
 }
 
 /// The closed set of schemes an arm can run — every comparison of the paper's evaluation.
@@ -626,114 +822,55 @@ impl ArmSpec {
         self.scenario = Some(scenario);
         self
     }
+}
 
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        match &self.kind {
-            ArmKind::Scheme1 { deadline_s } if !(deadline_s.is_finite() && *deadline_s > 0.0) => {
-                return Err(SpecError::invalid(
-                    format!("{path}.deadline_s"),
-                    "must be a positive finite number of seconds",
-                ));
-            }
-            ArmKind::DeadlineProposed { deadline: DeadlineSpec::FixedS(t) }
-                if !(t.is_finite() && *t > 0.0) =>
-            {
-                return Err(SpecError::invalid(
-                    format!("{path}.deadline"),
-                    "must be \"axis\" or a positive finite number of seconds",
-                ));
-            }
-            _ => {}
-        }
-        if let Some(patch) = &self.scenario {
-            patch.validate(&format!("{path}.scenario"))?;
-        }
-        Ok(())
-    }
+// Tagged shapes (arms and round policies): the `kind` member picks the payload keys, so
+// the kind is peeked first and the full key check runs per kind.
 
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> =
-            vec![("kind".to_string(), Json::Str(self.kind.name().to_string()))];
-        match &self.kind {
-            ArmKind::Proposed { weights } => {
-                members.push(("w1".to_string(), Json::Num(weights.energy())));
-                members.push(("w2".to_string(), Json::Num(weights.time())));
-            }
-            ArmKind::DeadlineProposed { deadline } => {
-                let value = match deadline {
-                    DeadlineSpec::Axis => Json::Str("axis".to_string()),
-                    DeadlineSpec::FixedS(t) => Json::Num(*t),
-                };
-                members.push(("deadline".to_string(), value));
-            }
-            ArmKind::Benchmark { draw } => {
-                members.push(("draw".to_string(), Json::Str(draw.name().to_string())));
-            }
-            ArmKind::Scheme1 { deadline_s } => {
-                members.push(("deadline_s".to_string(), Json::Num(*deadline_s)));
-            }
-            ArmKind::CommOnly | ArmKind::CompOnly => {}
-        }
-        if let Some(label) = &self.label {
-            members.push(("label".to_string(), Json::Str(label.clone())));
-        }
-        if let Some(patch) = &self.scenario {
-            members.push(("scenario".to_string(), patch.to_json()));
-        }
-        Json::Obj(members)
-    }
+fn peek_kind(v: &Json, path: &dyn Display) -> Result<String, SpecError> {
+    Obj::any(v, path)?.field("kind", None)
+}
 
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        // Strictness is per kind: each scheme allows exactly its own payload keys, so the
-        // discriminator is peeked first and the full key check runs per variant.
-        let kind_name = Obj::any(v, path)?.str("kind")?.to_string();
-        fn with<'x>(extra: &[&'x str]) -> Vec<&'x str> {
-            let mut allowed = vec!["kind", "label", "scenario"];
-            allowed.extend_from_slice(extra);
-            allowed
-        }
-        let (kind, obj) = match kind_name.as_str() {
+/// A tagged object whose keys must be `common` followed by its kind's `payload`.
+fn tagged<'a>(
+    v: &'a Json,
+    path: &'a dyn Display,
+    common: &[&str],
+    payload: &[&str],
+) -> Result<Obj<'a>, SpecError> {
+    Obj::new(v, path, &[common, payload].concat())
+}
+
+fn read_weights(obj: &Obj<'_>) -> Result<Weights, SpecError> {
+    Weights::new(obj.field("w1", None)?, obj.field("w2", None)?)
+        .map_err(|e| SpecError::invalid(obj.path, format!("invalid weights: {e}")))
+}
+
+fn weight_members(weights: &Weights) -> [(&'static str, Option<Json>); 2] {
+    [("w1", Some(Json::Num(weights.energy()))), ("w2", Some(Json::Num(weights.time())))]
+}
+
+impl Field for ArmSpec {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        let payload = |keys: &[&str]| tagged(v, path, &["kind", "label", "scenario"], keys);
+        let (kind, obj) = match peek_kind(v, path)?.as_str() {
             "proposed" => {
-                let obj = Obj::new(v, path, &with(&["w1", "w2"]))?;
-                let (w1, w2) = (obj.f64("w1")?, obj.f64("w2")?);
-                let weights = Weights::new(w1, w2).map_err(|e| {
-                    SpecError::invalid(path.to_string(), format!("invalid weights: {e}"))
-                })?;
-                (ArmKind::Proposed { weights }, obj)
+                let obj = payload(&["w1", "w2"])?;
+                (ArmKind::Proposed { weights: read_weights(&obj)? }, obj)
             }
             "deadline_proposed" => {
-                let obj = Obj::new(v, path, &with(&["deadline"]))?;
-                let deadline = match obj.req("deadline")? {
-                    Json::Str(s) if s == "axis" => DeadlineSpec::Axis,
-                    Json::Num(t) => DeadlineSpec::FixedS(*t),
-                    _ => {
-                        return Err(SpecError::invalid(
-                            obj.path_of("deadline"),
-                            "must be \"axis\" or a number of seconds",
-                        ))
-                    }
-                };
-                (ArmKind::DeadlineProposed { deadline }, obj)
+                let obj = payload(&["deadline"])?;
+                (ArmKind::DeadlineProposed { deadline: obj.field("deadline", None)? }, obj)
             }
             "benchmark" => {
-                let obj = Obj::new(v, path, &with(&["draw"]))?;
-                let draw = match obj.str("draw")? {
-                    "frequency" => BenchmarkDraw::Frequency,
-                    "power" => BenchmarkDraw::Power,
-                    other => {
-                        return Err(SpecError::invalid(
-                            obj.path_of("draw"),
-                            format!("unknown benchmark draw {other:?}"),
-                        ))
-                    }
-                };
-                (ArmKind::Benchmark { draw }, obj)
+                let obj = payload(&["draw"])?;
+                (ArmKind::Benchmark { draw: obj.field("draw", None)? }, obj)
             }
-            "comm_only" => (ArmKind::CommOnly, Obj::new(v, path, &with(&[]))?),
-            "comp_only" => (ArmKind::CompOnly, Obj::new(v, path, &with(&[]))?),
+            "comm_only" => (ArmKind::CommOnly, payload(&[])?),
+            "comp_only" => (ArmKind::CompOnly, payload(&[])?),
             "scheme1" => {
-                let obj = Obj::new(v, path, &with(&["deadline_s"]))?;
-                (ArmKind::Scheme1 { deadline_s: obj.f64("deadline_s")? }, obj)
+                let obj = payload(&["deadline_s"])?;
+                (ArmKind::Scheme1 { deadline_s: obj.field("deadline_s", None)? }, obj)
             }
             other => {
                 return Err(SpecError::invalid(
@@ -742,14 +879,36 @@ impl ArmSpec {
                 ))
             }
         };
-        let label = obj.opt_str("label")?.map(str::to_string);
-        let scenario = match obj.get("scenario") {
-            Some(patch) => Some(ScenarioSpec::from_json(patch, &obj.path_of("scenario"))?),
-            None => None,
-        };
-        let spec = Self { kind, label, scenario };
-        spec.validate(path)?;
-        Ok(spec)
+        let arm =
+            Self { kind, label: obj.field("label", None)?, scenario: obj.field("scenario", None)? };
+        arm.validate(path)?;
+        Ok(arm)
+    }
+
+    fn write(&self) -> Option<Json> {
+        let mut members = vec![("kind", Some(Json::Str(self.kind.name().to_string())))];
+        match &self.kind {
+            ArmKind::Proposed { weights } => members.extend(weight_members(weights)),
+            ArmKind::DeadlineProposed { deadline } => members.push(("deadline", deadline.write())),
+            ArmKind::Benchmark { draw } => members.push(("draw", draw.write())),
+            ArmKind::Scheme1 { deadline_s } => members.push(("deadline_s", deadline_s.write())),
+            ArmKind::CommOnly | ArmKind::CompOnly => {}
+        }
+        members.push(("label", self.label.write()));
+        members.push(("scenario", self.scenario.write()));
+        Some(object(members))
+    }
+
+    fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
+        match &self.kind {
+            ArmKind::Scheme1 { deadline_s } => check_at(path, "deadline_s", seconds(deadline_s))?,
+            ArmKind::DeadlineProposed { deadline: DeadlineSpec::FixedS(t) } => {
+                let message = "must be \"axis\" or a positive finite number of seconds";
+                check_at(path, "deadline", ensure(t.is_finite() && *t > 0.0, message))?;
+            }
+            _ => {}
+        }
+        self.scenario.validate(&format_args!("{path}.scenario"))
     }
 }
 
@@ -823,94 +982,16 @@ impl SeedSpec {
             SeedPolicy::List(seeds) => seeds.clone(),
         }
     }
+}
 
-    fn validate(&self, path: &str) -> Result<(), SpecError> {
-        // Any other named rule would be silently ignored (see `stream_derivation`).
-        if self.stream_derivation != StreamDerivation::XorGolden32 {
-            return Err(SpecError::invalid(
-                format!("{path}.stream_derivation"),
-                format!(
-                    "arm streams derive with {:?} only (got {:?})",
-                    StreamDerivation::XorGolden32.name(),
-                    self.stream_derivation.name()
-                ),
-            ));
-        }
-        match &self.policy {
-            SeedPolicy::Range { start, count } => {
-                if *count == 0 {
-                    return Err(SpecError::invalid(format!("{path}.count"), "must be at least 1"));
-                }
-                if *count > MAX_SEEDS {
-                    return Err(SpecError::invalid(
-                        format!("{path}.count"),
-                        format!(
-                            "at most {MAX_SEEDS} seeds per spec — shard larger sweeps \
-                             into seed sub-ranges with `fedopt run --shards N` or \
-                             `fedopt shard split`"
-                        ),
-                    ));
-                }
-                if start.checked_add(*count).map_or(true, |end| end > MAX_EXACT_INT) {
-                    return Err(SpecError::invalid(
-                        path,
-                        "seed range must stay within the exact JSON integer range (2^53)",
-                    ));
-                }
-            }
-            SeedPolicy::List(seeds) => {
-                if seeds.is_empty() {
-                    return Err(SpecError::invalid(format!("{path}.list"), "must not be empty"));
-                }
-                if seeds.len() as u64 > MAX_SEEDS {
-                    return Err(SpecError::invalid(
-                        format!("{path}.list"),
-                        format!(
-                            "at most {MAX_SEEDS} seeds per spec — shard larger sweeps \
-                             into seed sub-lists with `fedopt run --shards N` or \
-                             `fedopt shard split`"
-                        ),
-                    ));
-                }
-                if seeds.iter().any(|&s| s > MAX_EXACT_INT) {
-                    return Err(SpecError::invalid(
-                        format!("{path}.list"),
-                        "seeds must stay within the exact JSON integer range (2^53)",
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = Vec::new();
-        match &self.policy {
-            SeedPolicy::Range { start, count } => {
-                members.push(("start".to_string(), Json::uint(*start)));
-                members.push(("count".to_string(), Json::uint(*count)));
-            }
-            SeedPolicy::List(seeds) => {
-                members.push((
-                    "list".to_string(),
-                    Json::Arr(seeds.iter().map(|&s| Json::uint(s)).collect()),
-                ));
-            }
-        }
-        members.push((
-            "stream_derivation".to_string(),
-            Json::Str(self.stream_derivation.name().to_string()),
-        ));
-        Json::Obj(members)
-    }
-
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
+impl Field for SeedSpec {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
         let obj = Obj::new(v, path, &["start", "count", "list", "stream_derivation"])?;
         let policy = match (obj.get("list"), obj.get("count")) {
-            (Some(_), None) => SeedPolicy::List(obj.u64_array("list")?),
+            (Some(_), None) => SeedPolicy::List(obj.field("list", None)?),
             (None, Some(_)) => SeedPolicy::Range {
-                start: obj.opt_u64("start")?.unwrap_or(0),
-                count: obj.u64("count")?,
+                start: obj.field("start", Some(0))?,
+                count: obj.field("count", None)?,
             },
             _ => {
                 return Err(SpecError::invalid(
@@ -925,16 +1006,68 @@ impl SeedSpec {
                 "`start` only applies to range seed policies",
             ));
         }
-        let derivation_name = obj.str("stream_derivation")?;
-        let stream_derivation = StreamDerivation::from_name(derivation_name).ok_or_else(|| {
-            SpecError::invalid(
-                obj.path_of("stream_derivation"),
-                format!("unknown stream derivation {derivation_name:?}"),
-            )
-        })?;
-        let spec = Self { policy, stream_derivation };
+        let spec = Self { policy, stream_derivation: obj.field("stream_derivation", None)? };
         spec.validate(path)?;
         Ok(spec)
+    }
+
+    fn write(&self) -> Option<Json> {
+        let mut members = match &self.policy {
+            SeedPolicy::Range { start, count } => {
+                vec![("start", start.write()), ("count", count.write())]
+            }
+            SeedPolicy::List(seeds) => vec![("list", seeds.write())],
+        };
+        members.push(("stream_derivation", self.stream_derivation.write()));
+        Some(object(members))
+    }
+
+    fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
+        // Any other named rule would be silently ignored (see `stream_derivation`).
+        if self.stream_derivation != StreamDerivation::XorGolden32 {
+            return Err(SpecError::invalid(
+                format!("{path}.stream_derivation"),
+                format!(
+                    "arm streams derive with {:?} only (got {:?})",
+                    StreamDerivation::XorGolden32.name(),
+                    self.stream_derivation.name()
+                ),
+            ));
+        }
+        let (key, empty, unit) = match &self.policy {
+            SeedPolicy::Range { .. } => ("count", "must be at least 1", "ranges"),
+            SeedPolicy::List(_) => ("list", "must not be empty", "lists"),
+        };
+        let len = self.len();
+        if len == 0 {
+            return Err(SpecError::invalid(format_args!("{path}.{key}"), empty));
+        }
+        if len > MAX_SEEDS {
+            return Err(SpecError::invalid(
+                format_args!("{path}.{key}"),
+                format!(
+                    "at most {MAX_SEEDS} seeds per spec — shard larger sweeps into seed \
+                     sub-{unit} with `fedopt run --shards N` or `fedopt shard split`"
+                ),
+            ));
+        }
+        match &self.policy {
+            SeedPolicy::Range { start, count }
+                if start.checked_add(*count).map_or(true, |end| end > MAX_EXACT_INT) =>
+            {
+                Err(SpecError::invalid(
+                    path,
+                    "seed range must stay within the exact JSON integer range (2^53)",
+                ))
+            }
+            SeedPolicy::List(seeds) if seeds.iter().any(|&s| s > MAX_EXACT_INT) => {
+                Err(SpecError::invalid(
+                    format_args!("{path}.list"),
+                    "seeds must stay within the exact JSON integer range (2^53)",
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -952,14 +1085,12 @@ pub enum SolverPreset {
     Fast,
 }
 
-impl SolverPreset {
-    const fn name(self) -> &'static str {
-        match self {
-            Self::Default => "default",
-            Self::Fast => "fast",
-        }
-    }
+wire_names!(pub(crate) SolverPreset, "solver preset" {
+    Default => "default",
+    Fast => "fast",
+});
 
+impl SolverPreset {
     fn base(self) -> SolverConfig {
         match self {
             Self::Default => SolverConfig::default(),
@@ -968,27 +1099,29 @@ impl SolverPreset {
     }
 }
 
-/// Serializable solver settings: a preset plus optional tolerance overrides.
-///
-/// The warm-start switch is *not* here: it is an engine-level decision
-/// ([`EngineSpec::warm_start`]) because the sweep engine overrides every arm's solver
-/// config with its own flag to keep one sweep uniformly cold or warm.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct SolverSpec {
-    /// The starting configuration.
-    pub preset: SolverPreset,
-    /// Override of [`SolverConfig::outer_max_iter`].
-    pub outer_max_iter: Option<usize>,
-    /// Override of [`SolverConfig::outer_tol`].
-    pub outer_tol: Option<f64>,
-    /// Override of [`SolverConfig::mu_tol`].
-    pub mu_tol: Option<f64>,
-    /// Override of [`SolverConfig::scalar_tol`].
-    pub scalar_tol: Option<f64>,
-    /// Override of [`SolverConfig::bandwidth_floor_hz`].
-    pub bandwidth_floor_hz: Option<f64>,
-    /// Override of [`SolverConfig::polish_with_reference`].
-    pub polish_with_reference: Option<bool>,
+section! {
+    /// Serializable solver settings: a preset plus optional tolerance overrides.
+    ///
+    /// The warm-start switch is *not* here: it is an engine-level decision
+    /// ([`EngineSpec::warm_start`]) because the sweep engine overrides every arm's solver
+    /// config with its own flag to keep one sweep uniformly cold or warm.
+    #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+    pub struct SolverSpec {
+        /// The starting configuration.
+        preset: SolverPreset;
+        /// Override of [`SolverConfig::outer_max_iter`].
+        outer_max_iter: Option<usize>, check opt(at_least_one);
+        /// Override of [`SolverConfig::outer_tol`].
+        outer_tol: Option<f64>, check opt(positive);
+        /// Override of [`SolverConfig::mu_tol`].
+        mu_tol: Option<f64>, check opt(positive);
+        /// Override of [`SolverConfig::scalar_tol`].
+        scalar_tol: Option<f64>, check opt(positive);
+        /// Override of [`SolverConfig::bandwidth_floor_hz`].
+        bandwidth_floor_hz: Option<f64>, check opt(positive);
+        /// Override of [`SolverConfig::polish_with_reference`].
+        polish_with_reference: Option<bool>;
+    }
 }
 
 impl SolverSpec {
@@ -1020,100 +1153,26 @@ impl SolverSpec {
         }
         config
     }
-
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        for (name, value) in [
-            ("outer_tol", self.outer_tol),
-            ("mu_tol", self.mu_tol),
-            ("scalar_tol", self.scalar_tol),
-            ("bandwidth_floor_hz", self.bandwidth_floor_hz),
-        ] {
-            if let Some(v) = value {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(SpecError::invalid(
-                        format!("{path}.{name}"),
-                        "must be a positive finite number",
-                    ));
-                }
-            }
-        }
-        if self.outer_max_iter == Some(0) {
-            return Err(SpecError::invalid(format!("{path}.outer_max_iter"), "must be at least 1"));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> =
-            vec![("preset".to_string(), Json::Str(self.preset.name().to_string()))];
-        let mut push = |key: &str, value: Option<Json>| {
-            if let Some(v) = value {
-                members.push((key.to_string(), v));
-            }
-        };
-        push("outer_max_iter", self.outer_max_iter.map(|v| Json::uint(v as u64)));
-        push("outer_tol", self.outer_tol.map(Json::Num));
-        push("mu_tol", self.mu_tol.map(Json::Num));
-        push("scalar_tol", self.scalar_tol.map(Json::Num));
-        push("bandwidth_floor_hz", self.bandwidth_floor_hz.map(Json::Num));
-        push("polish_with_reference", self.polish_with_reference.map(Json::Bool));
-        Json::Obj(members)
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            path,
-            &[
-                "preset",
-                "outer_max_iter",
-                "outer_tol",
-                "mu_tol",
-                "scalar_tol",
-                "bandwidth_floor_hz",
-                "polish_with_reference",
-            ],
-        )?;
-        let preset = match obj.str("preset")? {
-            "default" => SolverPreset::Default,
-            "fast" => SolverPreset::Fast,
-            other => {
-                return Err(SpecError::invalid(
-                    obj.path_of("preset"),
-                    format!("unknown solver preset {other:?}"),
-                ))
-            }
-        };
-        let spec = Self {
-            preset,
-            outer_max_iter: obj.opt_usize("outer_max_iter")?,
-            outer_tol: obj.opt_f64("outer_tol")?,
-            mu_tol: obj.opt_f64("mu_tol")?,
-            scalar_tol: obj.opt_f64("scalar_tol")?,
-            bandwidth_floor_hz: obj.opt_f64("bandwidth_floor_hz")?,
-            polish_with_reference: obj.opt_bool("polish_with_reference")?,
-        };
-        spec.validate(path)?;
-        Ok(spec)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
-/// Serializable engine options. Unset fields keep [`SweepEngine::new`]'s defaults
-/// (all cores / environment overrides). A sharded run's retry and timeout policy is not
-/// spec data: it lives on the `--shard-retries` / `--shard-timeout` flags alone.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct EngineSpec {
-    /// Worker thread count ([`SweepEngine::with_threads`]).
-    pub threads: Option<usize>,
-    /// Warm-start continuation default for this spec. An explicit
-    /// [`crate::engine::WARM_START_ENV`] environment setting still wins (so
-    /// `FEDOPT_WARM_START=0` forces any spec cold), but when the environment is silent
-    /// this field decides — the paper presets default it on.
-    pub warm_start: Option<bool>,
+section! {
+    /// Serializable engine options. Unset fields keep [`SweepEngine::new`]'s defaults
+    /// (all cores / environment overrides). A sharded run's retry and timeout policy is not
+    /// spec data: it lives on the `--shard-retries` / `--shard-timeout` flags alone.
+    #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+    pub struct EngineSpec {
+        /// Worker thread count ([`SweepEngine::with_threads`]).
+        threads: Option<usize>, check opt(at_least_one);
+        /// Warm-start continuation default for this spec. An explicit
+        /// [`crate::engine::WARM_START_ENV`] environment setting still wins (so
+        /// `FEDOPT_WARM_START=0` forces any spec cold), but when the environment is silent
+        /// this field decides — the paper presets default it on.
+        warm_start: Option<bool>;
+    }
 }
 
 impl EngineSpec {
@@ -1133,33 +1192,6 @@ impl EngineSpec {
         }
         engine
     }
-
-    fn validate(&self, path: &str) -> Result<(), SpecError> {
-        if self.threads == Some(0) {
-            return Err(SpecError::invalid(format!("{path}.threads"), "must be at least 1"));
-        }
-        Ok(())
-    }
-
-    fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = Vec::new();
-        let mut push = |key: &str, value: Option<Json>| {
-            if let Some(v) = value {
-                members.push((key.to_string(), v));
-            }
-        };
-        push("threads", self.threads.map(|v| Json::uint(v as u64)));
-        push("warm_start", self.warm_start.map(Json::Bool));
-        Json::Obj(members)
-    }
-
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["threads", "warm_start"])?;
-        let spec =
-            Self { threads: obj.opt_usize("threads")?, warm_start: obj.opt_bool("warm_start")? };
-        spec.validate(path)?;
-        Ok(spec)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,26 +1207,24 @@ pub enum Metric {
     Time,
 }
 
-impl Metric {
-    const fn name(self) -> &'static str {
-        match self {
-            Self::Energy => "energy",
-            Self::Time => "time",
-        }
-    }
-}
+wire_names!(Metric, "metric" {
+    Energy => "energy",
+    Time => "time",
+});
 
-/// One figure (or sub-figure) rendered from the evaluated grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReportSpec {
-    /// Identifier matching the paper, e.g. `"fig2a"`.
-    pub id: String,
-    /// The plotted metric.
-    pub metric: Metric,
-    /// Human-readable title.
-    pub title: String,
-    /// Label of the x axis.
-    pub x_label: String,
+section! {
+    /// One figure (or sub-figure) rendered from the evaluated grid.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct ReportSpec {
+        /// Identifier matching the paper, e.g. `"fig2a"`.
+        id: String;
+        /// The plotted metric.
+        metric: Metric;
+        /// Human-readable title.
+        title: String;
+        /// Label of the x axis.
+        x_label: String;
+    }
 }
 
 impl ReportSpec {
@@ -1225,35 +1255,6 @@ impl ReportSpec {
             );
         }
         report
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", Json::Str(self.id.clone())),
-            ("metric", Json::Str(self.metric.name().to_string())),
-            ("title", Json::Str(self.title.clone())),
-            ("x_label", Json::Str(self.x_label.clone())),
-        ])
-    }
-
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["id", "metric", "title", "x_label"])?;
-        let metric = match obj.str("metric")? {
-            "energy" => Metric::Energy,
-            "time" => Metric::Time,
-            other => {
-                return Err(SpecError::invalid(
-                    obj.path_of("metric"),
-                    format!("unknown metric {other:?}"),
-                ))
-            }
-        };
-        Ok(Self {
-            id: obj.str("id")?.to_string(),
-            metric,
-            title: obj.str("title")?.to_string(),
-            x_label: obj.str("x_label")?.to_string(),
-        })
     }
 }
 
@@ -1341,99 +1342,32 @@ impl RoundPolicySpec {
     pub fn display_label(&self) -> &str {
         self.label.as_deref().unwrap_or(self.policy.name())
     }
+}
 
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        match &self.policy {
-            RoundPolicy::ReSolve { .. } | RoundPolicy::Static { .. } => {}
-            RoundPolicy::FedAecs { epsilon, mu, t_max_s } => {
-                for (name, v) in [("epsilon", *epsilon), ("mu", *mu)] {
-                    if !(v.is_finite() && v > 0.0) {
-                        return Err(SpecError::invalid(
-                            format!("{path}.{name}"),
-                            "must be a positive finite number",
-                        ));
-                    }
-                }
-                if let Some(t) = t_max_s {
-                    if !(t.is_finite() && *t > 0.0) {
-                        return Err(SpecError::invalid(
-                            format!("{path}.t_max_s"),
-                            "must be a positive finite number of seconds",
-                        ));
-                    }
-                }
-            }
-            RoundPolicy::Elastic { alpha } => {
-                if !(alpha.is_finite() && *alpha > 0.0 && *alpha <= 1.0) {
-                    return Err(SpecError::invalid(format!("{path}.alpha"), "must be in (0, 1]"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> =
-            vec![("kind".to_string(), Json::Str(self.policy.name().to_string()))];
-        match &self.policy {
-            RoundPolicy::ReSolve { weights } | RoundPolicy::Static { weights } => {
-                members.push(("w1".to_string(), Json::Num(weights.energy())));
-                members.push(("w2".to_string(), Json::Num(weights.time())));
-            }
-            RoundPolicy::FedAecs { epsilon, mu, t_max_s } => {
-                members.push(("epsilon".to_string(), Json::Num(*epsilon)));
-                members.push(("mu".to_string(), Json::Num(*mu)));
-                if let Some(t) = t_max_s {
-                    members.push(("t_max_s".to_string(), Json::Num(*t)));
-                }
-            }
-            RoundPolicy::Elastic { alpha } => {
-                members.push(("alpha".to_string(), Json::Num(*alpha)));
-            }
-        }
-        if let Some(label) = &self.label {
-            members.push(("label".to_string(), Json::Str(label.clone())));
-        }
-        Json::Obj(members)
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        // Same per-kind strictness as `ArmSpec::from_json`: peek the discriminator, then
-        // check the full key set against exactly that kind's payload.
-        let kind_name = Obj::any(v, path)?.str("kind")?.to_string();
-        fn with<'x>(extra: &[&'x str]) -> Vec<&'x str> {
-            let mut allowed = vec!["kind", "label"];
-            allowed.extend_from_slice(extra);
-            allowed
-        }
-        let weights_of = |obj: &Obj<'_>| -> Result<Weights, SpecError> {
-            let (w1, w2) = (obj.f64("w1")?, obj.f64("w2")?);
-            Weights::new(w1, w2)
-                .map_err(|e| SpecError::invalid(path.to_string(), format!("invalid weights: {e}")))
-        };
-        let (policy, obj) = match kind_name.as_str() {
+impl Field for RoundPolicySpec {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        let payload = |keys: &[&str]| tagged(v, path, &["kind", "label"], keys);
+        let (policy, obj) = match peek_kind(v, path)?.as_str() {
             "re_solve" => {
-                let obj = Obj::new(v, path, &with(&["w1", "w2"]))?;
-                (RoundPolicy::ReSolve { weights: weights_of(&obj)? }, obj)
+                let obj = payload(&["w1", "w2"])?;
+                (RoundPolicy::ReSolve { weights: read_weights(&obj)? }, obj)
             }
             "static" => {
-                let obj = Obj::new(v, path, &with(&["w1", "w2"]))?;
-                (RoundPolicy::Static { weights: weights_of(&obj)? }, obj)
+                let obj = payload(&["w1", "w2"])?;
+                (RoundPolicy::Static { weights: read_weights(&obj)? }, obj)
             }
             "fedaecs" => {
-                let obj = Obj::new(v, path, &with(&["epsilon", "mu", "t_max_s"]))?;
-                (
-                    RoundPolicy::FedAecs {
-                        epsilon: obj.f64("epsilon")?,
-                        mu: obj.f64("mu")?,
-                        t_max_s: obj.opt_f64("t_max_s")?,
-                    },
-                    obj,
-                )
+                let obj = payload(&["epsilon", "mu", "t_max_s"])?;
+                let policy = RoundPolicy::FedAecs {
+                    epsilon: obj.field("epsilon", None)?,
+                    mu: obj.field("mu", None)?,
+                    t_max_s: obj.field("t_max_s", None)?,
+                };
+                (policy, obj)
             }
             "elastic" => {
-                let obj = Obj::new(v, path, &with(&["alpha"]))?;
-                (RoundPolicy::Elastic { alpha: obj.f64("alpha")? }, obj)
+                let obj = payload(&["alpha"])?;
+                (RoundPolicy::Elastic { alpha: obj.field("alpha", None)? }, obj)
             }
             other => {
                 return Err(SpecError::invalid(
@@ -1442,21 +1376,55 @@ impl RoundPolicySpec {
                 ))
             }
         };
-        let spec = Self { policy, label: obj.opt_str("label")?.map(str::to_string) };
+        let spec = Self { policy, label: obj.field("label", None)? };
         spec.validate(path)?;
         Ok(spec)
     }
+
+    fn write(&self) -> Option<Json> {
+        let mut members = vec![("kind", Some(Json::Str(self.policy.name().to_string())))];
+        match &self.policy {
+            RoundPolicy::ReSolve { weights } | RoundPolicy::Static { weights } => {
+                members.extend(weight_members(weights));
+            }
+            RoundPolicy::FedAecs { epsilon, mu, t_max_s } => members.extend([
+                ("epsilon", epsilon.write()),
+                ("mu", mu.write()),
+                ("t_max_s", t_max_s.write()),
+            ]),
+            RoundPolicy::Elastic { alpha } => members.push(("alpha", alpha.write())),
+        }
+        members.push(("label", self.label.write()));
+        Some(object(members))
+    }
+
+    fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
+        match &self.policy {
+            RoundPolicy::ReSolve { .. } | RoundPolicy::Static { .. } => Ok(()),
+            RoundPolicy::FedAecs { epsilon, mu, t_max_s } => {
+                check_at(path, "epsilon", positive(epsilon))?;
+                check_at(path, "mu", positive(mu))?;
+                check_at(path, "t_max_s", opt(seconds)(t_max_s))
+            }
+            RoundPolicy::Elastic { alpha } => {
+                let in_range = alpha.is_finite() && *alpha > 0.0 && *alpha <= 1.0;
+                check_at(path, "alpha", ensure(in_range, "must be in (0, 1]"))
+            }
+        }
+    }
 }
 
-/// The straggler model applied every round, per device, from the straggler stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StragglerSpec {
-    /// Probability a device misses the round entirely (no training, no cost).
-    pub dropout: f64,
-    /// Probability a participating device straggles (its computation slows down).
-    pub slow: f64,
-    /// Computation time/energy multiplier for a straggling device (`≥ 1`).
-    pub slow_factor: f64,
+section! {
+    /// The straggler model applied every round, per device, from the straggler stream.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct StragglerSpec {
+        /// Probability a device misses the round entirely (no training, no cost).
+        dropout: f64 = Self::default().dropout, check probability;
+        /// Probability a participating device straggles (its computation slows down).
+        slow: f64 = Self::default().slow, check probability;
+        /// Computation time/energy multiplier for a straggling device (`≥ 1`).
+        slow_factor: f64 = Self::default().slow_factor, check multiplier;
+    }
 }
 
 impl Default for StragglerSpec {
@@ -1465,54 +1433,16 @@ impl Default for StragglerSpec {
     }
 }
 
-impl StragglerSpec {
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        for (name, v) in [("dropout", self.dropout), ("slow", self.slow)] {
-            if !(v.is_finite() && (0.0..1.0).contains(&v)) {
-                return Err(SpecError::invalid(
-                    format!("{path}.{name}"),
-                    "must be a probability in [0, 1)",
-                ));
-            }
-        }
-        if !(self.slow_factor.is_finite() && self.slow_factor >= 1.0) {
-            return Err(SpecError::invalid(
-                format!("{path}.slow_factor"),
-                "must be a finite multiplier of at least 1",
-            ));
-        }
-        Ok(())
+section! {
+    /// The synthetic training task the round simulator learns on (see
+    /// [`fedsim::SyntheticConfig`]).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct SimTrainingSpec {
+        /// Synthetic samples per device.
+        samples_per_device: u64 = Self::default().samples_per_device, check synthetic_samples;
+        /// Local SGD learning rate.
+        learning_rate: f64 = Self::default().learning_rate, check positive;
     }
-
-    pub(crate) fn to_json(self) -> Json {
-        Json::obj([
-            ("dropout", Json::Num(self.dropout)),
-            ("slow", Json::Num(self.slow)),
-            ("slow_factor", Json::Num(self.slow_factor)),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["dropout", "slow", "slow_factor"])?;
-        let default = Self::default();
-        let spec = Self {
-            dropout: obj.opt_f64("dropout")?.unwrap_or(default.dropout),
-            slow: obj.opt_f64("slow")?.unwrap_or(default.slow),
-            slow_factor: obj.opt_f64("slow_factor")?.unwrap_or(default.slow_factor),
-        };
-        spec.validate(path)?;
-        Ok(spec)
-    }
-}
-
-/// The synthetic training task the round simulator learns on (see
-/// [`fedsim::SyntheticConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimTrainingSpec {
-    /// Synthetic samples per device.
-    pub samples_per_device: u64,
-    /// Local SGD learning rate.
-    pub learning_rate: f64,
 }
 
 impl Default for SimTrainingSpec {
@@ -1521,205 +1451,40 @@ impl Default for SimTrainingSpec {
     }
 }
 
-impl SimTrainingSpec {
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        if self.samples_per_device == 0 {
-            return Err(SpecError::invalid(
-                format!("{path}.samples_per_device"),
-                "must be at least 1",
-            ));
-        }
-        if self.samples_per_device > 1_000_000 {
-            return Err(SpecError::invalid(
-                format!("{path}.samples_per_device"),
-                "capped at 1000000 synthetic samples per device",
-            ));
-        }
-        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
-            return Err(SpecError::invalid(
-                format!("{path}.learning_rate"),
-                "must be a positive finite number",
-            ));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn to_json(self) -> Json {
-        Json::obj([
-            ("samples_per_device", Json::uint(self.samples_per_device)),
-            ("learning_rate", Json::Num(self.learning_rate)),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["samples_per_device", "learning_rate"])?;
-        let default = Self::default();
-        let spec = Self {
-            samples_per_device: obj
-                .opt_u64("samples_per_device")?
-                .unwrap_or(default.samples_per_device),
-            learning_rate: obj.opt_f64("learning_rate")?.unwrap_or(default.learning_rate),
-        };
-        spec.validate(path)?;
-        Ok(spec)
+section! {
+    /// Identity of the rendered round-trajectory report.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RoundsReportSpec {
+        /// Identifier, e.g. `"rounds-quick"`.
+        id: String, check not_empty_str;
+        /// Human-readable title.
+        title: String;
     }
 }
 
-/// Identity of the rendered round-trajectory report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundsReportSpec {
-    /// Identifier, e.g. `"rounds-quick"`.
-    pub id: String,
-    /// Human-readable title.
-    pub title: String,
-}
-
-impl RoundsReportSpec {
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        if self.id.is_empty() {
-            return Err(SpecError::invalid(format!("{path}.id"), "must not be empty"));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj([("id", Json::Str(self.id.clone())), ("title", Json::Str(self.title.clone()))])
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["id", "title"])?;
-        let spec = Self { id: obj.str("id")?.to_string(), title: obj.str("title")?.to_string() };
-        spec.validate(path)?;
-        Ok(spec)
-    }
-}
-
-/// The optional round-simulation section of a spec, run by `fedopt sim` (the
-/// `experiments::rounds` subsystem). When present, the spec's axis must hold exactly one
-/// value (the single scenario point simulated) and the sweep `arms` may be empty.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundsSpec {
-    /// Number of simulated global rounds `T`.
-    pub rounds: u32,
-    /// Per-round log-normal block-fading standard deviation in dB (`0` freezes the
-    /// channel at its base realisation).
-    pub refade_db: f64,
-    /// The named derivation of per-round channel/straggler stream seeds. Pinned in the
-    /// wire format; must be a round-indexed rule
-    /// ([`StreamDerivation::RoundChannelFnv`]).
-    pub channel_stream: StreamDerivation,
-    /// The straggler/dropout model.
-    pub straggler: StragglerSpec,
-    /// The synthetic training task.
-    pub training: SimTrainingSpec,
-    /// The policies compared, in column order.
-    pub policies: Vec<RoundPolicySpec>,
-    /// Identity of the rendered trajectory report.
-    pub report: RoundsReportSpec,
-}
-
-impl RoundsSpec {
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        if self.rounds == 0 {
-            return Err(SpecError::invalid(format!("{path}.rounds"), "must be at least 1"));
-        }
-        if self.rounds > MAX_SIM_ROUNDS {
-            return Err(SpecError::invalid(
-                format!("{path}.rounds"),
-                format!("capped at {MAX_SIM_ROUNDS} simulated rounds"),
-            ));
-        }
-        if !(self.refade_db.is_finite() && self.refade_db >= 0.0) {
-            return Err(SpecError::invalid(
-                format!("{path}.refade_db"),
-                "must be finite and non-negative",
-            ));
-        }
-        if self.channel_stream.derive_round(0, 0) == self.channel_stream.derive_round(0, 1) {
-            return Err(SpecError::invalid(
-                format!("{path}.channel_stream"),
-                format!(
-                    "must be a round-indexed stream derivation (e.g. {:?}); {:?} maps \
-                     every round to one stream",
-                    StreamDerivation::RoundChannelFnv.name(),
-                    self.channel_stream.name()
-                ),
-            ));
-        }
-        self.straggler.validate(&format!("{path}.straggler"))?;
-        self.training.validate(&format!("{path}.training"))?;
-        if self.policies.is_empty() {
-            return Err(SpecError::invalid(format!("{path}.policies"), "must not be empty"));
-        }
-        for (i, policy) in self.policies.iter().enumerate() {
-            policy.validate(&format!("{path}.policies[{i}]"))?;
-        }
-        self.report.validate(&format!("{path}.report"))?;
-        Ok(())
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj([
-            ("rounds", Json::uint(u64::from(self.rounds))),
-            ("refade_db", Json::Num(self.refade_db)),
-            ("channel_stream", Json::Str(self.channel_stream.name().to_string())),
-            ("straggler", self.straggler.to_json()),
-            ("training", self.training.to_json()),
-            ("policies", Json::Arr(self.policies.iter().map(RoundPolicySpec::to_json).collect())),
-            ("report", self.report.to_json()),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            path,
-            &[
-                "rounds",
-                "refade_db",
-                "channel_stream",
-                "straggler",
-                "training",
-                "policies",
-                "report",
-            ],
-        )?;
-        let channel_stream = match obj.opt_str("channel_stream")? {
-            None => StreamDerivation::RoundChannelFnv,
-            Some(name) => StreamDerivation::from_name(name).ok_or_else(|| {
-                SpecError::invalid(
-                    obj.path_of("channel_stream"),
-                    format!("unknown stream derivation {name:?}"),
-                )
-            })?,
-        };
-        let straggler = match obj.get("straggler") {
-            Some(s) => StragglerSpec::from_json(s, &obj.path_of("straggler"))?,
-            None => StragglerSpec::default(),
-        };
-        let training = match obj.get("training") {
-            Some(t) => SimTrainingSpec::from_json(t, &obj.path_of("training"))?,
-            None => SimTrainingSpec::default(),
-        };
-        let policies = obj
-            .array("policies")?
-            .iter()
-            .enumerate()
-            .map(|(i, p)| RoundPolicySpec::from_json(p, &format!("{path}.policies[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let spec = Self {
-            rounds: obj.u64("rounds")?.try_into().map_err(|_| {
-                SpecError::invalid(obj.path_of("rounds"), "must fit in a 32-bit round count")
-            })?,
-            refade_db: obj.opt_f64("refade_db")?.unwrap_or(0.0),
-            channel_stream,
-            straggler,
-            training,
-            policies,
-            report: RoundsReportSpec::from_json(obj.req("report")?, &obj.path_of("report"))?,
-        };
-        spec.validate(path)?;
-        Ok(spec)
+section! {
+    /// The optional round-simulation section of a spec, run by `fedopt sim` (the
+    /// `experiments::rounds` subsystem). When present, the spec's axis must hold exactly one
+    /// value (the single scenario point simulated) and the sweep `arms` may be empty.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RoundsSpec {
+        /// Number of simulated global rounds `T`.
+        rounds: u32, check sim_rounds;
+        /// Per-round log-normal block-fading standard deviation in dB (`0` freezes the
+        /// channel at its base realisation).
+        refade_db: f64 = 0.0, check non_negative;
+        /// The named derivation of per-round channel/straggler stream seeds. Pinned in the
+        /// wire format; must be a round-indexed rule
+        /// ([`StreamDerivation::RoundChannelFnv`]).
+        channel_stream: StreamDerivation = StreamDerivation::RoundChannelFnv, check round_indexed;
+        /// The straggler/dropout model.
+        straggler: StragglerSpec = StragglerSpec::default();
+        /// The synthetic training task.
+        training: SimTrainingSpec = SimTrainingSpec::default();
+        /// The policies compared, in column order.
+        policies: Vec<RoundPolicySpec>, check not_empty;
+        /// Identity of the rendered trajectory report.
+        report: RoundsReportSpec;
     }
 }
 
@@ -1727,32 +1492,35 @@ impl RoundsSpec {
 // The spec
 // ---------------------------------------------------------------------------
 
-/// A complete, serializable description of one sweep experiment. See the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentSpec {
-    /// Wire-format version; must equal [`SCHEMA_VERSION`].
-    pub schema_version: u64,
-    /// Short machine-friendly identifier (e.g. `"fig2"`).
-    pub id: String,
-    /// Human-readable description of what the sweep shows.
-    pub description: String,
-    /// The sweep axis.
-    pub axis: AxisSpec,
-    /// Scenario template shared by every point (a patch over the paper defaults).
-    pub scenario: ScenarioSpec,
-    /// The schemes compared, in column order.
-    pub arms: Vec<ArmSpec>,
-    /// Scenario seeds and stream-seed derivation.
-    pub seeds: SeedSpec,
-    /// Solver preset and overrides.
-    pub solver: SolverSpec,
-    /// Engine options.
-    pub engine: EngineSpec,
-    /// Reports rendered from the evaluated grid, in output order.
-    pub reports: Vec<ReportSpec>,
-    /// Optional round-simulation section, run by `fedopt sim` instead of the sweep
-    /// engine. When present, `arms` may be empty and the axis must hold one value.
-    pub rounds: Option<RoundsSpec>,
+section! {
+    /// A complete, serializable description of one sweep experiment. See the module docs.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct ExperimentSpec {
+        /// Wire-format version; must equal [`SCHEMA_VERSION`].
+        schema_version: u64;
+        /// Short machine-friendly identifier (e.g. `"fig2"`).
+        id: String;
+        /// Human-readable description of what the sweep shows.
+        description: String;
+        /// The sweep axis.
+        axis: AxisSpec;
+        /// Scenario template shared by every point (a patch over the paper defaults).
+        scenario: ScenarioSpec;
+        /// The schemes compared, in column order.
+        arms: Vec<ArmSpec>;
+        /// Scenario seeds and stream-seed derivation.
+        seeds: SeedSpec;
+        /// Solver preset and overrides.
+        solver: SolverSpec;
+        /// Engine options.
+        engine: EngineSpec;
+        /// Reports rendered from the evaluated grid, in output order.
+        reports: Vec<ReportSpec>;
+        /// Optional round-simulation section, run by `fedopt sim` instead of the sweep
+        /// engine. When present, `arms` may be empty and the axis must hold one value.
+        /// Written last and omitted when unset, so sweep-only specs keep their bytes.
+        rounds: Option<RoundsSpec>;
+    }
 }
 
 /// The outcome of running a spec: the raw evaluated grid plus the rendered reports.
@@ -1809,9 +1577,9 @@ impl ExperimentSpec {
         for (i, &x) in self.axis.values.iter().enumerate() {
             self.axis.kind.check(x, &format!("axis.values[{i}]"))?;
         }
-        self.scenario.validate("scenario")?;
+        self.scenario.validate(&"scenario")?;
         if let Some(rounds) = &self.rounds {
-            rounds.validate("rounds")?;
+            rounds.validate(&"rounds")?;
             if self.axis.values.len() != 1 {
                 return Err(SpecError::invalid(
                     "axis.values",
@@ -1827,7 +1595,7 @@ impl ExperimentSpec {
             return Err(SpecError::invalid("arms", "must not be empty"));
         }
         for (i, arm) in self.arms.iter().enumerate() {
-            arm.validate(&format!("arms[{i}]"))?;
+            arm.validate(&format_args!("arms[{i}]"))?;
             let needs_axis_deadline = matches!(
                 arm.kind,
                 ArmKind::DeadlineProposed { deadline: DeadlineSpec::Axis }
@@ -1846,9 +1614,9 @@ impl ExperimentSpec {
                 ));
             }
         }
-        self.seeds.validate("seeds")?;
-        self.solver.validate("solver")?;
-        self.engine.validate("engine")?;
+        self.seeds.validate(&"seeds")?;
+        self.solver.validate(&"solver")?;
+        self.engine.validate(&"engine")?;
         Ok(())
     }
 
@@ -1905,26 +1673,7 @@ impl ExperimentSpec {
 
     /// The spec as a JSON value (deterministic member order).
     pub fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![
-            ("schema_version".to_string(), Json::uint(self.schema_version)),
-            ("id".to_string(), Json::Str(self.id.clone())),
-            ("description".to_string(), Json::Str(self.description.clone())),
-            ("axis".to_string(), self.axis.to_json()),
-            ("scenario".to_string(), self.scenario.to_json()),
-            ("arms".to_string(), Json::Arr(self.arms.iter().map(ArmSpec::to_json).collect())),
-            ("seeds".to_string(), self.seeds.to_json()),
-            ("solver".to_string(), self.solver.to_json()),
-            ("engine".to_string(), self.engine.to_json()),
-            (
-                "reports".to_string(),
-                Json::Arr(self.reports.iter().map(ReportSpec::to_json).collect()),
-            ),
-        ];
-        // Appended last and omitted when unset, so sweep-only specs keep their bytes.
-        if let Some(rounds) = &self.rounds {
-            members.push(("rounds".to_string(), rounds.to_json()));
-        }
-        Json::Obj(members)
+        self.write().expect("a section always writes an object")
     }
 
     /// The canonical serialized form (pretty-printed, trailing newline) — byte-stable for
@@ -1940,58 +1689,16 @@ impl ExperimentSpec {
     /// [`SpecError::Invalid`] on schema-version mismatch, unknown keys, wrong types, or
     /// failed validation.
     pub fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            "spec",
-            &[
-                "schema_version",
-                "id",
-                "description",
-                "axis",
-                "scenario",
-                "arms",
-                "seeds",
-                "solver",
-                "engine",
-                "reports",
-                "rounds",
-            ],
-        )?;
-        let version = obj.u64("schema_version")?;
+        // The version is checked first: a document of another version fails on it, not on
+        // whichever of its members this build does not know.
+        let version: u64 = Obj::any(v, &"spec")?.field("schema_version", None)?;
         if version != SCHEMA_VERSION {
             return Err(SpecError::invalid(
                 "spec.schema_version",
                 format!("this build reads schema version {SCHEMA_VERSION}, got {version}"),
             ));
         }
-        let arms = obj
-            .array("arms")?
-            .iter()
-            .enumerate()
-            .map(|(i, arm)| ArmSpec::from_json(arm, &format!("spec.arms[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let reports = obj
-            .array("reports")?
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReportSpec::from_json(r, &format!("spec.reports[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let spec = Self {
-            schema_version: version,
-            id: obj.str("id")?.to_string(),
-            description: obj.str("description")?.to_string(),
-            axis: AxisSpec::from_json(obj.req("axis")?, "spec.axis")?,
-            scenario: ScenarioSpec::from_json(obj.req("scenario")?, "spec.scenario")?,
-            arms,
-            seeds: SeedSpec::from_json(obj.req("seeds")?, "spec.seeds")?,
-            solver: SolverSpec::from_json(obj.req("solver")?, "spec.solver")?,
-            engine: EngineSpec::from_json(obj.req("engine")?, "spec.engine")?,
-            reports,
-            rounds: match obj.get("rounds") {
-                Some(r) => Some(RoundsSpec::from_json(r, "spec.rounds")?),
-                None => None,
-            },
-        };
+        let spec = Self::read(v, &"spec")?;
         spec.validate()?;
         Ok(spec)
     }
@@ -2025,23 +1732,29 @@ impl SweepEngine {
 // Strict object reader
 // ---------------------------------------------------------------------------
 
-/// Strict object accessor: type checks, required/optional getters, unknown-key rejection,
-/// and dotted error paths.
+/// The strict object reader behind every document this crate parses (specs, serve
+/// requests, shard results): it rejects keys outside an allowed list, reads each member
+/// as a [`Field`] with [`Obj::field`], and names the offending member's dotted path in
+/// every error. Spec sections pass their rows' key list; hand-written shapes list theirs.
 pub(crate) struct Obj<'a> {
-    path: &'a str,
+    path: &'a dyn Display,
     members: &'a [(String, Json)],
 }
 
 impl<'a> Obj<'a> {
     /// An object whose keys must all be in `allowed`.
-    pub(crate) fn new(v: &'a Json, path: &'a str, allowed: &[&str]) -> Result<Self, SpecError> {
+    pub(crate) fn new(
+        v: &'a Json,
+        path: &'a dyn Display,
+        allowed: &[&str],
+    ) -> Result<Self, SpecError> {
         let obj = Self::any(v, path)?;
         obj.check_keys(allowed)?;
         Ok(obj)
     }
 
     /// An object with no key restrictions (used to peek at a discriminator first).
-    pub(crate) fn any(v: &'a Json, path: &'a str) -> Result<Self, SpecError> {
+    pub(crate) fn any(v: &'a Json, path: &'a dyn Display) -> Result<Self, SpecError> {
         match v.as_object() {
             Some(members) => Ok(Self { path, members }),
             None => Err(SpecError::invalid(path, "expected a JSON object")),
@@ -2072,133 +1785,14 @@ impl<'a> Obj<'a> {
         self.get(key).ok_or_else(|| SpecError::invalid(self.path_of(key), "missing required key"))
     }
 
-    pub(crate) fn str(&self, key: &str) -> Result<&'a str, SpecError> {
-        self.req(key)?
-            .as_str()
-            .ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a string"))
-    }
-
-    pub(crate) fn opt_str(&self, key: &str) -> Result<Option<&'a str>, SpecError> {
-        self.get(key)
-            .map(|v| {
-                v.as_str().ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a string"))
-            })
-            .transpose()
-    }
-
-    pub(crate) fn f64(&self, key: &str) -> Result<f64, SpecError> {
-        self.req(key)?
-            .as_f64()
-            .ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a number"))
-    }
-
-    pub(crate) fn opt_f64(&self, key: &str) -> Result<Option<f64>, SpecError> {
-        self.get(key)
-            .map(|v| {
-                v.as_f64().ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a number"))
-            })
-            .transpose()
-    }
-
-    pub(crate) fn u64(&self, key: &str) -> Result<u64, SpecError> {
-        self.req(key)?.as_u64().ok_or_else(|| {
-            SpecError::invalid(self.path_of(key), "expected a non-negative integer (≤ 2^53)")
-        })
-    }
-
-    pub(crate) fn opt_u64(&self, key: &str) -> Result<Option<u64>, SpecError> {
-        self.get(key)
-            .map(|v| {
-                v.as_u64().ok_or_else(|| {
-                    SpecError::invalid(
-                        self.path_of(key),
-                        "expected a non-negative integer (≤ 2^53)",
-                    )
-                })
-            })
-            .transpose()
-    }
-
-    pub(crate) fn opt_u32(&self, key: &str) -> Result<Option<u32>, SpecError> {
-        self.opt_u64(key)?
-            .map(|v| {
-                u32::try_from(v).map_err(|_| {
-                    SpecError::invalid(self.path_of(key), "expected a 32-bit unsigned integer")
-                })
-            })
-            .transpose()
-    }
-
-    pub(crate) fn opt_usize(&self, key: &str) -> Result<Option<usize>, SpecError> {
-        self.opt_u64(key)?
-            .map(|v| {
-                usize::try_from(v).map_err(|_| {
-                    SpecError::invalid(self.path_of(key), "does not fit this platform's usize")
-                })
-            })
-            .transpose()
-    }
-
-    pub(crate) fn opt_bool(&self, key: &str) -> Result<Option<bool>, SpecError> {
-        self.get(key)
-            .map(|v| {
-                v.as_bool()
-                    .ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a boolean"))
-            })
-            .transpose()
-    }
-
-    pub(crate) fn array(&self, key: &str) -> Result<&'a [Json], SpecError> {
-        self.req(key)?
-            .as_array()
-            .ok_or_else(|| SpecError::invalid(self.path_of(key), "expected an array"))
-    }
-
-    pub(crate) fn f64_array(&self, key: &str) -> Result<Vec<f64>, SpecError> {
-        self.array(key)?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.as_f64().ok_or_else(|| {
-                    SpecError::invalid(format!("{}[{i}]", self.path_of(key)), "expected a number")
-                })
-            })
-            .collect()
-    }
-
-    pub(crate) fn u64_array(&self, key: &str) -> Result<Vec<u64>, SpecError> {
-        self.array(key)?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.as_u64().ok_or_else(|| {
-                    SpecError::invalid(
-                        format!("{}[{i}]", self.path_of(key)),
-                        "expected a non-negative integer (≤ 2^53)",
-                    )
-                })
-            })
-            .collect()
-    }
-
-    pub(crate) fn opt_f64_pair(&self, key: &str) -> Result<Option<(f64, f64)>, SpecError> {
+    /// Reads member `key`. An absent key reads as `default`, then as [`Field::absent`]
+    /// (`None` for an option); otherwise it is a missing required key.
+    pub(crate) fn field<T: Field>(&self, key: &str, default: Option<T>) -> Result<T, SpecError> {
         match self.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let items = v.as_array().ok_or_else(|| {
-                    SpecError::invalid(self.path_of(key), "expected a two-number array")
-                })?;
-                match items {
-                    [a, b] => match (a.as_f64(), b.as_f64()) {
-                        (Some(lo), Some(hi)) => Ok(Some((lo, hi))),
-                        _ => Err(SpecError::invalid(
-                            self.path_of(key),
-                            "expected a two-number array",
-                        )),
-                    },
-                    _ => Err(SpecError::invalid(self.path_of(key), "expected exactly two numbers")),
-                }
-            }
+            Some(v) => T::read(v, &format_args!("{}.{key}", self.path)),
+            None => default
+                .or_else(T::absent)
+                .ok_or_else(|| SpecError::invalid(self.path_of(key), "missing required key")),
         }
     }
 }
@@ -2356,14 +1950,129 @@ mod tests {
     #[test]
     fn engine_spec_round_trips_and_builds() {
         let spec = EngineSpec { threads: Some(2), warm_start: Some(false) };
-        let parsed = EngineSpec::from_json(&spec.to_json(), "engine").unwrap();
+        let parsed = EngineSpec::read(&spec.write().unwrap(), &"engine").unwrap();
         assert_eq!(parsed, spec);
         let engine = spec.to_engine();
         assert_eq!(engine.threads(), 2);
         // The spec's warm-start default applies unless the environment pins one.
         assert_eq!(engine.warm_starts(), crate::engine::warm_start_env().unwrap_or(false));
         // The empty spec serializes to an empty object.
-        assert_eq!(EngineSpec::default().to_json(), Json::Obj(vec![]));
+        assert_eq!(EngineSpec::default().write(), Some(Json::Obj(vec![])));
+    }
+
+    /// Sets `key` in the object at the dotted `section` path of a spec document.
+    fn set(doc: &mut Json, section: &str, key: &str, value: Json) {
+        let mut node = doc;
+        for part in section.split('.') {
+            let Json::Obj(members) = node else { panic!("`{part}` is not in an object") };
+            node = &mut members.iter_mut().find(|(k, _)| k == part).expect("section exists").1;
+        }
+        let Json::Obj(members) = node else { panic!("`{section}` is not an object") };
+        match members.iter_mut().find(|(k, _)| k == key) {
+            Some((_, slot)) => *slot = value,
+            None => members.push((key.to_string(), value)),
+        }
+    }
+
+    #[test]
+    fn every_checked_row_rejects_bad_values_at_its_path() {
+        let (num, text) = (Json::Num, |s: &str| Json::Str(s.to_string()));
+        // (section, key, an out-of-range value, a wrong-typed value)
+        let rows = [
+            ("scenario", "devices", num(0.0), text("5")),
+            ("scenario", "devices", num(1_000_001.0), num(2.5)),
+            ("scenario", "radius_km", num(0.0), text("1")),
+            ("scenario", "samples_per_device", num(0.0), num(-1.0)),
+            ("scenario", "total_samples", num(0.0), num(0.5)),
+            ("scenario", "cycles_per_sample", Json::Arr(vec![num(3.0), num(1.0)]), num(1.0)),
+            ("scenario", "upload_bits", num(0.0), text("x")),
+            ("scenario", "p_min_dbm", num(f64::INFINITY), text("x")),
+            ("scenario", "p_max_dbm", num(f64::NAN), Json::Bool(true)),
+            ("scenario", "f_min_hz", num(0.0), text("x")),
+            ("scenario", "f_max_ghz", num(-2.0), text("x")),
+            ("scenario", "global_rounds", num(0.0), num(5e9)),
+            ("scenario", "local_iterations", num(0.0), text("x")),
+            ("scenario", "total_bandwidth_hz", num(0.0), text("x")),
+            ("scenario", "shadowing_db", num(-0.5), text("x")),
+            ("solver", "outer_max_iter", num(0.0), text("x")),
+            ("solver", "outer_tol", num(0.0), text("x")),
+            ("solver", "mu_tol", num(0.0), text("x")),
+            ("solver", "scalar_tol", num(-1.0), text("x")),
+            ("solver", "bandwidth_floor_hz", num(0.0), text("x")),
+            ("engine", "threads", num(0.0), text("x")),
+            ("rounds", "rounds", num(0.0), text("x")),
+            ("rounds", "rounds", num(100_001.0), num(5e9)),
+            ("rounds", "refade_db", num(-1.0), text("x")),
+            ("rounds", "channel_stream", text("xor-golden32"), num(1.0)),
+            ("rounds", "policies", Json::Arr(vec![]), text("x")),
+            ("rounds.straggler", "dropout", num(1.0), text("x")),
+            ("rounds.straggler", "slow", num(-0.1), text("x")),
+            ("rounds.straggler", "slow_factor", num(0.5), text("x")),
+            ("rounds.training", "samples_per_device", num(0.0), text("x")),
+            ("rounds.training", "samples_per_device", num(1_000_001.0), num(-1.0)),
+            ("rounds.training", "learning_rate", num(0.0), text("x")),
+            ("rounds.report", "id", text(""), num(1.0)),
+        ];
+        let base = crate::presets::sim("rounds-quick").expect("preset exists").to_json();
+        for (section, key, out_of_range, wrong_type) in rows {
+            for value in [out_of_range, wrong_type] {
+                let mut doc = base.clone();
+                set(&mut doc, section, key, value.clone());
+                let err = ExperimentSpec::from_json(&doc).unwrap_err();
+                let expected = format!("spec.{section}.{key}");
+                assert!(
+                    matches!(&err, SpecError::Invalid { path, .. } if *path == expected),
+                    "{expected} = {value:?}: {err}"
+                );
+            }
+        }
+    }
+
+    /// Reads `full` back with one unknown key: the allowed list must be its emit order.
+    fn assert_allows_what_it_writes<T: Field>(full: &T) {
+        let mut doc = full.write().unwrap();
+        let Json::Obj(members) = &mut doc else { panic!("sections write objects") };
+        let written: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let message = format!("unknown key (allowed: {})", written.join(", "));
+        members.push(("surprise".to_string(), Json::Bool(true)));
+        let err = T::read(&doc, &"section").err().expect("an unknown key is rejected");
+        assert_eq!(err, SpecError::invalid("section.surprise", message));
+    }
+
+    #[test]
+    fn every_section_accepts_exactly_the_keys_it_writes() {
+        assert_allows_what_it_writes(&ScenarioSpec {
+            devices: Some(1),
+            radius_km: Some(1.0),
+            samples_per_device: Some(1),
+            total_samples: Some(1),
+            cycles_per_sample: Some((1.0, 2.0)),
+            upload_bits: Some(1.0),
+            p_min_dbm: Some(0.0),
+            p_max_dbm: Some(1.0),
+            f_min_hz: Some(1.0),
+            f_max_ghz: Some(1.0),
+            global_rounds: Some(1),
+            local_iterations: Some(1),
+            total_bandwidth_hz: Some(1.0),
+            shadowing_db: Some(0.0),
+        });
+        assert_allows_what_it_writes(&SolverSpec {
+            preset: SolverPreset::Fast,
+            outer_max_iter: Some(1),
+            outer_tol: Some(1.0),
+            mu_tol: Some(1.0),
+            scalar_tol: Some(1.0),
+            bandwidth_floor_hz: Some(1.0),
+            polish_with_reference: Some(true),
+        });
+        assert_allows_what_it_writes(&EngineSpec { threads: Some(1), warm_start: Some(true) });
+        assert_allows_what_it_writes(&ReportSpec::new("r", Metric::Time, "t", "x"));
+        let rounds = crate::presets::sim("rounds-quick").expect("preset exists").rounds.unwrap();
+        assert_allows_what_it_writes(&rounds.straggler);
+        assert_allows_what_it_writes(&rounds.training);
+        assert_allows_what_it_writes(&rounds.report);
+        assert_allows_what_it_writes(&rounds);
     }
 
     #[test]

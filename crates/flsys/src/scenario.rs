@@ -152,6 +152,7 @@ impl ScenarioBuilder {
     }
 
     /// Distributes a fixed total number of samples equally across devices (Fig. 4's setup).
+    /// A total below the device count leaves a device without data, so the build fails.
     pub fn with_total_samples(mut self, total: u64) -> Self {
         self.total_samples = Some(total);
         self
@@ -231,7 +232,7 @@ impl ScenarioBuilder {
     ///
     /// Returns [`FlError::NoDevices`] when the device count is zero, or
     /// [`FlError::InvalidParameter`] if any derived profile fails validation (for example an
-    /// inverted power box).
+    /// inverted power box, or a device left without samples by a small total).
     pub fn build(&self, seed: u64) -> Result<Scenario, FlError> {
         if self.num_devices == 0 {
             return Err(FlError::NoDevices);
@@ -262,7 +263,7 @@ impl ScenarioBuilder {
                     &mut rng,
                 );
                 DeviceProfile {
-                    samples: samples.max(1),
+                    samples,
                     cycles_per_sample: rng.gen_range(c_lo..=c_hi),
                     upload_bits: self.upload_bits,
                     gain,
@@ -416,5 +417,13 @@ mod tests {
             ScenarioBuilder::paper_default().with_devices(2).build(0).unwrap().devices;
         devices[1].cycles_per_sample = -5.0;
         assert!(Scenario::new(params, devices).is_err());
+    }
+
+    #[test]
+    fn a_total_below_the_device_count_is_an_error_not_one_sample_each() {
+        let err = ScenarioBuilder::paper_default().with_devices(7).with_total_samples(3).build(0);
+        assert_eq!(err.unwrap_err(), FlError::InvalidParameter { name: "samples", value: 0.0 });
+        let exact = ScenarioBuilder::paper_default().with_devices(7).with_total_samples(7).build(0);
+        assert!(exact.unwrap().devices.iter().all(|d| d.samples == 1));
     }
 }

@@ -94,6 +94,20 @@ fn a_slow_request_misses_its_deadline_as_a_typed_degradation() {
 }
 
 #[test]
+fn fewer_samples_than_devices_degrades_instead_of_solving_one_sample_each() {
+    let request = "{\"schema_version\":1,\"id\":\"thin\",\"scenario\":{\"devices\":15,\
+                   \"total_samples\":3},\"solver\":{\"preset\":\"fast\"}}\n";
+    let stream = format!("{request}{}", small_request("next", 2));
+    let out = serve(&["--workers", "1"], &stream, None);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let lines = response_lines(&out);
+    assert_eq!(status_of(&lines[0]), "degraded");
+    let reason = lines[0].get("reason").and_then(Json::as_str).unwrap();
+    assert!(reason.contains("`samples`"), "{reason}");
+    assert_eq!(status_of(&lines[1]), "ok");
+}
+
+#[test]
 fn overload_sheds_deterministically_instead_of_queueing_unboundedly() {
     let stream: String = (0..4).map(|i| small_request(&format!("r{i}"), i)).collect();
     let out = serve(&["--workers", "1", "--queue-depth", "1"], &stream, Some("floodreq@0"));
