@@ -85,7 +85,7 @@ USAGE:
                                      (re-solve | static | fedaecs | elastic)
   fedopt run ... --shards N [--cache-dir DIR] [--shard-timeout SECS]
                  [--shard-retries N] [--shard-backoff-ms MS] [--shard-heartbeat SECS]
-                 [--shard-heartbeat-interval-ms MS] [--allow-partial]
+                 [--allow-partial]
                                      split the run into N seed shards, execute them as
                                      fedopt subprocesses, merge bit-identically
   fedopt run ... --fill-holes REPORT --cache-dir DIR
@@ -124,12 +124,8 @@ OPTIONS:
   --shard-backoff-ms MS
                      base of the exponential retry backoff (requires --shards; default 100)
   --shard-heartbeat S
-                     kill a worker after S seconds of heartbeat silence
-                     (requires --shards; default 30)
-  --shard-heartbeat-interval-ms MS
-                     pace the workers' heartbeat lines (requires --shards or
-                     --fill-holes; default 500; must fit inside the --shard-heartbeat
-                     silence window)
+                     kill a worker after S seconds of heartbeat silence; workers beat
+                     every min(S/4, 0.5) seconds (requires --shards; default 30)
   --allow-partial    salvage mode: merge completed shards, report failed seed ranges as
                      explicit holes instead of failing the run (requires --shards)
   --fill-holes FILE  resume the salvaged JSON document FILE: re-run only its shard_holes
@@ -149,7 +145,8 @@ OPTIONS:
 
 Environment: FEDOPT_SWEEP_THREADS pins the default worker count; FEDOPT_WARM_START
 overrides every spec's warm-start default (0 forces cold, 1 forces warm);
-FEDOPT_SHARD_HEARTBEAT_INTERVAL_MS paces worker heartbeats (the flag sets it);
+FEDOPT_SHARD_HEARTBEAT_INTERVAL_MS carries the coordinator's heartbeat cadence to its
+workers (internal);
 FEDOPT_FAULT_PLAN (<kind>@<target>) injects a deterministic fault for chaos tests —
 worker kinds fire on a shard's first seed, serve kinds (slowreq/poisonreq/floodreq)
 on a request index.";
@@ -252,9 +249,6 @@ pub struct FleetArgs {
     pub shard_backoff_ms: Option<u64>,
     /// Kill a worker after this many seconds of heartbeat silence (requires `shards`).
     pub shard_heartbeat_s: Option<u64>,
-    /// Pace the workers' heartbeat lines this many milliseconds apart (requires
-    /// `shards` or `fill_holes`; default [`shard::DEFAULT_HEARTBEAT_INTERVAL`]).
-    pub shard_heartbeat_interval_ms: Option<u64>,
     /// Salvage mode: merge completed shards, surface failures as explicit holes.
     pub allow_partial: bool,
     /// Resume mode: path of a salvaged `--json` document whose `shard_holes` are the
@@ -517,10 +511,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 shard_retries: take_nonneg(&mut rest, "--shard-retries")?,
                 shard_backoff_ms: take_nonneg(&mut rest, "--shard-backoff-ms")?,
                 shard_heartbeat_s: take_positive(&mut rest, "--shard-heartbeat")?,
-                shard_heartbeat_interval_ms: take_positive(
-                    &mut rest,
-                    "--shard-heartbeat-interval-ms",
-                )?,
                 allow_partial: take_switch(&mut rest, "--allow-partial"),
                 fill_holes: take_value(&mut rest, "--fill-holes")?,
                 shard_json: take_switch(&mut rest, "--shard-json"),
@@ -553,26 +543,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     (fleet.shard_retries.is_some(), "--shard-retries"),
                     (fleet.shard_backoff_ms.is_some(), "--shard-backoff-ms"),
                     (fleet.shard_heartbeat_s.is_some(), "--shard-heartbeat"),
-                    (fleet.shard_heartbeat_interval_ms.is_some(), "--shard-heartbeat-interval-ms"),
                     (fleet.allow_partial, "--allow-partial"),
                 ] {
                     if set {
                         return Err(CliError::usage(format!("{flag} requires --shards N")));
                     }
-                }
-            }
-            if let Some(interval_ms) = fleet.shard_heartbeat_interval_ms {
-                // A beat cadence slower than the allowed silence kills every healthy
-                // worker between two beats — a configuration that can only lose.
-                let window_s =
-                    fleet.shard_heartbeat_s.unwrap_or(shard::DEFAULT_HEARTBEAT_TIMEOUT.as_secs());
-                if window_s.saturating_mul(1000) < interval_ms {
-                    return Err(CliError::usage(format!(
-                        "--shard-heartbeat-interval-ms {interval_ms} exceeds the \
-                         heartbeat-silence window of {window_s} s — every worker would \
-                         be killed as stalled between two beats; raise --shard-heartbeat \
-                         or lower the interval"
-                    )));
                 }
             }
             if fleet.shard_json && (json || fleet.shards.is_some() || fleet.fill_holes.is_some()) {
@@ -764,7 +739,7 @@ pub fn run_document_with_fleet(
     let mut counter_members = vec![
         ("scenarios_built", Json::uint(counters.scenarios_built as u64)),
         ("cells_evaluated", Json::uint(counters.cells_evaluated as u64)),
-        ("solver", serve::counters_json(&counters.solver)),
+        ("solver", shard::solver_counters_json(&counters.solver, false)),
     ];
     if let Some(stats) = fleet {
         if stats.cache_enabled {
@@ -967,9 +942,9 @@ fn run_worker(spec: &ExperimentSpec) -> Result<String, CliError> {
         }
         _ => {}
     }
-    // The beat cadence comes from the coordinator (or the user) via the environment; a
-    // malformed value is a loud startup error — a typo must not degrade into a silently
-    // different liveness contract.
+    // The beat cadence comes from the coordinator via the environment; a malformed value
+    // is a loud startup error — a typo must not degrade into a silently different
+    // liveness contract.
     let interval = shard::heartbeat_interval_env()
         .map_err(CliError::runtime)?
         .unwrap_or(shard::DEFAULT_HEARTBEAT_INTERVAL);
@@ -1027,9 +1002,6 @@ fn subprocess_runner(fleet: &FleetArgs) -> Result<SubprocessRunner, CliError> {
     }
     if let Some(secs) = fleet.shard_heartbeat_s {
         runner = runner.with_heartbeat_timeout(Some(Duration::from_secs(secs)));
-    }
-    if let Some(ms) = fleet.shard_heartbeat_interval_ms {
-        runner = runner.with_heartbeat_interval(Duration::from_millis(ms));
     }
     Ok(runner)
 }
@@ -1322,11 +1294,10 @@ mod tests {
             "run --fig 2 --shards 2 --shard-heartbeat 0",
             "run --fig 2 --shard-json --json",
             "run --fig 2 --shard-json --shards 2",
-            // Heartbeat-interval combinations.
+            // No heartbeat-interval flag: the beat cadence follows the silence window.
             "run --fig 2 --shard-heartbeat-interval-ms 500",
             "run --fig 2 --shards 2 --shard-heartbeat-interval-ms 0",
             "run --fig 2 --shards 2 --shard-heartbeat-interval-ms soon",
-            // The silence window must fit at least one full beat interval.
             "run --fig 2 --shards 2 --shard-heartbeat 1 --shard-heartbeat-interval-ms 2000",
             "run --fig 2 --shards 2 --shard-heartbeat-interval-ms 31000",
             // Fill-holes combinations.
@@ -1426,25 +1397,6 @@ mod tests {
                 source: SpecSource::Fig { fig: 5, paper: true },
                 shards: 8,
                 overrides: Overrides { seeds: Some(40), threads: None },
-            }
-        );
-        // The heartbeat cadence rides along when it fits inside the silence window.
-        assert_eq!(
-            parse(&argv(
-                "run --fig 2 --shards 2 --shard-heartbeat 2 \
-                         --shard-heartbeat-interval-ms 200"
-            ))
-            .unwrap(),
-            Command::Run {
-                source: SpecSource::Fig { fig: 2, paper: false },
-                overrides: Overrides::default(),
-                json: false,
-                fleet: FleetArgs {
-                    shards: Some(2),
-                    shard_heartbeat_s: Some(2),
-                    shard_heartbeat_interval_ms: Some(200),
-                    ..FleetArgs::default()
-                },
             }
         );
         assert_eq!(

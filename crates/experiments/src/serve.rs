@@ -48,6 +48,7 @@ use crate::arms::SpecArm;
 use crate::engine::{warm_start_env, Arm, CellContext, CellOutput};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::json::{fnv1a_64, Json, MAX_EXACT_INT};
+use crate::shard::solver_counters_json;
 use crate::spec::{object, ArmKind, ArmSpec, Field, Obj, ScenarioSpec, SolverSpec, SpecError};
 use baselines::derive_stream_seed;
 use fedopt_core::{CoreError, SolverWorkspace};
@@ -925,36 +926,18 @@ fn render_response(
                 ));
             }
             members.push(("warm".to_string(), Json::Str(label.as_str().to_string())));
-            members.push(("counters".to_string(), counters_json(&output.counters)));
+            members.push(("counters".to_string(), solver_counters_json(&output.counters, false)));
         }
         ResponseExtras::Degraded { reason, output } => {
             members.push(("reason".to_string(), Json::Str(reason)));
             members.push(("warm".to_string(), Json::Str(label.as_str().to_string())));
-            members.push(("counters".to_string(), counters_json(&output.counters)));
+            members.push(("counters".to_string(), solver_counters_json(&output.counters, false)));
         }
     }
     if opts.timing {
         members.push(("latency_us".to_string(), Json::uint(latency_us)));
     }
     Json::Obj(members).to_compact_string()
-}
-
-/// Solver work counters as JSON: a response's `counters` member (the *delta* its request
-/// contributed) and the `counters.solver` member of `fedopt run --json`. Five members
-/// always, plus `degraded_solves` only when the watchdog degraded a solve, so fault-free
-/// output stays byte-stable.
-pub(crate) fn counters_json(c: &fedopt_core::SolveCounters) -> Json {
-    let mut members: Vec<(String, Json)> = vec![
-        ("outer_iterations".to_string(), Json::uint(c.outer_iterations)),
-        ("jong_iterations".to_string(), Json::uint(c.jong_iterations)),
-        ("kkt_solves".to_string(), Json::uint(c.kkt_solves)),
-        ("mu_bisect_evals".to_string(), Json::uint(c.mu_bisect_evals)),
-        ("sp2_fast_path_hits".to_string(), Json::uint(c.sp2_fast_path_hits)),
-    ];
-    if c.degraded_solves > 0 {
-        members.push(("degraded_solves".to_string(), Json::uint(c.degraded_solves)));
-    }
-    Json::Obj(members)
 }
 
 /// Evaluates one request against a workspace: compiles the arm, builds the scenario,
@@ -1028,20 +1011,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Serves sequential connections on a unix domain socket until [`drain_flag`] is set:
 /// each connection is one [`serve_session`] (its own request sequence and fault
 /// indices); the returned stats are the merge over all connections. The socket file is
-/// created on bind (a stale one is removed first) and removed on clean exit.
+/// created on bind (a stale socket is removed first) and removed on clean exit.
 ///
 /// # Errors
 ///
-/// Binding, accepting, or a session's transport I/O.
+/// Binding, accepting, or a session's transport I/O. Any existing path that is not a
+/// socket is an [`io::ErrorKind::AlreadyExists`] error and is left untouched.
 #[cfg(unix)]
 pub fn serve_unix_socket(
     path: &std::path::Path,
     opts: &ServeOptions,
     drain: &AtomicBool,
 ) -> io::Result<ServeStats> {
+    use std::os::unix::fs::FileTypeExt;
     use std::os::unix::net::UnixListener;
-    if path.exists() {
-        std::fs::remove_file(path)?;
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path)?,
+        Ok(_) => {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "the path exists and is not a socket; refusing to replace it",
+            ));
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
     }
     let listener = UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
@@ -1285,6 +1278,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fedopt-serve-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("serve.sock");
+        // A stale socket left by an earlier server is replaced.
+        let _ = std::fs::remove_file(&path);
+        drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
         let drain = AtomicBool::new(false);
         let opts = one_worker();
         std::thread::scope(|scope| {

@@ -87,13 +87,15 @@ pub const DEFAULT_RETRY_BACKOFF: Duration = Duration::from_millis(100);
 pub const HEARTBEAT_PREFIX: &str = "fedopt-heartbeat";
 
 /// Environment variable pacing the worker's heartbeat emission, in milliseconds.
-/// [`SubprocessRunner::with_heartbeat_interval`] sets it on every child it spawns; a
-/// malformed value is a loud worker-startup error, never a silently different cadence.
+/// [`SubprocessRunner`] sets it on every child it spawns, derived from its silence
+/// window; a malformed value is a loud worker-startup error, never a silently different
+/// cadence.
 pub const HEARTBEAT_INTERVAL_ENV: &str = "FEDOPT_SHARD_HEARTBEAT_INTERVAL_MS";
 
-/// Default interval between a worker's heartbeat lines. Far below
-/// [`DEFAULT_HEARTBEAT_TIMEOUT`] on purpose: several beats must fit into the silence
-/// window, or scheduling jitter alone would kill healthy workers.
+/// Default interval between a worker's heartbeat lines, and the slowest cadence a
+/// [`SubprocessRunner`] asks for. Far below [`DEFAULT_HEARTBEAT_TIMEOUT`] on purpose:
+/// several beats must fit into the silence window, or scheduling jitter alone would kill
+/// healthy workers.
 pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Parses [`HEARTBEAT_INTERVAL_ENV`] text into a heartbeat interval.
@@ -365,19 +367,53 @@ fn hash_hex(doc: &Json) -> String {
 // The shard result and its codec
 // ---------------------------------------------------------------------------
 
-/// The solver counters a shard document carries, in member order. Each accessor serves
-/// both directions: emit reads the counter through it, parse writes it.
+/// Where a solver counter is written besides the shard document, which carries them all.
+#[derive(Clone, Copy)]
+enum Emit {
+    /// In every counters member.
+    Always,
+    /// Elsewhere only when nonzero, so fault-free output stays byte-stable.
+    Nonzero,
+    /// In the shard document only.
+    ShardOnly,
+}
+
+/// The solver counters, in member order. Each accessor serves both directions: emit
+/// reads the counter through it, parse writes it.
 type CounterField = fn(&mut SolveCounters) -> &mut u64;
-const SOLVER_COUNTERS: [(&str, CounterField); 8] = [
-    ("outer_iterations", |c| &mut c.outer_iterations),
-    ("jong_iterations", |c| &mut c.jong_iterations),
-    ("kkt_solves", |c| &mut c.kkt_solves),
-    ("mu_bisect_evals", |c| &mut c.mu_bisect_evals),
-    ("sp2_fast_path_hits", |c| &mut c.sp2_fast_path_hits),
-    ("sp1_probe_evals", |c| &mut c.sp1_probe_evals),
-    ("lp_sorts", |c| &mut c.lp_sorts),
-    ("degraded_solves", |c| &mut c.degraded_solves),
+const SOLVER_COUNTERS: [(&str, CounterField, Emit); 8] = [
+    ("outer_iterations", |c| &mut c.outer_iterations, Emit::Always),
+    ("jong_iterations", |c| &mut c.jong_iterations, Emit::Always),
+    ("kkt_solves", |c| &mut c.kkt_solves, Emit::Always),
+    ("mu_bisect_evals", |c| &mut c.mu_bisect_evals, Emit::Always),
+    ("sp2_fast_path_hits", |c| &mut c.sp2_fast_path_hits, Emit::Always),
+    ("sp1_probe_evals", |c| &mut c.sp1_probe_evals, Emit::ShardOnly),
+    ("lp_sorts", |c| &mut c.lp_sorts, Emit::ShardOnly),
+    ("degraded_solves", |c| &mut c.degraded_solves, Emit::Nonzero),
 ];
+
+/// Solver work counters as JSON. The shard document (`shard_document`) carries every
+/// row of the table; the `counters.solver` member of `fedopt run --json` and a serve
+/// response's `counters` (the *delta* its request contributed) write each row by its
+/// [`Emit`] rule.
+pub(crate) fn solver_counters_json(c: &SolveCounters, shard_document: bool) -> Json {
+    let mut c = *c;
+    Json::Obj(
+        SOLVER_COUNTERS
+            .iter()
+            .filter_map(|&(name, counter, emit)| {
+                let value = *counter(&mut c);
+                let shown = shard_document
+                    || match emit {
+                        Emit::Always => true,
+                        Emit::Nonzero => value > 0,
+                        Emit::ShardOnly => false,
+                    };
+                shown.then(|| (name.to_string(), Json::uint(value)))
+            })
+            .collect(),
+    )
+}
 
 /// The raw output of one shard: the [`CellMatrix`] of the shard spec — every cell sample
 /// of its seed sub-range plus the shard's work counters — stamped with the cache key it
@@ -432,7 +468,6 @@ impl ShardResult {
                 })
                 .collect(),
         );
-        let mut solver = cells.counters.solver;
         let mut doc = Json::obj([
             ("schema_version", Json::uint(SHARD_FORMAT_VERSION)),
             ("kind", Json::Str(RESULT_KIND.to_string())),
@@ -449,17 +484,7 @@ impl ShardResult {
                 Json::obj([
                     ("scenarios_built", Json::uint(cells.counters.scenarios_built as u64)),
                     ("cells_evaluated", Json::uint(cells.counters.cells_evaluated as u64)),
-                    (
-                        "solver",
-                        Json::Obj(
-                            SOLVER_COUNTERS
-                                .iter()
-                                .map(|(name, counter)| {
-                                    (name.to_string(), Json::uint(*counter(&mut solver)))
-                                })
-                                .collect(),
-                        ),
-                    ),
+                    ("solver", solver_counters_json(&cells.counters.solver, true)),
                 ]),
             ),
         ]);
@@ -566,10 +591,10 @@ impl ShardResult {
             &["scenarios_built", "cells_evaluated", "solver"],
         )?;
         let solver_path = counters.path_of("solver");
-        let solver_names = SOLVER_COUNTERS.map(|(name, _)| name);
+        let solver_names = SOLVER_COUNTERS.map(|(name, _, _)| name);
         let solver_obj = Obj::new(counters.req("solver")?, &solver_path, &solver_names)?;
         let mut solver = SolveCounters::default();
-        for (name, counter) in SOLVER_COUNTERS {
+        for (name, counter, _) in SOLVER_COUNTERS {
             *counter(&mut solver) = solver_obj.field(name, None)?;
         }
         let counters = SweepCounters {
@@ -855,7 +880,6 @@ pub struct SubprocessRunner {
     program: PathBuf,
     timeout: Duration,
     heartbeat_timeout: Option<Duration>,
-    heartbeat_interval: Option<Duration>,
 }
 
 impl SubprocessRunner {
@@ -865,7 +889,6 @@ impl SubprocessRunner {
             program: program.into(),
             timeout: DEFAULT_SHARD_TIMEOUT,
             heartbeat_timeout: Some(DEFAULT_HEARTBEAT_TIMEOUT),
-            heartbeat_interval: None,
         }
     }
 
@@ -883,14 +906,14 @@ impl SubprocessRunner {
         self
     }
 
-    /// Paces every child's heartbeat emission (via [`HEARTBEAT_INTERVAL_ENV`]). The
-    /// caller is responsible for keeping the interval below the heartbeat-silence
-    /// timeout — the CLI rejects the inverted configuration at parse time, because a
-    /// silence window shorter than the beat cadence kills every healthy worker.
-    #[must_use]
-    pub fn with_heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.heartbeat_interval = Some(interval);
-        self
+    /// The beat cadence every child is asked for (via [`HEARTBEAT_INTERVAL_ENV`]): a
+    /// quarter of the silence window, so four beats fit into it, capped at
+    /// [`DEFAULT_HEARTBEAT_INTERVAL`] and never below 1 ms. With the window off nothing
+    /// waits on the beats, and the default stands.
+    fn heartbeat_interval(&self) -> Duration {
+        self.heartbeat_timeout.map_or(DEFAULT_HEARTBEAT_INTERVAL, |window| {
+            (window / 4).clamp(Duration::from_millis(1), DEFAULT_HEARTBEAT_INTERVAL)
+        })
     }
 }
 
@@ -975,10 +998,8 @@ impl ShardRunner for SubprocessRunner {
         cmd.args(["run", "--spec", "-", "--shard-json"])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
-        if let Some(interval) = self.heartbeat_interval {
-            cmd.env(HEARTBEAT_INTERVAL_ENV, interval.as_millis().to_string());
-        }
+            .stderr(Stdio::piped())
+            .env(HEARTBEAT_INTERVAL_ENV, self.heartbeat_interval().as_millis().to_string());
         let mut child = cmd.spawn().map_err(|e| {
             ShardRunError::from(format!("cannot spawn {}: {e}", self.program.display()))
         })?;
@@ -1543,6 +1564,18 @@ mod tests {
             let err = parse_heartbeat_interval(bad).unwrap_err();
             assert!(err.contains(HEARTBEAT_INTERVAL_ENV), "{bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn heartbeat_cadence_is_a_quarter_of_the_silence_window() {
+        let cadence = |window: Option<Duration>| {
+            SubprocessRunner::new("fedopt").with_heartbeat_timeout(window).heartbeat_interval()
+        };
+        // The default 30 s window keeps the default cadence; a 1 s window beats 4 times.
+        assert_eq!(cadence(Some(DEFAULT_HEARTBEAT_TIMEOUT)), DEFAULT_HEARTBEAT_INTERVAL);
+        assert_eq!(cadence(Some(Duration::from_secs(1))), Duration::from_millis(250));
+        assert_eq!(cadence(Some(Duration::from_millis(2))), Duration::from_millis(1));
+        assert_eq!(cadence(None), DEFAULT_HEARTBEAT_INTERVAL);
     }
 
     #[test]

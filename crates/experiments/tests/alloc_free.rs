@@ -6,14 +6,70 @@
 //! on the measuring thread. Allocation counts are per-thread, so concurrently running
 //! sibling tests cannot pollute the measurement.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use experiments::presets::{self, Variant};
 use experiments::spec::ArmKind;
-use fedopt_bench::thread_allocation_count;
 use fedopt_core::{sp2, JointOptimizer, SolverConfig, SolverWorkspace};
 use flsys::{Scenario, Weights};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 #[global_allocator]
-static ALLOCATOR: fedopt_bench::CountingAllocator = fedopt_bench::CountingAllocator;
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+std::thread_local! {
+    /// Per-thread allocation count. Thread-local (const-initialized, so reading it never
+    /// allocates) because the test harness runs other tests concurrently; a
+    /// process-global counter would attribute their allocations to the measuring thread.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A [`System`]-backed global allocator that counts every allocation — and every
+/// reallocation, growing *or* shrinking (deliberately conservative: any `realloc` may move
+/// the block, so the zero-allocation proof treats it as heap traffic) — made by the
+/// *current thread*. Deallocations are not counted: the zero-allocation contract is about
+/// not *requesting* memory in steady state.
+struct CountingAllocator;
+
+impl CountingAllocator {
+    #[inline]
+    fn record() {
+        // `try_with`: during thread teardown the TLS slot may already be destroyed; those
+        // few allocations are simply not counted rather than panicking inside the
+        // allocator.
+        let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards verbatim to `System`; the only addition is a thread-local
+// counter bump, which performs no allocation (const-initialized `Cell<u64>`).
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::record();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::record();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::record();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Number of heap allocations the current thread has performed so far. Monotone; measure
+/// a region by differencing.
+fn thread_allocation_count() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
 
 /// The fig2 quick grid as plain data: every scenario (points × seeds), prebuilt — scenario
 /// construction is not part of the per-cell contract (the engine builds once per

@@ -13,7 +13,8 @@
 
 use experiments::json::Json;
 use std::io::Write as _;
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, ExitStatus, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn fedopt() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fedopt"));
@@ -31,6 +32,23 @@ fn serve(args: &[&str], input: &str, fault: Option<&str>) -> Output {
     let mut child = cmd.spawn().expect("fedopt must spawn");
     child.stdin.take().unwrap().write_all(input.as_bytes()).expect("stdin must accept requests");
     child.wait_with_output().expect("fedopt serve must exit")
+}
+
+/// Waits for `child` to exit within `limit`; past it, kills the child and fails with
+/// `why`, so a server that keeps running fails its test instead of hanging it.
+fn wait_within(child: &mut Child, limit: Duration, why: &str) -> ExitStatus {
+    let deadline = Instant::now() + limit;
+    loop {
+        match child.try_wait().expect("wait must not fail") {
+            Some(status) => return status,
+            None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(25)),
+            None => {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{why}");
+            }
+        }
+    }
 }
 
 fn small_request(id: &str, seed: u64) -> String {
@@ -148,7 +166,6 @@ fn eof_drains_cleanly_even_with_no_requests() {
 #[test]
 fn sigterm_drains_the_socket_transport_gracefully() {
     use std::os::unix::net::UnixStream;
-    use std::time::{Duration, Instant};
 
     let dir = std::env::temp_dir().join(format!("fedopt-serve-term-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -185,22 +202,46 @@ fn sigterm_drains_the_socket_transport_gracefully() {
         .status()
         .expect("kill must run");
     assert!(term.success());
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let status = loop {
-        match child.try_wait().expect("wait must not fail") {
-            Some(status) => break status,
-            None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(25)),
-            None => {
-                let _ = child.kill();
-                panic!("SIGTERM must drain the service, not leave it accepting");
-            }
-        }
-    };
+    let status = wait_within(
+        &mut child,
+        Duration::from_secs(10),
+        "SIGTERM must drain the service, not leave it accepting",
+    );
     assert!(status.success(), "a drained service exits cleanly");
     let mut stderr = String::new();
     std::io::Read::read_to_string(child.stderr.as_mut().unwrap(), &mut stderr).unwrap();
     assert!(stderr.contains("fedopt-serve-stats requests=1"), "{stderr}");
     assert!(!socket.exists(), "the socket file is removed on clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--socket` on a path that holds a regular file is an error naming the path (exit 1),
+/// and the file is left as it was: only a stale socket is ever replaced.
+#[cfg(unix)]
+#[test]
+fn a_regular_file_at_the_socket_path_is_an_error_and_left_intact() {
+    let dir = std::env::temp_dir().join(format!("fedopt-serve-file-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("not-a-socket");
+    std::fs::write(&path, "data\n").unwrap();
+    let mut child = fedopt()
+        .args(["serve", "--socket"])
+        .arg(&path)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("fedopt must spawn");
+    let status = wait_within(
+        &mut child,
+        Duration::from_secs(10),
+        "serve must refuse a regular file at the socket path, not serve on it",
+    );
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(child.stderr.as_mut().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&path.display().to_string()), "the error names the path: {stderr}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), "data\n", "the file must be untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
