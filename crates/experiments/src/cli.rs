@@ -42,13 +42,13 @@
 //!
 //! ## Failure semantics
 //!
-//! Workers emit `fedopt-heartbeat` progress lines on stderr; the coordinator kills a
-//! worker that goes heartbeat-silent (`--shard-heartbeat`, default 30 s) or overruns
-//! its wall clock (`--shard-timeout`), retries it with deterministic exponential
-//! backoff (`--shard-retries` / `--shard-backoff-ms`), and — with `--allow-partial` —
-//! salvages what completed, reporting the missing seed ranges as explicit holes
-//! (`shard_holes` in the JSON document, a `note:` line in the tables) instead of
-//! silently renormalizing means. The `FEDOPT_FAULT_PLAN` environment variable
+//! Workers print a bare `fedopt-heartbeat` liveness line on stderr every 250 ms; the
+//! coordinator kills a worker that goes heartbeat-silent (`--shard-heartbeat`, default
+//! 30 s) or overruns its wall clock (`--shard-timeout`), retries it with deterministic
+//! exponential backoff (`--shard-retries` / `--shard-backoff-ms`), and — with
+//! `--allow-partial` — salvages what completed, reporting the missing seed ranges as
+//! explicit holes (`shard_holes` in the JSON document, a `note:` line in the tables)
+//! instead of silently renormalizing means. The `FEDOPT_FAULT_PLAN` environment variable
 //! ([`crate::fault`]) injects deterministic worker faults to chaos-test exactly this
 //! path; only worker mode consults it.
 //!
@@ -64,8 +64,8 @@ use crate::serve::{self, ServeOptions};
 use crate::shard::{self, FleetOptions, FleetStats, ShardCache, ShardError, SubprocessRunner};
 use crate::spec::{ExperimentSpec, SpecError, SpecRun};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// The usage text (`fedopt help` / any parse error).
 pub const USAGE: &str = "\
@@ -125,7 +125,7 @@ OPTIONS:
                      base of the exponential retry backoff (requires --shards; default 100)
   --shard-heartbeat S
                      kill a worker after S seconds of heartbeat silence; workers beat
-                     every min(S/4, 0.5) seconds (requires --shards; default 30)
+                     every 0.25 seconds (requires --shards; default 30)
   --allow-partial    salvage mode: merge completed shards, report failed seed ranges as
                      explicit holes instead of failing the run (requires --shards)
   --fill-holes FILE  resume the salvaged JSON document FILE: re-run only its shard_holes
@@ -145,8 +145,6 @@ OPTIONS:
 
 Environment: FEDOPT_SWEEP_THREADS pins the default worker count; FEDOPT_WARM_START
 overrides every spec's warm-start default (0 forces cold, 1 forces warm);
-FEDOPT_SHARD_HEARTBEAT_INTERVAL_MS carries the coordinator's heartbeat cadence to its
-workers (internal);
 FEDOPT_FAULT_PLAN (<kind>@<target>) injects a deterministic fault for chaos tests —
 worker kinds fire on a shard's first seed, serve kinds (slowreq/poisonreq/floodreq)
 on a request index.";
@@ -942,39 +940,17 @@ fn run_worker(spec: &ExperimentSpec) -> Result<String, CliError> {
         }
         _ => {}
     }
-    // The beat cadence comes from the coordinator via the environment; a malformed value
-    // is a loud startup error — a typo must not degrade into a silently different
-    // liveness contract.
-    let interval = shard::heartbeat_interval_env()
-        .map_err(CliError::runtime)?
-        .unwrap_or(shard::DEFAULT_HEARTBEAT_INTERVAL);
-    let progress = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
     let result = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            // Heartbeat immediately, then every `interval`, polling `stop` at 50 ms so
-            // the worker exits promptly once the shard is done.
-            let start = Instant::now();
-            let slice = Duration::from_millis(50).min(interval);
-            loop {
-                eprintln!(
-                    "{} t={:.1}s cells={}",
-                    shard::HEARTBEAT_PREFIX,
-                    start.elapsed().as_secs_f64(),
-                    progress.load(Ordering::Relaxed)
-                );
-                let beat = Instant::now();
-                while beat.elapsed() < interval {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(slice);
-                }
+        // Beat at once, then every interval until `_done` drops at the end of this closure
+        // (or while unwinding from it) and disconnects the channel.
+        let (_done, finished) = mpsc::channel::<()>();
+        scope.spawn(move || loop {
+            eprintln!("{}", shard::HEARTBEAT_PREFIX);
+            if finished.recv_timeout(shard::HEARTBEAT_INTERVAL) != Err(RecvTimeoutError::Timeout) {
+                break;
             }
         });
-        let result = shard::run_shard_in_process(spec, Some(&progress));
-        stop.store(true, Ordering::Relaxed);
-        result
+        shard::run_shard_in_process(spec)
     })?;
     let line = result.to_json_string();
     match fault {
@@ -1162,9 +1138,11 @@ fn run_serve_command(socket: Option<String>, opts: &ServeOptions) -> Result<Stri
 
 #[cfg(unix)]
 fn serve_socket(path: &str, opts: &ServeOptions) -> Result<serve::ServeStats, CliError> {
+    let socket = std::path::Path::new(path);
+    let error = |e| CliError::runtime(format!("serve --socket {path}: {e}"));
+    let listener = serve::bind_unix_socket(socket).map_err(error)?;
     eprintln!("listening on {path} (SIGTERM drains; each connection is one session)");
-    serve::serve_unix_socket(std::path::Path::new(path), opts, serve::drain_flag())
-        .map_err(|e| CliError::runtime(format!("serve --socket {path}: {e}")))
+    serve::serve_unix_socket(&listener, socket, opts, serve::drain_flag()).map_err(error)
 }
 
 #[cfg(not(unix))]
@@ -1294,7 +1272,7 @@ mod tests {
             "run --fig 2 --shards 2 --shard-heartbeat 0",
             "run --fig 2 --shard-json --json",
             "run --fig 2 --shard-json --shards 2",
-            // No heartbeat-interval flag: the beat cadence follows the silence window.
+            // No heartbeat-interval flag: workers beat at one fixed cadence.
             "run --fig 2 --shard-heartbeat-interval-ms 500",
             "run --fig 2 --shards 2 --shard-heartbeat-interval-ms 0",
             "run --fig 2 --shards 2 --shard-heartbeat-interval-ms soon",

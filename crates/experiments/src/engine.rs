@@ -66,7 +66,7 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// One evaluated cell: the totals the figures plot.
@@ -546,7 +546,7 @@ impl SweepEngine {
     /// equal, and every arm of the set evaluates against the shared build by reference.
     /// The chunks fold into per-(point, arm) [`AggregateAccumulator`]s in item order, seeds
     /// in order within each chunk, so the result is bit-identical across thread counts and
-    /// chunk sizes, and to the materialized `run_cells(grid, None)?.into_sweep_result()`,
+    /// chunk sizes, and to the materialized `run_cells(grid)?.into_sweep_result()`,
     /// which runs the same work body with another fold. No chunk is claimed more than
     /// 4 × workers items ahead of the fold, so peak memory is `O(points × arms)`
     /// accumulators plus `O(workers × arms × chunk)` pending cell outputs — independent of
@@ -564,7 +564,7 @@ impl SweepEngine {
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepResult, CoreError> {
         let n_arms = grid.arms.len();
         let mut accumulators = vec![AggregateAccumulator::new(); grid.points.len() * n_arms];
-        let counters = self.sweep(grid, 4 * self.threads(), None, |point, arm, _, samples| {
+        let counters = self.sweep(grid, 4 * self.threads(), |point, arm, _, samples| {
             accumulators[point * n_arms + arm].merge_samples(samples);
         })?;
         let aggregates: Vec<Vec<Aggregate>> = (0..grid.points.len())
@@ -592,22 +592,13 @@ impl SweepEngine {
     /// [`CellMatrix::into_sweep_result`] of it as the materialized reference for
     /// [`SweepEngine::run`].
     ///
-    /// `progress` (when given) is incremented once per evaluated cell, from whichever
-    /// worker evaluated it. The fleet worker's heartbeat thread reads it to report
-    /// cells-completed progress on stderr while the sweep runs; the counter never
-    /// influences scheduling or results.
-    ///
     /// # Errors
     ///
     /// Same contract as [`SweepEngine::run`].
-    pub fn run_cells(
-        &self,
-        grid: &SweepGrid,
-        progress: Option<&AtomicUsize>,
-    ) -> Result<CellMatrix, CoreError> {
+    pub fn run_cells(&self, grid: &SweepGrid) -> Result<CellMatrix, CoreError> {
         let (n_arms, n_seeds) = (grid.arms.len(), grid.seeds.len());
         let mut samples = vec![None; grid.num_cells()];
-        let counters = self.sweep(grid, usize::MAX, progress, |point, arm, seeds, cells| {
+        let counters = self.sweep(grid, usize::MAX, |point, arm, seeds, cells| {
             let base = (point * n_arms + arm) * n_seeds;
             samples[base + seeds.start..base + seeds.end].copy_from_slice(cells);
         })?;
@@ -629,7 +620,6 @@ impl SweepEngine {
         &self,
         grid: &SweepGrid,
         window: usize,
-        progress: Option<&AtomicUsize>,
         mut sink: impl FnMut(usize, usize, Range<usize>, &[Option<CellOutput>]) + Send,
     ) -> Result<SweepCounters, CoreError> {
         let n_seeds = grid.seeds.len();
@@ -639,7 +629,7 @@ impl SweepEngine {
             let seed_lo = (item % n_chunks) * chunk;
             (item / n_chunks, seed_lo..(seed_lo + chunk).min(n_seeds))
         };
-        let evaluator = GroupEvaluator::new(self, grid, progress);
+        let evaluator = GroupEvaluator::new(self, grid);
         let mut totals = SweepCounters::default();
         fold_in_order(
             grid.points.len() * n_chunks,
@@ -713,18 +703,12 @@ struct GroupEvaluator<'a> {
     groups: Vec<Vec<Vec<usize>>>,
     /// Set by the first failing cell; in-flight chunks abandon their remaining cells.
     failed: AtomicBool,
-    /// Optional live cells-completed observer (see [`SweepEngine::run_cells`]).
-    progress: Option<&'a AtomicUsize>,
 }
 
 impl<'a> GroupEvaluator<'a> {
     /// Specialises the grid's builders once per (point, arm) and groups each point's arms
     /// by identical prepared builder.
-    fn new(
-        engine: &'a SweepEngine,
-        grid: &'a SweepGrid,
-        progress: Option<&'a AtomicUsize>,
-    ) -> Self {
+    fn new(engine: &'a SweepEngine, grid: &'a SweepGrid) -> Self {
         let builders: Vec<Vec<ScenarioBuilder>> = grid
             .points
             .iter()
@@ -744,7 +728,7 @@ impl<'a> GroupEvaluator<'a> {
                 point_groups
             })
             .collect();
-        Self { engine, grid, builders, groups, failed: AtomicBool::new(false), progress }
+        Self { engine, grid, builders, groups, failed: AtomicBool::new(false) }
     }
 
     /// Evaluates the cell-groups of one point over a range of its seeds: per seed, each
@@ -794,9 +778,6 @@ impl<'a> GroupEvaluator<'a> {
                         workspace: &mut *ws,
                     };
                     counters.cells_evaluated += 1;
-                    if let Some(progress) = self.progress {
-                        progress.fetch_add(1, Ordering::Relaxed);
-                    }
                     samples[arm_idx * n_seeds + si] = self.grid.arms[arm_idx]
                         .evaluate(&scenario, &mut ctx)
                         .map_err(|e| self.fail(e))?;
@@ -1016,6 +997,7 @@ mod tests {
     use crate::spec::{ArmKind, ArmSpec, ScenarioSpec};
     use fedopt_core::SolverConfig;
     use flsys::Weights;
+    use std::sync::atomic::AtomicUsize;
 
     /// A proposed-optimizer arm at `weights` on the fast solver preset.
     fn proposed(weights: Weights) -> SpecArm {
@@ -1279,22 +1261,6 @@ mod tests {
     }
 
     #[test]
-    fn run_cells_progress_counts_every_evaluated_cell() {
-        for threads in [1, 3] {
-            let arms: Vec<Box<dyn Arm>> = vec![
-                Box::new(proposed(Weights::balanced())),
-                Box::new(proposed(Weights::new(0.9, 0.1).unwrap())),
-            ];
-            let grid = small_grid(&[1, 2, 3], arms);
-            let progress = AtomicUsize::new(0);
-            let cells =
-                SweepEngine::with_threads(threads).run_cells(&grid, Some(&progress)).unwrap();
-            assert_eq!(progress.into_inner(), cells.counters.cells_evaluated, "{threads} threads");
-            assert_eq!(cells.counters.cells_evaluated, grid.num_cells());
-        }
-    }
-
-    #[test]
     fn zero_arm_and_zero_seed_grids_keep_their_shapes() {
         // Per point, the attempts behind each arm's aggregate.
         let shape = |r: &SweepResult| -> Vec<Vec<usize>> {
@@ -1306,7 +1272,7 @@ mod tests {
                 (small_grid(&[1, 2, 3], Vec::new()), vec![vec![]; 2]),
                 (small_grid(&[], vec![Box::new(proposed(Weights::balanced()))]), vec![vec![0]; 2]),
             ] {
-                let cells = engine.run_cells(&grid, None).unwrap().into_sweep_result();
+                let cells = engine.run_cells(&grid).unwrap().into_sweep_result();
                 for result in [engine.run(&grid).unwrap(), cells] {
                     assert_eq!(shape(&result), expected, "{threads} thread(s)");
                     assert_eq!(result.counters, SweepCounters::default());
@@ -1320,7 +1286,7 @@ mod tests {
         let grid =
             || small_grid(&[0, 1, 2, 3, 4, 5, 6], vec![Box::new(proposed(Weights::balanced()))]);
         let materialized =
-            SweepEngine::with_threads(2).run_cells(&grid(), None).unwrap().into_sweep_result();
+            SweepEngine::with_threads(2).run_cells(&grid()).unwrap().into_sweep_result();
         // Chunk sizes that divide, straddle and exceed the seed count, at 1 and 3 workers —
         // every combination must reproduce the materialized reduction bit for bit,
         // standard deviations included.

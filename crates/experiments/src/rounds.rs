@@ -159,10 +159,9 @@ pub fn simulate_with_engine(
     engine: &SweepEngine,
 ) -> Result<RoundSimRun, SpecError> {
     spec.validate()?;
-    let rounds = spec
-        .rounds
-        .as_ref()
-        .ok_or_else(|| SpecError::invalid("rounds", "this spec has no round-simulation section"))?;
+    let rounds = spec.rounds.as_ref().ok_or_else(|| {
+        SpecError::invalid("spec.rounds", "this spec has no round-simulation section")
+    })?;
     let solver = spec
         .solver
         .resolve()

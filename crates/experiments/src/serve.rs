@@ -47,13 +47,17 @@
 use crate::arms::SpecArm;
 use crate::engine::{warm_start_env, Arm, CellContext, CellOutput};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::json::{fnv1a_64, Json, MAX_EXACT_INT};
+use crate::json::{fnv1a_64, Json};
 use crate::shard::solver_counters_json;
-use crate::spec::{object, ArmKind, ArmSpec, Field, Obj, ScenarioSpec, SolverSpec, SpecError};
+use crate::spec::{
+    at_least_one, check_at, ensure, object, opt, seconds, section, ArmKind, ArmSpec, Field, Obj,
+    ScenarioSpec, SolverSpec, SpecError,
+};
 use baselines::derive_stream_seed;
 use fedopt_core::{CoreError, SolverWorkspace};
 use flsys::{ScenarioBuilder, Weights};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::io::{self, BufRead, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,120 +101,59 @@ pub const MAX_ID_BYTES: usize = 256;
 // Request wire format
 // ---------------------------------------------------------------------------
 
-/// One allocation request: a one-point scenario patch plus the arm and solver settings
-/// to answer it with. Parsed strictly (unknown keys are errors) from one JSON line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequestSpec {
-    /// Opaque caller correlation id, echoed verbatim in the response.
-    pub id: Option<String>,
-    /// Scenario overrides applied to [`ScenarioBuilder::paper_default`].
-    pub scenario: ScenarioSpec,
-    /// Scenario seed (default 0).
-    pub seed: u64,
-    /// The scheme answering the request (default: proposed, balanced weights).
-    pub arm: ArmSpec,
-    /// Solver preset and tolerance overrides (default: the paper-faithful preset).
-    pub solver: SolverSpec,
-    /// Per-request wall-clock budget in milliseconds; overrides the session default.
-    pub deadline_ms: Option<u64>,
-    /// The completion-time deadline in seconds handed to arms that read the axis value
-    /// (`comm_only`, `comp_only`, `deadline_proposed` with `"deadline": "axis"`).
-    pub deadline_s: Option<f64>,
+section! {
+    /// One allocation request: a one-point scenario patch plus the arm and solver settings
+    /// to answer it with. Parsed strictly (unknown keys are errors) from one JSON line.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RequestSpec {
+        /// Wire-format version; must equal [`REQUEST_SCHEMA_VERSION`].
+        schema_version: u64, check request_version;
+        /// Opaque caller correlation id, echoed verbatim in the response.
+        id: Option<String>, check id_bytes;
+        /// Scenario overrides applied to [`ScenarioBuilder::paper_default`].
+        scenario: ScenarioSpec = ScenarioSpec::default();
+        /// Scenario seed (default 0).
+        seed: u64 = 0;
+        /// The scheme answering the request (default: proposed, balanced weights).
+        arm: ArmSpec = ArmSpec::new(ArmKind::Proposed { weights: Weights::balanced() });
+        /// Solver preset and tolerance overrides (default: the paper-faithful preset).
+        solver: SolverSpec = SolverSpec::default();
+        /// Per-request wall-clock budget in milliseconds; overrides the session default.
+        deadline_ms: Option<u64>, check opt(at_least_one);
+        /// The completion-time deadline in seconds handed to arms that read the axis value
+        /// (`comm_only`, `comp_only`, `deadline_proposed` with `"deadline": "axis"`).
+        deadline_s: Option<f64>, check opt(seconds);
+    }
+    cross axis_deadline_is_set;
 }
 
-impl Default for RequestSpec {
-    fn default() -> Self {
-        Self {
-            id: None,
-            scenario: ScenarioSpec::default(),
-            seed: 0,
-            arm: ArmSpec::new(ArmKind::Proposed { weights: Weights::balanced() }),
-            solver: SolverSpec::default(),
-            deadline_ms: None,
-            deadline_s: None,
-        }
-    }
+fn request_version(version: &u64) -> Result<(), String> {
+    ensure(
+        *version == REQUEST_SCHEMA_VERSION,
+        format_args!("unsupported version {version} (this build speaks {REQUEST_SCHEMA_VERSION})"),
+    )
+}
+
+fn id_bytes(id: &Option<String>) -> Result<(), String> {
+    let len = id.as_ref().map_or(0, String::len);
+    ensure(len <= MAX_ID_BYTES, format_args!("at most {MAX_ID_BYTES} bytes (got {len})"))
+}
+
+fn axis_deadline_is_set(request: &RequestSpec, path: &dyn Display) -> Result<(), SpecError> {
+    let set = request.deadline_s.is_some() || !request.arm.kind.reads_axis_deadline();
+    ensure(set, "this arm kind optimizes under a completion-time deadline; set `deadline_s`")
+        .map_err(|message| SpecError::invalid(path, message))
 }
 
 impl RequestSpec {
-    /// Parses one request line, strictly: unknown keys, a wrong `schema_version`, and
-    /// type mismatches are all errors.
+    /// Parses one request, strictly: unknown keys first, then `schema_version`, then the
+    /// other members in order, each checked as it is read.
     ///
     /// # Errors
     ///
     /// A [`SpecError`] naming the offending path and constraint.
     pub fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let path = "request";
-        let obj = Obj::new(
-            v,
-            &path,
-            &[
-                "schema_version",
-                "id",
-                "scenario",
-                "seed",
-                "arm",
-                "solver",
-                "deadline_ms",
-                "deadline_s",
-            ],
-        )?;
-        let version: u64 = obj.field("schema_version", None)?;
-        if version != REQUEST_SCHEMA_VERSION {
-            return Err(SpecError::invalid(
-                obj.path_of("schema_version"),
-                format!(
-                    "unsupported version {version} (this build speaks {REQUEST_SCHEMA_VERSION})"
-                ),
-            ));
-        }
-        let id: Option<String> = obj.field("id", None)?;
-        if let Some(id) = &id {
-            if id.len() > MAX_ID_BYTES {
-                return Err(SpecError::invalid(
-                    obj.path_of("id"),
-                    format!("at most {MAX_ID_BYTES} bytes (got {})", id.len()),
-                ));
-            }
-        }
-        let defaults = RequestSpec::default();
-        let scenario = obj.field("scenario", Some(defaults.scenario))?;
-        let seed = obj.field("seed", Some(defaults.seed))?;
-        if seed > MAX_EXACT_INT {
-            return Err(SpecError::invalid(
-                obj.path_of("seed"),
-                "must stay within the exact JSON integer range (2^53)",
-            ));
-        }
-        let arm = obj.field("arm", Some(defaults.arm))?;
-        let solver = obj.field("solver", Some(defaults.solver))?;
-        let deadline_ms = obj.field("deadline_ms", None)?;
-        if deadline_ms == Some(0) {
-            return Err(SpecError::invalid(obj.path_of("deadline_ms"), "must be at least 1"));
-        }
-        let deadline_s: Option<f64> = obj.field("deadline_s", None)?;
-        if let Some(t) = deadline_s {
-            if !(t.is_finite() && t > 0.0) {
-                return Err(SpecError::invalid(
-                    obj.path_of("deadline_s"),
-                    "must be a positive finite number of seconds",
-                ));
-            }
-        }
-        let needs_axis_deadline = matches!(
-            arm.kind,
-            ArmKind::CommOnly
-                | ArmKind::CompOnly
-                | ArmKind::DeadlineProposed { deadline: crate::spec::DeadlineSpec::Axis }
-        );
-        if needs_axis_deadline && deadline_s.is_none() {
-            return Err(SpecError::invalid(
-                path,
-                "this arm kind optimizes under a completion-time deadline; \
-                 set `deadline_s`",
-            ));
-        }
-        Ok(Self { id, scenario, seed, arm, solver, deadline_ms, deadline_s })
+        Self::read(v, &"request")
     }
 
     /// Parses one request line from its textual form.
@@ -1008,23 +951,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 // Unix-socket transport
 // ---------------------------------------------------------------------------
 
-/// Serves sequential connections on a unix domain socket until [`drain_flag`] is set:
-/// each connection is one [`serve_session`] (its own request sequence and fault
-/// indices); the returned stats are the merge over all connections. The socket file is
-/// created on bind (a stale socket is removed first) and removed on clean exit.
+/// Binds the nonblocking listener [`serve_unix_socket`] serves on, creating the socket
+/// file at `path` (a stale socket there is removed first).
 ///
 /// # Errors
 ///
-/// Binding, accepting, or a session's transport I/O. Any existing path that is not a
-/// socket is an [`io::ErrorKind::AlreadyExists`] error and is left untouched.
+/// Binding. Any existing path that is not a socket is an
+/// [`io::ErrorKind::AlreadyExists`] error and is left untouched.
 #[cfg(unix)]
-pub fn serve_unix_socket(
-    path: &std::path::Path,
-    opts: &ServeOptions,
-    drain: &AtomicBool,
-) -> io::Result<ServeStats> {
+pub fn bind_unix_socket(path: &std::path::Path) -> io::Result<std::os::unix::net::UnixListener> {
     use std::os::unix::fs::FileTypeExt;
-    use std::os::unix::net::UnixListener;
     match std::fs::symlink_metadata(path) {
         Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path)?,
         Ok(_) => {
@@ -1036,8 +972,26 @@ pub fn serve_unix_socket(
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => return Err(e),
     }
-    let listener = UnixListener::bind(path)?;
+    let listener = std::os::unix::net::UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
+    Ok(listener)
+}
+
+/// Serves sequential connections on a listener from [`bind_unix_socket`] until
+/// [`drain_flag`] is set: each connection is one [`serve_session`] (its own request
+/// sequence and fault indices); the returned stats are the merge over all connections.
+/// The socket file at `path` is removed on clean exit.
+///
+/// # Errors
+///
+/// Accepting, or a session's transport I/O.
+#[cfg(unix)]
+pub fn serve_unix_socket(
+    listener: &std::os::unix::net::UnixListener,
+    path: &std::path::Path,
+    opts: &ServeOptions,
+    drain: &AtomicBool,
+) -> io::Result<ServeStats> {
     let mut total = ServeStats::default();
     loop {
         if drain.load(Ordering::SeqCst) {
@@ -1283,19 +1237,11 @@ mod tests {
         drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
         let drain = AtomicBool::new(false);
         let opts = one_worker();
+        let listener = bind_unix_socket(&path).unwrap();
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve_unix_socket(&path, &opts, &drain));
-            // Wait for the socket to exist, then run one connection.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let stream = loop {
-                match UnixStream::connect(&path) {
-                    Ok(s) => break s,
-                    Err(_) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10))
-                    }
-                    Err(e) => panic!("socket never came up: {e}"),
-                }
-            };
+            let handle = scope.spawn(|| serve_unix_socket(&listener, &path, &opts, &drain));
+            // The socket is bound before the server starts, so one connection goes through.
+            let stream = UnixStream::connect(&path).unwrap();
             let mut writer = stream.try_clone().unwrap();
             writeln!(writer, "{}", small_request("s", 0)).unwrap();
             let mut reader = BufReader::new(stream);

@@ -56,7 +56,7 @@ use std::io::Write as _;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -81,77 +81,14 @@ pub const DEFAULT_MAX_RETRIES: usize = 1;
 /// Default base delay of the deterministic exponential retry backoff.
 pub const DEFAULT_RETRY_BACKOFF: Duration = Duration::from_millis(100);
 
-/// Prefix of worker heartbeat lines on stderr (`fedopt-heartbeat t=<secs>s cells=<n>`).
-/// The coordinator treats such lines as liveness signals and excludes them from the
-/// captured stderr tail.
+/// The worker heartbeat line on stderr. The coordinator reads any line with this prefix
+/// as a liveness signal and keeps it out of the captured stderr tail.
 pub const HEARTBEAT_PREFIX: &str = "fedopt-heartbeat";
 
-/// Environment variable pacing the worker's heartbeat emission, in milliseconds.
-/// [`SubprocessRunner`] sets it on every child it spawns, derived from its silence
-/// window; a malformed value is a loud worker-startup error, never a silently different
-/// cadence.
-pub const HEARTBEAT_INTERVAL_ENV: &str = "FEDOPT_SHARD_HEARTBEAT_INTERVAL_MS";
-
-/// Default interval between a worker's heartbeat lines, and the slowest cadence a
-/// [`SubprocessRunner`] asks for. Far below [`DEFAULT_HEARTBEAT_TIMEOUT`] on purpose:
-/// several beats must fit into the silence window, or scheduling jitter alone would kill
-/// healthy workers.
-pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
-
-/// Parses [`HEARTBEAT_INTERVAL_ENV`] text into a heartbeat interval.
-///
-/// # Errors
-///
-/// A message naming the variable when the value is not a positive integer of
-/// milliseconds — a typo'd cadence must not degrade into the default one.
-pub fn parse_heartbeat_interval(text: &str) -> Result<Duration, String> {
-    text.trim().parse::<u64>().ok().filter(|&ms| ms > 0).map(Duration::from_millis).ok_or_else(
-        || {
-            format!(
-                "{HEARTBEAT_INTERVAL_ENV}: expected a positive integer of milliseconds, \
-                 got {text:?}"
-            )
-        },
-    )
-}
-
-/// Reads the heartbeat interval from [`HEARTBEAT_INTERVAL_ENV`]. `Ok(None)` when unset.
-///
-/// # Errors
-///
-/// See [`parse_heartbeat_interval`].
-pub fn heartbeat_interval_env() -> Result<Option<Duration>, String> {
-    match std::env::var(HEARTBEAT_INTERVAL_ENV) {
-        Ok(text) => parse_heartbeat_interval(&text).map(Some),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(e) => Err(format!("{HEARTBEAT_INTERVAL_ENV}: {e}")),
-    }
-}
-
-/// Parses one worker heartbeat line (`fedopt-heartbeat t=<secs>s cells=<n>`) into its
-/// `(elapsed seconds, cells evaluated)` payload. Deliberately tolerant: unknown tokens
-/// are skipped, token order is free, and anything short of both fields parsing cleanly
-/// — a truncated number, interleaved bytes from another writer, a negative or
-/// non-finite time — returns `None` rather than panicking. Liveness detection does
-/// **not** ride on this parse (any [`HEARTBEAT_PREFIX`]-prefixed line feeds the clock,
-/// see [`StderrState::observe`]), so a mangled beat can cost progress *reporting* but
-/// never a worker's life.
-pub fn parse_heartbeat(line: &str) -> Option<(f64, u64)> {
-    let rest = line.strip_prefix(HEARTBEAT_PREFIX)?;
-    let mut elapsed_s = None;
-    let mut cells = None;
-    for token in rest.split_whitespace() {
-        if let Some(value) = token.strip_prefix("t=") {
-            elapsed_s = value
-                .strip_suffix('s')
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|v| v.is_finite() && *v >= 0.0);
-        } else if let Some(value) = token.strip_prefix("cells=") {
-            cells = value.parse::<u64>().ok();
-        }
-    }
-    Some((elapsed_s?, cells?))
-}
+/// Interval between a worker's heartbeat lines: four beats fit into the shortest silence
+/// window the CLI accepts (`--shard-heartbeat 1`), so scheduling jitter alone never kills
+/// a healthy worker.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Byte budget of the stderr tail captured per worker for failure reports. Oldest lines
 /// are dropped first; any drop is marked with a leading `… (truncated)`.
@@ -623,20 +560,14 @@ fn codec(msg: impl Into<String>) -> ShardError {
 
 /// Runs one shard spec in this process: compile the grid, evaluate with the spec's
 /// engine, return the raw cell matrix stamped as a [`ShardResult`]. This is the body of
-/// the `fedopt run --spec - --shard-json` worker mode. `progress` (when given) is
-/// incremented once per evaluated cell while the sweep runs; the CLI worker mode's
-/// heartbeat thread reads it to put real progress numbers on its [`HEARTBEAT_PREFIX`]
-/// stderr lines.
+/// the `fedopt run --spec - --shard-json` worker mode.
 ///
 /// # Errors
 ///
 /// Validation errors, or any sweep error from the engine.
-pub fn run_shard_in_process(
-    spec: &ExperimentSpec,
-    progress: Option<&AtomicUsize>,
-) -> Result<ShardResult, SpecError> {
+pub fn run_shard_in_process(spec: &ExperimentSpec) -> Result<ShardResult, SpecError> {
     let grid = spec.grid()?;
-    let cells = spec.engine.to_engine().run_cells(&grid, progress)?;
+    let cells = spec.engine.to_engine().run_cells(&grid)?;
     Ok(ShardResult::from_cells(spec, cells))
 }
 
@@ -861,15 +792,15 @@ pub struct InProcessRunner;
 
 impl ShardRunner for InProcessRunner {
     fn run_shard(&self, spec: &ExperimentSpec) -> Result<ShardResult, ShardRunError> {
-        run_shard_in_process(spec, None).map_err(|e| ShardRunError::from(e.to_string()))
+        run_shard_in_process(spec).map_err(|e| ShardRunError::from(e.to_string()))
     }
 }
 
 /// Runs each shard as a subprocess of the `fedopt` binary: pipes the shard spec JSON to
 /// `<program> run --spec - --shard-json` and parses the [`ShardResult`] document the
 /// worker streams back on stdout. Enforces a per-shard wall-clock timeout **and** a
-/// heartbeat-silence timeout — workers periodically print [`HEARTBEAT_PREFIX`] lines on
-/// stderr, and a worker that goes quiet for [`DEFAULT_HEARTBEAT_TIMEOUT`] is killed as
+/// heartbeat-silence timeout — workers print a [`HEARTBEAT_PREFIX`] line on stderr every
+/// [`HEARTBEAT_INTERVAL`], and a worker that goes quiet for [`DEFAULT_HEARTBEAT_TIMEOUT`] is killed as
 /// stalled long before its wall-clock budget runs out. Non-heartbeat stderr is captured
 /// into a [`STDERR_TAIL_BUDGET`]-bounded tail for failure reports, so a log-flooding
 /// worker cannot balloon the coordinator's memory. The child inherits the coordinator's
@@ -900,47 +831,34 @@ impl SubprocessRunner {
     }
 
     /// Sets (or with `None` disables) the heartbeat-silence timeout.
+    /// A window must span several [`HEARTBEAT_INTERVAL`] beats; the CLI's whole seconds
+    /// always do.
     #[must_use]
     pub fn with_heartbeat_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.heartbeat_timeout = timeout;
         self
     }
-
-    /// The beat cadence every child is asked for (via [`HEARTBEAT_INTERVAL_ENV`]): a
-    /// quarter of the silence window, so four beats fit into it, capped at
-    /// [`DEFAULT_HEARTBEAT_INTERVAL`] and never below 1 ms. With the window off nothing
-    /// waits on the beats, and the default stands.
-    fn heartbeat_interval(&self) -> Duration {
-        self.heartbeat_timeout.map_or(DEFAULT_HEARTBEAT_INTERVAL, |window| {
-            (window / 4).clamp(Duration::from_millis(1), DEFAULT_HEARTBEAT_INTERVAL)
-        })
-    }
 }
 
-/// Shared per-worker stderr capture: the byte-bounded tail, the heartbeat liveness
-/// clock, and the last well-formed progress payload. Public so the heartbeat-parsing
-/// fuzz suite can drive it with arbitrary interleaved/truncated stderr directly.
+/// Shared per-worker stderr capture: the byte-bounded tail and the heartbeat liveness
+/// clock. Public so the heartbeat fuzz suite can drive it with arbitrary
+/// interleaved/truncated stderr directly.
 #[derive(Debug, Default)]
 pub struct StderrState {
     tail: VecDeque<String>,
     tail_bytes: usize,
     truncated: bool,
     last_heartbeat: Option<Instant>,
-    last_cells: Option<u64>,
 }
 
 impl StderrState {
     /// Feeds one stderr line (without its newline) into the capture. Any
-    /// [`HEARTBEAT_PREFIX`]-prefixed line — however mangled its payload — advances the
-    /// liveness clock and stays out of the tail; only a line [`parse_heartbeat`]
-    /// accepts updates the cells-evaluated progress reading. Everything else lands in
-    /// the [`STDERR_TAIL_BUDGET`]-bounded tail, oldest lines dropped first.
+    /// [`HEARTBEAT_PREFIX`]-prefixed line, whatever follows the prefix, advances the
+    /// liveness clock and stays out of the tail. Everything else lands in the
+    /// [`STDERR_TAIL_BUDGET`]-bounded tail, oldest lines dropped first.
     pub fn observe(&mut self, line: &str) {
         if line.starts_with(HEARTBEAT_PREFIX) {
             self.last_heartbeat = Some(Instant::now());
-            if let Some((_, cells)) = parse_heartbeat(line) {
-                self.last_cells = Some(cells);
-            }
             return;
         }
         let mut line = line.to_string();
@@ -974,14 +892,9 @@ impl StderrState {
         }
     }
 
-    /// When the last heartbeat line was observed, however mangled its payload.
+    /// When the last heartbeat line was observed.
     pub fn last_heartbeat(&self) -> Option<Instant> {
         self.last_heartbeat
-    }
-
-    /// The cells-evaluated count of the last *well-formed* heartbeat line.
-    pub fn last_cells(&self) -> Option<u64> {
-        self.last_cells
     }
 }
 
@@ -998,8 +911,7 @@ impl ShardRunner for SubprocessRunner {
         cmd.args(["run", "--spec", "-", "--shard-json"])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .env(HEARTBEAT_INTERVAL_ENV, self.heartbeat_interval().as_millis().to_string());
+            .stderr(Stdio::piped());
         let mut child = cmd.spawn().map_err(|e| {
             ShardRunError::from(format!("cannot spawn {}: {e}", self.program.display()))
         })?;
@@ -1430,7 +1342,7 @@ mod tests {
     #[test]
     fn shard_result_round_trips_through_the_wire_format() {
         let spec = split(&tiny_spec(), 3).unwrap().remove(1);
-        let result = run_shard_in_process(&spec, None).unwrap();
+        let result = run_shard_in_process(&spec).unwrap();
         let text = result.to_json_string();
         let back = ShardResult::from_json_str(&text).unwrap();
         assert_eq!(back, result);
@@ -1441,7 +1353,7 @@ mod tests {
     #[test]
     fn malformed_shard_documents_are_rejected_with_context() {
         let spec = split(&tiny_spec(), 5).unwrap().remove(0);
-        let good = run_shard_in_process(&spec, None).unwrap().to_json_string();
+        let good = run_shard_in_process(&spec).unwrap().to_json_string();
         let version = format!("\"schema_version\":{SHARD_FORMAT_VERSION}");
         for (needle, replacement) in [
             ("\"kind\":\"fedopt_shard_result\"", "\"kind\":\"something\""),
@@ -1459,7 +1371,7 @@ mod tests {
     #[test]
     fn wire_checksum_rejects_single_byte_corruption() {
         let spec = split(&tiny_spec(), 5).unwrap().remove(0);
-        let good = run_shard_in_process(&spec, None).unwrap().to_json_string();
+        let good = run_shard_in_process(&spec).unwrap().to_json_string();
         let corrupted = crate::fault::corrupt_payload(&good);
         assert_ne!(corrupted, good);
         match ShardResult::from_json_str(&corrupted) {
@@ -1472,7 +1384,7 @@ mod tests {
             ),
         }
         // Dropping the checksum member entirely is equally fatal.
-        let good_doc = run_shard_in_process(&spec, None).unwrap().to_json();
+        let good_doc = run_shard_in_process(&spec).unwrap().to_json();
         if let Json::Obj(mut members) = good_doc {
             members.retain(|(k, _)| k != "checksum");
             let stripped = Json::Obj(members).to_compact_string();
@@ -1485,7 +1397,7 @@ mod tests {
     #[test]
     fn degraded_solves_travel_on_the_wire() {
         let spec = split(&tiny_spec(), 5).unwrap().remove(0);
-        let mut result = run_shard_in_process(&spec, None).unwrap();
+        let mut result = run_shard_in_process(&spec).unwrap();
         result.cells.counters.solver.degraded_solves = 3;
         let back = ShardResult::from_json_str(&result.to_json_string()).unwrap();
         assert_eq!(back.cells.counters.solver.degraded_solves, 3);
@@ -1519,7 +1431,7 @@ mod tests {
         assert!(!tail.contains("short line"), "oldest lines are dropped");
         // Heartbeat lines feed the clock, not the tail.
         assert!(state.last_heartbeat.is_none());
-        state.observe(&format!("{HEARTBEAT_PREFIX} t=1.0s cells=5"));
+        state.observe(HEARTBEAT_PREFIX);
         assert!(state.last_heartbeat.is_some());
         assert!(!state.render_tail().contains(HEARTBEAT_PREFIX));
         // A single over-budget line is cut, not kept whole.
@@ -1530,62 +1442,13 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_lines_parse_tolerantly_and_feed_the_progress_reading() {
-        assert_eq!(parse_heartbeat("fedopt-heartbeat t=1.5s cells=42"), Some((1.5, 42)));
-        // Token order and unknown tokens are free; both payload fields are required.
-        assert_eq!(parse_heartbeat("fedopt-heartbeat cells=7 t=0.0s extra=1"), Some((0.0, 7)));
-        for mangled in [
-            "fedopt-heartbeat",
-            "fedopt-heartbeat t=1.5s",
-            "fedopt-heartbeat cells=42",
-            "fedopt-heartbeat t=1.5 cells=42", // missing the `s` suffix
-            "fedopt-heartbeat t=-1.0s cells=42", // negative time
-            "fedopt-heartbeat t=nans cells=42", // non-finite time
-            "fedopt-heartbeat t=1.5s cells=-3", // negative count
-            "fedopt-heartbeat t=1.5s cells=4x2", // interleaved bytes mid-number
-            "unrelated stderr line",           // no prefix at all
-        ] {
-            assert_eq!(parse_heartbeat(mangled), None, "{mangled:?}");
-        }
-        // A mangled beat still counts as liveness but never moves the progress reading.
-        let mut state = StderrState::default();
-        state.observe("fedopt-heartbeat t=2.0s cells=11");
-        assert_eq!(state.last_cells(), Some(11));
-        state.observe("fedopt-heartbeat t=3.0s cells=ga rbage");
-        assert!(state.last_heartbeat().is_some());
-        assert_eq!(state.last_cells(), Some(11), "garbage must not clobber progress");
-    }
-
-    #[test]
-    fn heartbeat_interval_text_parses_strictly() {
-        assert_eq!(parse_heartbeat_interval("500"), Ok(Duration::from_millis(500)));
-        assert_eq!(parse_heartbeat_interval(" 25 "), Ok(Duration::from_millis(25)));
-        for bad in ["0", "-5", "0.5", "fast", ""] {
-            let err = parse_heartbeat_interval(bad).unwrap_err();
-            assert!(err.contains(HEARTBEAT_INTERVAL_ENV), "{bad:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn heartbeat_cadence_is_a_quarter_of_the_silence_window() {
-        let cadence = |window: Option<Duration>| {
-            SubprocessRunner::new("fedopt").with_heartbeat_timeout(window).heartbeat_interval()
-        };
-        // The default 30 s window keeps the default cadence; a 1 s window beats 4 times.
-        assert_eq!(cadence(Some(DEFAULT_HEARTBEAT_TIMEOUT)), DEFAULT_HEARTBEAT_INTERVAL);
-        assert_eq!(cadence(Some(Duration::from_secs(1))), Duration::from_millis(250));
-        assert_eq!(cadence(Some(Duration::from_millis(2))), Duration::from_millis(1));
-        assert_eq!(cadence(None), DEFAULT_HEARTBEAT_INTERVAL);
-    }
-
-    #[test]
     fn cache_gc_respects_age_and_byte_budgets() {
         let dir = std::env::temp_dir().join(format!("fedopt-cache-gc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ShardCache::open(&dir);
         let shards = split(&tiny_spec(), 3).unwrap();
         let results: Vec<ShardResult> =
-            shards.iter().map(|s| run_shard_in_process(s, None).unwrap()).collect();
+            shards.iter().map(|s| run_shard_in_process(s).unwrap()).collect();
         for r in &results {
             cache.store(r).unwrap();
             // An entry is the shard document, byte for byte.
@@ -1654,7 +1517,7 @@ mod tests {
                         last_heartbeat_s: Some(1.5),
                     });
                 }
-                run_shard_in_process(spec, None).map_err(|e| ShardRunError::from(e.to_string()))
+                run_shard_in_process(spec).map_err(|e| ShardRunError::from(e.to_string()))
             }
         }
         let runner = FailSeeds(failing.clone());
@@ -1681,8 +1544,8 @@ mod tests {
         assert!(!stats.cache_enabled);
 
         // Bit-identity: replay shards 0 and 2 by hand and compare every aggregate bit.
-        let r0 = run_shard_in_process(&shards[0], None).unwrap();
-        let r2 = run_shard_in_process(&shards[2], None).unwrap();
+        let r0 = run_shard_in_process(&shards[0]).unwrap();
+        let r2 = run_shard_in_process(&shards[2]).unwrap();
         let expected = merge(&shards, &[(0, r0), (2, r2)]).unwrap();
         assert_eq!(salvaged.xs, expected.xs);
         for (p, (got_row, want_row)) in

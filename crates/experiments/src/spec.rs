@@ -49,14 +49,16 @@
 //!
 //! Each fixed-shape section — the spec itself, its scenario, solver, engine and reports,
 //! and the round simulation's rounds, straggler, training and report blocks — is declared
-//! as one row per key: the key's name, its type, the value an absent key takes, and its
-//! range check. The rows alone decide the section's member order, the keys it accepts, how
-//! each value parses, and that an out-of-range value is reported at
-//! `spec.<section>.<key>`. Every value on the wire (scalars, lists, options, sections, and
-//! the tagged arm and policy shapes) reads and writes through one crate-private `Field`
-//! trait. Only rules across keys or sections are written out by hand:
-//! `samples_per_device` ⊕ `total_samples`, axis-deadline arms, the seed range, and the
-//! one-point round-simulation axis.
+//! as one row per key: the key's name, its type, the value an absent key takes, its range
+//! check and, for scenario and solver keys, the setter it applies. The rows alone decide
+//! the section's member order, the keys it accepts, how each value parses, and that an
+//! out-of-range value is reported at `spec.<section>.<key>`. Every value on the wire
+//! (scalars, lists, options, sections, and the tagged arm and policy shapes) reads and
+//! writes through one crate-private `Field` trait. Only rules across keys or sections are
+//! written out by hand: `samples_per_device` ⊕ `total_samples`, axis-deadline arms, the
+//! seed range, and the one-point round-simulation axis. Parsing checks every rule once, as
+//! it reads; [`ExperimentSpec::validate`] walks the same rules over a spec built in code,
+//! so either way an error names a path under `spec.`.
 
 use crate::arms::SpecArm;
 use crate::engine::{Aggregate, SweepEngine, SweepGrid, SweepResult};
@@ -94,7 +96,7 @@ pub enum SpecError {
     Json(JsonError),
     /// The JSON was well-formed but not a valid spec; `path` locates the offending field.
     Invalid {
-        /// Dotted path of the field, e.g. `axis.values[2]`.
+        /// Dotted path of the field, e.g. `spec.axis.values[2]`.
         path: String,
         /// What is wrong with it.
         message: String,
@@ -320,23 +322,52 @@ pub(crate) fn object<'k>(members: impl IntoIterator<Item = (&'k str, Option<Json
     )
 }
 
-/// Declares a fixed-shape section as one row per key, `key: Type [= default] [, check f];`,
-/// then an optional `cross f;` rule over the whole section.
+/// Declares a fixed-shape section as one row per key,
+/// `key: Type [= default] [, check f] [, apply g];`, then an optional `apply Target;` and
+/// an optional `cross f;` rule over the whole section.
 ///
 /// The rows generate the public struct, its `KEYS` (the member order it writes and the
 /// allowed list an unknown key is rejected with) and its [`Field`] impl. An absent key
 /// reads as its row's default; without one it is unset (`Option` rows) or required.
-/// Validation walks the rows in order, each value's own members first and then the row's
-/// check, whose message is reported at `<path>.<key>`; the `cross` rule runs last.
+/// Reading checks each row as soon as it is read, its value's own members first and then
+/// the row's check, whose message is reported at `<path>.<key>`; the `cross` rule runs
+/// last. [`Field::validate`] walks the same rules over a value built in code. With
+/// `apply Target;` the section also gets `apply(&self, Target) -> Target`, which hands
+/// every set `Option` row to its `g(target, value)` in row order. The expansion names
+/// `Field`, `Obj`, `Json`, `SpecError`, `Display`, `object`, `check_at` and `apply_row`
+/// unqualified, so a module declaring sections imports them.
 macro_rules! section {
     (@default) => { None };
     (@default $default:expr) => { Some($default) };
+    (@apply $name:ident, $target:ty, {
+        $(
+            $(#[$row_meta:meta])*
+            $key:ident: $ty:ty $(= $default:expr)? $(, check $check:expr)? $(, apply $apply:expr)?;
+        )*
+    }) => {
+        impl $name {
+            /// Applies the set keys to `target` in row order; unset keys leave it unchanged.
+            pub fn apply(&self, target: $target) -> $target {
+                $($(let target = apply_row(target, self.$key, $apply);)?)*
+                target
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident { $($rows:tt)* }
+        apply $target:ty;
+        $(cross $cross:ident;)?
+    ) => {
+        section! { $(#[$meta])* pub struct $name { $($rows)* } $(cross $cross;)? }
+        section!(@apply $name, $target, { $($rows)* });
+    };
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
             $(
                 $(#[$row_meta:meta])*
-                $key:ident: $ty:ty $(= $default:expr)? $(, check $check:expr)?;
+                $key:ident: $ty:ty $(= $default:expr)? $(, check $check:expr)? $(, apply $apply:expr)?;
             )*
         }
         $(cross $cross:ident;)?
@@ -355,14 +386,19 @@ macro_rules! section {
             fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
                 let obj = Obj::new(v, path, Self::KEYS)?;
                 let section = Self {
-                    $($key: obj.field(stringify!($key), section!(@default $($default)?))?,)*
+                    $($key: {
+                        let value: $ty =
+                            obj.field(stringify!($key), section!(@default $($default)?))?;
+                        $(check_at(path, stringify!($key), $check(&value))?;)?
+                        value
+                    },)*
                 };
-                Field::validate(&section, path)?;
+                $($cross(&section, path)?;)?
                 Ok(section)
             }
 
             fn write(&self) -> Option<Json> {
-                Some(object([$((stringify!($key), self.$key.write())),*]))
+                Some(object([$((stringify!($key), Field::write(&self.$key))),*]))
             }
 
             fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
@@ -376,24 +412,39 @@ macro_rules! section {
         }
     };
 }
+pub(crate) use section;
+
+/// One `apply` row: `apply(target, value)` when the row is set.
+fn apply_row<T, V>(target: T, value: Option<V>, apply: fn(T, V) -> T) -> T {
+    match value {
+        Some(value) => apply(target, value),
+        None => target,
+    }
+}
 
 // Row checks. Each returns what an out-of-range value must be; the section names the path.
 
 /// A check's failure, reported at `<path>.<key>`.
-fn check_at(path: &dyn Display, key: &str, check: Result<(), String>) -> Result<(), SpecError> {
+pub(crate) fn check_at(
+    path: &dyn Display,
+    key: &str,
+    check: Result<(), String>,
+) -> Result<(), SpecError> {
     check.map_err(|message| SpecError::invalid(format_args!("{path}.{key}"), message))
 }
 
 /// The check of an `Option` row: an unset value passes.
-fn opt<T>(check: fn(&T) -> Result<(), String>) -> impl Fn(&Option<T>) -> Result<(), String> {
+pub(crate) fn opt<T>(
+    check: fn(&T) -> Result<(), String>,
+) -> impl Fn(&Option<T>) -> Result<(), String> {
     move |value| value.as_ref().map_or(Ok(()), check)
 }
 
-fn ensure(ok: bool, message: impl Display) -> Result<(), String> {
+pub(crate) fn ensure(ok: bool, message: impl Display) -> Result<(), String> {
     ok.then_some(()).ok_or_else(|| message.to_string())
 }
 
-fn at_least_one<T: PartialEq + From<u8>>(n: &T) -> Result<(), String> {
+pub(crate) fn at_least_one<T: PartialEq + From<u8>>(n: &T) -> Result<(), String> {
     ensure(*n != T::from(0), "must be at least 1")
 }
 
@@ -412,7 +463,7 @@ fn non_negative(v: &f64) -> Result<(), String> {
     ensure(v.is_finite() && *v >= 0.0, "must be finite and non-negative")
 }
 
-fn seconds(t: &f64) -> Result<(), String> {
+pub(crate) fn seconds(t: &f64) -> Result<(), String> {
     ensure(t.is_finite() && *t > 0.0, "must be a positive finite number of seconds")
 }
 
@@ -514,7 +565,7 @@ impl AxisKind {
         matches!(self, Self::Devices | Self::LocalIterations | Self::GlobalRounds)
     }
 
-    fn check(self, x: f64, path: &str) -> Result<(), SpecError> {
+    fn check(self, x: f64, path: &dyn Display) -> Result<(), SpecError> {
         if !x.is_finite() {
             return Err(SpecError::invalid(path, "axis values must be finite"));
         }
@@ -563,15 +614,24 @@ pub struct AxisSpec {
     pub values: Vec<f64>,
 }
 
-/// The axis's values are checked with the whole spec ([`ExperimentSpec::validate`]).
 impl Field for AxisSpec {
     fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
         let obj = Obj::new(v, path, &["name", "values"])?;
-        Ok(Self { kind: obj.field("name", None)?, values: obj.field("values", None)? })
+        let axis = Self { kind: obj.field("name", None)?, values: obj.field("values", None)? };
+        axis.validate(path)?;
+        Ok(axis)
     }
 
     fn write(&self) -> Option<Json> {
         Some(object([("name", self.kind.write()), ("values", self.values.write())]))
+    }
+
+    fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
+        check_at(path, "values", not_empty(&self.values))?;
+        self.values
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, &x)| self.kind.check(x, &format_args!("{path}.values[{i}]")))
     }
 }
 
@@ -589,96 +649,52 @@ section! {
     #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
     pub struct ScenarioSpec {
         /// Number of devices `N`.
-        devices: Option<usize>, check opt(devices_in_range);
+        devices: Option<usize>, check opt(devices_in_range), apply ScenarioBuilder::with_devices;
         /// Radius of the placement disc in kilometres.
-        radius_km: Option<f64>, check opt(positive);
+        radius_km: Option<f64>, check opt(positive), apply ScenarioBuilder::with_radius_km;
         /// Samples per device (mutually exclusive with [`Self::total_samples`]).
-        samples_per_device: Option<u64>, check opt(at_least_one);
+        samples_per_device: Option<u64>, check opt(at_least_one),
+            apply ScenarioBuilder::with_samples_per_device;
         /// Total samples split equally across devices (Figure 4's setting). It must cover
         /// every device: building a scenario with fewer samples than devices fails.
-        total_samples: Option<u64>, check opt(at_least_one);
+        total_samples: Option<u64>, check opt(at_least_one),
+            apply ScenarioBuilder::with_total_samples;
         /// Per-sample CPU-cycle range `[lo, hi]` from which `c_n` is drawn.
-        cycles_per_sample: Option<(f64, f64)>, check opt(ordered_range);
+        cycles_per_sample: Option<(f64, f64)>, check opt(ordered_range),
+            apply |b, (lo, hi)| b.with_cycles_per_sample_range(lo, hi);
         /// Upload payload `d_n` in bits.
-        upload_bits: Option<f64>, check opt(positive);
+        upload_bits: Option<f64>, check opt(positive), apply ScenarioBuilder::with_upload_bits;
         /// Minimum transmit power in dBm.
-        p_min_dbm: Option<f64>, check opt(finite);
+        p_min_dbm: Option<f64>, check opt(finite), apply ScenarioBuilder::with_p_min_dbm;
         /// Maximum transmit power in dBm.
-        p_max_dbm: Option<f64>, check opt(finite);
+        p_max_dbm: Option<f64>, check opt(finite), apply ScenarioBuilder::with_p_max_dbm;
         /// Minimum CPU frequency in Hz.
-        f_min_hz: Option<f64>, check opt(positive);
+        f_min_hz: Option<f64>, check opt(positive), apply ScenarioBuilder::with_f_min_hz;
         /// Maximum CPU frequency in GHz.
-        f_max_ghz: Option<f64>, check opt(positive);
+        f_max_ghz: Option<f64>, check opt(positive), apply ScenarioBuilder::with_f_max_ghz;
         /// Global aggregation rounds `R_g`.
-        global_rounds: Option<u32>, check opt(at_least_one);
+        global_rounds: Option<u32>, check opt(at_least_one),
+            apply ScenarioBuilder::with_global_rounds;
         /// Local iterations per global round `R_l`.
-        local_iterations: Option<u32>, check opt(at_least_one);
+        local_iterations: Option<u32>, check opt(at_least_one),
+            apply ScenarioBuilder::with_local_iterations;
         /// Total uplink bandwidth `B` in Hz.
-        total_bandwidth_hz: Option<f64>, check opt(positive);
+        total_bandwidth_hz: Option<f64>, check opt(positive),
+            apply |b, hz| b.with_total_bandwidth(wireless::units::Hertz::new(hz));
         /// Log-normal shadowing standard deviation in dB (`0` disables fading).
-        shadowing_db: Option<f64>, check opt(non_negative);
+        shadowing_db: Option<f64>, check opt(non_negative), apply ScenarioBuilder::with_shadowing_db;
     }
+    apply ScenarioBuilder;
     cross samples_are_exclusive;
 }
 
 fn samples_are_exclusive(s: &ScenarioSpec, path: &dyn Display) -> Result<(), SpecError> {
-    if s.samples_per_device.is_some() && s.total_samples.is_some() {
-        return Err(SpecError::invalid(
-            path,
-            "`samples_per_device` and `total_samples` are mutually exclusive",
-        ));
-    }
-    Ok(())
+    let exclusive = s.samples_per_device.is_none() || s.total_samples.is_none();
+    ensure(exclusive, "`samples_per_device` and `total_samples` are mutually exclusive")
+        .map_err(|message| SpecError::invalid(path, message))
 }
 
 impl ScenarioSpec {
-    /// Applies the patch to a builder (unset fields leave it unchanged).
-    pub fn apply(&self, mut builder: ScenarioBuilder) -> ScenarioBuilder {
-        if let Some(n) = self.devices {
-            builder = builder.with_devices(n);
-        }
-        if let Some(r) = self.radius_km {
-            builder = builder.with_radius_km(r);
-        }
-        if let Some(s) = self.samples_per_device {
-            builder = builder.with_samples_per_device(s);
-        }
-        if let Some(t) = self.total_samples {
-            builder = builder.with_total_samples(t);
-        }
-        if let Some((lo, hi)) = self.cycles_per_sample {
-            builder = builder.with_cycles_per_sample_range(lo, hi);
-        }
-        if let Some(b) = self.upload_bits {
-            builder = builder.with_upload_bits(b);
-        }
-        if let Some(p) = self.p_min_dbm {
-            builder = builder.with_p_min_dbm(p);
-        }
-        if let Some(p) = self.p_max_dbm {
-            builder = builder.with_p_max_dbm(p);
-        }
-        if let Some(f) = self.f_min_hz {
-            builder = builder.with_f_min_hz(f);
-        }
-        if let Some(f) = self.f_max_ghz {
-            builder = builder.with_f_max_ghz(f);
-        }
-        if let Some(r) = self.global_rounds {
-            builder = builder.with_global_rounds(r);
-        }
-        if let Some(r) = self.local_iterations {
-            builder = builder.with_local_iterations(r);
-        }
-        if let Some(b) = self.total_bandwidth_hz {
-            builder = builder.with_total_bandwidth(wireless::units::Hertz::new(b));
-        }
-        if let Some(s) = self.shadowing_db {
-            builder = builder.with_shadowing_db(s);
-        }
-        builder
-    }
-
     /// Whether every field is unset (an identity patch).
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
@@ -760,6 +776,17 @@ pub enum ArmKind {
 }
 
 impl ArmKind {
+    /// Whether the arm optimizes under the deadline the axis (or a request's `deadline_s`)
+    /// supplies.
+    pub(crate) const fn reads_axis_deadline(&self) -> bool {
+        matches!(
+            self,
+            Self::DeadlineProposed { deadline: DeadlineSpec::Axis }
+                | Self::CommOnly
+                | Self::CompOnly
+        )
+    }
+
     const fn name(&self) -> &'static str {
         match self {
             Self::Proposed { .. } => "proposed",
@@ -1110,18 +1137,23 @@ section! {
         /// The starting configuration.
         preset: SolverPreset;
         /// Override of [`SolverConfig::outer_max_iter`].
-        outer_max_iter: Option<usize>, check opt(at_least_one);
+        outer_max_iter: Option<usize>, check opt(at_least_one),
+            apply |c, v| SolverConfig { outer_max_iter: v, ..c };
         /// Override of [`SolverConfig::outer_tol`].
-        outer_tol: Option<f64>, check opt(positive);
+        outer_tol: Option<f64>, check opt(positive), apply |c, v| SolverConfig { outer_tol: v, ..c };
         /// Override of [`SolverConfig::mu_tol`].
-        mu_tol: Option<f64>, check opt(positive);
+        mu_tol: Option<f64>, check opt(positive), apply |c, v| SolverConfig { mu_tol: v, ..c };
         /// Override of [`SolverConfig::scalar_tol`].
-        scalar_tol: Option<f64>, check opt(positive);
+        scalar_tol: Option<f64>, check opt(positive),
+            apply |c, v| SolverConfig { scalar_tol: v, ..c };
         /// Override of [`SolverConfig::bandwidth_floor_hz`].
-        bandwidth_floor_hz: Option<f64>, check opt(positive);
+        bandwidth_floor_hz: Option<f64>, check opt(positive),
+            apply |c, v| SolverConfig { bandwidth_floor_hz: v, ..c };
         /// Override of [`SolverConfig::polish_with_reference`].
-        polish_with_reference: Option<bool>;
+        polish_with_reference: Option<bool>,
+            apply |c, v| SolverConfig { polish_with_reference: v, ..c };
     }
+    apply SolverConfig;
 }
 
 impl SolverSpec {
@@ -1132,26 +1164,7 @@ impl SolverSpec {
 
     /// Resolves the preset and overrides into a concrete [`SolverConfig`].
     pub fn resolve(&self) -> SolverConfig {
-        let mut config = self.preset.base();
-        if let Some(v) = self.outer_max_iter {
-            config.outer_max_iter = v;
-        }
-        if let Some(v) = self.outer_tol {
-            config.outer_tol = v;
-        }
-        if let Some(v) = self.mu_tol {
-            config.mu_tol = v;
-        }
-        if let Some(v) = self.scalar_tol {
-            config.scalar_tol = v;
-        }
-        if let Some(v) = self.bandwidth_floor_hz {
-            config.bandwidth_floor_hz = v;
-        }
-        if let Some(v) = self.polish_with_reference {
-            config.polish_with_reference = v;
-        }
-        config
+        self.apply(self.preset.base())
     }
 }
 
@@ -1497,9 +1510,9 @@ section! {
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
     pub struct ExperimentSpec {
         /// Wire-format version; must equal [`SCHEMA_VERSION`].
-        schema_version: u64;
+        schema_version: u64, check schema_version;
         /// Short machine-friendly identifier (e.g. `"fig2"`).
-        id: String;
+        id: String, check not_empty_str;
         /// Human-readable description of what the sweep shows.
         description: String;
         /// The sweep axis.
@@ -1520,6 +1533,44 @@ section! {
         /// engine. When present, `arms` may be empty and the axis must hold one value.
         /// Written last and omitted when unset, so sweep-only specs keep their bytes.
         rounds: Option<RoundsSpec>;
+    }
+    cross sweep_or_simulation;
+}
+
+fn schema_version(version: &u64) -> Result<(), String> {
+    ensure(
+        *version == SCHEMA_VERSION,
+        format_args!("this build reads schema version {SCHEMA_VERSION}, got {version}"),
+    )
+}
+
+/// The rules across sections: a round simulation pins one axis value, a sweep needs
+/// arms, and arms that read the axis deadline need a `deadline_s` axis.
+fn sweep_or_simulation(spec: &ExperimentSpec, path: &dyn Display) -> Result<(), SpecError> {
+    let (axis, points) = (spec.axis.kind, spec.axis.values.len());
+    if spec.rounds.is_some() {
+        let one_point = ensure(
+            points == 1,
+            format_args!(
+                "a round-simulation spec pins one scenario point, so the axis must hold \
+                 exactly one value (got {points})"
+            ),
+        );
+        check_at(path, "axis.values", one_point)?;
+    } else {
+        check_at(path, "arms", not_empty(&spec.arms))?;
+    }
+    match spec.arms.iter().position(|arm| arm.kind.reads_axis_deadline()) {
+        Some(i) if axis != AxisKind::DeadlineS => Err(SpecError::invalid(
+            format_args!("{path}.arms[{i}]"),
+            format!(
+                "arm kind `{}` reads its deadline from the axis, which requires a \
+                 `deadline_s` axis (got `{}`)",
+                spec.arms[i].kind.name(),
+                axis.name()
+            ),
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -1556,68 +1607,14 @@ impl ExperimentSpec {
         self.seeds.policy = SeedPolicy::Range { start: 0, count };
     }
 
-    /// Validates every component without compiling the grid.
+    /// Validates every component without compiling the grid, at paths under `spec.`
+    /// (the same walk parsing runs).
     ///
     /// # Errors
     ///
     /// The first [`SpecError::Invalid`] found, with the offending field's path.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.schema_version != SCHEMA_VERSION {
-            return Err(SpecError::invalid(
-                "schema_version",
-                format!("expected {SCHEMA_VERSION}, got {}", self.schema_version),
-            ));
-        }
-        if self.id.is_empty() {
-            return Err(SpecError::invalid("id", "must not be empty"));
-        }
-        if self.axis.values.is_empty() {
-            return Err(SpecError::invalid("axis.values", "must not be empty"));
-        }
-        for (i, &x) in self.axis.values.iter().enumerate() {
-            self.axis.kind.check(x, &format!("axis.values[{i}]"))?;
-        }
-        self.scenario.validate(&"scenario")?;
-        if let Some(rounds) = &self.rounds {
-            rounds.validate(&"rounds")?;
-            if self.axis.values.len() != 1 {
-                return Err(SpecError::invalid(
-                    "axis.values",
-                    format!(
-                        "a round-simulation spec pins one scenario point, so the axis \
-                         must hold exactly one value (got {})",
-                        self.axis.values.len()
-                    ),
-                ));
-            }
-        }
-        if self.arms.is_empty() && self.rounds.is_none() {
-            return Err(SpecError::invalid("arms", "must not be empty"));
-        }
-        for (i, arm) in self.arms.iter().enumerate() {
-            arm.validate(&format_args!("arms[{i}]"))?;
-            let needs_axis_deadline = matches!(
-                arm.kind,
-                ArmKind::DeadlineProposed { deadline: DeadlineSpec::Axis }
-                    | ArmKind::CommOnly
-                    | ArmKind::CompOnly
-            );
-            if needs_axis_deadline && self.axis.kind != AxisKind::DeadlineS {
-                return Err(SpecError::invalid(
-                    format!("arms[{i}]"),
-                    format!(
-                        "arm kind `{}` reads its deadline from the axis, which requires a \
-                         `deadline_s` axis (got `{}`)",
-                        arm.kind.name(),
-                        self.axis.kind.name()
-                    ),
-                ));
-            }
-        }
-        self.seeds.validate(&"seeds")?;
-        self.solver.validate(&"solver")?;
-        self.engine.validate(&"engine")?;
-        Ok(())
+        Field::validate(self, &"spec")
     }
 
     /// Compiles the spec into the imperative [`SweepGrid`] the engine evaluates.
@@ -1629,7 +1626,7 @@ impl ExperimentSpec {
         self.validate()?;
         if self.arms.is_empty() {
             return Err(SpecError::invalid(
-                "arms",
+                "spec.arms",
                 "this spec has no sweep arms; round-simulation specs run with `fedopt sim`",
             ));
         }
@@ -1682,7 +1679,7 @@ impl ExperimentSpec {
         self.to_json().to_pretty_string()
     }
 
-    /// Parses a spec from a JSON value and validates it.
+    /// Parses a spec from a JSON value, validating it as it reads.
     ///
     /// # Errors
     ///
@@ -1692,15 +1689,8 @@ impl ExperimentSpec {
         // The version is checked first: a document of another version fails on it, not on
         // whichever of its members this build does not know.
         let version: u64 = Obj::any(v, &"spec")?.field("schema_version", None)?;
-        if version != SCHEMA_VERSION {
-            return Err(SpecError::invalid(
-                "spec.schema_version",
-                format!("this build reads schema version {SCHEMA_VERSION}, got {version}"),
-            ));
-        }
-        let spec = Self::read(v, &"spec")?;
-        spec.validate()?;
-        Ok(spec)
+        check_at(&"spec", "schema_version", schema_version(&version))?;
+        Self::read(v, &"spec")
     }
 
     /// Parses and validates a spec from its serialized form.
@@ -1876,7 +1866,16 @@ mod tests {
         let mut no_arms = tiny_spec();
         no_arms.arms.clear();
         assert!(
-            matches!(no_arms.validate(), Err(SpecError::Invalid { path, .. }) if path == "arms")
+            matches!(no_arms.validate(), Err(SpecError::Invalid { path, .. }) if path == "spec.arms")
+        );
+
+        // A parsed document reports its axis values under `spec.` like every other key.
+        let fig3 = crate::presets::spec(3, crate::presets::Variant::Quick).unwrap();
+        let renamed = fig3.to_json_string().replace("\"f_max_ghz\"", "\"devices\"");
+        assert!(
+            matches!(ExperimentSpec::from_json_str(&renamed), Err(SpecError::Invalid { path, .. })
+                if path == "spec.axis.values[0]"),
+            "a fractional device count on a renamed axis is reported at its spec path"
         );
 
         let mut bad_axis = tiny_spec();
@@ -1931,7 +1930,7 @@ mod tests {
         other_stream.seeds.stream_derivation = StreamDerivation::RoundChannelFnv;
         assert!(
             matches!(other_stream.validate(), Err(SpecError::Invalid { path, .. })
-                if path == "seeds.stream_derivation"),
+                if path == "spec.seeds.stream_derivation"),
             "a stream rule sweeps do not use must be rejected"
         );
     }

@@ -236,8 +236,7 @@ fn ten_thousand_draw_grid_streams_bit_identically_to_materializing() {
             .arm(SyntheticArm { tag: 2.5 })
     };
 
-    let materialized =
-        SweepEngine::with_threads(2).run_cells(&grid(), None).unwrap().into_sweep_result();
+    let materialized = SweepEngine::with_threads(2).run_cells(&grid()).unwrap().into_sweep_result();
     // 13 of every 97 seeds... exactly the draws with seed % 97 == 13 are infeasible.
     let expected_infeasible = (0..10_000u64).filter(|s| s % 97 == 13).count();
     for row in &materialized.aggregates {
@@ -264,7 +263,7 @@ fn all_figure_quick_presets_stream_bit_identically() {
     let engine = SweepEngine::with_threads(2);
     for &fig in &presets::FIGURES {
         let spec = presets::spec(fig, Variant::Quick).expect("figure preset exists");
-        let cells = engine.run_cells(&spec.grid().unwrap(), None).unwrap().into_sweep_result();
+        let cells = engine.run_cells(&spec.grid().unwrap()).unwrap().into_sweep_result();
         let materialized = SpecRun { reports: spec.render_reports(&cells), result: cells };
         assert_eq!(run(&spec, &engine), materialized, "fig{fig} quick preset diverged");
     }

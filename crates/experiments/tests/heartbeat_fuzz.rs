@@ -1,19 +1,16 @@
 //! Fuzzing the worker heartbeat protocol against stderr damage. The liveness contract:
-//! malformed, interleaved, or truncated `fedopt-heartbeat t=…s cells=…` lines must
-//! never panic the parser or the coordinator's [`StderrState`] clock — a worker's
-//! *life* rides on the prefix alone, while the progress *reading* only moves on a
-//! well-formed payload. The shape mirrors `wire_fuzz.rs`: damage is either rejected
-//! (parse returns `None`) or semantically inert, never a panic and never a wrongly
-//! accepted payload.
+//! a heartbeat is any line that starts with `fedopt-heartbeat`, whatever follows it.
+//! Malformed, interleaved or truncated lines must never panic the coordinator's
+//! [`StderrState`]; the liveness clock answers to the prefix alone, and prefixed lines
+//! never reach the failure tail. The shape mirrors `wire_fuzz.rs`: damage is either
+//! rejected or inert, never a panic.
 
-use experiments::shard::{
-    parse_heartbeat, parse_heartbeat_interval, StderrState, HEARTBEAT_PREFIX,
-};
+use experiments::shard::{StderrState, HEARTBEAT_PREFIX};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-/// Fragments biased toward the protocol's own vocabulary — random characters rarely
-/// spell `t=` or `cells=`, so plain noise would leave the field parsers untested.
+/// Payload-shaped fragments (`t=`, `cells=`, numbers, whitespace): whatever follows the
+/// prefix, the line is a plain beat.
 const FRAGMENTS: &[&str] =
     &["t=", "cells=", "s", "t=1.5", "cells=nine", " ", "\t", "=", "-", ".", "NaN", "inf", "µs"];
 
@@ -35,102 +32,69 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Arbitrary lines — protocol-shaped junk, with and without the heartbeat prefix —
-    /// never panic the parser or the stderr capture.
+    /// never panic the stderr capture, and each moves the liveness clock exactly when it
+    /// carries the prefix.
     #[test]
     fn malformed_lines_never_panic_the_parser_or_the_clock(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::from_seed(seed);
         for _ in 0..8 {
             let body = junk_line(&mut rng);
             let line = if rng.below(2) == 0 { format!("{HEARTBEAT_PREFIX}{body}") } else { body };
-            let _ = parse_heartbeat(&line);
             let mut state = StderrState::default();
             state.observe(&line);
             let _ = state.render_tail();
-            // The liveness clock answers to the prefix alone, malformed payload or not.
             prop_assert_eq!(state.last_heartbeat().is_some(), line.starts_with(HEARTBEAT_PREFIX));
         }
     }
 
-    /// A well-formed heartbeat line round-trips exactly: the parsed payload is the
-    /// printed payload, and the capture records the cell count.
+    /// Any truncation of a heartbeat line is handled without panicking, and only a cut
+    /// that keeps the whole prefix counts as a beat: a truncated line never invents a
+    /// heartbeat time.
     #[test]
-    fn well_formed_lines_round_trip(t in 0.0f64..1.0e6, cells in 0u64..u64::MAX) {
-        let line = format!("{HEARTBEAT_PREFIX} t={t:.1}s cells={cells}");
-        let (parsed_t, parsed_cells) = parse_heartbeat(&line).expect("well-formed must parse");
-        let printed_t: f64 = format!("{t:.1}").parse().unwrap();
-        prop_assert_eq!(parsed_t, printed_t);
-        prop_assert_eq!(parsed_cells, cells);
-        let mut state = StderrState::default();
-        state.observe(&line);
-        prop_assert_eq!(state.last_cells(), Some(cells));
-        prop_assert!(state.last_heartbeat().is_some());
-    }
-
-    /// Any truncation of a valid heartbeat line is handled without panicking, and a
-    /// truncation that still parses must agree with the original time field —
-    /// truncation can only lose fields or shorten the cells number, never invent a
-    /// different reading.
-    #[test]
-    fn truncated_heartbeats_never_panic_and_never_invent_a_time(
-        t in 0.0f64..1.0e6,
-        cells in 0u64..u64::MAX,
-        seed in 0u64..u64::MAX,
-    ) {
+    fn truncated_heartbeats_never_panic_and_never_invent_a_time(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::from_seed(seed);
-        let line = format!("{HEARTBEAT_PREFIX} t={t:.1}s cells={cells}");
-        let cut = 1 + rng.below(line.len() as u64 - 1) as usize;
-        let prefix = &line[..cut]; // the line is pure ASCII: every cut is a char boundary
-        if let Some((parsed_t, _)) = parse_heartbeat(prefix) {
-            let printed_t: f64 = format!("{t:.1}").parse().unwrap();
-            prop_assert_eq!(parsed_t, printed_t); // a kept-whole t= field parses exactly
+        let line = format!("{HEARTBEAT_PREFIX}{}", junk_line(&mut rng));
+        let mut cut = 1 + rng.below(line.len() as u64 - 1) as usize;
+        while !line.is_char_boundary(cut) {
+            cut -= 1;
         }
-        // However short the cut, feeding it to the capture must not panic; and any cut
-        // that still carries the prefix counts as liveness (the clock never starves on
-        // payload damage alone).
+        let prefix = &line[..cut];
         let mut state = StderrState::default();
         state.observe(prefix);
         prop_assert_eq!(state.last_heartbeat().is_some(), prefix.starts_with(HEARTBEAT_PREFIX));
     }
 
-    /// Mangled heartbeat payloads interleaved with a real one advance the liveness
-    /// clock but never move the progress reading off the last well-formed value, and
-    /// never leak into the captured stderr tail.
+    /// Mangled heartbeats and plain noise interleaved after a real beat never corrupt
+    /// the worker's progress — the liveness clock is never forgotten, never runs
+    /// backwards, and only prefixed lines move it — and never corrupt the failure tail:
+    /// every noise line lands there, no prefixed line does.
     #[test]
     fn interleaved_garbage_never_corrupts_progress_or_the_tail(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::from_seed(seed);
         let mut state = StderrState::default();
         state.observe(&format!("{HEARTBEAT_PREFIX} t=1.0s cells=7"));
-        // Every interleaved line carries the prefix — few parse as a heartbeat.
-        let garbage: Vec<String> =
-            (0..rng.below(16)).map(|_| format!("{HEARTBEAT_PREFIX}{}", junk_line(&mut rng))).collect();
-        for line in &garbage {
-            state.observe(line);
+        let mut noise = Vec::new();
+        for _ in 0..rng.below(16) {
+            let before = state.last_heartbeat().expect("the first beat is never forgotten");
+            let body = junk_line(&mut rng);
+            if rng.below(2) == 0 {
+                state.observe(&format!("{HEARTBEAT_PREFIX}{body}"));
+                let after = state.last_heartbeat().expect("a beat keeps the clock set");
+                prop_assert!(after >= before, "a heartbeat never moves the clock backwards");
+            } else {
+                state.observe(&body);
+                prop_assert_eq!(state.last_heartbeat(), Some(before)); // noise never moves the clock
+                noise.push(body);
+            }
         }
-        let last = state.last_cells().expect("the well-formed beat is never forgotten");
-        // The reading is the initial beat unless some junk happened to parse cleanly.
-        let junk_cells: Vec<u64> =
-            garbage.iter().filter_map(|l| parse_heartbeat(l)).map(|(_, cells)| cells).collect();
-        match junk_cells.last() {
-            Some(&cells) => prop_assert_eq!(last, cells),
-            None => prop_assert_eq!(last, 7),
-        }
+        // At most 15 lines of at most 12 short pieces each: far inside the tail budget.
+        let tail = state.render_tail();
         prop_assert!(
-            !state.render_tail().contains(HEARTBEAT_PREFIX),
+            !tail.contains(HEARTBEAT_PREFIX),
             "heartbeat-prefixed lines stay out of the failure tail"
         );
-    }
-
-    /// The interval parser is strict in both directions: every positive integer of
-    /// milliseconds round-trips, and anything led by a non-digit is a loud error.
-    #[test]
-    fn interval_parsing_is_strict(ms in 1u64..1_000_000, seed in 0u64..u64::MAX) {
-        prop_assert_eq!(
-            parse_heartbeat_interval(&ms.to_string()),
-            Ok(std::time::Duration::from_millis(ms))
-        );
-        let mut rng = TestRng::from_seed(seed);
-        // A leading 'x' survives trimming and can never begin an integer.
-        let junk = format!("x{}", junk_line(&mut rng));
-        prop_assert!(parse_heartbeat_interval(&junk).is_err(), "{:?} must not parse", junk);
+        for line in &noise {
+            prop_assert!(tail.contains(line.as_str()), "noise line {:?} missing from {:?}", line, tail);
+        }
     }
 }

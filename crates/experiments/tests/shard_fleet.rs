@@ -196,7 +196,7 @@ fn a_failing_runner_produces_a_loud_partial_report() {
                     "synthetic failure for seed {first_seed}"
                 )))
             } else {
-                experiments::shard::run_shard_in_process(spec, None)
+                experiments::shard::run_shard_in_process(spec)
                     .map_err(|e| experiments::shard::ShardRunError::from(e.to_string()))
             }
         }

@@ -6,7 +6,7 @@
 //! The same executable plays both fleet roles: `run --shards N` makes it a coordinator
 //! that spawns copies of itself (`std::env::current_exe`) as workers, and
 //! `run --spec - --shard-json` makes it a worker that reads a shard spec from stdin,
-//! heartbeats progress on stderr, and streams the checksummed shard result back on
+//! beats a liveness line on stderr, and streams the checksummed shard result back on
 //! stdout (see [`fedopt::experiments::shard`]). Workers also honor the
 //! `FEDOPT_FAULT_PLAN` chaos variable ([`fedopt::experiments::fault`]), which is how
 //! the crash/stall/corruption hardening of the coordinator is tested end to end.

@@ -241,6 +241,7 @@ fn a_regular_file_at_the_socket_path_is_an_error_and_left_intact() {
     std::io::Read::read_to_string(child.stderr.as_mut().unwrap(), &mut stderr).unwrap();
     assert_eq!(status.code(), Some(1), "{stderr}");
     assert!(stderr.contains(&path.display().to_string()), "the error names the path: {stderr}");
+    assert!(!stderr.contains("listening on"), "nothing listens on a refused path: {stderr}");
     assert_eq!(std::fs::read_to_string(&path).unwrap(), "data\n", "the file must be untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }
