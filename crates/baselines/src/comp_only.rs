@@ -51,8 +51,7 @@ impl CompOnlyAllocator {
         let round_deadline = total_deadline_s / scenario.params.rg();
 
         ws.allocation.set_half_split_max(scenario);
-        ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
-        ws.upload_times_from_rates(scenario);
+        ws.upload_times_from_allocation(scenario);
         let SolverWorkspace { uploads_s, allocation, .. } = &mut *ws;
 
         // The cheapest frequencies that still meet the deadline given the fixed uplink times.

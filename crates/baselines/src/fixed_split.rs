@@ -72,8 +72,7 @@ impl FixedSplitAllocator {
 
         // Step 1: the paper's initialization and its uplink times.
         ws.allocation.set_half_split_max(scenario);
-        ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
-        ws.upload_times_from_rates(scenario);
+        ws.upload_times_from_allocation(scenario);
 
         // Steps 2–3: the cheapest frequency that fits each device's computation share.
         let slowest = ws.uploads_s.iter().cloned().fold(0.0, f64::max);

@@ -330,8 +330,7 @@ impl JointOptimizer {
     ) -> Result<(), CoreError> {
         match step {
             Subproblem1::Weighted(weights) => {
-                ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
-                ws.upload_times_from_rates(scenario);
+                ws.upload_times_from_allocation(scenario);
                 let round_time_s = match sp1::solve_direct_with_arrays_in(
                     scenario,
                     &ws.arrays,

@@ -27,6 +27,10 @@
 //!    [`SolverConfig::superlinear_mu`] `= false` (the paper's pure bisection) and
 //!    [`SolverConfig::adaptive_mu_bracket`] `= false` (a fixed warm bracket refined by
 //!    Brent) the search brackets the root instead.
+//!    Each device's `W₀` and `e^W₀` stay in a lane pair: every Newton pass after the first
+//!    starts its Halley iterations from the previous pass's pair, and with
+//!    [`SolverConfig::warm_start`] the first pass of a warm search starts from the pair
+//!    the previous solve left behind.
 //! 4. Devices with `τ_n > 0` have a tight rate constraint: `B_n = r_n^min / log2(Λ_n)` and
 //!    `p_n` from (A.1). The `W₀` of step 2 at the final `μ` is read from the lane the last
 //!    `g'(μ)` pass left behind. The remaining devices solve the bounded linear program (A.6)
@@ -39,7 +43,7 @@
 
 use super::{PowerBandwidth, Sp2Problem};
 use crate::SolverConfig;
-use numopt::lambertw::{lambert_w0, lambert_w0_seeded, ratio_over_w0};
+use numopt::lambertw::{lambert_w0_seeded, ratio_over_w0};
 use numopt::roots::{root_of_decreasing, root_of_decreasing_brent, root_of_decreasing_newton};
 use numopt::scalar::clamp;
 use numopt::NumError;
@@ -60,25 +64,24 @@ pub(crate) struct LpEntry {
 
 /// Reusable scratch buffers of the Theorem-2 KKT construction.
 ///
-/// Every buffer is pure scratch: [`solve_parametric_into`] overwrites the contents on entry and
-/// never reads state left by a previous call, so one instance can be reused across
-/// arbitrarily many solves (and across scenarios of different device counts — the buffers
-/// are resized per call). Reuse only saves the allocations.
+/// Every buffer but the `W₀` lane pair is pure scratch: [`solve_parametric_into`]
+/// overwrites the contents on entry and never reads state left by a previous call, so one
+/// instance can be reused across arbitrarily many solves (and across scenarios of different
+/// device counts — the buffers are resized per call). Reuse only saves the allocations.
 ///
 /// Two kinds of *non-scratch* state ride along, neither of which affects the reference
 /// path: cumulative work counters ([`KktScratch::parametric_solves`],
 /// [`KktScratch::mu_bisect_evals`], [`KktScratch::lp_sorts`] — instrumentation only), and
-/// the warm-start `μ` seed — the previous solve's price, read **only** when
-/// [`SolverConfig::warm_start`] is set, and droppable at any time via
-/// [`KktScratch::reset_warm_start`].
+/// the warm-start state — the previous solve's price `μ` and its `W₀`/`e^W₀` lane pair,
+/// read **only** when [`SolverConfig::warm_start`] is set, and dropped together at any
+/// time by [`KktScratch::reset_warm_start`].
 #[derive(Debug, Clone, Default)]
 pub struct KktScratch {
-    /// `j_n = ν_n d_n N₀ / g_n` per device (the constant of Appendix B).
-    j: Vec<f64>,
-    /// Compacted `j_n` lane of the rate-constrained devices only (in device order) — the
-    /// `g'(μ)` summation set. Built **once per parametric solve**, so every `μ` probe is a
-    /// dense, branch-free `O(m)` walk (`m` = rate-constrained devices) instead of an
-    /// `O(n)` scan that re-tests `r_n^min > 0` on every device.
+    /// Compacted `j_n = ν_n d_n N₀ / g_n` lane (the constant of Appendix B) of the
+    /// rate-constrained devices only (in device order) — the `g'(μ)` summation set, and the
+    /// only devices whose `j_n` step 2/4 reads. Built **once per parametric solve**, so
+    /// every `μ` probe is a dense, branch-free `O(m)` walk (`m` = rate-constrained devices)
+    /// instead of an `O(n)` scan that re-tests `r_n^min > 0` on every device.
     rc_j: Vec<f64>,
     /// Matching compacted `r_n^min · ln 2` lane (the constant numerator of each `g'` term,
     /// hoisted out of the per-probe loop; `(r·ln2)/denom` is bit-identical to
@@ -87,8 +90,14 @@ pub struct KktScratch {
     /// Matching `W₀((μ − j_n)/(e·j_n))` lane at the `μ` of the latest `g'(μ)` pass, which
     /// every pass rewrites. The searches end with a pass at the returned price, so step 2/4
     /// reads `W₀` here instead of evaluating it again, and each Newton pass after the first
-    /// starts every device's Halley iteration from its value in the previous pass.
+    /// starts every device's Halley iteration from its pair in the previous pass. Warm
+    /// state: with [`SolverConfig::warm_start`], the first pass of a warm search starts
+    /// from the pair the previous solve left, when it covers as many devices.
     rc_w: Vec<f64>,
+    /// `e^W₀` of each [`KktScratch::rc_w`] entry, written together with it (the
+    /// exponential its Halley residual check computed), so a seeded Halley iteration spends
+    /// no `exp` on its first step.
+    rc_ew: Vec<f64>,
     /// LP entries of the devices whose rate constraint is slack (step 4b).
     entries: Vec<LpEntry>,
     /// Cumulative count of Theorem-2 parametric solves performed with this scratch.
@@ -106,7 +115,8 @@ pub struct KktScratch {
     /// The previous solve's bandwidth price `μ` — the warm-start seed: the start of the
     /// Newton search, or the center of the legacy fixed-width bracket.
     warm_mu: f64,
-    /// Whether [`KktScratch::warm_mu`] holds a usable seed.
+    /// Whether [`KktScratch::warm_mu`] holds a usable seed; also gates the carried `W₀`
+    /// lane pair, so the two are dropped together.
     warm_mu_valid: bool,
 }
 
@@ -118,8 +128,9 @@ const WARM_DELTA: f64 = 1e-3;
 const MAX_ITER: usize = 300;
 
 impl KktScratch {
-    /// Drops the carried `μ` seed: the next warm-start solve searches from the cold start
-    /// again.
+    /// Drops the carried `μ` seed and, with it, the carried `W₀` lane pair: the next
+    /// warm-start solve searches from the cold start again, bit-identical to a fresh
+    /// scratch.
     pub fn reset_warm_start(&mut self) {
         self.warm_mu_valid = false;
     }
@@ -157,10 +168,10 @@ pub fn solve_parametric_into(
     }
     let mut scratch = problem.scratch_mut();
     let KktScratch {
-        j,
         rc_j,
         rc_rmin_ln2,
         rc_w,
+        rc_ew,
         entries,
         parametric_solves,
         mu_bisect_evals,
@@ -170,41 +181,21 @@ pub fn solve_parametric_into(
     } = &mut *scratch;
     *parametric_solves += 1;
 
-    // j_n = ν_n d_n N₀ / g_n (the constant of Appendix B), filled from the contiguous
-    // lanes. The expression keeps the exact operand grouping of the struct walk
-    // (ν·d·N₀/g, left to right over the raw per-device values), so the fill is
-    // bit-identical to indexing the profiles.
-    j.clear();
-    j.extend(
-        nu.iter()
-            .zip(arrays.upload_bits.iter())
-            .zip(arrays.gain.iter())
-            .map(|((&nu_i, &d), &g)| (nu_i.max(1e-300)) * d * n0 / g),
-    );
-
     // --- Step 3: bandwidth price μ from g'(μ) = 0 (root of a decreasing function). ---
     let has_rate_constraints = r_min.iter().any(|&r| r > 0.0);
     let config = problem.config();
     let mu = if has_rate_constraints {
-        // Compact the summation set once per parametric solve: the μ search only ever
-        // touches the rate-constrained devices, and their (j_n, r_n^min·ln2) pairs are
-        // μ-invariant. Device order is preserved, so the per-probe sum below accumulates
-        // the exact same terms in the exact same order as a full skip-scan would.
-        rc_j.clear();
-        rc_rmin_ln2.clear();
-        for i in 0..n {
-            if r_min[i] > 0.0 {
-                rc_j.push(j[i]);
-                rc_rmin_ln2.push(r_min[i] * LN2);
-            }
-        }
-        rc_w.resize(rc_j.len(), 0.0);
-        let j_max = j.iter().cloned().fold(0.0_f64, f64::max).max(1e-300);
-        let j_min = j.iter().cloned().fold(f64::INFINITY, f64::min).max(1e-300);
+        let carried = rc_w.len();
+        let (j_min, j_max) = compact_price_lanes(problem, nu, rc_j, rc_rmin_ln2);
         let warm = (config.warm_start && *warm_mu_valid && *warm_mu > 0.0 && warm_mu.is_finite())
             .then_some(*warm_mu);
-        let mut lanes = PriceLanes::new(rc_j, rc_rmin_ln2, rc_w, b_total);
-        let price = bandwidth_price(&mut lanes, config, warm, j_min, j_max);
+        // The previous solve's W₀ pairs seed a warm search's first pass when they cover as
+        // many devices; any pair is a valid Halley start, so a stale one costs steps only.
+        let carry = warm.is_some() && carried == rc_j.len();
+        rc_w.resize(rc_j.len(), 0.0);
+        rc_ew.resize(rc_j.len(), 1.0);
+        let mut lanes = PriceLanes::new(rc_j, rc_rmin_ln2, rc_w, rc_ew, b_total);
+        let price = bandwidth_price(&mut lanes, config, warm, carry, j_min, j_max);
         *mu_bisect_evals += lanes.passes;
         price?
     } else {
@@ -226,7 +217,8 @@ pub fn solve_parametric_into(
     let bandwidths = &mut out.bandwidths_hz;
     entries.clear();
     let mut budget_used = 0.0;
-    // Position in the rate-constrained lanes: `rc_w[k]` is device `i`'s W₀ at `μ`.
+    // Position in the rate-constrained lanes: `rc_j[k]` is device `i`'s j_n and `rc_w[k]`
+    // its W₀ at `μ`.
     let mut k = 0;
 
     for i in 0..n {
@@ -234,9 +226,9 @@ pub fn solve_parametric_into(
         let d = arrays.upload_bits[i];
         let (p_min, p_max) = (arrays.p_min_w[i], arrays.p_max_w[i]);
         let tau = if r_min[i] > 0.0 && mu > 0.0 {
-            let w = rc_w[k];
+            let (j, w) = (rc_j[k], rc_w[k]);
             k += 1;
-            (ratio_over_w0(mu - j[i], j[i], w)? * LN2 - nu[i] * beta[i]).max(0.0)
+            (ratio_over_w0(mu - j, j, w)? * LN2 - nu[i] * beta[i]).max(0.0)
         } else {
             0.0
         };
@@ -339,12 +331,47 @@ pub fn solve_parametric_into(
     Ok(())
 }
 
+/// Compacts the summation set of `g'(μ)` once per parametric solve: the `j_n` and
+/// `r_n^min·ln 2` of the rate-constrained devices, in device order, into `rc_j` and
+/// `rc_rmin_ln2`. Returns `(j_min, j_max)` over **all** devices, each floored at `1e-300`.
+///
+/// The μ search only ever touches the rate-constrained devices, and their pairs are
+/// μ-invariant; device order is kept, so the per-probe sum accumulates the exact terms in
+/// the exact order a full skip-scan would. `j_n = ν_n d_n N₀ / g_n` keeps the operand
+/// grouping of the struct walk (ν·d·N₀/g, left to right over the raw per-device values).
+fn compact_price_lanes(
+    problem: &Sp2Problem<'_>,
+    nu: &[f64],
+    rc_j: &mut Vec<f64>,
+    rc_rmin_ln2: &mut Vec<f64>,
+) -> (f64, f64) {
+    let arrays = problem.arrays();
+    let n0 = problem.n0();
+    rc_j.clear();
+    rc_rmin_ln2.clear();
+    let (mut j_min, mut j_max) = (f64::INFINITY, 0.0_f64);
+    for (((&nu_i, &d), &g), &r) in
+        nu.iter().zip(&arrays.upload_bits).zip(&arrays.gain).zip(problem.r_min_bps())
+    {
+        let j = (nu_i.max(1e-300)) * d * n0 / g;
+        j_min = j_min.min(j);
+        j_max = j_max.max(j);
+        if r > 0.0 {
+            rc_j.push(j);
+            rc_rmin_ln2.push(r * LN2);
+        }
+    }
+    (j_min.max(1e-300), j_max.max(1e-300))
+}
+
 /// The `g'(μ)` lane walk of one parametric solve: the compacted rate-constrained lanes,
-/// the `W₀` lane every pass rewrites, and what the price search records about its passes.
+/// the `W₀`/`e^W₀` lane pair every pass rewrites, and what the price search records about
+/// its passes.
 struct PriceLanes<'a> {
     j: &'a [f64],
     rmin_ln2: &'a [f64],
     w: &'a mut [f64],
+    ew: &'a mut [f64],
     b_total: f64,
     /// The `μ` of the latest pass — the price the `w` lane belongs to.
     mu: f64,
@@ -356,28 +383,35 @@ struct PriceLanes<'a> {
 }
 
 impl<'a> PriceLanes<'a> {
-    fn new(j: &'a [f64], rmin_ln2: &'a [f64], w: &'a mut [f64], b_total: f64) -> Self {
-        Self { j, rmin_ln2, w, b_total, mu: f64::NAN, passes: 0, error: None }
+    fn new(
+        j: &'a [f64],
+        rmin_ln2: &'a [f64],
+        w: &'a mut [f64],
+        ew: &'a mut [f64],
+        b_total: f64,
+    ) -> Self {
+        Self { j, rmin_ln2, w, ew, b_total, mu: f64::NAN, passes: 0, error: None }
     }
 
-    /// One lane pass at `μ`: `(g'(μ), g''(μ))`, leaving each device's `W₀` in the lane.
-    /// With `seeded`, each device's Halley iteration starts from its value in the previous
-    /// pass instead of the cold guess. `g''` reuses the pass's `W₀`: no extra `exp` or
+    /// One lane pass at `μ`: `(g'(μ), g''(μ))`, leaving each device's `W₀` and `e^W₀` in
+    /// the lane pair. With `seeded`, each device's Halley iteration starts from the pair in
+    /// the lane instead of the cold guess. `g''` reuses the pass's `W₀`: no extra `exp` or
     /// `ln`.
     fn pass(&mut self, mu: f64, seeded: bool) -> (f64, f64) {
         self.passes += 1;
         self.mu = mu;
         let (mut sum, mut slope) = (0.0, 0.0);
-        for ((&ji, &rml), wi) in self.j.iter().zip(self.rmin_ln2).zip(self.w.iter_mut()) {
+        let lanes = self.j.iter().zip(self.rmin_ln2).zip(self.w.iter_mut().zip(self.ew.iter_mut()));
+        for ((&ji, &rml), (wi, ewi)) in lanes {
             let arg = ((mu - ji) / (E * ji)).max(-1.0 / E);
-            let w = match if seeded { lambert_w0_seeded(arg, *wi) } else { lambert_w0(arg) } {
-                Ok(w) => w,
+            let (w, ew) = match lambert_w0_seeded(arg, seeded.then_some((*wi, *ewi))) {
+                Ok(pair) => pair,
                 Err(e) => {
                     self.error.get_or_insert(e);
                     return (f64::NAN, f64::NAN);
                 }
             };
-            *wi = w;
+            (*wi, *ewi) = (w, ew);
             // Simplified derivative term: r_min·ln2 / (W + 1).
             let denom = (w + 1.0).max(1e-12);
             sum += rml / denom;
@@ -390,8 +424,8 @@ impl<'a> PriceLanes<'a> {
     }
 
     /// `g'(μ)` alone, for the legacy bracketing searches. Unseeded, so each probe's `W₀`
-    /// is bit-identical to a plain [`lambert_w0`] evaluation (the frozen bisection golden
-    /// pins those bits).
+    /// is bit-identical to a plain [`numopt::lambertw::lambert_w0`] evaluation (the frozen
+    /// bisection golden pins those bits).
     fn g_prime(&mut self, mu: f64) -> f64 {
         self.pass(mu, false).0
     }
@@ -400,20 +434,23 @@ impl<'a> PriceLanes<'a> {
 /// Step 3: the bandwidth price `μ`, with the lane left holding `W₀` at that price.
 ///
 /// The default search is Newton on the convex decreasing `g'` from the carried root
-/// (`warm`) or, cold, from `10·j_max`; its tolerance is `mu_tol·10·j_max` either way. The
-/// legacy gates bracket instead: a warm seed under `adaptive_mu_bracket = false`, or any
-/// solve under `superlinear_mu = false`.
+/// (`warm`) or, cold, from `10·j_max`; its tolerance is `mu_tol·10·j_max` either way. Its
+/// first pass starts from the lane pair already in `lanes` when `carried`, cold otherwise,
+/// and every later pass from the previous one's. The legacy gates bracket instead, always
+/// unseeded: a warm seed under `adaptive_mu_bracket = false`, or any solve under
+/// `superlinear_mu = false`.
 fn bandwidth_price(
     lanes: &mut PriceLanes<'_>,
     config: &SolverConfig,
     warm: Option<f64>,
+    carried: bool,
     j_min: f64,
     j_max: f64,
 ) -> Result<f64, NumError> {
     let lo = 1e-9 * j_min;
     let tol = config.mu_tol * (10.0 * j_max);
     let price = if config.superlinear_mu && (config.adaptive_mu_bracket || warm.is_none()) {
-        let mut seeded = false;
+        let mut seeded = carried;
         let newton = |mu: f64| {
             let pass = lanes.pass(mu, seeded);
             seeded = true;
@@ -721,37 +758,87 @@ mod tests {
         );
     }
 
-    /// The lanes `solve_parametric` compacts for `(ν, β)`, with `j_min` and `j_max` over all
-    /// devices: `(rc_j, rc_rmin_ln2, j_min, j_max)`.
-    fn price_lanes_of(
-        problem: &Sp2Problem<'_>,
-        nu: &[f64],
-        beta: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, f64, f64) {
-        solve_parametric(problem, nu, beta).unwrap();
-        let scratch = problem.scratch_mut();
-        let j_max = scratch.j.iter().cloned().fold(0.0_f64, f64::max);
-        let j_min = scratch.j.iter().cloned().fold(f64::INFINITY, f64::min);
-        (scratch.rc_j.clone(), scratch.rc_rmin_ln2.clone(), j_min, j_max)
+    /// Owned price lanes of a problem at multipliers `ν`: the lanes `solve_parametric`
+    /// compacts, a `W₀`/`e^W₀` lane pair (cold: `(0, 1)`), and `j_min`, `j_max` over all
+    /// devices.
+    #[derive(Clone)]
+    struct Lanes {
+        j: Vec<f64>,
+        rml: Vec<f64>,
+        w: Vec<f64>,
+        ew: Vec<f64>,
+        j_min: f64,
+        j_max: f64,
+        b_total: f64,
     }
 
-    /// How far apart two searches may place the root of `g'` at `mu` through rounding
-    /// alone. W₀ stops at a 1e-14-relative residual, so each g' term, and their sum (B at
-    /// the root), carries ~1e-14 relative error; two searches may disagree by twice that
-    /// over |g''|. Where the price dwarfs `j_max` (scarce bands, floors out of reach) this
-    /// exceeds the search tolerance `mu_tol·10·j_max`.
-    fn root_noise(j: &[f64], rml: &[f64], b_total: f64, mu: f64) -> f64 {
-        let mut w = vec![0.0; j.len()];
-        2e-14 * b_total / PriceLanes::new(j, rml, &mut w, b_total).pass(mu, false).1.abs()
+    impl Lanes {
+        fn of(problem: &Sp2Problem<'_>, nu: &[f64]) -> Self {
+            let (mut j, mut rml) = (Vec::new(), Vec::new());
+            let (j_min, j_max) = compact_price_lanes(problem, nu, &mut j, &mut rml);
+            let (w, ew) = (vec![0.0; j.len()], vec![1.0; j.len()]);
+            Self { j, rml, w, ew, j_min, j_max, b_total: problem.total_bandwidth() }
+        }
+
+        fn price(&mut self) -> PriceLanes<'_> {
+            PriceLanes::new(&self.j, &self.rml, &mut self.w, &mut self.ew, self.b_total)
+        }
+
+        /// How far apart two searches may place the root of `g'` at `mu` through rounding
+        /// alone. W₀ stops at a 1e-14-relative residual, so each g' term, and their sum (B
+        /// at the root), carries ~1e-14 relative error; two searches may disagree by twice
+        /// that over |g''|. Where the price dwarfs `j_max` (scarce bands, floors out of
+        /// reach) this exceeds the search tolerance `mu_tol·10·j_max`.
+        fn root_noise(&self, mu: f64) -> f64 {
+            2e-14 * self.b_total / self.clone().price().pass(mu, false).1.abs()
+        }
     }
 
     /// A tight bisection root of `g'` over the legacy cold bracket.
-    fn tight_root(lanes: &mut PriceLanes<'_>, j_min: f64, j_max: f64, tol: f64) -> f64 {
-        let mut hi = 10.0 * j_max;
-        while lanes.g_prime(hi) > 0.0 {
+    fn tight_root(lanes: &mut Lanes, tol: f64) -> f64 {
+        let (j_min, mut hi) = (lanes.j_min, 10.0 * lanes.j_max);
+        let mut price = lanes.price();
+        while price.g_prime(hi) > 0.0 {
             hi *= 4.0;
         }
-        root_of_decreasing(|mu| lanes.g_prime(mu), 1e-9 * j_min, hi, tol, 3000).unwrap()
+        root_of_decreasing(|mu| price.g_prime(mu), 1e-9 * j_min, hi, tol, 3000).unwrap()
+    }
+
+    /// A reference family at one floor level, with the nominal multipliers `(ν, β)` of its
+    /// equal split.
+    struct Case {
+        family: &'static str,
+        scenario: flsys::Scenario,
+        arrays: ScenarioArrays,
+        r_min: Vec<f64>,
+        nu: Vec<f64>,
+        beta: Vec<f64>,
+    }
+
+    impl Case {
+        fn problem<'a>(&'a self, cfg: &'a SolverConfig) -> Sp2Problem<'a> {
+            let (s, arrays) = (&self.scenario, &self.arrays);
+            Sp2Problem::new(s, arrays, Weights::balanced(), &self.r_min, cfg).unwrap()
+        }
+    }
+
+    /// Every reference family at every floor level.
+    fn family_cases() -> Vec<Case> {
+        let cfg = SolverConfig::default();
+        let mut cases = Vec::new();
+        for (family, scenario) in crate::sp2::reference::tests::families() {
+            let arrays = ScenarioArrays::from_scenario(&scenario);
+            for r_min in crate::sp2::reference::tests::floor_levels(&scenario) {
+                let a = Allocation::equal_split_max(&scenario);
+                let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
+                let (scenario, arrays) = (scenario.clone(), arrays.clone());
+                let mut case = Case { family, scenario, arrays, r_min, nu: vec![], beta: vec![] };
+                let (nu, beta) = nominal_multipliers(&case.problem(&cfg), &start);
+                (case.nu, case.beta) = (nu, beta);
+                cases.push(case);
+            }
+        }
+        cases
     }
 
     #[test]
@@ -760,54 +847,78 @@ mod tests {
             let (s, arrays, cfg, r_min) = problem_fixture(n, 11, 0.05);
             let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
             let a = Allocation::equal_split_max(&s);
-            let (nu, beta) =
+            let (nu, _) =
                 nominal_multipliers(&problem, &PowerBandwidth::new(a.powers_w, a.bandwidths_hz));
-            let (j, rml, j_min, j_max) = price_lanes_of(&problem, &nu, &beta);
-            let mut w = vec![0.0; j.len()];
-            let mut lanes = PriceLanes::new(&j, &rml, &mut w, problem.total_bandwidth());
-            let root = tight_root(&mut lanes, j_min, j_max, 1e-14 * j_max);
+            let mut lanes = Lanes::of(&problem, &nu);
+            let (j0, j_max) = (lanes.j[0], lanes.j_max);
+            let root = tight_root(&mut lanes, 1e-14 * j_max);
+            let mut price = lanes.price();
             // Around the root, far on either side, and exactly at a device's `j` (where the
             // W/(μ − j) factor takes its limit).
-            for mu in [0.01 * root, 0.5 * root, root, 3.0 * root, 10.0 * j_max, j[0]] {
-                let (_, slope) = lanes.pass(mu, false);
+            for mu in [0.01 * root, 0.5 * root, root, 3.0 * root, 10.0 * j_max, j0] {
+                let (_, slope) = price.pass(mu, false);
                 let h = 1e-5 * mu;
-                let central = (lanes.g_prime(mu + h) - lanes.g_prime(mu - h)) / (2.0 * h);
+                let central = (price.g_prime(mu + h) - price.g_prime(mu - h)) / (2.0 * h);
                 assert!(
                     (slope - central).abs() <= 1e-6 * central.abs(),
                     "n = {n}, μ = {mu:e}: g'' {slope:e} vs central difference {central:e}"
                 );
             }
-            assert!(lanes.error.is_none());
+            assert!(price.error.is_none());
         }
     }
 
+    /// Cold and warm searches land on the root; so do warm searches whose first pass starts
+    /// from a carried `W₀` lane pair: the same family's at `ν·(1 + 1e-3)` (what a warm
+    /// solve carries), or another family's of the same length. A foreign seed may cost
+    /// Halley steps but never accuracy.
     #[test]
     fn newton_price_is_within_tolerance_of_a_tight_bisection_root() {
         let cfg = SolverConfig::default();
-        for (family, s) in crate::sp2::reference::tests::families() {
-            let arrays = ScenarioArrays::from_scenario(&s);
-            for r_min in crate::sp2::reference::tests::floor_levels(&s) {
-                let problem =
-                    Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-                let a = Allocation::equal_split_max(&s);
-                let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
-                let (nu, beta) = nominal_multipliers(&problem, &start);
-                let (j, rml, j_min, j_max) = price_lanes_of(&problem, &nu, &beta);
-                let tol = cfg.mu_tol * (10.0 * j_max);
-                let mut w = vec![0.0; j.len()];
-                let mut lanes = PriceLanes::new(&j, &rml, &mut w, problem.total_bandwidth());
-                let tight = tight_root(&mut lanes, j_min, j_max, 1e-3 * tol);
-                let noise = root_noise(&j, &rml, problem.total_bandwidth(), tight);
-                // Cold, and warm from seeds on either side of the root.
-                for warm in [None, Some(0.9 * tight), Some(tight), Some(1.1 * tight)] {
-                    let mu = bandwidth_price(&mut lanes, &cfg, warm, j_min, j_max).unwrap();
-                    assert!(
-                        (mu - tight).abs() <= tol.max(noise),
-                        "{family}: μ {mu:e} vs tight root {tight:e} from {warm:?} \
-                         (tol {tol:e}, noise {noise:e})"
-                    );
-                    assert_eq!(lanes.mu, mu, "{family}: the W₀ lane must belong to μ");
+        // Each case's lanes at its nominal multipliers and, left by a cold search, its lane
+        // pair at ν·(1 + 1e-3).
+        let lanes: Vec<(&str, Lanes, Lanes)> = family_cases()
+            .iter()
+            .map(|case| {
+                let problem = case.problem(&cfg);
+                let nudged: Vec<f64> = case.nu.iter().map(|v| v * (1.0 + 1e-3)).collect();
+                let mut near = Lanes::of(&problem, &nudged);
+                let (j_min, j_max) = (near.j_min, near.j_max);
+                bandwidth_price(&mut near.price(), &cfg, None, false, j_min, j_max).unwrap();
+                (case.family, Lanes::of(&problem, &case.nu), near)
+            })
+            .collect();
+        let levels = lanes.len() / crate::sp2::reference::tests::families().len();
+        for (c, (family, nominal, near)) in lanes.iter().enumerate() {
+            // The next family's lane pair at the same floor level.
+            let foreign = &lanes[(c + levels) % lanes.len()].2;
+            assert_eq!(foreign.w.len(), nominal.w.len());
+            let mut lanes = nominal.clone();
+            let (j_min, j_max) = (lanes.j_min, lanes.j_max);
+            let tol = cfg.mu_tol * (10.0 * j_max);
+            let tight = tight_root(&mut lanes, 1e-3 * tol);
+            let noise = lanes.root_noise(tight);
+            let warm_seeds = [Some(0.9 * tight), Some(tight), Some(1.1 * tight)];
+            let searches = [(None, None)]
+                .into_iter()
+                .chain(warm_seeds.map(|warm| (warm, None)))
+                .chain(warm_seeds.map(|warm| (warm, Some(("near", near)))))
+                .chain(warm_seeds.map(|warm| (warm, Some(("foreign", foreign)))));
+            for (warm, carried) in searches {
+                if let Some((_, from)) = carried {
+                    lanes.w.clone_from(&from.w);
+                    lanes.ew.clone_from(&from.ew);
                 }
+                let mut price = lanes.price();
+                let mu = bandwidth_price(&mut price, &cfg, warm, carried.is_some(), j_min, j_max)
+                    .unwrap();
+                let carried = carried.map(|(name, _)| name);
+                assert!(
+                    (mu - tight).abs() <= tol.max(noise),
+                    "{family}: μ {mu:e} vs tight root {tight:e} from {warm:?}, {carried:?} lane \
+                     (tol {tol:e}, noise {noise:e})"
+                );
+                assert_eq!(price.mu, mu, "{family}: the W₀ lane must belong to μ");
             }
         }
     }
@@ -816,38 +927,54 @@ mod tests {
     fn repeat_solve_at_unchanged_multipliers_takes_at_most_two_passes() {
         let cfg = SolverConfig::default();
         assert!(cfg.warm_start && cfg.superlinear_mu && cfg.adaptive_mu_bracket);
-        for (family, s) in crate::sp2::reference::tests::families() {
-            let arrays = ScenarioArrays::from_scenario(&s);
-            for r_min in crate::sp2::reference::tests::floor_levels(&s) {
-                let problem =
-                    Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-                let a = Allocation::equal_split_max(&s);
-                let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
-                let (nu, beta) = nominal_multipliers(&problem, &start);
-                let (j, rml, _, j_max) = price_lanes_of(&problem, &nu, &beta);
-                problem.scratch_mut().reset_warm_start();
-                let before = problem.scratch_mut().mu_bisect_evals;
-                let first = solve_parametric(&problem, &nu, &beta).unwrap();
-                let (after_first, mu) = {
-                    let scratch = problem.scratch_mut();
-                    (scratch.mu_bisect_evals, scratch.warm_mu)
-                };
-                let cold_passes = after_first - before;
-                let repeat = solve_parametric(&problem, &nu, &beta).unwrap();
-                let passes = problem.scratch_mut().mu_bisect_evals - after_first;
-                if root_noise(&j, &rml, problem.total_bandwidth(), mu) <= cfg.mu_tol * 10.0 * j_max
-                {
-                    assert!(passes <= 2, "{family}: the repeat solve took {passes} passes");
-                } else {
-                    // Below the resolution of g' the repeat still ends by collapsing its
-                    // bracket, in no more passes than the cold search.
-                    assert!(passes <= cold_passes, "{family}: {passes} vs cold {cold_passes}");
-                }
-                for (x, y) in first.bandwidths_hz.iter().zip(&repeat.bandwidths_hz) {
-                    assert!((x - y).abs() <= 1e-6 * x.abs(), "{family}: B {x} vs {y}");
-                }
+        for case in family_cases() {
+            let (family, nu, beta) = (case.family, &case.nu, &case.beta);
+            let problem = case.problem(&cfg);
+            let lanes = Lanes::of(&problem, nu);
+            let first = solve_parametric(&problem, nu, beta).unwrap();
+            let (cold_passes, mu) = {
+                let scratch = problem.scratch_mut();
+                (scratch.mu_bisect_evals, scratch.warm_mu)
+            };
+            let repeat = solve_parametric(&problem, nu, beta).unwrap();
+            let passes = problem.scratch_mut().mu_bisect_evals - cold_passes;
+            if lanes.root_noise(mu) <= cfg.mu_tol * 10.0 * lanes.j_max {
+                assert!(passes <= 2, "{family}: the repeat solve took {passes} passes");
+            } else {
+                // Below the resolution of g' the repeat still ends by collapsing its
+                // bracket, in no more passes than the cold search.
+                assert!(passes <= cold_passes, "{family}: {passes} vs cold {cold_passes}");
+            }
+            for (x, y) in first.bandwidths_hz.iter().zip(&repeat.bandwidths_hz) {
+                assert!((x - y).abs() <= 1e-6 * x.abs(), "{family}: B {x} vs {y}");
             }
         }
+    }
+
+    /// `reset_warm_start` drops the carried μ and the W₀ lane pair together: the next solve
+    /// is bit-identical to one on a fresh scratch, pass for pass.
+    #[test]
+    fn a_reset_scratch_solves_bit_identically_to_a_fresh_one() {
+        let (s, arrays, cfg, r_min) = problem_fixture(10, 11, 0.05);
+        assert!(cfg.warm_start);
+        let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
+        let a = Allocation::equal_split_max(&s);
+        let (nu, beta) =
+            nominal_multipliers(&problem, &PowerBandwidth::new(a.powers_w, a.bandwidths_hz));
+        let bits = |point: &PowerBandwidth| -> Vec<u64> {
+            point.powers_w.iter().chain(&point.bandwidths_hz).map(|x| x.to_bits()).collect()
+        };
+        let fresh = solve_parametric(&problem, &nu, &beta).unwrap();
+        let fresh_passes = problem.scratch_mut().mu_bisect_evals;
+
+        // A solve at other multipliers leaves its price and lane pair behind.
+        let nudged: Vec<f64> = nu.iter().map(|v| v * 1.01).collect();
+        solve_parametric(&problem, &nudged, &beta).unwrap();
+        problem.scratch_mut().reset_warm_start();
+        let before = problem.scratch_mut().mu_bisect_evals;
+        let reset = solve_parametric(&problem, &nu, &beta).unwrap();
+        assert_eq!(bits(&reset), bits(&fresh));
+        assert_eq!(problem.scratch_mut().mu_bisect_evals - before, fresh_passes);
     }
 
     #[test]

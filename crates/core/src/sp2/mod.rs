@@ -93,13 +93,14 @@ impl PowerBandwidth {
 /// with [`Sp2Scratch::stage_start`] immediately before [`solve_in`], and reads the solution
 /// back through [`Sp2Scratch::solution`] immediately after.
 ///
-/// With [`SolverConfig::warm_start`] enabled, four more pieces deliberately survive
+/// With [`SolverConfig::warm_start`] enabled, five more pieces deliberately survive
 /// between solves and seed the next one: the Newton-like loop's converged `(β, ν)` (in the
-/// [`JongScratch`]), the previous bandwidth price `μ` (in the [`KktScratch`]), the reference
-/// polish's clearing price, and the rate floors of the previous solve (`warm_r_min`, gating
-/// the fast path). None of them are ever read on the cold path, and
-/// [`Sp2Scratch::reset_warm_start`] drops them all — the sweep engine does so at every
-/// cell-group boundary so warm-started sweeps stay deterministic.
+/// [`JongScratch`]), the previous bandwidth price `μ` and each rate-constrained device's
+/// `W₀`/`e^W₀` pair at that price (in the [`KktScratch`]; the first `g'(μ)` pass of the next
+/// search starts from them), the reference polish's clearing price, and the rate floors of
+/// the previous solve (`warm_r_min`, gating the fast path). None of them are ever read on
+/// the cold path, and [`Sp2Scratch::reset_warm_start`] drops them all — the sweep engine
+/// does so at every cell-group boundary so warm-started sweeps stay deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Sp2Scratch {
     /// Scratch of the Theorem-2 KKT construction (the parametric inner solver).
@@ -150,9 +151,9 @@ impl Sp2Scratch {
         &self.point
     }
 
-    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` seed,
-    /// reference price, rate floors): the next solve behaves as if this scratch had never
-    /// solved anything, even with [`SolverConfig::warm_start`] enabled.
+    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` seed and its
+    /// `W₀` lane pair, reference price, rate floors): the next solve behaves as if this
+    /// scratch had never solved anything, even with [`SolverConfig::warm_start`] enabled.
     pub fn reset_warm_start(&mut self) {
         self.jong.invalidate_warm();
         self.kkt.reset_warm_start();

@@ -1,7 +1,7 @@
 //! Reusable per-device scratch buffers for the solver hot path.
 //!
 //! Every call into [`JointOptimizer::solve`] used to allocate a fresh set of per-device
-//! vectors (uplink rates, upload times, rate floors, frequencies, KKT scratch) — dozens of
+//! vectors (upload times, rate floors, frequencies, KKT scratch) — dozens of
 //! allocations per outer iteration, millions across a figure sweep at the paper's 100
 //! scenario draws per point. A [`SolverWorkspace`] owns those buffers once; the entry
 //! points that take one (`JointOptimizer::{solve_with, solve_summary_with,
@@ -23,12 +23,18 @@
 //!   instrumentation only, never read by any solver.
 //! * With [`SolverConfig::warm_start`](crate::SolverConfig) **enabled**, the Subproblem-2
 //!   scratch deliberately carries the previous solve's Jong multipliers, bandwidth price
-//!   `μ` and rate floors to seed the next solve. Results then converge to the same
-//!   fixed point within the configured tolerances but may differ in the last bits
-//!   depending on what the workspace solved before;
-//!   [`SolverWorkspace::reset_warm_start`] restores the fresh-workspace behaviour. With
-//!   warm start disabled (the default) none of that state is ever read and the strict
-//!   contract holds bit for bit.
+//!   `μ` with each rate-constrained device's `W₀`/`e^W₀` pair at that price, reference
+//!   clearing price and rate floors to seed the next solve, and Subproblem 1 carries its
+//!   golden-section bracket. Results then converge to the same fixed point within the
+//!   configured tolerances but may differ in the last bits depending on what the
+//!   workspace solved before; [`SolverWorkspace::reset_warm_start`] restores the
+//!   fresh-workspace behaviour. With warm start disabled (the default) none of that state
+//!   is ever read and the strict contract holds bit for bit.
+//!
+//! Algorithm 2's Subproblem-1 step and the baselines need each device's upload time at the
+//! working allocation, never its rate: [`SolverWorkspace::upload_times_from_allocation`]
+//! writes `d_n / r_n` straight into [`SolverWorkspace::uploads_s`], with no rate lane in
+//! between.
 //!
 //! The intended pattern is one workspace per worker thread, living as long as the worker:
 //! the sweep engine (`experiments::engine`) creates one per worker, threads it through
@@ -42,6 +48,7 @@ use crate::sp1::Sp1WarmState;
 use crate::sp2::Sp2Scratch;
 use crate::trace::{OuterIteration, SolveCounters};
 use flsys::{Allocation, ScenarioArrays};
+use wireless::channel::shannon_rate_raw;
 
 /// Reusable per-device buffers for [`JointOptimizer`](crate::JointOptimizer), Subproblem 1,
 /// Subproblem 2 and the baseline allocators. See the [module docs](self) for the reuse
@@ -52,10 +59,9 @@ use flsys::{Allocation, ScenarioArrays};
 /// contents are unspecified between calls.
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
-    /// Per-device upload times `T_n^up = d_n / r_n` (seconds).
+    /// Per-device upload times `T_n^up = d_n / r_n` (seconds), staged from the working
+    /// allocation by [`Self::upload_times_from_allocation`].
     pub uploads_s: Vec<f64>,
-    /// Per-device uplink Shannon rates (bit/s).
-    pub rates_bps: Vec<f64>,
     /// Per-device minimum-rate floors `r_n^min` handed to Subproblem 2 (bit/s).
     pub r_min_bps: Vec<f64>,
     /// Per-device CPU frequencies (Hz) — Subproblem 1's output buffer.
@@ -106,7 +112,6 @@ impl SolverWorkspace {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             uploads_s: Vec::with_capacity(n),
-            rates_bps: Vec::with_capacity(n),
             r_min_bps: Vec::with_capacity(n),
             frequencies_hz: Vec::with_capacity(n),
             sp2: Sp2Scratch::new(),
@@ -121,9 +126,10 @@ impl SolverWorkspace {
         }
     }
 
-    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` seed, rate
-    /// floors), restoring fresh-workspace behaviour for the next warm-started solve. A
-    /// no-op for results when [`SolverConfig::warm_start`](crate::SolverConfig) is off.
+    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` seed and its
+    /// `W₀` lane pair, reference price, rate floors, Subproblem 1's bracket), restoring
+    /// fresh-workspace behaviour for the next warm-started solve. A no-op for results when
+    /// [`SolverConfig::warm_start`](crate::SolverConfig) is off.
     pub fn reset_warm_start(&mut self) {
         self.sp2.reset_warm_start();
         self.sp1_warm.reset();
@@ -139,18 +145,20 @@ impl SolverWorkspace {
     /// pool and any pending [`Self::solve_deadline`], so nothing a corrupted solve may
     /// have left behind can influence the next one.
     pub fn quarantine_reset(&mut self) {
-        let n = self.rates_bps.capacity();
+        let n = self.uploads_s.capacity();
         *self = Self::with_capacity(n);
     }
 
-    /// Fills [`Self::uploads_s`] with the per-device upload times `T_n^up = d_n / r_n`
-    /// implied by the rates currently staged in [`Self::rates_bps`] (`∞` for a
-    /// non-positive rate) — the convention shared by Algorithm 2 and every baseline, kept
-    /// in one place so the zero-rate sentinel can never diverge between them.
-    pub fn upload_times_from_rates(&mut self, scenario: &flsys::Scenario) {
+    /// Fills [`Self::uploads_s`] with each device's upload time `T_n^up = d_n / r_n` at the
+    /// Shannon rate the working [`Self::allocation`] gives it (`∞` for a non-positive
+    /// rate) — the convention shared by Algorithm 2 and every baseline, kept in one place so
+    /// the zero-rate sentinel can never diverge between them.
+    pub fn upload_times_from_allocation(&mut self, scenario: &flsys::Scenario) {
+        let n0 = scenario.params.noise.watts_per_hz();
+        let Allocation { powers_w, bandwidths_hz, .. } = &self.allocation;
         self.uploads_s.clear();
-        let rates = &self.rates_bps;
-        self.uploads_s.extend(scenario.devices.iter().zip(rates.iter()).map(|(d, &r)| {
+        self.uploads_s.extend(scenario.devices.iter().enumerate().map(|(i, d)| {
+            let r = shannon_rate_raw(powers_w[i], bandwidths_hz[i], d.gain.value(), n0);
             if r > 0.0 {
                 d.upload_bits / r
             } else {

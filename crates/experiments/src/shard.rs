@@ -25,9 +25,10 @@
 //! [`ShardResult`] document that is both what the worker streams back on stdout
 //! (`fedopt run --spec - --shard-json`) and, byte for byte, the cache entry under
 //! `--cache-dir`. The document is identified by its [`cache_key`] alone — the FNV-1a 64
-//! hash of a canonical preimage (format version, schema version, solver preset, and the
-//! shard spec JSON normalized to drop result-invariant fields like `id`, `description`,
-//! `reports` and engine scheduling knobs), so a renamed sweep reuses its cache. Its
+//! hash of a canonical preimage (format version, results revision, schema version, solver
+//! preset, and the shard spec JSON normalized to drop result-invariant fields like `id`,
+//! `description`, `reports` and engine scheduling knobs), so a renamed sweep reuses its
+//! cache and a binary whose solves give other bits does not. Its
 //! whole-document `checksum` is verified on every read, so a truncated or corrupted
 //! document is a typed error on the pipe and a miss (recompute) on disk, never silently
 //! trusted.
@@ -65,6 +66,13 @@ use std::time::{Duration, Instant, SystemTime};
 /// Version 2 added the whole-document `checksum` member and the `degraded_solves`
 /// counter; version 3 dropped `spec_id` and made the document the cache entry itself.
 pub const SHARD_FORMAT_VERSION: u64 = 3;
+
+/// Revision of what the solver computes, a member of every [`cache_key`] preimage. Any
+/// change that moves a solve's output bits, on the warm or the cold path, bumps it: the
+/// merge contract is byte equality with a single-process run of the *same* binary, so a
+/// cache written by a binary that computes other bits must miss instead of answering.
+/// Revision 1: warm KKT solves start from the carried `W₀` lane pair.
+pub const RESULTS_REVISION: u64 = 1;
 
 /// Default per-shard wall-clock timeout of the subprocess runner.
 pub const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(600);
@@ -270,8 +278,9 @@ pub fn split(spec: &ExperimentSpec, n: usize) -> Result<Vec<ExperimentSpec>, Sha
 /// FNV-1a 64 hash of the canonical key preimage.
 ///
 /// The preimage is a compact JSON document of the cache-format version
-/// ([`SHARD_FORMAT_VERSION`]), the spec schema version, the resolved solver preset name,
-/// and the shard spec itself **normalized to what actually determines the samples**:
+/// ([`SHARD_FORMAT_VERSION`]), the results revision ([`RESULTS_REVISION`]), the spec
+/// schema version, the resolved solver preset name, and the shard spec itself
+/// **normalized to what actually determines the samples**:
 /// `id`, `description` and `reports` are cleared (renaming a sweep or adding a report
 /// must not re-key its finished shards) and the engine block keeps only the *effective*
 /// warm-start switch — the thread count is a scheduling decision, proven
@@ -288,6 +297,7 @@ pub fn cache_key(spec: &ExperimentSpec) -> String {
     let preimage = Json::obj([
         ("kind", Json::Str(KEY_KIND.to_string())),
         ("cache_version", Json::uint(SHARD_FORMAT_VERSION)),
+        ("results_revision", Json::uint(RESULTS_REVISION)),
         ("schema_version", Json::uint(crate::spec::SCHEMA_VERSION)),
         ("solver_preset", Json::Str(spec.solver.preset.name().to_string())),
         ("spec", normalized.to_json()),
@@ -1337,6 +1347,20 @@ mod tests {
             cold.engine.warm_start = Some(false);
             assert_ne!(cache_key(&cold), base);
         }
+    }
+
+    /// One key, pinned per warm-start switch (the environment may pin it): any change to
+    /// the preimage re-keys every cache, so it must be deliberate — bump
+    /// [`RESULTS_REVISION`] and update these literals together.
+    #[test]
+    fn cache_key_of_a_fixed_spec_is_pinned() {
+        let spec = tiny_spec();
+        let expected = if spec.engine.to_engine().warm_starts() {
+            "b4311054557ad832"
+        } else {
+            "e2d5181039f14559"
+        };
+        assert_eq!(cache_key(&spec), expected);
     }
 
     #[test]

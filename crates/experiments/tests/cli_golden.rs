@@ -69,6 +69,13 @@ fn figure_quick_json_documents_match_goldens() {
     }
 }
 
+/// The fleet preset (fast solver, polish off) at 10³ devices on the cold path: the
+/// per-device lane kernels of a large solve, which the figure presets never reach.
+#[test]
+fn large_n_1e3_cold_document_matches_golden() {
+    check_cold_document(&presets::large_n(1000), "large_n_1e3_cold.json");
+}
+
 /// The legacy reference pin: the same document on the cold solver path with the
 /// superlinear (Brent) `μ`-root step switched off must still reproduce the historical
 /// pure-bisection golden **bit for bit**. This is the gate the PR 6 hot-path work hides

@@ -122,19 +122,15 @@ impl Allocation {
 
     /// Uplink Shannon rate of every device under this allocation (bit/s).
     pub fn rates_bps(&self, scenario: &Scenario) -> Vec<f64> {
-        let mut rates = Vec::with_capacity(scenario.devices.len());
-        self.rates_bps_into(scenario, &mut rates);
-        rates
-    }
-
-    /// [`Self::rates_bps`] into a caller-owned buffer (cleared first), so sweep hot paths can
-    /// reuse one allocation across scenarios.
-    pub fn rates_bps_into(&self, scenario: &Scenario, out: &mut Vec<f64>) {
         let n0 = scenario.params.noise.watts_per_hz();
-        out.clear();
-        out.extend(scenario.devices.iter().enumerate().map(|(i, dev)| {
-            shannon_rate_raw(self.powers_w[i], self.bandwidths_hz[i], dev.gain.value(), n0)
-        }));
+        scenario
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(i, dev)| {
+                shannon_rate_raw(self.powers_w[i], self.bandwidths_hz[i], dev.gain.value(), n0)
+            })
+            .collect()
     }
 
     /// Returns `true` if the allocation satisfies every constraint of problem (8) within the

@@ -14,7 +14,9 @@
 //! point, handles the Newton updates and convergence bookkeeping. Algorithm 1 damps the
 //! step with the line search (29), but the rule is evaluated at the parametric response,
 //! where the full step zeroes `ϕ`, so it accepts the full step (30)–(31) every time; the
-//! loop takes that step directly and has no line search.
+//! loop takes that step directly and has no line search. Each iteration makes one pass
+//! over the ratios at its response: the objective, `ϕ` and the Newton step all come from
+//! one evaluation of every denominator.
 
 use crate::error::NumError;
 
@@ -80,8 +82,8 @@ impl Default for JongConfig {
     }
 }
 
-/// Reusable buffers of the Newton-like outer loop: the multipliers `(β, ν)` and the
-/// objective history.
+/// Reusable buffers of the Newton-like outer loop: the multipliers `(β, ν)`, the objective
+/// history and the staged denominators.
 ///
 /// Every field is pure scratch for [`solve_sum_of_ratios_in`]: cleared or fully overwritten
 /// on entry, never read across calls, resized to the problem at hand — one instance can
@@ -102,6 +104,10 @@ pub struct JongScratch {
     pub nu: Vec<f64>,
     /// Objective value after every outer iteration of the last solve.
     pub history: Vec<f64>,
+    /// `d_i(x)` at the latest response, staged by the pass that computes the objective and
+    /// `ϕ` there, until the loop knows whether it steps from that point: the Newton step
+    /// reads them instead of evaluating the denominators again.
+    denominators: Vec<f64>,
     /// `true` while `beta`/`nu` hold the final multipliers of a successful solve (set on
     /// success, cleared on entry and by [`JongScratch::invalidate_warm`]).
     warm_valid: bool,
@@ -178,13 +184,21 @@ pub struct FractionalSummary {
     pub converged: bool,
 }
 
-/// The `ϕ(β,ν)` residual of the optimality system (22)–(23) at `x`, in the infinity norm.
+/// One pass over the ratios at `x`: the objective `Σ_i w_i n_i / d_i` and the `ϕ(β,ν)`
+/// residual of the optimality system (22)–(23) in the infinity norm, with every `d_i(x)`
+/// staged in `denominators` for the Newton step.
 ///
 /// # Errors
 ///
-/// [`NumError::NonFiniteValue`] (with `at` the ratio index) for a NaN component: `f64::max`
-/// would drop it and report a point with a NaN ratio as converged.
-fn phi_inf_norm<P, F>(problem: &F, x: &P, beta: &[f64], nu: &[f64]) -> Result<f64, NumError>
+/// [`NumError::NonFiniteValue`] (with `at` the ratio index) for the first NaN component of
+/// `ϕ`: `f64::max` would drop it and report a point with a NaN ratio as converged.
+fn objective_and_residual<P, F>(
+    problem: &F,
+    x: &P,
+    beta: &[f64],
+    nu: &[f64],
+    denominators: &mut Vec<f64>,
+) -> Result<(f64, f64), NumError>
 where
     F: FractionalProblem<Point = P> + ?Sized,
 {
@@ -192,19 +206,23 @@ where
     // paper's Subproblem 2 differ by many orders of magnitude from 1. Normalizing each
     // component makes `phi_tol` a relative tolerance and keeps the stopping rule meaningful
     // across problem scales.
-    let mut norm: f64 = 0.0;
+    denominators.clear();
+    // -0.0 is the neutral element `Iterator::sum` starts from.
+    let (mut objective, mut norm) = (-0.0, 0.0_f64);
     for i in 0..problem.len() {
         let n = problem.numerator(i, x);
         let d = problem.denominator(i, x);
         let w = problem.ratio_weight(i);
+        objective += w * n / d;
         let phi1 = (-n + beta[i] * d) / n.abs().max(1e-300);
         let phi2 = (-w + nu[i] * d) / w.abs().max(1e-300);
         if phi1.is_nan() || phi2.is_nan() {
             return Err(NumError::NonFiniteValue { at: i as f64 });
         }
         norm = norm.max(phi1.abs()).max(phi2.abs());
+        denominators.push(d);
     }
-    Ok(norm)
+    Ok((objective, norm))
 }
 
 fn objective_value<P, F>(problem: &F, x: &P) -> f64
@@ -226,8 +244,11 @@ where
 /// 3. otherwise takes the full Newton step (30)–(31) on `(β, ν)`, which — because the
 ///    Jacobian of `ϕ` is `diag(d_i)` — moves them to `(n_i/d_i, w_i/d_i)` at the new `x`.
 ///
-/// That is three `O(n)` passes per iteration (objective, `ϕ`, Newton update), or
-/// `n·(3k + 1)` denominator reads for a cold solve that converges in `k` iterations. The
+/// Steps 2 and 3 share one `O(n)` pass at the response: it yields the objective and `ϕ`,
+/// and stages every denominator until the loop knows whether it steps; the step then reads
+/// them (and the numerators, a product for Subproblem 2) instead of evaluating each rate
+/// again. A cold solve that converges in `k` iterations thus reads `n·(k + 2)`
+/// denominators: the start's multipliers and objective, then one pass per iteration. The
 /// loop stops after `max_iter` iterations at the latest.
 ///
 /// `x` holds the starting point on entry and the final point on return; the loop
@@ -248,8 +269,9 @@ where
 ///
 /// * [`NumError::DimensionMismatch`] if the problem has zero ratios.
 /// * [`NumError::NonPositiveParameter`] if a denominator is not strictly positive at the
-///   starting point or at an iterate the loop steps from.
-/// * [`NumError::NonFiniteValue`] (with `at` the ratio index) if `ϕ` has a NaN component.
+///   starting point or at an iterate the loop steps from (not at one it stops at).
+/// * [`NumError::NonFiniteValue`] (with `at` the ratio index) if `ϕ` has a NaN component,
+///   as soon as the pass meets it.
 /// * Errors returned by [`FractionalProblem::solve_parametric_into`] are propagated.
 ///
 /// After an error the scratch's warm seed is invalid.
@@ -271,7 +293,7 @@ where
 
     let warm = mode != WarmMode::Cold && scratch.warm_available(n_ratios);
     scratch.warm_valid = false; // an early error must not leave a half-valid seed behind
-    let JongScratch { beta, nu, history, .. } = scratch;
+    let JongScratch { beta, nu, history, denominators, .. } = scratch;
     if !warm {
         beta.clear();
         beta.resize(n_ratios, 0.0);
@@ -290,21 +312,22 @@ where
 
     history.clear();
     history.reserve(config.max_iter + 1);
-    history.push(objective_value(problem, x));
-
     if warm && mode == WarmMode::FastPath {
+        let (objective0, residual0) = objective_and_residual(problem, x, beta, nu, denominators)?;
+        history.push(objective0);
         // The carried multipliers still satisfy the optimality system (22)–(23) at the
         // staged point: the previous fixed point is still a fixed point, skip the loop.
-        let residual0 = phi_inf_norm(problem, x, beta, nu)?;
         if residual0 <= config.phi_tol {
             scratch.warm_valid = true;
             return Ok(FractionalSummary {
-                objective: history[0],
+                objective: objective0,
                 residual: residual0,
                 iterations: 0,
                 converged: true,
             });
         }
+    } else {
+        history.push(objective_value(problem, x));
     }
 
     let mut residual = f64::INFINITY;
@@ -318,22 +341,23 @@ where
         // the point instead of allocating a fresh one.
         problem.solve_parametric_into(nu, beta, spare)?;
         std::mem::swap(x, spare);
-        history.push(objective_value(problem, x));
 
         // Convergence check: ϕ(β, ν) evaluated at the *response* x(β, ν). At the fixed point
         // the parametric solution reproduces the ratios that generated it — exactly the
         // optimality system (22)–(23) of Theorem 1.
-        residual = phi_inf_norm(problem, x, beta, nu)?;
+        let objective;
+        (objective, residual) = objective_and_residual(problem, x, beta, nu, denominators)?;
+        history.push(objective);
         if residual <= config.phi_tol {
             converged = true;
             break;
         }
 
-        // Steps 5–6: the full Newton step (30)–(31), β_i → n_i(x)/d_i(x), ν_i → w_i/d_i(x).
-        // Written as an increment, the form of the damped step `β + ξʲ·(target − β)` at
-        // `j = 0`: `β + (target − β)` need not round to `target`.
-        for i in 0..n_ratios {
-            let d = problem.denominator(i, x);
+        // Steps 5–6: the full Newton step (30)–(31), β_i → n_i(x)/d_i(x), ν_i → w_i/d_i(x),
+        // from the denominators the pass staged. Written as an increment, the form of the
+        // damped step `β + ξʲ·(target − β)` at `j = 0`: `β + (target − β)` need not round
+        // to `target`.
+        for (i, &d) in denominators.iter().enumerate() {
             if d <= 0.0 || !d.is_finite() {
                 return Err(NumError::NonPositiveParameter { name: "denominator", value: d });
             }
@@ -581,14 +605,14 @@ mod tests {
     }
 
     #[test]
-    fn an_iteration_reads_each_denominator_three_times() {
-        // Cold start and first objective (2 passes), then per iteration the objective and ϕ,
-        // plus the Newton update on every iteration but the converging one: n·(3k + 1).
+    fn an_iteration_reads_each_denominator_once() {
+        // Cold start and first objective (2 passes), then per iteration one pass yielding
+        // the objective, ϕ and the Newton step: n·(k + 2).
         let problem = Probed::default();
         let (_, sol, _) = solve_cold(&problem, 5.0).unwrap();
         assert!(sol.converged);
         assert_eq!(sol.iterations, 9);
-        assert_eq!(problem.reads.get(), problem.len() * (3 * sol.iterations + 1));
+        assert_eq!(problem.reads.get(), problem.len() * (sol.iterations + 2));
     }
 
     #[test]

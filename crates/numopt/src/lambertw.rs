@@ -5,6 +5,11 @@
 //! Subproblem 2 needs `W₀` on `[-1/e, ∞)`. We implement it with a high-quality initial guess
 //! followed by Halley iterations, which converges to machine precision in a handful of steps
 //! over the whole domain.
+//!
+//! [`lambert_w0`] returns `W₀` alone. The pair entry [`lambert_w0_seeded`] returns
+//! `(W₀, e^W₀)`, the exponential its residual check computed anyway, and takes such a pair
+//! as its start: a caller that keeps the pairs of its previous evaluations restarts Halley
+//! from them without recomputing their exponentials.
 
 use crate::error::NumError;
 
@@ -31,23 +36,26 @@ pub const NEG_INV_E: f64 = -0.367_879_441_171_442_33;
 /// # Ok::<(), numopt::NumError>(())
 /// ```
 pub fn lambert_w0(x: f64) -> Result<f64, NumError> {
-    match edge_value(x)? {
-        Some(w) => Ok(w),
-        None => halley(x, initial_guess(x)),
-    }
+    lambert_w0_seeded(x, None).map(|(w, _)| w)
 }
 
-/// [`lambert_w0`] with the Halley iteration started from `guess` instead of the built-in
-/// initial guess — the warm entry point for callers that evaluate `W₀` at a slowly moving
-/// argument (the `g'(μ)` passes of one bandwidth-price search seed each device from its
-/// value in the previous pass).
+/// The pair `(W₀(x), e^W₀(x))`, with the Halley iteration started from `seed`, the pair a
+/// previous evaluation returned, or from the built-in initial guess when `seed` is `None`.
+/// The warm entry point for callers that evaluate `W₀` at a slowly moving argument: the
+/// `g'(μ)` passes of a bandwidth-price search seed each device from its pair in the
+/// previous pass.
 ///
-/// Same domain handling, the same Halley loop and the same stopping rule as
-/// [`lambert_w0`], so the result agrees with it to within that loop's tolerance (it is
-/// not bit-identical: the iterates differ). A guess that is not finite or not above the
-/// branch point `−1` cannot start Halley, and one from which Halley does not reach the
+/// `e^W₀` is the exponential the Halley residual check computed at the returned `W₀`, so
+/// it equals `w.exp()` bit for bit and costs nothing extra. A seed `(w, e^w)` likewise
+/// spares the first step its `exp`: from a seed that already meets the tolerance the call
+/// evaluates no `exp` at all. The seed's `e^w` is trusted to be `w.exp()`; given that, the
+/// iterates are bit-identical to a Halley iteration started from `w` alone.
+///
+/// Unseeded, `W₀` is bit-identical to [`lambert_w0`]. Seeded, it agrees with it to within
+/// the loop's tolerance (the iterates differ). A seed whose `w` is not finite or not above
+/// the branch point `−1` cannot start Halley, and one from which Halley does not reach the
 /// principal branch within its budget is abandoned; both fall back to the built-in guess,
-/// so this entry fails only where [`lambert_w0`] does. A poor guess costs iterations, never
+/// so this entry fails only where [`lambert_w0`] does. A poor seed costs iterations, never
 /// accuracy.
 ///
 /// # Errors
@@ -59,19 +67,23 @@ pub fn lambert_w0(x: f64) -> Result<f64, NumError> {
 /// ```rust
 /// # use numopt::lambertw::{lambert_w0, lambert_w0_seeded};
 /// let cold = lambert_w0(50.0)?;
-/// let warm = lambert_w0_seeded(50.0, 1.1 * cold)?;
-/// assert!((warm - cold).abs() <= 1e-14 * cold);
+/// let (w, ew) = lambert_w0_seeded(50.0, Some((1.1 * cold, (1.1 * cold).exp())))?;
+/// assert!((w - cold).abs() <= 1e-14 * cold);
+/// assert_eq!(ew, w.exp());
 /// # Ok::<(), numopt::NumError>(())
 /// ```
-pub fn lambert_w0_seeded(x: f64, guess: f64) -> Result<f64, NumError> {
-    match edge_value(x)? {
-        Some(w) => Ok(w),
-        None if guess > -1.0 && guess.is_finite() => match halley(x, guess) {
-            Ok(w) if w >= -1.0 => Ok(w),
-            _ => halley(x, initial_guess(x)),
-        },
-        None => halley(x, initial_guess(x)),
+pub fn lambert_w0_seeded(x: f64, seed: Option<(f64, f64)>) -> Result<(f64, f64), NumError> {
+    if let Some(w) = edge_value(x)? {
+        return Ok((w, w.exp()));
     }
+    if let Some((w, ew)) = seed.filter(|&(w, _)| w > -1.0 && w.is_finite()) {
+        match halley(x, w, ew) {
+            Ok(pair) if pair.0 >= -1.0 => return Ok(pair),
+            _ => {}
+        }
+    }
+    let w = initial_guess(x);
+    halley(x, w, w.exp())
 }
 
 /// The domain check and the closed-form values of `W₀`: `Ok(Some(w))` for `x = 0`, `+∞`
@@ -113,14 +125,14 @@ fn initial_guess(x: f64) -> f64 {
     }
 }
 
-/// Halley iterations on `w·e^w − x` from `w`, to `|w e^w − x| ≤ 1e−14·max(1, |x|)`.
-fn halley(x: f64, mut w: f64) -> Result<f64, NumError> {
+/// Halley iterations on `w·e^w − x` from `w`, whose exponential `ew` the caller supplies,
+/// to `|w e^w − x| ≤ 1e−14·max(1, |x|)`: the pair `(w, e^w)` at the accepted iterate.
+fn halley(x: f64, mut w: f64, mut ew: f64) -> Result<(f64, f64), NumError> {
     for _ in 0..50 {
-        let ew = w.exp();
         let wew = w * ew;
         let diff = wew - x;
         if diff.abs() <= 1e-14 * x.abs().max(1.0) {
-            return Ok(w);
+            return Ok((w, ew));
         }
         let wp1 = w + 1.0;
         let delta = diff / (ew * wp1 - (w + 2.0) * diff / (2.0 * wp1));
@@ -128,11 +140,12 @@ fn halley(x: f64, mut w: f64) -> Result<f64, NumError> {
         if !w.is_finite() {
             return Err(NumError::NonFiniteValue { at: x });
         }
+        ew = w.exp();
     }
     // Accept whatever precision we reached if it is reasonable; otherwise report failure.
-    let resid = (w * w.exp() - x).abs();
+    let resid = (w * ew - x).abs();
     if resid <= 1e-9 * x.abs().max(1.0) {
-        Ok(w)
+        Ok((w, ew))
     } else {
         Err(NumError::MaxIterations { iterations: 50, residual: resid })
     }
@@ -213,6 +226,11 @@ mod tests {
         }
     }
 
+    /// `lambert_w0_seeded` seeded from `guess` and its exponential.
+    fn seeded(x: f64, guess: f64) -> Result<(f64, f64), NumError> {
+        lambert_w0_seeded(x, Some((guess, guess.exp())))
+    }
+
     /// Both entries stop once `|w e^w − x| ≤ 1e−14·max(1, |x|)`, so two converged iterates
     /// can differ by up to twice that residual over the slope `e^w (1 + w)` of `w e^w` —
     /// the bound below. (It is not a fixed relative bound: near `x = 0` the residual
@@ -223,7 +241,7 @@ mod tests {
             let cold = lambert_w0(x).unwrap();
             let bound = 2e-14 * x.abs().max(1.0) / (cold.exp() * (1.0 + cold));
             for factor in [0.5, 0.9, 1.0, 1.1, 1.5] {
-                let warm = lambert_w0_seeded(x, factor * cold).unwrap();
+                let (warm, _) = seeded(x, factor * cold).unwrap();
                 assert!(
                     (warm - cold).abs() <= bound,
                     "seeded W0({x}) from {factor} x the root: {warm} vs cold {cold}"
@@ -236,11 +254,86 @@ mod tests {
         // Halley runs out of iterations (it walks down about 2 per step from 700); closed-form
         // values ignore the guess.
         for guess in [-1.0, -3.0, f64::NAN, f64::INFINITY, 700.0] {
-            assert_eq!(lambert_w0_seeded(2.0, guess).unwrap(), lambert_w0(2.0).unwrap());
+            assert_eq!(seeded(2.0, guess).unwrap().0, lambert_w0(2.0).unwrap());
         }
-        assert_eq!(lambert_w0_seeded(0.0, 5.0).unwrap(), 0.0);
-        assert_eq!(lambert_w0_seeded(f64::INFINITY, 5.0).unwrap(), f64::INFINITY);
-        assert!(matches!(lambert_w0_seeded(-1.0, 0.5), Err(NumError::DomainError { .. })));
+        assert_eq!(seeded(0.0, 5.0).unwrap().0, 0.0);
+        assert_eq!(seeded(f64::INFINITY, 5.0).unwrap().0, f64::INFINITY);
+        assert!(matches!(seeded(-1.0, 0.5), Err(NumError::DomainError { .. })));
+    }
+
+    /// The seeded entry as it was before it carried `e^W₀`: Halley from `guess` alone, one
+    /// `exp` per step, with the same fallbacks. A `NaN` guess makes it the plain entry.
+    fn w_only_seeded(x: f64, guess: f64) -> Result<f64, NumError> {
+        let halley_from = |mut w: f64| {
+            for _ in 0..50 {
+                let ew = w.exp();
+                let diff = w * ew - x;
+                if diff.abs() <= 1e-14 * x.abs().max(1.0) {
+                    return Ok(w);
+                }
+                let wp1 = w + 1.0;
+                w -= diff / (ew * wp1 - (w + 2.0) * diff / (2.0 * wp1));
+                if !w.is_finite() {
+                    return Err(NumError::NonFiniteValue { at: x });
+                }
+            }
+            let residual = (w * w.exp() - x).abs();
+            if residual <= 1e-9 * x.abs().max(1.0) {
+                Ok(w)
+            } else {
+                Err(NumError::MaxIterations { iterations: 50, residual })
+            }
+        };
+        match edge_value(x)? {
+            Some(w) => Ok(w),
+            None if guess > -1.0 && guess.is_finite() => match halley_from(guess) {
+                Ok(w) if w >= -1.0 => Ok(w),
+                _ => halley_from(initial_guess(x)),
+            },
+            None => halley_from(initial_guess(x)),
+        }
+    }
+
+    /// Carrying `e^W₀` changes no bit: seeded or not, the seeded entry's `W₀` is the one a
+    /// Halley iteration on `W₀` alone reaches, and its `e^W₀` is `w.exp()`.
+    #[test]
+    fn the_pair_entry_reproduces_the_w_only_iteration_bit_for_bit() {
+        let check = |x: f64, seed: Option<f64>| {
+            let pair = match seed {
+                Some(guess) => seeded(x, guess),
+                None => lambert_w0_seeded(x, None),
+            };
+            let plain = w_only_seeded(x, seed.unwrap_or(f64::NAN));
+            match (pair, plain) {
+                (Ok((w, ew)), Ok(expected)) => {
+                    assert_eq!(w.to_bits(), expected.to_bits(), "W0({x}) from {seed:?}");
+                    assert_eq!(ew.to_bits(), w.exp().to_bits(), "e^W0({x}) from {seed:?}");
+                    if seed.is_none() {
+                        assert_eq!(lambert_w0(x).unwrap().to_bits(), w.to_bits());
+                    }
+                }
+                // Debug text, since a NaN argument makes the errors unequal to themselves.
+                (pair, plain) => assert_eq!(
+                    format!("{:?}", pair.err()),
+                    format!("{:?}", plain.err()),
+                    "x = {x}, {seed:?}"
+                ),
+            }
+        };
+        for x in INVERSE_INPUTS {
+            check(x, None);
+            let cold = lambert_w0(x).unwrap();
+            for factor in [0.5, 0.9, 1.0, 1.1, 1.5] {
+                check(x, Some(factor * cold));
+            }
+        }
+        for guess in [-1.0, -3.0, f64::NAN, f64::INFINITY, 700.0] {
+            check(2.0, Some(guess));
+        }
+        for x in [0.0, f64::INFINITY, NEG_INV_E - 1e-15, -1.0, f64::NAN] {
+            check(x, None);
+            check(x, Some(0.5));
+        }
     }
 
     #[test]

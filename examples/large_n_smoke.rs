@@ -1,10 +1,11 @@
 //! CI smoke of the fleet-scale hot path: one 10⁴-device solve through the `large_n`
-//! preset, asserting **completion and counters, never timing** (CI hosts are too noisy
-//! for wall-clock gates; the committed before/after numbers live in `BENCH_PR6.json`).
+//! preset (CI also runs one at 10⁵), asserting **completion and counters, never timing**
+//! (CI hosts are too noisy for wall-clock gates; the committed before/after numbers live in
+//! `BENCH_PR6.json`).
 //!
 //! ```text
-//! cargo run --release --example large_n_smoke            # 10⁴ devices (the CI job)
-//! cargo run --release --example large_n_smoke -- --devices 100000
+//! cargo run --release --example large_n_smoke                      # 10⁴ devices
+//! cargo run --release --example large_n_smoke -- --devices 100000  # 10⁵ (CI runs both)
 //! ```
 //!
 //! What must hold for the run to pass:
@@ -60,9 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     assert!(k.outer_iterations > 0, "the solve never iterated");
     assert!(k.mu_bisect_evals > 0, "the μ-root search never ran");
-    // Flat-in-n ceilings: one solve measures 115-119 g'(μ) passes over 41-47 KKT solves and
-    // 194-285 SP1 probes at every device count from 10³ to 10⁵. A regression that made
-    // either search iterate per device would overshoot these bounds a thousandfold.
+    // Flat-in-n ceilings: one solve measures 115-129 g'(μ) passes over 41-50 KKT solves and
+    // 194-285 SP1 probes at 10³, 10⁴, 3·10⁴ and 10⁵ devices (and the fleet benchmark's two
+    // 10⁵-device solves of its seed 1, 254 passes over 94). A regression that made either
+    // search iterate per device would overshoot these bounds a thousandfold.
     assert!(
         k.mu_bisect_evals < 5_000,
         "μ-evals exploded: {} (expected a flat, n-independent count)",
