@@ -24,11 +24,18 @@
 use crate::config::SolverConfig;
 use crate::error::CoreError;
 use crate::sp1;
-use crate::sp2::kkt::bandwidth_for_rate;
 use crate::sp2::{self, Sp2Summary};
 use crate::trace::{OuterIteration, Trace};
 use crate::workspace::SolverWorkspace;
-use flsys::{Allocation, CostBreakdown, CostSummary, Scenario, ScenarioArrays, Weights};
+use flsys::{
+    Allocation, CostBreakdown, CostSummary, DeviceProfile, Scenario, ScenarioArrays, Weights,
+};
+use numopt::roots::root_of_decreasing_newton;
+use wireless::channel::{bandwidth_for_rate, shannon_rate_db, shannon_rate_raw};
+
+/// Iteration cap of [`JointOptimizer::minimize_round_time`]'s Newton search; it needs a
+/// handful.
+const ROUND_TIME_MAX_ITER: usize = 100;
 
 /// The scalar outcome of a `*_summary_*` solve: everything the sweep hot path consumes,
 /// with no owned buffers. The winning allocation itself stays in
@@ -446,84 +453,83 @@ impl JointOptimizer {
         }
     }
 
-    /// Minimizes the per-round completion time (every device at `f_max` / `p_max`, bandwidth
-    /// split to equalize finish times). Returns the allocation and its round time in seconds.
+    /// Minimizes the per-round completion time: every device at `f_max` and `p_max`, the band
+    /// split so that they all finish together. Returns the allocation and its round time in
+    /// seconds.
+    ///
+    /// Device `n` finishes a round of length `t` once its upload carries the rate
+    /// `r_n(t) = d_n / (t − t_cmp,n)`, which takes the bandwidth `B_n(t)` at which `p_max`
+    /// meets that rate ([`bandwidth_for_rate`]). The fastest round is the root of the band
+    /// excess `S(t) = Σ_n B_n(t) − B`: convex and decreasing (a convex increasing inverse
+    /// rate of a convex decreasing rate), with `dB_n/dt = −(r_n / (t − t_cmp,n)) / G′(B_n)`
+    /// from the same per-device solve, so safeguarded Newton steps
+    /// ([`root_of_decreasing_newton`]) find it. They climb from the first round time at
+    /// which every device could meet its rate on the whole band, where every `B_n` is
+    /// finite, and stay below the equal-split round time, which is always feasible. The band
+    /// the devices need at the root is scaled to the budget, so the returned round time is
+    /// that of a feasible allocation. A device whose rate is zero on the whole band yields
+    /// the equal split and an infinite round time.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Model`] if the scenario rejects the allocation shape (cannot
     /// happen for scenarios built by `flsys`).
     pub fn minimize_round_time(&self, scenario: &Scenario) -> Result<(Allocation, f64), CoreError> {
-        let n = scenario.devices.len();
+        let devices = &scenario.devices;
         let n0 = scenario.params.noise.watts_per_hz();
         let b_total = scenario.params.total_bandwidth.value();
         let floor = self.config.bandwidth_floor_hz;
         let rl = scenario.params.rl();
+        let t_cmp: Vec<f64> =
+            devices.iter().map(|d| rl * d.cycles_per_local_iteration() / d.f_max.value()).collect();
 
-        let t_cmp: Vec<f64> = scenario
-            .devices
-            .iter()
-            .map(|d| rl * d.cycles_per_local_iteration() / d.f_max.value())
-            .collect();
-
-        // Bandwidth needed by device i to finish within round time t (at p_max).
-        let bandwidth_needed = |i: usize, t: f64| -> f64 {
-            let dev = &scenario.devices[i];
-            let budget = t - t_cmp[i];
-            if budget <= 0.0 {
-                return f64::INFINITY;
-            }
-            let r_req = dev.upload_bits / budget;
+        // The round time when every device uploads over `b` at p_max.
+        let round_time_at = |b: f64| {
+            devices.iter().zip(&t_cmp).fold(0.0, |round: f64, (dev, &t_cmp)| {
+                let rate = shannon_rate_raw(dev.p_max.value(), b, dev.gain.value(), n0);
+                round.max(t_cmp + dev.upload_bits / rate)
+            })
+        };
+        // The bandwidth device `dev` needs to finish within round time `t`, and its slope in
+        // `t` (zero where the bandwidth floor binds).
+        let demand = |dev: &DeviceProfile, t_cmp: f64, t: f64| -> (f64, f64) {
+            let budget = t - t_cmp;
+            let rate = dev.upload_bits / budget;
             let (g, p_max) = (dev.gain.value(), dev.p_max.value());
-            bandwidth_for_rate(g, p_max, r_req, n0, b_total, floor, 1e-10).unwrap_or(f64::INFINITY)
+            let b = bandwidth_for_rate(rate, p_max, g, n0, floor);
+            let slope =
+                if b > floor { -(rate / budget) / shannon_rate_db(p_max, b, g, n0) } else { 0.0 };
+            (b, slope)
         };
-        let feasible = |t: f64| -> bool {
-            let mut sum = 0.0;
-            for i in 0..n {
-                let b = bandwidth_needed(i, t);
-                if !b.is_finite() {
-                    return false;
-                }
-                sum += b;
-                if sum > b_total {
-                    return false;
-                }
-            }
-            true
+        let excess = |t: f64| {
+            let (need, slope) =
+                devices.iter().zip(&t_cmp).fold((0.0, 0.0), |(need, slope), (dev, &t_cmp)| {
+                    let (b, db) = demand(dev, t_cmp, t);
+                    (need + b, slope + db)
+                });
+            (need - b_total, slope)
         };
 
-        // Bracket the smallest feasible round time and bisect.
-        let t_lo = t_cmp.iter().cloned().fold(0.0, f64::max);
-        let mut hi = t_lo.max(1e-6) * 2.0 + 1e-3;
-        let mut expansions = 0;
-        while !feasible(hi) && expansions < 80 {
-            hi *= 2.0;
-            expansions += 1;
-        }
-        let mut lo = t_lo;
-        for _ in 0..90 {
-            let mid = 0.5 * (lo + hi);
-            if feasible(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        let t_star = hi;
+        let (t_lo, t_hi) = (round_time_at(b_total), round_time_at(b_total / devices.len() as f64));
+        // A failed search (a non-finite excess) falls back to the equal split's round time.
+        let t_star = if t_hi.is_finite() {
+            root_of_decreasing_newton(excess, t_lo, t_hi, t_lo, 0.0, ROUND_TIME_MAX_ITER)
+                .unwrap_or(t_hi)
+        } else {
+            t_hi
+        };
 
         let mut bandwidths: Vec<f64> =
-            (0..n).map(|i| bandwidth_needed(i, t_star).min(b_total)).collect();
-        // Hand out any slack proportionally — extra bandwidth can only shorten uploads.
-        let used: f64 = bandwidths.iter().sum();
-        if used < b_total && used > 0.0 {
-            let scale = b_total / used;
-            for b in &mut bandwidths {
-                *b *= scale;
-            }
+            devices.iter().zip(&t_cmp).map(|(dev, &t_cmp)| demand(dev, t_cmp, t_star).0).collect();
+        // Hand the band out in proportion to the need: slack can only shorten uploads, and
+        // a need a rounding above the budget comes back to it.
+        let scale = b_total / bandwidths.iter().sum::<f64>();
+        for b in &mut bandwidths {
+            *b *= scale;
         }
         let mut allocation = Allocation::new(
-            scenario.devices.iter().map(|d| d.p_max.value()).collect(),
-            scenario.devices.iter().map(|d| d.f_max.value()).collect(),
+            devices.iter().map(|d| d.p_max.value()).collect(),
+            devices.iter().map(|d| d.f_max.value()).collect(),
             bandwidths,
         );
         allocation.project_feasible(scenario);
@@ -869,6 +875,143 @@ mod tests {
         // It should be at least as fast as the naive equal split.
         let naive = s.cost(&Allocation::equal_split_max(&s)).unwrap();
         assert!(round <= naive.round_time_s * (1.0 + 1e-6));
+    }
+
+    /// The fastest round by the nested bisection the Newton search replaced: 90 halvings of
+    /// the round time over a doubling bracket, each feasibility test summing per-device
+    /// bandwidths found by bisection to 1e-10 relative. The oracle of the tests below.
+    fn bisection_round_time(s: &Scenario, floor: f64) -> Result<(Allocation, f64), CoreError> {
+        let n0 = s.params.noise.watts_per_hz();
+        let b_total = s.params.total_bandwidth.value();
+        let rl = s.params.rl();
+        let t_cmp: Vec<f64> = s
+            .devices
+            .iter()
+            .map(|d| rl * d.cycles_per_local_iteration() / d.f_max.value())
+            .collect();
+        let bandwidth_needed = |i: usize, t: f64| -> f64 {
+            let dev = &s.devices[i];
+            let budget = t - t_cmp[i];
+            if budget <= 0.0 {
+                return f64::INFINITY;
+            }
+            let r_req = dev.upload_bits / budget;
+            let rate_at = |b: f64| shannon_rate_raw(dev.p_max.value(), b, dev.gain.value(), n0);
+            if rate_at(b_total) < r_req {
+                return f64::INFINITY;
+            }
+            let (mut lo, mut hi) = (floor, b_total);
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if rate_at(mid) >= r_req {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+                if (hi - lo) / hi < 1e-10 {
+                    break;
+                }
+            }
+            hi
+        };
+        let feasible = |t: f64| {
+            let mut sum = 0.0;
+            for i in 0..s.devices.len() {
+                let b = bandwidth_needed(i, t);
+                if !b.is_finite() {
+                    return false;
+                }
+                sum += b;
+                if sum > b_total {
+                    return false;
+                }
+            }
+            true
+        };
+        let t_lo = t_cmp.iter().cloned().fold(0.0, f64::max);
+        let mut hi = t_lo.max(1e-6) * 2.0 + 1e-3;
+        let mut expansions = 0;
+        while !feasible(hi) && expansions < 80 {
+            hi *= 2.0;
+            expansions += 1;
+        }
+        let mut lo = t_lo;
+        for _ in 0..90 {
+            let mid = 0.5 * (lo + hi);
+            if feasible(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let mut bandwidths: Vec<f64> =
+            (0..s.devices.len()).map(|i| bandwidth_needed(i, hi).min(b_total)).collect();
+        let used: f64 = bandwidths.iter().sum();
+        if used < b_total && used > 0.0 {
+            bandwidths.iter_mut().for_each(|b| *b *= b_total / used);
+        }
+        let mut allocation = Allocation::new(
+            s.devices.iter().map(|d| d.p_max.value()).collect(),
+            s.devices.iter().map(|d| d.f_max.value()).collect(),
+            bandwidths,
+        );
+        allocation.project_feasible(s);
+        let cost = s.cost(&allocation)?;
+        Ok((allocation, cost.round_time_s))
+    }
+
+    #[test]
+    fn newton_round_time_matches_the_nested_bisection() {
+        let opt = optimizer();
+        let floor = opt.config().bandwidth_floor_hz;
+        for n in [1, 2, 10, 50, 500] {
+            for p_max_dbm in [0.0, 5.0, 12.0, 20.0] {
+                for seed in 1..=6 {
+                    let s = ScenarioBuilder::paper_default()
+                        .with_devices(n)
+                        .with_p_max_dbm(p_max_dbm)
+                        .build(seed)
+                        .unwrap();
+                    let (alloc, round) = opt.minimize_round_time(&s).unwrap();
+                    let (_, oracle) = bisection_round_time(&s, floor).unwrap();
+                    let gap = (round - oracle).abs() / oracle;
+                    assert!(
+                        gap <= 1e-10,
+                        "n = {n}, {p_max_dbm} dBm, seed {seed}: {round} vs {oracle} ({gap:e})"
+                    );
+                    assert!(alloc.is_feasible(&s, 1e-9), "n = {n}, {p_max_dbm} dBm, seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_device_out_of_reach_ends_as_the_nested_bisection_does() {
+        let opt = optimizer();
+        let floor = opt.config().bandwidth_floor_hz;
+        // A gain at which p_max carries no rate on the whole band (the Shannon rate rounds
+        // to zero), and one at which it carries so little that a round takes ~10⁹ s.
+        for gain in [1e-40, 1e-24] {
+            let mut s = scenario(5, 3);
+            s.devices[2].gain = wireless::channel::ChannelGain::new(gain);
+            let (alloc, round) = opt.minimize_round_time(&s).unwrap();
+            let (_, oracle) = bisection_round_time(&s, floor).unwrap();
+            assert!(alloc.is_feasible(&s, 1e-9), "gain {gain}");
+            if oracle.is_finite() {
+                assert!((round - oracle).abs() <= 1e-10 * oracle, "{round} vs {oracle}");
+            } else {
+                assert_eq!(round, oracle, "gain {gain}");
+            }
+        }
+        // With no rate at all, no deadline is met, and the error says so.
+        let mut s = scenario(5, 3);
+        s.devices[2].gain = wireless::channel::ChannelGain::new(1e-40);
+        match opt.solve_with_deadline(&s, 1e300) {
+            Err(CoreError::InfeasibleDeadline { achievable_s, .. }) => {
+                assert_eq!(achievable_s, f64::INFINITY)
+            }
+            other => panic!("expected InfeasibleDeadline, got {other:?}"),
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use numopt::lambertw::{lambert_w0_seeded, ratio_over_w0};
 use numopt::roots::{root_of_decreasing, root_of_decreasing_brent, root_of_decreasing_newton};
 use numopt::scalar::clamp;
 use numopt::NumError;
-use wireless::channel::power_for_rate;
+use wireless::channel::{bandwidth_for_rate, power_for_rate, shannon_rate_raw};
 
 const LN2: f64 = std::f64::consts::LN_2;
 const E: f64 = std::f64::consts::E;
@@ -260,8 +260,13 @@ pub fn solve_parametric_into(
             // constraint satisfiable at maximum power, or the whole band when even that
             // falls short (the sanitize pass scales it back together with everyone else).
             rho = -nu[i] * beta[i]; // strictly negative ⇒ prioritized for leftover bandwidth
-            b_lo =
-                bandwidth_for_rate(g, p_max, r_min[i], n0, b_total, floor, 1e-9).unwrap_or(b_total);
+            b_lo = if r_min[i] <= 0.0 {
+                floor
+            } else if shannon_rate_raw(p_max, b_total, g, n0) < r_min[i] {
+                b_total
+            } else {
+                bandwidth_for_rate(r_min[i], p_max, g, n0, floor)
+            };
             b_hi = b_total;
         }
         entries.push(LpEntry { idx: i, rho, b_lo, b_hi });
@@ -524,49 +529,12 @@ fn bracketed_price(
     search(lanes, lo, mu_hi, config.mu_tol * mu_hi)
 }
 
-/// Smallest bandwidth in `[floor, b_total]` at which a device with channel gain `g` reaches
-/// the rate `r_min` at power `p_max`: `floor` when there is no floor (`r_min ≤ 0`), `None`
-/// when even `b_total` falls short. Bisection on the increasing map `B ↦ G(p_max, B)`,
-/// stopped once the bracket is narrower than `rel_tol` of its upper end, which it returns.
-pub(crate) fn bandwidth_for_rate(
-    g: f64,
-    p_max: f64,
-    r_min: f64,
-    n0: f64,
-    b_total: f64,
-    floor: f64,
-    rel_tol: f64,
-) -> Option<f64> {
-    if r_min <= 0.0 {
-        return Some(floor);
-    }
-    let rate_at = |b: f64| wireless::channel::shannon_rate_raw(p_max, b, g, n0);
-    if rate_at(b_total) < r_min {
-        return None;
-    }
-    let mut lo = floor;
-    let mut hi = b_total;
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if rate_at(mid) >= r_min {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if (hi - lo) / hi < rel_tol {
-            break;
-        }
-    }
-    Some(hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SolverConfig;
     use flsys::{Allocation, ScenarioArrays, ScenarioBuilder, Weights};
     use numopt::fractional::FractionalProblem;
-    use wireless::channel::shannon_rate_raw;
 
     /// [`solve_parametric_into`] into a fresh point.
     fn solve_parametric(
@@ -996,22 +964,5 @@ mod tests {
         }
         // The rejected calls left the scratch usable.
         assert!(solve_parametric(&problem, &nu, &beta).is_ok());
-    }
-
-    #[test]
-    fn bandwidth_for_rate_is_inverse_of_rate() {
-        let s = ScenarioBuilder::paper_default().with_devices(1).build(3).unwrap();
-        let dev = &s.devices[0];
-        let n0 = s.params.noise.watts_per_hz();
-        let b_total = s.params.total_bandwidth.value();
-        let r_min = 1.0e6;
-        let (g, p_max) = (dev.gain.value(), dev.p_max.value());
-        let b = bandwidth_for_rate(g, p_max, r_min, n0, b_total, 1.0, 1e-9).unwrap();
-        let achieved = shannon_rate_raw(p_max, b, g, n0);
-        assert!((achieved - r_min).abs() / r_min < 1e-3);
-        assert_eq!(bandwidth_for_rate(g, p_max, 0.0, n0, b_total, 1.0, 1e-9), Some(1.0));
-        // A rate the whole band cannot carry is reported, not clamped: each caller maps it.
-        let out_of_reach = shannon_rate_raw(p_max, b_total, g, n0) * 2.0;
-        assert_eq!(bandwidth_for_rate(g, p_max, out_of_reach, n0, b_total, 1.0, 1e-9), None);
     }
 }

@@ -31,7 +31,9 @@
 //! a corner-case guard: the Newton-like loop can stop above the optimum, or on a point that
 //! misses a rate floor, while reporting convergence. Solves that replay a slowly moving
 //! problem (the round simulation) keep the reference point almost every time; the paper's
-//! sweeps keep it in a few percent of solves.
+//! sweeps keep it in a few percent of solves. A loop whose response cycles ends at the
+//! stall exit of [`solve_sum_of_ratios_in`], unconverged, a few iterations in instead of at
+//! its iteration cap, and its last response meets the reference here like any other.
 //!
 //! [`solve_in`] is the entry point: it solves from the point staged in an [`Sp2Scratch`]
 //! and leaves the solution there, allocation-free in steady state. Algorithm 2's

@@ -30,8 +30,8 @@
 //! so a price between the two one-sided slopes picks the kink itself. The face boundaries —
 //! the bandwidth `b_lo` at which `p_max` just meets the floor and the one at which the tight
 //! power reaches `p_min` — come from one monotone Newton solve of
-//! `B·log2(1 + g·p/(N₀·B)) = r` each, and the clearing price is a Brent root of the
-//! aggregate demand.
+//! `B·log2(1 + g·p/(N₀·B)) = r` each ([`bandwidth_for_rate`]), and the clearing price is a
+//! Brent root of the aggregate demand.
 //!
 //! The result is the optimum of the reduced problem, a feasible point of the sum-of-ratios
 //! problem that does not depend on the Newton-like machinery at all. That makes it an
@@ -44,7 +44,7 @@ use numopt::lambertw::lambert_w0;
 use numopt::roots::brent_with_endpoints;
 use numopt::scalar::clamp;
 use numopt::NumError;
-use wireless::channel::{power_for_rate, shannon_rate_raw};
+use wireless::channel::{bandwidth_for_rate, power_for_rate, shannon_rate_raw};
 
 const LN2: f64 = std::f64::consts::LN_2;
 const LN4: f64 = 2.0 * std::f64::consts::LN_2;
@@ -110,30 +110,6 @@ fn reduced_energy(problem: &Sp2Problem<'_>, i: usize, bandwidth: f64) -> f64 {
         energy *= 1.0 + PENALTY * (r_min - rate) / r_min;
     }
     energy
-}
-
-/// The bandwidth at which power `p` exactly meets rate `r`: the root of the concave,
-/// increasing `B ↦ G(p, B) − r`, by Newton's method from `start`, a point at or left of the
-/// root. Concavity keeps every tangent above the curve, so the iterates climb monotonically
-/// onto the root without overshooting it.
-fn bandwidth_for_rate(r: f64, p: f64, g: f64, n0: f64, start: f64) -> f64 {
-    let snr_hz = g * p / n0;
-    let mut b = start;
-    for _ in 0..MAX_ITER {
-        let s = snr_hz / b;
-        let l = s.ln_1p();
-        let gap = r - b * l / LN2;
-        // A NaN gap (NaN input) stops too; the caller's validation reports it.
-        if gap.is_nan() || gap <= 0.0 {
-            break;
-        }
-        let step = gap * LN2 / (l - s / (1.0 + s));
-        b += step;
-        if step <= 4.0 * f64::EPSILON * b {
-            break;
-        }
-    }
-    b
 }
 
 /// `−E′/c` on the rate-tight face at `x = r·ln2/B`: `1 + eˣ(x − 1)`, or for small `x` its

@@ -708,4 +708,48 @@ mod tests {
         // All dropped → empty.
         assert_eq!(elastic_select(&[], &per_device, 0.05), Vec::<usize>::new());
     }
+
+    #[test]
+    fn a_stalled_subproblem2_solve_ends_at_the_stall_exit() {
+        // The re-solve policy replays a slowly moving problem on which Algorithm 1's
+        // response cycles: ‖ϕ‖∞ falls over the first two or three iterations (about 9 → 1)
+        // and no further. The stall exit ends a run at most `STALL_WINDOW` iterations after
+        // its best residual, so these solves stop within `3 + STALL_WINDOW` iterations
+        // instead of at the preset's `max_iter`, which each of them reached without it.
+        use numopt::fractional::STALL_WINDOW;
+        let spec = crate::presets::rounds_quick();
+        let rounds = spec.rounds.as_ref().unwrap();
+        let template = spec
+            .axis
+            .kind
+            .apply(spec.scenario.apply(ScenarioBuilder::paper_default()), spec.axis.values[0]);
+        for warm in [false, true] {
+            let solver = spec.solver.resolve().with_warm_start(warm).with_outer_continuation(false);
+            let max_iter = solver.jong.max_iter;
+            let optimizer = JointOptimizer::new(solver);
+            let mut ws = SolverWorkspace::new();
+            let mut stalled = 0;
+            for seed in spec.seeds.values() {
+                let scenario0 = template.clone().build(seed).unwrap();
+                for policy in &rounds.policies {
+                    let RoundPolicy::ReSolve { weights } = &policy.policy else { continue };
+                    ws.reset_warm_start();
+                    for round in 1..=rounds.rounds {
+                        let scenario = refade(&scenario0, rounds, seed, u64::from(round));
+                        let out = optimizer.solve_with(&scenario, *weights, &mut ws).unwrap();
+                        for it in out.trace.iterations.iter().filter(|it| !it.sp2_converged) {
+                            stalled += 1;
+                            assert!(
+                                it.sp2_iterations <= 3 + STALL_WINDOW
+                                    && it.sp2_iterations < max_iter,
+                                "seed {seed}, round {round}, warm {warm}: {} Jong iterations",
+                                it.sp2_iterations
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(stalled > 0, "no Subproblem-2 solve stalled (warm {warm})");
+        }
+    }
 }

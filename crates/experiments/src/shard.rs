@@ -71,8 +71,9 @@ pub const SHARD_FORMAT_VERSION: u64 = 3;
 /// change that moves a solve's output bits, on the warm or the cold path, bumps it: the
 /// merge contract is byte equality with a single-process run of the *same* binary, so a
 /// cache written by a binary that computes other bits must miss instead of answering.
-/// Revision 1: warm KKT solves start from the carried `W₀` lane pair.
-pub const RESULTS_REVISION: u64 = 1;
+/// Revision 1: warm KKT solves start from the carried `W₀` lane pair. Revision 2: the
+/// fastest round is a Newton root, and Algorithm 1 stops a run that stalls.
+pub const RESULTS_REVISION: u64 = 2;
 
 /// Default per-shard wall-clock timeout of the subprocess runner.
 pub const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(600);
@@ -1356,9 +1357,9 @@ mod tests {
     fn cache_key_of_a_fixed_spec_is_pinned() {
         let spec = tiny_spec();
         let expected = if spec.engine.to_engine().warm_starts() {
-            "b4311054557ad832"
+            "92ee4edf4aadca1f"
         } else {
-            "e2d5181039f14559"
+            "fbff046f8a6af23e"
         };
         assert_eq!(cache_key(&spec), expected);
     }

@@ -70,11 +70,19 @@ pub trait FractionalProblem {
 /// Configuration of the Newton-like outer loop (the paper's Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JongConfig {
-    /// Maximum outer iterations `i₀`.
+    /// Maximum outer iterations `i₀` (at least 1). A run that stalls stops earlier.
     pub max_iter: usize,
     /// Terminate when `‖ϕ(β,ν)‖∞` falls below this tolerance.
     pub phi_tol: f64,
 }
+
+/// Iterations over which the best `‖ϕ‖∞` of a [`solve_sum_of_ratios_in`] run must fall
+/// [`STALL_FACTOR`]-fold for the run to go on.
+pub const STALL_WINDOW: usize = 5;
+
+/// How far the best `‖ϕ‖∞` of a [`solve_sum_of_ratios_in`] run must fall over
+/// [`STALL_WINDOW`] iterations for the run to go on.
+pub const STALL_FACTOR: f64 = 4.0;
 
 impl Default for JongConfig {
     fn default() -> Self {
@@ -225,15 +233,6 @@ where
     Ok((objective, norm))
 }
 
-fn objective_value<P, F>(problem: &F, x: &P) -> f64
-where
-    F: FractionalProblem<Point = P> + ?Sized,
-{
-    (0..problem.len())
-        .map(|i| problem.ratio_weight(i) * problem.numerator(i, x) / problem.denominator(i, x))
-        .sum()
-}
-
 /// Runs the Newton-like algorithm of Jong (the paper's Algorithm 1) from the feasible point
 /// staged in `x`.
 ///
@@ -247,9 +246,16 @@ where
 /// Steps 2 and 3 share one `O(n)` pass at the response: it yields the objective and `ϕ`,
 /// and stages every denominator until the loop knows whether it steps; the step then reads
 /// them (and the numerators, a product for Subproblem 2) instead of evaluating each rate
-/// again. A cold solve that converges in `k` iterations thus reads `n·(k + 2)`
-/// denominators: the start's multipliers and objective, then one pass per iteration. The
-/// loop stops after `max_iter` iterations at the latest.
+/// again. A cold solve that converges in `k` iterations thus reads `n·(k + 1)`
+/// denominators: the start's multipliers, then one pass per iteration.
+///
+/// The loop stops after `max_iter` iterations at the latest, and earlier, unconverged, once
+/// it stalls: when the best `‖ϕ‖∞` so far has not fallen [`STALL_FACTOR`]-fold over the
+/// last [`STALL_WINDOW`] iterations. A stalled run ends exactly as one whose `max_iter` is
+/// the iteration it stalled at: on its last response, with the multipliers stepped there.
+/// Such a run is one whose parametric response cycles (say, between two vertices of the
+/// inner problem), and more iterations rarely converge it; a caller with a second solver
+/// (Subproblem 2's reference) judges the point instead.
 ///
 /// `x` holds the starting point on entry and the final point on return; the loop
 /// double-buffers it against `spare`, whose contents are irrelevant. The multipliers and the
@@ -268,6 +274,8 @@ where
 /// # Errors
 ///
 /// * [`NumError::DimensionMismatch`] if the problem has zero ratios.
+/// * [`NumError::NonPositiveParameter`] (`max_iter`) if `config.max_iter` is zero: no
+///   iteration, no response to return.
 /// * [`NumError::NonPositiveParameter`] if a denominator is not strictly positive at the
 ///   starting point or at an iterate the loop steps from (not at one it stops at).
 /// * [`NumError::NonFiniteValue`] (with `at` the ratio index) if `ϕ` has a NaN component,
@@ -290,6 +298,9 @@ where
     if n_ratios == 0 {
         return Err(NumError::DimensionMismatch { expected: 1, actual: 0 });
     }
+    if config.max_iter == 0 {
+        return Err(NumError::NonPositiveParameter { name: "max_iter", value: 0.0 });
+    }
 
     let warm = mode != WarmMode::Cold && scratch.warm_available(n_ratios);
     scratch.warm_valid = false; // an early error must not leave a half-valid seed behind
@@ -311,10 +322,9 @@ where
     }
 
     history.clear();
-    history.reserve(config.max_iter + 1);
+    history.reserve(config.max_iter);
     if warm && mode == WarmMode::FastPath {
         let (objective0, residual0) = objective_and_residual(problem, x, beta, nu, denominators)?;
-        history.push(objective0);
         // The carried multipliers still satisfy the optimality system (22)–(23) at the
         // staged point: the previous fixed point is still a fixed point, skip the loop.
         if residual0 <= config.phi_tol {
@@ -326,13 +336,15 @@ where
                 converged: true,
             });
         }
-    } else {
-        history.push(objective_value(problem, x));
     }
 
-    let mut residual = f64::INFINITY;
+    let (mut objective, mut residual) = (f64::NAN, f64::INFINITY);
     let mut iterations = 0;
     let mut converged = false;
+    // Best ‖ϕ‖∞ so far, and in slot `it % STALL_WINDOW` the best as of `STALL_WINDOW`
+    // iterations back (∞ before the window first fills).
+    let mut best_residual = f64::INFINITY;
+    let mut window = [f64::INFINITY; STALL_WINDOW];
 
     for it in 0..config.max_iter {
         iterations = it + 1;
@@ -345,7 +357,6 @@ where
         // Convergence check: ϕ(β, ν) evaluated at the *response* x(β, ν). At the fixed point
         // the parametric solution reproduces the ratios that generated it — exactly the
         // optimality system (22)–(23) of Theorem 1.
-        let objective;
         (objective, residual) = objective_and_residual(problem, x, beta, nu, denominators)?;
         history.push(objective);
         if residual <= config.phi_tol {
@@ -364,15 +375,17 @@ where
             beta[i] += problem.numerator(i, x) / d - beta[i];
             nu[i] += problem.ratio_weight(i) / d - nu[i];
         }
+
+        // Stall exit: the run ends here exactly as if `max_iter` were `it + 1`.
+        best_residual = best_residual.min(residual);
+        let window_start = std::mem::replace(&mut window[it % STALL_WINDOW], best_residual);
+        if best_residual > window_start / STALL_FACTOR {
+            break;
+        }
     }
 
     scratch.warm_valid = true;
-    Ok(FractionalSummary {
-        objective: *history.last().expect("pushed above"),
-        residual,
-        iterations,
-        converged,
-    })
+    Ok(FractionalSummary { objective, residual, iterations, converged })
 }
 
 #[cfg(test)]
@@ -477,10 +490,22 @@ mod tests {
 
     #[test]
     fn history_is_recorded_and_mostly_decreasing() {
+        // One entry per iteration, at its response: the start point has none.
         let (_, sol, scratch) = solve_cold(&Toy, 5.0).unwrap();
+        assert_eq!(scratch.history.len(), sol.iterations);
         assert!(scratch.history.len() >= 2);
         assert!(scratch.history.last().unwrap() <= scratch.history.first().unwrap());
         assert_eq!(Some(&sol.objective), scratch.history.last());
+    }
+
+    #[test]
+    fn zero_max_iter_is_a_typed_error() {
+        let config = JongConfig { max_iter: 0, ..JongConfig::default() };
+        let mut scratch = JongScratch::default();
+        let err =
+            solve_sum_of_ratios_in(&Toy, &mut 5.0, &mut 0.0, config, &mut scratch, WarmMode::Cold)
+                .unwrap_err();
+        assert_eq!(err, NumError::NonPositiveParameter { name: "max_iter", value: 0.0 });
     }
 
     #[test]
@@ -606,13 +631,13 @@ mod tests {
 
     #[test]
     fn an_iteration_reads_each_denominator_once() {
-        // Cold start and first objective (2 passes), then per iteration one pass yielding
-        // the objective, ϕ and the Newton step: n·(k + 2).
+        // Cold start (1 pass), then per iteration one pass yielding the objective, ϕ and
+        // the Newton step: n·(k + 1).
         let problem = Probed::default();
         let (_, sol, _) = solve_cold(&problem, 5.0).unwrap();
         assert!(sol.converged);
         assert_eq!(sol.iterations, 9);
-        assert_eq!(problem.reads.get(), problem.len() * (sol.iterations + 2));
+        assert_eq!(problem.reads.get(), problem.len() * (sol.iterations + 1));
     }
 
     #[test]
@@ -632,6 +657,156 @@ mod tests {
         assert_eq!(err, NumError::NonPositiveParameter { name: "denominator", value: 0.0 });
         assert_eq!(problem.solves.get(), 2, "the error must come from the second iterate");
         assert!(!scratch.warm_available(2));
+    }
+
+    /// Two linear ratios over `x ∈ [0, 1]`, `(2 + 8x)/(1 + 9x) + (10 − 7x)/(10 − 9x)`, whose
+    /// parametric objective is linear in `x`: the response is always a vertex, and from
+    /// either vertex the other one scores lower. So the response alternates between 0 and 1
+    /// and `‖ϕ‖∞` stays at 9 for good.
+    struct Cycling;
+
+    impl FractionalProblem for Cycling {
+        type Point = f64;
+
+        fn len(&self) -> usize {
+            2
+        }
+        fn ratio_weight(&self, _i: usize) -> f64 {
+            1.0
+        }
+        fn numerator(&self, i: usize, x: &f64) -> f64 {
+            [2.0 + 8.0 * x, 10.0 - 7.0 * x][i]
+        }
+        fn denominator(&self, i: usize, x: &f64) -> f64 {
+            [1.0 + 9.0 * x, 10.0 - 9.0 * x][i]
+        }
+        fn solve_parametric_into(
+            &self,
+            nu: &[f64],
+            beta: &[f64],
+            out: &mut f64,
+        ) -> Result<(), NumError> {
+            let value = |x: f64| {
+                (0..2)
+                    .map(|i| nu[i] * (self.numerator(i, &x) - beta[i] * self.denominator(i, &x)))
+                    .sum::<f64>()
+            };
+            *out = if value(1.0) < value(0.0) { 1.0 } else { 0.0 };
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_cycling_response_ends_at_the_stall_window_unconverged() {
+        let (mut x, mut scratch) = (0.0, JongScratch::default());
+        let config = JongConfig::default();
+        let sol = solve_sum_of_ratios_in(
+            &Cycling,
+            &mut x,
+            &mut 0.0,
+            config,
+            &mut scratch,
+            WarmMode::Cold,
+        )
+        .unwrap();
+        assert!(!sol.converged);
+        assert!((sol.residual - 9.0).abs() < 1e-12, "residual {}", sol.residual);
+        assert_eq!(sol.iterations, STALL_WINDOW + 1, "not at max_iter = {}", config.max_iter);
+        // It ends as a run capped at that iteration would: on the last response, with the
+        // same multipliers and a valid warm seed.
+        let (mut capped_x, mut capped) = (0.0, JongScratch::default());
+        let cap = JongConfig { max_iter: STALL_WINDOW + 1, ..config };
+        let capped_sol = solve_sum_of_ratios_in(
+            &Cycling,
+            &mut capped_x,
+            &mut 0.0,
+            cap,
+            &mut capped,
+            WarmMode::Cold,
+        )
+        .unwrap();
+        assert_eq!(capped_sol, sol);
+        assert_eq!((capped_x, &capped.beta, &capped.nu), (x, &scratch.beta, &scratch.nu));
+        assert!(scratch.warm_available(2));
+    }
+
+    /// One ratio `x / 1` whose parametric "solve" replays a script of responses, each
+    /// placed so that `‖ϕ‖∞ = |x_{k−1} − x_k| / x_k` follows the given residuals.
+    struct Scripted {
+        responses: Vec<f64>,
+        next: Cell<usize>,
+    }
+
+    impl Scripted {
+        fn new(x0: f64, residuals: &[f64]) -> Self {
+            let mut x = x0;
+            let responses = residuals
+                .iter()
+                .map(|phi| {
+                    x /= 1.0 + phi;
+                    x
+                })
+                .collect();
+            Self { responses, next: Cell::new(0) }
+        }
+    }
+
+    impl FractionalProblem for Scripted {
+        type Point = f64;
+
+        fn len(&self) -> usize {
+            1
+        }
+        fn ratio_weight(&self, _i: usize) -> f64 {
+            1.0
+        }
+        fn numerator(&self, _i: usize, x: &f64) -> f64 {
+            *x
+        }
+        fn denominator(&self, _i: usize, _x: &f64) -> f64 {
+            1.0
+        }
+        fn solve_parametric_into(
+            &self,
+            _: &[f64],
+            _: &[f64],
+            out: &mut f64,
+        ) -> Result<(), NumError> {
+            let k = self.next.get();
+            self.next.set(k + 1);
+            *out = self.responses[k];
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_residual_that_rises_before_it_converges_is_not_a_stall() {
+        // The shape of a fig 8 quick solve: ‖ϕ‖∞ rises for three iterations, then converges.
+        let phi = [1.2, 2.1, 4.5, 1.8, 5.4e-2, 1.1e-2, 1.5e-3, 6.0e-5, 7.5e-7, 2.0e-10];
+        let problem = Scripted::new(1.0, &phi);
+        let (x, sol, scratch) = solve_cold(&problem, 1.0).unwrap();
+        // Without a stall exit the run converges at the first residual below `phi_tol`.
+        let tol = JongConfig::default().phi_tol;
+        let expected = phi.iter().position(|&r| r <= tol).unwrap() + 1;
+        assert!(sol.converged);
+        assert_eq!(sol.iterations, expected);
+        assert!(sol.residual <= tol);
+        assert_eq!(x, problem.responses[expected - 1]);
+        assert_eq!(scratch.history, problem.responses[..expected]);
+    }
+
+    #[test]
+    fn a_run_that_improves_then_cycles_stops_a_window_after_its_best_residual() {
+        // The shape of a round-simulation solve: ‖ϕ‖∞ falls for three iterations, then the
+        // response cycles. The best residual (iteration 3) is 4-fold below the one five
+        // iterations before it, but at iteration 7 the best has not fallen 4-fold since
+        // iteration 2, and the run ends there, unconverged.
+        let phi = [9.4, 2.2, 1.08, 9.0, 10.5, 8.3, 7.7, 9.0, 10.5, 8.3, 7.7, 9.0];
+        let problem = Scripted::new(1.0, &phi);
+        let (_, sol, _) = solve_cold(&problem, 1.0).unwrap();
+        assert!(!sol.converged);
+        assert_eq!(sol.iterations, 7);
+        assert!(sol.iterations <= 3 + STALL_WINDOW);
     }
 
     #[test]

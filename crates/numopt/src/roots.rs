@@ -401,7 +401,8 @@ const DESCENT: f64 = 16.0;
 ///
 /// * The search keeps the sign bracket of its probes (`f > 0` at its left end, `f ≤ 0` at
 ///   its right end; an end not yet probed is `lo` or `hi`). A step that leaves it, or a
-///   derivative that is not finite and negative, bisects it instead.
+///   derivative that is not finite and negative, bisects it instead; a step that rounds
+///   to nothing ends the search.
 /// * While every probe lies right of the root, a step moves at most 16-fold closer to `lo`,
 ///   and onto `lo` itself once that is within `tol`. A flat right tail would otherwise throw
 ///   the tangent far below the root, and near a pole of `f` Newton climbs back by only a
@@ -483,6 +484,9 @@ where
             } else {
                 lo
             }
+        } else if newton == x {
+            // The step rounded to nothing: `x` is the root to the last bit.
+            x
         } else if newton <= a || (b_probed && newton >= b) {
             bisection
         } else {
@@ -696,6 +700,30 @@ mod tests {
             }
             assert!(probes.len() <= 40, "from {start}: {} probes", probes.len());
         }
+    }
+
+    #[test]
+    fn newton_stops_when_its_step_vanishes_in_rounding() {
+        // An affine function whose root lies a quarter ulp above 4 (ulp(4) = 8ε), evaluated
+        // exactly enough to see it: from 4 the Newton step rounds to nothing. That is
+        // convergence, not a step out of the bracket; bisecting towards the unprobed `hi`
+        // from there would take some 50 more probes.
+        let f = |x: f64| (((4.0 - x) + 2.0 * f64::EPSILON) * 2.0, -2.0);
+        let mut probes = Vec::new();
+        let root = root_of_decreasing_newton(
+            |x| {
+                probes.push(x);
+                f(x)
+            },
+            0.0,
+            100.0,
+            1.0,
+            0.0,
+            100,
+        )
+        .unwrap();
+        assert_eq!(root, 4.0);
+        assert_eq!(probes, [1.0, 4.0]);
     }
 
     #[test]

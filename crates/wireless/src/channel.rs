@@ -138,6 +138,39 @@ pub fn power_for_rate(rate: f64, b: f64, g: f64, n0: f64) -> f64 {
     ((rate / b).exp2() - 1.0) * n0 * b / g
 }
 
+/// Iteration cap of [`bandwidth_for_rate`]; from any start left of the root it needs a
+/// handful.
+const BANDWIDTH_NEWTON_MAX_ITER: usize = 100;
+
+/// Inverse of the rate in the bandwidth coordinate: the bandwidth `b_lo` at which power `p`
+/// exactly meets rate `r` — the root of the concave, increasing `B ↦ G(p, B) − r`, by
+/// Newton's method from `start`, a point at or left of the root. Concavity keeps every
+/// tangent above the curve, so the iterates climb monotonically onto the root without
+/// overshooting it. A `start` at or right of the root comes back unchanged.
+///
+/// The caller brackets the root: `r > 0`, and `G(p, B) ≥ r` for some finite `B` (the rate
+/// tends to `g·p/(N₀ ln 2)` as `B` grows, so a larger `r` is out of reach at any bandwidth).
+#[inline]
+pub fn bandwidth_for_rate(r: f64, p: f64, g: f64, n0: f64, start: f64) -> f64 {
+    let snr_hz = g * p / n0;
+    let mut b = start;
+    for _ in 0..BANDWIDTH_NEWTON_MAX_ITER {
+        let s = snr_hz / b;
+        let l = s.ln_1p();
+        let gap = r - b * l / std::f64::consts::LN_2;
+        // A NaN gap (NaN input) stops too; the caller's validation reports it.
+        if gap.is_nan() || gap <= 0.0 {
+            break;
+        }
+        let step = gap * std::f64::consts::LN_2 / (l - s / (1.0 + s));
+        b += step;
+        if step <= 4.0 * f64::EPSILON * b {
+            break;
+        }
+    }
+    b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +268,25 @@ mod tests {
         assert!((achieved - target).abs() / target < 1e-12);
         assert_eq!(power_for_rate(0.0, b, G, N0), 0.0);
         assert_eq!(power_for_rate(1.0, 0.0, G, N0), f64::INFINITY);
+    }
+
+    #[test]
+    fn bandwidth_for_rate_is_inverse_of_rate() {
+        let (p_max, b_total, floor) = (0.01, 2.0e7, 1.0);
+        for r in [1.0e3, 1.0e6, 3.0e7] {
+            let b = bandwidth_for_rate(r, p_max, G, N0, floor);
+            assert!(b > floor && b < b_total, "b_lo {b} outside ({floor}, {b_total}) at r = {r}");
+            let achieved = shannon_rate_raw(p_max, b, G, N0);
+            assert!((achieved - r).abs() / r < 1e-12, "rate {achieved} vs {r}");
+            // Any start left of the root climbs onto the same root.
+            let from_midway = bandwidth_for_rate(r, p_max, G, N0, 0.5 * b);
+            assert!((from_midway - b).abs() <= 1e-12 * b, "{from_midway} vs {b}");
+        }
+        // A floor that already carries the rate is its own answer, as is any start right
+        // of the root.
+        let r_small = shannon_rate_raw(p_max, floor, G, N0) * 0.5;
+        assert_eq!(bandwidth_for_rate(r_small, p_max, G, N0, floor), floor);
+        assert_eq!(bandwidth_for_rate(1.0e6, p_max, G, N0, b_total), b_total);
     }
 
     #[test]
