@@ -1,7 +1,8 @@
-//! The fixed-split allocator behind comm-only (Figure 7) and Scheme 1 (Figure 8).
+//! The fixed-split allocator behind comm-only and comp-only (Figure 7) and Scheme 1
+//! (Figure 8).
 //!
-//! Both baselines minimize total energy under a hard completion-time deadline in the same
-//! four steps:
+//! Each baseline minimizes total energy under a hard completion-time deadline in up to four
+//! steps:
 //!
 //! 1. start from the paper's initialization `p_n = p_max`, `B_n = B/(2N)`;
 //! 2. split every device's round deadline between computation and upload **once**, from
@@ -10,13 +11,17 @@
 //! 4. minimize transmission energy over `(p, B)` under the rate floors the pinned
 //!    frequencies leave ([`subproblem2_step`], Algorithm 2's own Subproblem-2 step).
 //!
-//! They differ only in which initial upload time bounds a device's computation share: the
-//! slowest device's for comm-only ([`FixedSplitAllocator::comm_only`]), the device's own
-//! for Scheme 1 ([`FixedSplitAllocator::scheme1`]).
+//! They differ in which initial upload time bounds a device's computation share — the
+//! slowest device's for comm-only ([`FixedSplitAllocator::comm_only`]), the device's own for
+//! Scheme 1 ([`FixedSplitAllocator::scheme1`]) and comp-only
+//! ([`FixedSplitAllocator::comp_only`]) — and in whether step 4 runs: comp-only keeps the
+//! initial `(p, B)`. Whatever the steps leave must meet the deadline by the rule every arm
+//! shares ([`meets_deadline`]); a miss is [`CoreError::InfeasibleDeadline`].
 
 use crate::result::BaselineResult;
 use fedopt_core::alg2::subproblem2_step;
 use fedopt_core::{CoreError, SolverConfig, SolverWorkspace};
+use flsys::model::{computation_time, frequency_for_window, meets_deadline, rate_for_window};
 use flsys::{CostSummary, Scenario, Weights};
 
 /// Which initial upload time bounds a device's computation share of the round deadline.
@@ -24,15 +29,16 @@ use flsys::{CostSummary, Scenario, Weights};
 pub(crate) enum UploadBound {
     /// The slowest device's: one compute budget shared by every device (comm-only).
     Slowest,
-    /// The device's own (Scheme 1).
+    /// The device's own (Scheme 1, comp-only).
     Own,
 }
 
 /// Deadline-constrained energy minimization with the compute/upload split fixed up front:
-/// comm-only or Scheme 1 (see the [module docs](self)).
+/// comm-only, comp-only or Scheme 1 (see the [module docs](self)).
 #[derive(Debug, Clone, Copy)]
 pub struct FixedSplitAllocator {
-    pub(crate) config: SolverConfig,
+    /// The solver of step 4's `(p, B)` minimization; `None` skips the step.
+    pub(crate) link: Option<SolverConfig>,
     pub(crate) bound: UploadBound,
 }
 
@@ -41,8 +47,8 @@ impl FixedSplitAllocator {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] if the inner Subproblem-2 solver fails or the scenario rejects
-    /// the allocation.
+    /// Returns [`CoreError::InfeasibleDeadline`] if the allocation misses the deadline, and
+    /// any [`CoreError`] of the inner Subproblem-2 solver or the cost evaluation.
     pub fn allocate(
         &self,
         scenario: &Scenario,
@@ -73,27 +79,38 @@ impl FixedSplitAllocator {
         // Step 1: the paper's initialization and its uplink times.
         ws.allocation.set_half_split_max(scenario);
         ws.upload_times_from_allocation(scenario);
+        ws.arrays.rebuild(scenario);
 
         // Steps 2–3: the cheapest frequency that fits each device's computation share.
         let slowest = ws.uploads_s.iter().cloned().fold(0.0, f64::max);
-        let SolverWorkspace { uploads_s, r_min_bps, allocation, .. } = &mut *ws;
+        let SolverWorkspace { uploads_s, r_min_bps, allocation, arrays, .. } = &mut *ws;
+        let lanes = arrays.cycles_per_iter.iter().zip(&arrays.f_min_hz).zip(&arrays.f_max_hz);
         let frequencies = &mut allocation.frequencies_hz;
         frequencies.clear();
-        frequencies.extend(scenario.devices.iter().zip(uploads_s.iter()).map(|(d, &own)| {
+        frequencies.extend(lanes.zip(uploads_s.iter()).map(|(((&cd, &f_min), &f_max), &own)| {
             let upload = if self.bound == UploadBound::Slowest { slowest } else { own };
-            let compute_budget = (round_deadline - upload).max(1e-6);
-            d.clamp_frequency(rl * d.cycles_per_local_iteration() / compute_budget)
+            frequency_for_window(rl, cd, f_min, f_max, round_deadline - upload)
         }));
 
         // Step 4: transmission-energy minimization under the upload share those frequencies
         // leave.
-        r_min_bps.clear();
-        r_min_bps.extend(scenario.devices.iter().zip(frequencies.iter()).map(|(d, &f)| {
-            let t_cmp = rl * d.cycles_per_local_iteration() / f;
-            d.upload_bits / (round_deadline - t_cmp).max(1e-6)
-        }));
-        ws.arrays.rebuild(scenario);
-        let (_, cost) = subproblem2_step(scenario, Weights::energy_only(), &self.config, true, ws)?;
+        let cost = match &self.link {
+            Some(config) => {
+                let lanes = arrays.cycles_per_iter.iter().zip(&arrays.upload_bits);
+                r_min_bps.clear();
+                r_min_bps.extend(lanes.zip(frequencies.iter()).map(|((&cd, &d_bits), &f)| {
+                    rate_for_window(d_bits, round_deadline - computation_time(rl, cd, f))
+                }));
+                subproblem2_step(scenario, Weights::energy_only(), config, true, ws)?.1
+            }
+            None => scenario.cost_summary_arrays(arrays, allocation)?,
+        };
+        if !meets_deadline(cost.round_time_s, round_deadline) {
+            return Err(CoreError::InfeasibleDeadline {
+                requested_s: total_deadline_s,
+                achievable_s: cost.total_time_s,
+            });
+        }
         Ok(cost)
     }
 }

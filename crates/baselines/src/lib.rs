@@ -16,10 +16,12 @@
 //!   (IEEE TWC 2021) — energy minimization under a hard deadline with a per-device time split
 //!   fixed up front instead of re-optimized jointly with the bandwidth allocation.
 //!
-//! Comm-only and Scheme 1 are one [`FixedSplitAllocator`] ([`fixed_split`]): both fix each
-//! device's compute/upload split once from the initial uplink times, then hand the rate
-//! floors to Algorithm 2's own Subproblem-2 step. They differ only in which upload time
-//! bounds a device's compute share: the slowest device's (comm-only) or its own (Scheme 1).
+//! The three deadline baselines are one [`FixedSplitAllocator`] ([`fixed_split`]): each
+//! fixes every device's compute/upload split once from the initial uplink times. Comm-only
+//! and Scheme 1 then hand the rate floors to Algorithm 2's own Subproblem-2 step, comp-only
+//! keeps the initial powers and bandwidths. The split is bounded by the slowest device's
+//! upload (comm-only) or by each device's own (Scheme 1, comp-only). A baseline whose
+//! allocation misses the deadline reports it infeasible, by the rule Algorithm 2 uses.
 //!
 //! All baselines return a [`BaselineResult`] so the experiment harness can treat every scheme
 //! uniformly.
@@ -36,7 +38,6 @@ pub mod scheme1;
 pub mod seeding;
 
 pub use benchmark::BenchmarkAllocator;
-pub use comp_only::CompOnlyAllocator;
 pub use fixed_split::FixedSplitAllocator;
 pub use result::BaselineResult;
 pub use seeding::{derive_stream_seed, round_channel_seed, StreamDerivation};
@@ -82,7 +83,7 @@ mod tests {
         let cold = SolverConfig::fast().with_warm_start(false);
         let (comm, scheme1) =
             (FixedSplitAllocator::comm_only(cold), FixedSplitAllocator::scheme1(cold));
-        let comp = CompOnlyAllocator::new();
+        let comp = FixedSplitAllocator::comp_only();
         for (n, seed) in [(14, 72), (10, 73)] {
             let dirty = ScenarioBuilder::paper_default().with_devices(n).build(seed).unwrap();
             for t in [90.0, 130.0] {

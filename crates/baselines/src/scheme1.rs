@@ -21,7 +21,7 @@ impl FixedSplitAllocator {
     /// Scheme 1: the structure of Yang et al.'s deadline-constrained energy minimizer, with
     /// each device's computation share bounded by its own initial upload time.
     pub fn scheme1(config: SolverConfig) -> Self {
-        Self { config, bound: UploadBound::Own }
+        Self { link: Some(config), bound: UploadBound::Own }
     }
 }
 
@@ -29,6 +29,7 @@ impl FixedSplitAllocator {
 mod tests {
     use super::*;
     use fedopt_core::JointOptimizer;
+    use flsys::model::meets_deadline;
     use flsys::{Scenario, ScenarioBuilder};
 
     fn scenario(seed: u64) -> Scenario {
@@ -42,7 +43,11 @@ mod tests {
         let deadline = 100.0;
         let r = alloc.allocate(&s, deadline).unwrap();
         assert!(r.allocation.is_feasible(&s, 1e-5));
-        assert!(r.total_time_s() <= deadline * 1.1, "time {} vs {deadline}", r.total_time_s());
+        assert!(
+            meets_deadline(r.total_time_s(), deadline),
+            "time {} vs {deadline}",
+            r.total_time_s()
+        );
     }
 
     #[test]

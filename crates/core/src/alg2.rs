@@ -27,11 +27,15 @@ use crate::sp1;
 use crate::sp2::{self, Sp2Summary};
 use crate::trace::{OuterIteration, Trace};
 use crate::workspace::SolverWorkspace;
+use flsys::model::{
+    computation_time, frequency_for_window, meets_deadline, power_in_box, rate_for_window,
+    upload_time,
+};
 use flsys::{
     Allocation, CostBreakdown, CostSummary, DeviceProfile, Scenario, ScenarioArrays, Weights,
 };
 use numopt::roots::root_of_decreasing_newton;
-use wireless::channel::{bandwidth_for_rate, shannon_rate_db, shannon_rate_raw};
+use wireless::channel::{bandwidth_for_rate, power_for_rate, shannon_rate_db, shannon_rate_raw};
 
 /// Iteration cap of [`JointOptimizer::minimize_round_time`]'s Newton search; it needs a
 /// handful.
@@ -202,8 +206,9 @@ impl JointOptimizer {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InfeasibleDeadline`] when the deadline cannot be met even with
-    /// every resource at its maximum, and the same solver errors as [`JointOptimizer::solve`].
+    /// Returns [`CoreError::InfeasibleDeadline`] when even the fastest round (every resource
+    /// at its maximum, [`Self::minimize_round_time`]) misses the deadline by the rule of
+    /// [`meets_deadline`], and the same solver errors as [`JointOptimizer::solve`].
     pub fn solve_with_deadline(
         &self,
         scenario: &Scenario,
@@ -240,7 +245,7 @@ impl JointOptimizer {
 
         Self::check_deadline(ws, 0)?;
         let (fastest_alloc, fastest_round) = self.minimize_round_time(scenario)?;
-        if round_deadline < fastest_round * (1.0 - 1e-9) {
+        if !meets_deadline(fastest_round, round_deadline) {
             return Err(CoreError::InfeasibleDeadline {
                 requested_s: total_deadline_s,
                 achievable_s: fastest_round * scenario.params.rg(),
@@ -401,41 +406,32 @@ impl JointOptimizer {
         r_min.clear();
 
         for (dev, &bandwidth_hz) in scenario.devices.iter().zip(&allocation.bandwidths_hz) {
-            let cycles = rl * dev.cycles_per_local_iteration();
+            let cd = dev.cycles_per_local_iteration();
+            let (f_min, f_max) = (dev.f_min.value(), dev.f_max.value());
             let b = bandwidth_hz.max(self.config.bandwidth_floor_hz);
             let g = dev.gain.value();
-            let t_cmp_min = cycles / dev.f_max.value();
-            let upload_budget_max = round_deadline - t_cmp_min;
-            if upload_budget_max <= 0.0 {
-                // The deadline leaves no room even at f_max: run flat out and hope the upload
-                // squeezes through (the caller's feasibility check prevents this in practice).
-                frequencies.push(dev.f_max.value());
-                r_min.push(dev.upload_bits / 1e-6);
-                continue;
-            }
+            let upload_budget_max = round_deadline - computation_time(rl, cd, f_max);
             // The shortest upload the device can manage with its current bandwidth is the one
             // at maximum power; restricting the search to [that, remaining budget] keeps every
             // candidate split power-feasible, so the objective below is finite and unimodal
             // (computation energy rises, transmission energy falls, as the upload shrinks the
             // compute share).
-            let fastest_rate = wireless::channel::shannon_rate_raw(dev.p_max.value(), b, g, n0);
             let t_up_fastest =
-                if fastest_rate > 0.0 { dev.upload_bits / fastest_rate } else { f64::INFINITY };
-            if t_up_fastest >= upload_budget_max {
-                // Even flat-out transmission cannot fit the deadline with this bandwidth
-                // share: use the whole remaining budget and let the rate floor tell
-                // Subproblem 2 that this device needs more bandwidth.
-                frequencies.push(dev.f_max.value());
-                r_min.push(dev.upload_bits / upload_budget_max);
+                upload_time(dev.upload_bits, shannon_rate_raw(dev.p_max.value(), b, g, n0));
+            if upload_budget_max <= 0.0 || t_up_fastest >= upload_budget_max {
+                // The deadline leaves no upload window even at f_max, or flat-out
+                // transmission cannot fit the one it leaves with this bandwidth share: run
+                // flat out, and let the rate floor ask Subproblem 2 for more bandwidth.
+                frequencies.push(f_max);
+                r_min.push(rate_for_window(dev.upload_bits, upload_budget_max));
                 continue;
             }
             let energy_of_split = |t_up: f64| -> f64 {
-                let f = dev.clamp_frequency(cycles / (round_deadline - t_up));
-                let comp = params.kappa * rl * dev.cycles_per_local_iteration() * f * f;
+                let f = frequency_for_window(rl, cd, f_min, f_max, round_deadline - t_up);
+                let comp = params.kappa * rl * cd * f * f;
                 let rate = dev.upload_bits / t_up;
-                let p_needed = wireless::channel::power_for_rate(rate, b, g, n0);
-                let p = p_needed.clamp(dev.p_min.value(), dev.p_max.value());
-                comp + p * t_up
+                let p_needed = power_for_rate(rate, b, g, n0);
+                comp + power_in_box(p_needed, dev.p_min.value(), dev.p_max.value()) * t_up
             };
             let best = numopt::scalar::golden_section_min_with_endpoints(
                 energy_of_split,
@@ -448,7 +444,7 @@ impl JointOptimizer {
                 Ok(m) => m.argmin,
                 Err(_) => t_up_fastest,
             };
-            frequencies.push(dev.clamp_frequency(cycles / (round_deadline - t_up)));
+            frequencies.push(frequency_for_window(rl, cd, f_min, f_max, round_deadline - t_up));
             r_min.push(dev.upload_bits / t_up);
         }
     }
@@ -480,14 +476,16 @@ impl JointOptimizer {
         let b_total = scenario.params.total_bandwidth.value();
         let floor = self.config.bandwidth_floor_hz;
         let rl = scenario.params.rl();
-        let t_cmp: Vec<f64> =
-            devices.iter().map(|d| rl * d.cycles_per_local_iteration() / d.f_max.value()).collect();
+        let t_cmp: Vec<f64> = devices
+            .iter()
+            .map(|d| computation_time(rl, d.cycles_per_local_iteration(), d.f_max.value()))
+            .collect();
 
         // The round time when every device uploads over `b` at p_max.
         let round_time_at = |b: f64| {
             devices.iter().zip(&t_cmp).fold(0.0, |round: f64, (dev, &t_cmp)| {
                 let rate = shannon_rate_raw(dev.p_max.value(), b, dev.gain.value(), n0);
-                round.max(t_cmp + dev.upload_bits / rate)
+                round.max(t_cmp + upload_time(dev.upload_bits, rate))
             })
         };
         // The bandwidth device `dev` needs to finish within round time `t`, and its slope in
@@ -533,7 +531,7 @@ impl JointOptimizer {
             bandwidths,
         );
         allocation.project_feasible(scenario);
-        let cost = scenario.cost(&allocation)?;
+        let cost = scenario.cost_summary(&allocation)?;
         Ok((allocation, cost.round_time_s))
     }
 
@@ -589,8 +587,8 @@ enum Subproblem1 {
     /// objective.
     Weighted(Weights),
     /// The deadline variant: the per-device split of the round deadline (seconds). The best
-    /// iterate has the lowest finite energy among those whose round time meets the
-    /// deadline, up to a 1e-3 relative slack for the sanitize pass's floating-point repairs.
+    /// iterate has the lowest finite energy among those whose round time meets the deadline
+    /// ([`meets_deadline`]).
     Deadline { round_deadline: f64 },
 }
 
@@ -609,7 +607,7 @@ impl Subproblem1 {
         match self {
             Self::Weighted(weights) => (cost.objective(weights), true),
             Self::Deadline { round_deadline } => {
-                (cost.total_energy_j, cost.round_time_s <= round_deadline * (1.0 + 1e-3))
+                (cost.total_energy_j, meets_deadline(cost.round_time_s, round_deadline))
             }
         }
     }
@@ -652,7 +650,8 @@ pub fn subproblem2_step(
 /// Rate floors `r_n^min = d_n / (T − R_l c_n D_n / f_n)` implied by a round deadline `T`,
 /// written into a caller-owned buffer (cleared first). Reads the [`ScenarioArrays`] lanes
 /// (one zip, no per-device struct chasing); `rl` is the scenario's local-iteration count
-/// `R_l`.
+/// `R_l`. A deadline that leaves no room for the upload asks for the fastest rate the model
+/// plans for ([`rate_for_window`]); the sanitize pass will do its best.
 ///
 /// With no pressure on time (`w2 = 0` and no explicit deadline handling by the caller) the
 /// floors are zero — the paper's constraint (9a) is slack in that regime.
@@ -665,23 +664,14 @@ fn rate_floors_into(
     out: &mut Vec<f64>,
 ) {
     out.clear();
-    let unconstrained = weights.time() <= 0.0 && round_time_s.is_infinite();
-    out.extend(arrays.cycles_per_iter.iter().zip(&arrays.upload_bits).zip(frequencies_hz).map(
-        |((&cd, &d_bits), &f)| {
-            if unconstrained {
-                return 0.0;
-            }
-            let t_cmp = rl * cd / f.max(1e-3);
-            let budget = round_time_s - t_cmp;
-            if budget <= 0.0 {
-                // The deadline leaves no room for the upload: ask for the fastest rate the
-                // device could possibly need; the sanitize pass will do its best.
-                d_bits / 1e-6
-            } else {
-                d_bits / budget
-            }
-        },
-    ));
+    if weights.time() <= 0.0 && round_time_s.is_infinite() {
+        out.resize(arrays.len(), 0.0);
+        return;
+    }
+    let lanes = arrays.cycles_per_iter.iter().zip(&arrays.upload_bits).zip(frequencies_hz);
+    out.extend(lanes.map(|((&cd, &d_bits), &f)| {
+        rate_for_window(d_bits, round_time_s - computation_time(rl, cd, f))
+    }));
 }
 
 #[cfg(test)]

@@ -9,11 +9,14 @@ pub enum CoreError {
     Model(flsys::FlError),
     /// A numerical routine failed.
     Numerical(numopt::NumError),
-    /// The requested deadline cannot be met even with every resource at its maximum.
+    /// The scheme cannot meet the requested completion-time deadline
+    /// ([`flsys::model::meets_deadline`]).
     InfeasibleDeadline {
         /// The requested total completion time in seconds.
         requested_s: f64,
-        /// The smallest total completion time achievable with maximum resources.
+        /// The scheme's own best total completion time in seconds: every resource at its
+        /// maximum for Algorithm 2's deadline variant, the one allocation a fixed-split
+        /// baseline computes for the deadline.
         achievable_s: f64,
     },
     /// The solver produced an infeasible or non-finite allocation and the fallback also failed.

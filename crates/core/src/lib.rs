@@ -7,8 +7,8 @@
 //!
 //! The solver follows the paper's decomposition:
 //!
-//! * [`sp1`] — Subproblem 1 (frequencies + round time): convex, solved directly and through
-//!   the paper's Lagrangian dual (17).
+//! * [`sp1`] — Subproblem 1 (frequencies + round time): convex, solved directly by a search
+//!   over the round time.
 //! * [`sp2`] — Subproblem 2 (powers + bandwidths): a sum-of-ratios problem, solved with the
 //!   Newton-like parametric method (the paper's Algorithm 1) whose inner problem is the
 //!   Theorem-2 KKT system, plus an independent reference solver for cross-checking.

@@ -150,20 +150,15 @@ impl SolverWorkspace {
     }
 
     /// Fills [`Self::uploads_s`] with each device's upload time `T_n^up = d_n / r_n` at the
-    /// Shannon rate the working [`Self::allocation`] gives it (`∞` for a non-positive
-    /// rate) — the convention shared by Algorithm 2 and every baseline, kept in one place so
-    /// the zero-rate sentinel can never diverge between them.
+    /// Shannon rate the working [`Self::allocation`] gives it
+    /// ([`flsys::model::upload_time`]: `∞` for a non-positive rate).
     pub fn upload_times_from_allocation(&mut self, scenario: &flsys::Scenario) {
         let n0 = scenario.params.noise.watts_per_hz();
         let Allocation { powers_w, bandwidths_hz, .. } = &self.allocation;
         self.uploads_s.clear();
         self.uploads_s.extend(scenario.devices.iter().enumerate().map(|(i, d)| {
             let r = shannon_rate_raw(powers_w[i], bandwidths_hz[i], d.gain.value(), n0);
-            if r > 0.0 {
-                d.upload_bits / r
-            } else {
-                f64::INFINITY
-            }
+            flsys::model::upload_time(d.upload_bits, r)
         }));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::engine::{Arm, CellContext, CellOutput};
 use crate::spec::{ArmKind, ArmSpec, BenchmarkDraw, DeadlineSpec};
-use baselines::{BenchmarkAllocator, CompOnlyAllocator, FixedSplitAllocator};
+use baselines::{BenchmarkAllocator, FixedSplitAllocator};
 use fedopt_core::{CoreError, JointOptimizer, SolverConfig};
 use flsys::{Scenario, ScenarioBuilder};
 
@@ -79,7 +79,7 @@ impl Arm for SpecArm {
             ArmKind::CommOnly => FixedSplitAllocator::comm_only(solver)
                 .allocate_summary_with(scenario, ctx.x, ws)
                 .map(|s| CellOutput::new(s.total_energy_j, s.total_time_s)),
-            ArmKind::CompOnly => CompOnlyAllocator::new()
+            ArmKind::CompOnly => FixedSplitAllocator::comp_only()
                 .allocate_summary_with(scenario, ctx.x, ws)
                 .map(|s| CellOutput::new(s.total_energy_j, s.total_time_s)),
             ArmKind::Scheme1 { deadline_s } => FixedSplitAllocator::scheme1(solver)
@@ -88,10 +88,10 @@ impl Arm for SpecArm {
         };
         match output {
             Ok(cell) => Ok(Some(cell)),
-            // An infeasible deadline or a watchdog-degraded draw (only Algorithm 2 raises
-            // either) is an infeasible *cell*, not a sweep abort: the aggregate records it
-            // through the sample count, and the solver's `degraded_solves` counter keeps
-            // a degraded draw loud in the run document.
+            // An infeasible deadline or a watchdog-degraded draw is an infeasible *cell*,
+            // not a sweep abort: the aggregate records it through the sample count, and the
+            // solver's `degraded_solves` counter keeps a degraded draw loud in the run
+            // document.
             Err(CoreError::InfeasibleDeadline { .. } | CoreError::NonFiniteObjective { .. }) => {
                 Ok(None)
             }
@@ -132,22 +132,26 @@ mod tests {
 
     #[test]
     fn infeasible_deadline_yields_zero_count_not_nan_surprise() {
-        let deadline_arm = || plain(ArmKind::DeadlineProposed { deadline: DeadlineSpec::Axis });
-        let grid = SweepGrid::new(vec![1u64])
-            .point(1e-6, ScenarioBuilder::paper_default().with_devices(5))
-            .arm(deadline_arm());
-        let result = SweepEngine::single_thread().run(&grid).unwrap();
-        let agg = result.aggregates[0][0];
-        assert_eq!(agg.count, 0);
-        assert_eq!(agg.attempts, 1);
-        assert!(agg.mean_energy_j.is_nan());
+        // Every deadline arm: Algorithm 2's deadline variant and the three baselines.
+        let grid = |deadline_s: f64| {
+            SweepGrid::new(vec![1u64])
+                .point(deadline_s, ScenarioBuilder::paper_default().with_devices(5))
+                .arm(plain(ArmKind::DeadlineProposed { deadline: DeadlineSpec::Axis }))
+                .arm(plain(ArmKind::CommOnly))
+                .arm(plain(ArmKind::CompOnly))
+                .arm(plain(ArmKind::Scheme1 { deadline_s }))
+        };
+        let result = SweepEngine::single_thread().run(&grid(1e-6)).unwrap();
+        for (a, agg) in result.aggregates[0].iter().enumerate() {
+            assert_eq!((agg.count, agg.attempts), (0, 1), "arm {a}");
+            assert!(agg.mean_energy_j.is_nan(), "arm {a}");
+        }
         // A loose deadline is feasible.
-        let grid = SweepGrid::new(vec![1u64])
-            .point(200.0, ScenarioBuilder::paper_default().with_devices(5))
-            .arm(deadline_arm());
-        let agg = SweepEngine::single_thread().run(&grid).unwrap().aggregates[0][0];
-        assert_eq!(agg.count, 1);
-        assert!(agg.mean_energy_j.is_finite() && agg.mean_energy_j > 0.0);
+        let result = SweepEngine::single_thread().run(&grid(200.0)).unwrap();
+        for (a, agg) in result.aggregates[0].iter().enumerate() {
+            assert_eq!(agg.count, 1, "arm {a}");
+            assert!(agg.mean_energy_j.is_finite() && agg.mean_energy_j > 0.0, "arm {a}");
+        }
     }
 
     #[test]

@@ -752,7 +752,7 @@ fn handle_job(
                          workspace quarantined and respawned"
                             .to_string()
                     } else {
-                        "infeasible request: no resource allocation meets the deadline".to_string()
+                        "infeasible request: the arm cannot meet the deadline".to_string()
                     };
                     ("degraded", Outcome::Degraded, ResponseExtras::Degraded { reason, output })
                 }
@@ -1189,6 +1189,22 @@ mod tests {
         assert!(reason.contains("deadline expired"), "{reason}");
         assert_eq!(stats.degraded, 1);
         assert_eq!(stats.worker_restarts, 0, "a deadline miss is not workspace corruption");
+    }
+
+    #[test]
+    fn a_baseline_that_misses_its_deadline_answers_degraded() {
+        let request = |deadline_s: u32| {
+            format!(
+                "{{\"schema_version\":1,\"arm\":{{\"kind\":\"comm_only\"}},\
+                 \"solver\":{{\"preset\":\"fast\"}},\"deadline_s\":{deadline_s}}}\n"
+            )
+        };
+        let (lines, _, stats) = run_session(&(request(5) + &request(150)), &one_worker());
+        assert_eq!(status_of(&lines[0]), "degraded");
+        let reason = lines[0].get("reason").and_then(Json::as_str).unwrap();
+        assert!(reason.contains("cannot meet the deadline"), "{reason}");
+        assert_eq!(status_of(&lines[1]), "ok");
+        assert_eq!((stats.ok, stats.degraded, stats.worker_restarts), (1, 1, 0));
     }
 
     #[test]

@@ -72,8 +72,9 @@ pub const SHARD_FORMAT_VERSION: u64 = 3;
 /// merge contract is byte equality with a single-process run of the *same* binary, so a
 /// cache written by a binary that computes other bits must miss instead of answering.
 /// Revision 1: warm KKT solves start from the carried `W₀` lane pair. Revision 2: the
-/// fastest round is a Newton root, and Algorithm 1 stops a run that stalls.
-pub const RESULTS_REVISION: u64 = 2;
+/// fastest round is a Newton root, and Algorithm 1 stops a run that stalls. Revision 3:
+/// the baselines report a missed deadline as an infeasible cell.
+pub const RESULTS_REVISION: u64 = 3;
 
 /// Default per-shard wall-clock timeout of the subprocess runner.
 pub const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(600);
@@ -1357,9 +1358,9 @@ mod tests {
     fn cache_key_of_a_fixed_spec_is_pinned() {
         let spec = tiny_spec();
         let expected = if spec.engine.to_engine().warm_starts() {
-            "92ee4edf4aadca1f"
+            "7dc3ad1391c2f3fc"
         } else {
-            "fbff046f8a6af23e"
+            "6d69ab7f6dd1b423"
         };
         assert_eq!(cache_key(&spec), expected);
     }

@@ -2,18 +2,15 @@
 //!
 //! An [`Allocation`] is the decision vector of the optimization problem (8): one transmit
 //! power, one CPU frequency and one bandwidth share per device. [`CostBreakdown`] is the
-//! result of plugging an allocation into the energy/latency formulas — every algorithm in the
-//! workspace (the paper's and all baselines) is scored through the same
+//! result of plugging an allocation into the per-device model ([`crate::model`]) — every
+//! algorithm in the workspace (the paper's and all baselines) is scored through the same
 //! [`crate::Scenario::cost`] path so comparisons are apples-to-apples.
 
-use crate::device::DeviceProfile;
-use crate::energy;
 use crate::error::FlError;
-use crate::latency;
+use crate::model::DeviceCost;
 use crate::scenario::Scenario;
 use crate::weights::Weights;
 use serde::{Deserialize, Serialize};
-use wireless::channel::shannon_rate_raw;
 
 /// One candidate solution of problem (8): per-device transmit power, CPU frequency and
 /// bandwidth share.
@@ -120,19 +117,6 @@ impl Allocation {
         Ok(())
     }
 
-    /// Uplink Shannon rate of every device under this allocation (bit/s).
-    pub fn rates_bps(&self, scenario: &Scenario) -> Vec<f64> {
-        let n0 = scenario.params.noise.watts_per_hz();
-        scenario
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(i, dev)| {
-                shannon_rate_raw(self.powers_w[i], self.bandwidths_hz[i], dev.gain.value(), n0)
-            })
-            .collect()
-    }
-
     /// Returns `true` if the allocation satisfies every constraint of problem (8) within the
     /// given absolute/relative tolerance: power boxes (8a), frequency boxes (8b), the total
     /// bandwidth budget (8c), and non-negative bandwidths.
@@ -204,33 +188,6 @@ impl Allocation {
     }
 }
 
-/// Cost of one device under an allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct DeviceCost {
-    /// Uplink rate (bit/s).
-    pub rate_bps: f64,
-    /// Upload time per round (s).
-    pub upload_time_s: f64,
-    /// Computation time per round (s).
-    pub computation_time_s: f64,
-    /// Transmission energy per round (J).
-    pub transmission_energy_j: f64,
-    /// Computation energy per round (J).
-    pub computation_energy_j: f64,
-}
-
-impl DeviceCost {
-    /// Per-round completion time of this device.
-    pub fn round_time_s(&self) -> f64 {
-        self.upload_time_s + self.computation_time_s
-    }
-
-    /// Per-round energy of this device.
-    pub fn round_energy_j(&self) -> f64 {
-        self.transmission_energy_j + self.computation_energy_j
-    }
-}
-
 /// Full cost of an allocation over the whole training process.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CostBreakdown {
@@ -289,95 +246,6 @@ impl CostSummary {
     pub fn objective(&self, weights: Weights) -> f64 {
         weights.energy() * self.total_energy_j + weights.time() * self.total_time_s
     }
-}
-
-pub(crate) fn evaluate_allocation_summary(
-    scenario: &Scenario,
-    allocation: &Allocation,
-) -> Result<CostSummary, FlError> {
-    allocation.check_shape(scenario)?;
-    let params = &scenario.params;
-    let n0 = params.noise.watts_per_hz();
-
-    // One fused pass, with exactly the per-device terms and left-to-right summation order
-    // of `evaluate_allocation`, so the totals are bit-identical to `CostBreakdown`'s.
-    let mut transmission_sum = 0.0;
-    let mut computation_sum = 0.0;
-    let mut round_time_s = 0.0_f64;
-    for (i, dev) in scenario.devices.iter().enumerate() {
-        let rate = shannon_rate_raw(
-            allocation.powers_w[i],
-            allocation.bandwidths_hz[i],
-            dev.gain.value(),
-            n0,
-        );
-        let upload_time_s = latency::upload_time(dev, rate);
-        let computation_time_s =
-            latency::computation_time(params, dev, allocation.frequencies_hz[i]);
-        transmission_sum +=
-            energy::transmission_energy_per_round(dev, allocation.powers_w[i], rate);
-        computation_sum +=
-            energy::computation_energy_per_round(params, dev, allocation.frequencies_hz[i]);
-        round_time_s = round_time_s.max(upload_time_s + computation_time_s);
-    }
-
-    let transmission_energy_j = params.rg() * transmission_sum;
-    let computation_energy_j = params.rg() * computation_sum;
-    Ok(CostSummary {
-        total_energy_j: transmission_energy_j + computation_energy_j,
-        transmission_energy_j,
-        computation_energy_j,
-        round_time_s,
-        total_time_s: params.rg() * round_time_s,
-    })
-}
-
-pub(crate) fn evaluate_allocation(
-    scenario: &Scenario,
-    allocation: &Allocation,
-) -> Result<CostBreakdown, FlError> {
-    allocation.check_shape(scenario)?;
-    let params = &scenario.params;
-    let devices: &[DeviceProfile] = &scenario.devices;
-    let rates = allocation.rates_bps(scenario);
-
-    let mut per_device = Vec::with_capacity(devices.len());
-    for (i, dev) in devices.iter().enumerate() {
-        per_device.push(DeviceCost {
-            rate_bps: rates[i],
-            upload_time_s: latency::upload_time(dev, rates[i]),
-            computation_time_s: latency::computation_time(
-                params,
-                dev,
-                allocation.frequencies_hz[i],
-            ),
-            transmission_energy_j: energy::transmission_energy_per_round(
-                dev,
-                allocation.powers_w[i],
-                rates[i],
-            ),
-            computation_energy_j: energy::computation_energy_per_round(
-                params,
-                dev,
-                allocation.frequencies_hz[i],
-            ),
-        });
-    }
-
-    let transmission_energy_j: f64 =
-        params.rg() * per_device.iter().map(|c| c.transmission_energy_j).sum::<f64>();
-    let computation_energy_j: f64 =
-        params.rg() * per_device.iter().map(|c| c.computation_energy_j).sum::<f64>();
-    let round_time_s = per_device.iter().map(DeviceCost::round_time_s).fold(0.0, f64::max);
-
-    Ok(CostBreakdown {
-        total_energy_j: transmission_energy_j + computation_energy_j,
-        transmission_energy_j,
-        computation_energy_j,
-        round_time_s,
-        total_time_s: params.rg() * round_time_s,
-        per_device,
-    })
 }
 
 #[cfg(test)]
@@ -444,7 +312,7 @@ mod tests {
     fn evaluation_matches_formula_components() {
         let s = scenario();
         let a = Allocation::equal_split_max(&s);
-        let cost = evaluate_allocation(&s, &a).unwrap();
+        let cost = s.cost(&a).unwrap();
         assert_eq!(cost.per_device.len(), 5);
         assert!(
             (cost.total_energy_j - (cost.transmission_energy_j + cost.computation_energy_j)).abs()
@@ -466,8 +334,8 @@ mod tests {
         for seed in [1u64, 7, 42] {
             let s = ScenarioBuilder::paper_default().with_devices(8).build(seed).unwrap();
             let a = Allocation::equal_split_max(&s);
-            let full = evaluate_allocation(&s, &a).unwrap();
-            let summary = evaluate_allocation_summary(&s, &a).unwrap();
+            let full = s.cost(&a).unwrap();
+            let summary = s.cost_summary(&a).unwrap();
             assert_eq!(summary.total_energy_j, full.total_energy_j);
             assert_eq!(summary.transmission_energy_j, full.transmission_energy_j);
             assert_eq!(summary.computation_energy_j, full.computation_energy_j);
@@ -479,7 +347,7 @@ mod tests {
         // Shape mismatches are rejected the same way.
         let s = ScenarioBuilder::paper_default().with_devices(4).build(0).unwrap();
         let bad = Allocation::new(vec![0.01], vec![1e9], vec![1e6]);
-        assert!(evaluate_allocation_summary(&s, &bad).is_err());
+        assert!(s.cost_summary(&bad).is_err());
     }
 
     #[test]
@@ -507,8 +375,8 @@ mod tests {
     fn rates_positive_for_reasonable_allocation() {
         let s = scenario();
         let a = Allocation::equal_split_max(&s);
-        for r in a.rates_bps(&s) {
-            assert!(r > 1.0e4, "rate {r} suspiciously low");
+        for c in s.cost(&a).unwrap().per_device {
+            assert!(c.rate_bps > 1.0e4, "rate {} suspiciously low", c.rate_bps);
         }
     }
 }

@@ -20,10 +20,7 @@
 //! [`DeviceProfile::cycles_per_local_iteration`]: crate::DeviceProfile::cycles_per_local_iteration
 //! [`cycles_per_iter`]: ScenarioArrays::cycles_per_iter
 
-use crate::allocation::{Allocation, CostSummary};
-use crate::error::FlError;
 use crate::scenario::Scenario;
-use wireless::channel::shannon_rate_raw;
 
 /// Contiguous per-device `f64` lanes of everything the solver inner loops read.
 ///
@@ -114,66 +111,10 @@ impl ScenarioArrays {
     }
 }
 
-/// Lane-based twin of [`Scenario::cost_summary`]: the same fused single pass over the
-/// devices, reading the [`ScenarioArrays`] lanes instead of the profile structs. Performs
-/// exactly the per-device arithmetic (and left-to-right summation order) of the
-/// struct-walking kernel, so the result is **bit-identical** — a regression test pins this.
-///
-/// # Errors
-///
-/// Returns [`FlError::AllocationSizeMismatch`] if the allocation or the lanes do not match
-/// the scenario's device count.
-pub(crate) fn evaluate_allocation_summary_arrays(
-    scenario: &Scenario,
-    arrays: &ScenarioArrays,
-    allocation: &Allocation,
-) -> Result<CostSummary, FlError> {
-    allocation.check_shape(scenario)?;
-    let n = scenario.devices.len();
-    if arrays.len() != n {
-        return Err(FlError::AllocationSizeMismatch { devices: n, got: arrays.len() });
-    }
-    let params = &scenario.params;
-    let n0 = params.noise.watts_per_hz();
-    let rl = params.rl();
-    let kappa = params.kappa;
-
-    let mut transmission_sum = 0.0;
-    let mut computation_sum = 0.0;
-    let mut round_time_s = 0.0_f64;
-    // Bounds-check-free lane walk: one zip over equal-length slices. Each term reproduces
-    // the corresponding `energy::`/`latency::` helper verbatim (same operand grouping).
-    let it = allocation
-        .powers_w
-        .iter()
-        .zip(&allocation.bandwidths_hz)
-        .zip(&allocation.frequencies_hz)
-        .zip(&arrays.gain)
-        .zip(&arrays.upload_bits)
-        .zip(&arrays.cycles_per_iter);
-    for (((((&p, &b), &f), &g), &d_bits), &cd) in it {
-        let rate = shannon_rate_raw(p, b, g, n0);
-        let upload_time_s = if rate <= 0.0 { f64::INFINITY } else { d_bits / rate };
-        let computation_time_s = if f <= 0.0 { f64::INFINITY } else { rl * cd / f };
-        transmission_sum += if rate <= 0.0 { f64::INFINITY } else { p * d_bits / rate };
-        computation_sum += rl * (kappa * cd * f * f);
-        round_time_s = round_time_s.max(upload_time_s + computation_time_s);
-    }
-
-    let transmission_energy_j = params.rg() * transmission_sum;
-    let computation_energy_j = params.rg() * computation_sum;
-    Ok(CostSummary {
-        total_energy_j: transmission_energy_j + computation_energy_j,
-        transmission_energy_j,
-        computation_energy_j,
-        round_time_s,
-        total_time_s: params.rg() * round_time_s,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::Allocation;
     use crate::scenario::ScenarioBuilder;
 
     #[test]
@@ -210,7 +151,7 @@ mod tests {
             let s = ScenarioBuilder::paper_default().with_devices(9).build(seed).unwrap();
             let arrays = ScenarioArrays::from_scenario(&s);
             let alloc = Allocation::equal_split_max(&s);
-            let lanes = evaluate_allocation_summary_arrays(&s, &arrays, &alloc).unwrap();
+            let lanes = s.cost_summary_arrays(&arrays, &alloc).unwrap();
             let structs = s.cost_summary(&alloc).unwrap();
             assert_eq!(lanes, structs);
         }
@@ -222,7 +163,7 @@ mod tests {
         let s3 = ScenarioBuilder::paper_default().with_devices(3).build(1).unwrap();
         let arrays = ScenarioArrays::from_scenario(&s3);
         let alloc = Allocation::equal_split_max(&s5);
-        assert!(evaluate_allocation_summary_arrays(&s5, &arrays, &alloc).is_err());
+        assert!(s5.cost_summary_arrays(&arrays, &alloc).is_err());
     }
 
     #[test]
@@ -231,7 +172,7 @@ mod tests {
         let arrays = ScenarioArrays::from_scenario(&s);
         let mut alloc = Allocation::equal_split_max(&s);
         alloc.bandwidths_hz[1] = 0.0; // zero rate -> infinite upload time and energy
-        let summary = evaluate_allocation_summary_arrays(&s, &arrays, &alloc).unwrap();
+        let summary = s.cost_summary_arrays(&arrays, &alloc).unwrap();
         assert!(summary.total_energy_j.is_infinite());
         assert!(summary.round_time_s.is_infinite());
         assert_eq!(summary, s.cost_summary(&alloc).unwrap());

@@ -1,8 +1,9 @@
 //! # flsys
 //!
 //! The federated-learning *system model* of the ICDCS 2022 paper: devices, their computation
-//! and communication parameters, the energy and latency formulas (equations (1)–(7)), the
-//! weighted objective (8)/(9), and generators for the simulation scenarios of Section VII-A.
+//! and communication parameters, the per-device energy and latency model (equations
+//! (2)–(7), in [`model`]), the weighted objective (8)/(9), and generators for the simulation
+//! scenarios of Section VII-A.
 //!
 //! This crate contains no optimization — it is the substrate that both the paper's algorithm
 //! (`fedopt-core`) and every baseline (`baselines`) evaluate against, which guarantees that
@@ -32,17 +33,17 @@
 pub mod allocation;
 pub mod arrays;
 pub mod device;
-pub mod energy;
 pub mod error;
-pub mod latency;
+pub mod model;
 pub mod params;
 pub mod scenario;
 pub mod weights;
 
-pub use allocation::{Allocation, CostBreakdown, CostSummary, DeviceCost};
+pub use allocation::{Allocation, CostBreakdown, CostSummary};
 pub use arrays::ScenarioArrays;
 pub use device::DeviceProfile;
 pub use error::FlError;
+pub use model::DeviceCost;
 pub use params::SystemParams;
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use weights::Weights;

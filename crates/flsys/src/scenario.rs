@@ -5,11 +5,11 @@
 //! evaluation sweeps (number of devices, disc radius, power/frequency caps, sample counts,
 //! round counts), so each figure's experiment is a couple of builder calls.
 
-use crate::allocation::{
-    evaluate_allocation, evaluate_allocation_summary, Allocation, CostBreakdown, CostSummary,
-};
+use crate::allocation::{Allocation, CostBreakdown, CostSummary};
+use crate::arrays::ScenarioArrays;
 use crate::device::DeviceProfile;
 use crate::error::FlError;
+use crate::model::{self, DeviceCost};
 use crate::params::SystemParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,7 +59,16 @@ impl Scenario {
     /// Returns [`FlError::AllocationSizeMismatch`] if the allocation does not match the
     /// scenario's device count.
     pub fn cost(&self, allocation: &Allocation) -> Result<CostBreakdown, FlError> {
-        evaluate_allocation(self, allocation)
+        let per_device: Vec<DeviceCost> = self.device_costs(allocation)?.collect();
+        let totals = model::summarize(&self.params, per_device.iter().copied());
+        Ok(CostBreakdown {
+            total_energy_j: totals.total_energy_j,
+            transmission_energy_j: totals.transmission_energy_j,
+            computation_energy_j: totals.computation_energy_j,
+            round_time_s: totals.round_time_s,
+            total_time_s: totals.total_time_s,
+            per_device,
+        })
     }
 
     /// Evaluates an allocation's scalar totals only — bit-identical to the corresponding
@@ -70,12 +79,12 @@ impl Scenario {
     ///
     /// Same as [`Scenario::cost`].
     pub fn cost_summary(&self, allocation: &Allocation) -> Result<CostSummary, FlError> {
-        evaluate_allocation_summary(self, allocation)
+        Ok(model::summarize(&self.params, self.device_costs(allocation)?))
     }
 
-    /// [`Scenario::cost_summary`] reading the [`crate::ScenarioArrays`] lanes instead of
-    /// the device profiles — bit-identical output, contiguous memory traffic. The solver
-    /// hot path uses this form with the lanes it already caches in its workspace.
+    /// [`Scenario::cost_summary`] reading the [`ScenarioArrays`] lanes instead of the
+    /// device profiles — bit-identical output, contiguous memory traffic. The solver hot
+    /// path uses this form with the lanes it already caches in its workspace.
     ///
     /// # Errors
     ///
@@ -83,10 +92,44 @@ impl Scenario {
     /// a different device count.
     pub fn cost_summary_arrays(
         &self,
-        arrays: &crate::ScenarioArrays,
+        arrays: &ScenarioArrays,
         allocation: &Allocation,
     ) -> Result<CostSummary, FlError> {
-        crate::arrays::evaluate_allocation_summary_arrays(self, arrays, allocation)
+        allocation.check_shape(self)?;
+        let n = self.devices.len();
+        if arrays.len() != n {
+            return Err(FlError::AllocationSizeMismatch { devices: n, got: arrays.len() });
+        }
+        let params = &self.params;
+        // Bounds-check-free lane walk: one zip over equal-length slices.
+        let costs = allocation
+            .powers_w
+            .iter()
+            .zip(&allocation.bandwidths_hz)
+            .zip(&allocation.frequencies_hz)
+            .zip(&arrays.gain)
+            .zip(&arrays.upload_bits)
+            .zip(&arrays.cycles_per_iter)
+            .map(|(((((&p, &b), &f), &g), &d), &cd)| model::device_cost(params, g, d, cd, p, b, f));
+        Ok(model::summarize(params, costs))
+    }
+
+    /// Each device's [`DeviceCost`] under `allocation`, in device order, read from the
+    /// profiles.
+    fn device_costs<'a>(
+        &'a self,
+        allocation: &'a Allocation,
+    ) -> Result<impl Iterator<Item = DeviceCost> + 'a, FlError> {
+        allocation.check_shape(self)?;
+        let decisions = allocation
+            .powers_w
+            .iter()
+            .zip(&allocation.bandwidths_hz)
+            .zip(&allocation.frequencies_hz);
+        Ok(self.devices.iter().zip(decisions).map(|(d, ((&p, &b), &f))| {
+            let cycles = d.cycles_per_local_iteration();
+            model::device_cost(&self.params, d.gain.value(), d.upload_bits, cycles, p, b, f)
+        }))
     }
 }
 

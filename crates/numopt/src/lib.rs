@@ -16,9 +16,6 @@
 //!   variant).
 //! * [`lambertw`] — the principal branch `W₀` of the Lambert W function, needed by equation
 //!   (A.4) of the paper.
-//! * [`simplex`] — Euclidean projection onto the scaled probability simplex, used to solve the
-//!   dual problem (17) by projected gradient ascent.
-//! * [`projgrad`] — projected gradient ascent/descent with diminishing or backtracking steps.
 //! * [`fractional`] — a generic implementation of Jong's Newton-like algorithm for
 //!   sum-of-ratios ("fractional programming") problems, the skeleton of the paper's
 //!   Algorithm 1: one in-place, warm-startable entry point taking the full Newton step.
@@ -52,10 +49,8 @@ pub mod error;
 pub mod fractional;
 pub mod grid;
 pub mod lambertw;
-pub mod projgrad;
 pub mod roots;
 pub mod scalar;
-pub mod simplex;
 
 pub use error::NumError;
 pub use fractional::{
@@ -64,4 +59,3 @@ pub use fractional::{
 pub use lambertw::lambert_w0;
 pub use roots::{bisect, brent, BisectOutcome};
 pub use scalar::{golden_section_min, ScalarMinimum};
-pub use simplex::project_simplex;

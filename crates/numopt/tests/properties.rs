@@ -4,7 +4,6 @@ use numopt::grid::{grid_min, linspace};
 use numopt::lambertw::lambert_w0;
 use numopt::roots::{bisect, root_of_decreasing_brent, root_of_decreasing_newton};
 use numopt::scalar::golden_section_min;
-use numopt::simplex::project_simplex;
 use proptest::prelude::*;
 
 proptest! {
@@ -79,46 +78,6 @@ proptest! {
             (newton - brent).abs() <= 2.0 * tol + 8.0 * f64::EPSILON * brent,
             "newton {} vs brent {}", newton, brent
         );
-    }
-
-    /// The simplex projection lands on the simplex and is idempotent.
-    #[test]
-    fn simplex_projection_feasible_and_idempotent(
-        v in proptest::collection::vec(-100.0f64..100.0, 1..40),
-        radius in 0.1f64..50.0,
-    ) {
-        let mut x = v.clone();
-        project_simplex(&mut x, radius).unwrap();
-        let sum: f64 = x.iter().sum();
-        prop_assert!((sum - radius).abs() < 1e-8 * radius.max(1.0));
-        prop_assert!(x.iter().all(|&xi| xi >= -1e-12));
-        let mut y = x.clone();
-        project_simplex(&mut y, radius).unwrap();
-        for (a, b) in x.iter().zip(&y) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    /// The projection never moves a point that is already on the simplex by more than the
-    /// distance to any other candidate (optimality check against random feasible points).
-    #[test]
-    fn simplex_projection_is_closest_among_samples(
-        v in proptest::collection::vec(-10.0f64..10.0, 2..10),
-        radius in 0.5f64..5.0,
-        seed_point in proptest::collection::vec(0.0f64..1.0, 2..10),
-    ) {
-        let n = v.len().min(seed_point.len());
-        let v = &v[..n];
-        // Build a random feasible point from the seed by normalizing to the simplex.
-        let total: f64 = seed_point[..n].iter().sum::<f64>().max(1e-9);
-        let feasible: Vec<f64> = seed_point[..n].iter().map(|s| s / total * radius).collect();
-
-        let mut projected = v.to_vec();
-        project_simplex(&mut projected, radius).unwrap();
-        let dist = |a: &[f64], b: &[f64]| -> f64 {
-            a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-        };
-        prop_assert!(dist(v, &projected) <= dist(v, &feasible) + 1e-9);
     }
 
     /// Golden-section search matches a dense grid on random convex parabolas.

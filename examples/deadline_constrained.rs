@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let optimizer = JointOptimizer::new(config);
     let scheme1 = FixedSplitAllocator::scheme1(config);
     let comm_only = FixedSplitAllocator::comm_only(config);
-    let comp_only = CompOnlyAllocator::new();
+    let comp_only = FixedSplitAllocator::comp_only();
 
     println!(
         "{:>12} {:>14} {:>14} {:>14} {:>14}",

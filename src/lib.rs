@@ -82,7 +82,7 @@ pub use experiments::{ExperimentSpec, FigureReport, SpecError, SpecRun, SweepEng
 
 /// Convenient re-exports of the types used by nearly every program built on this workspace.
 pub mod prelude {
-    pub use baselines::{BenchmarkAllocator, CompOnlyAllocator, FixedSplitAllocator};
+    pub use baselines::{BenchmarkAllocator, FixedSplitAllocator};
     pub use experiments::{ExperimentSpec, FigureReport, SweepEngine};
     pub use fedopt_core::{JointOptimizer, SolverConfig, SolverWorkspace, Weights};
     pub use flsys::{Allocation, Scenario, ScenarioBuilder, SystemParams};

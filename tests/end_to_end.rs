@@ -66,7 +66,7 @@ fn deadline_variant_dominates_every_deadline_baseline() {
     let optimizer = JointOptimizer::new(cfg);
     let scheme1 = FixedSplitAllocator::scheme1(cfg);
     let comm = FixedSplitAllocator::comm_only(cfg);
-    let comp = CompOnlyAllocator::new();
+    let comp = FixedSplitAllocator::comp_only();
     for deadline in [60.0, 100.0, 150.0] {
         let ours = optimizer.solve_with_deadline(&s, deadline).unwrap();
         assert!(ours.total_time_s <= deadline * 1.01, "missed deadline {deadline}");
