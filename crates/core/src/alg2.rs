@@ -41,6 +41,15 @@ use wireless::channel::{bandwidth_for_rate, power_for_rate, shannon_rate_db, sha
 /// handful.
 const ROUND_TIME_MAX_ITER: usize = 100;
 
+/// The share of the previous outer iteration's `solution_change` that a warm outer
+/// iteration asks of its Subproblem-2 solve as `‖ϕ‖∞` tolerance (see
+/// [`SolverConfig::warm_start`]).
+pub const FORCING_FACTOR: f64 = 0.3;
+
+/// The loosest `‖ϕ‖∞` tolerance a warm outer iteration hands Subproblem 2: the one its
+/// first iteration gets, before any change is known (see [`SolverConfig::warm_start`]).
+pub const FORCING_CEILING: f64 = 1e-2;
+
 /// The scalar outcome of a `*_summary_*` solve: everything the sweep hot path consumes,
 /// with no owned buffers. The winning allocation itself stays in
 /// [`SolverWorkspace::best`] and the convergence trace in [`SolverWorkspace::trace`] until
@@ -284,6 +293,12 @@ impl JointOptimizer {
     /// Subproblem 2 restarts from the projected allocation every iteration on the cold
     /// path; with warm start only at `k = 1`, and not even then when `continued` (the
     /// scratch stages the previous solve's un-projected iterate, which the fast path needs).
+    ///
+    /// The warm path's alternation is inexact: iteration `k` solves Subproblem 2 only to
+    /// the `‖ϕ‖∞` tolerance [`sp2_phi_tol`] derives from iteration `k − 1`'s change (loose
+    /// while the next Subproblem-1 step will move the rate floors anyway, `jong.phi_tol`
+    /// once the change is that small), with the change taken as infinite at this run's
+    /// `k = 1`. The cold path gives every iteration `jong.phi_tol`.
     fn alternate(
         &self,
         scenario: &Scenario,
@@ -293,6 +308,8 @@ impl JointOptimizer {
         ws: &mut SolverWorkspace,
     ) -> Result<bool, CoreError> {
         let k_offset = ws.trace.len();
+        let mut sp2_config = self.config;
+        let mut previous_change = f64::INFINITY;
         for k in 1..=self.config.outer_max_iter {
             // Deadline watchdog: the caller's wall-clock budget is checked at every
             // outer-iteration boundary, so an expired budget costs at most one more
@@ -303,10 +320,14 @@ impl JointOptimizer {
             self.subproblem1(scenario, step, k_offset + k, ws)?;
 
             let restage = !(self.config.warm_start && (k > 1 || continued));
+            if self.config.warm_start {
+                sp2_config.jong.phi_tol = sp2_phi_tol(self.config.jong.phi_tol, previous_change);
+            }
             let (sp2_sol, cost) =
-                subproblem2_step(scenario, step.weights(), &self.config, restage, ws)?;
+                subproblem2_step(scenario, step.weights(), &sp2_config, restage, ws)?;
             let (objective, eligible) = step.rank(&cost);
             let change = ws.allocation.normalized_distance(&ws.previous);
+            previous_change = change;
             ws.trace.push(OuterIteration {
                 k: k_offset + k,
                 objective,
@@ -315,6 +336,7 @@ impl JointOptimizer {
                 solution_change: change,
                 sp2_converged: sp2_sol.converged,
                 sp2_iterations: sp2_sol.iterations,
+                sp2_phi_tol: sp2_config.jong.phi_tol,
             });
             // Watchdog: a non-finite objective (overflowed energy, NaN cost) must never be
             // accepted as "best" — it would propagate straight into the summary totals.
@@ -645,6 +667,16 @@ pub fn subproblem2_step(
     allocation.project_feasible(scenario);
     let cost = scenario.cost_summary_arrays(arrays, allocation)?;
     Ok((summary, cost))
+}
+
+/// The `‖ϕ‖∞` tolerance a warm outer iteration hands Subproblem 2:
+/// `max(phi_tol, min(FORCING_CEILING, FORCING_FACTOR · previous_change))`, where
+/// `previous_change` is the previous outer iteration's `solution_change` (infinite before
+/// the first). The next Subproblem-1 step moves the rate floors by about that change, so
+/// precision beyond a fraction of it is thrown away; near the fixed point the tolerance
+/// falls back to `phi_tol`.
+fn sp2_phi_tol(phi_tol: f64, previous_change: f64) -> f64 {
+    phi_tol.max(FORCING_CEILING.min(FORCING_FACTOR * previous_change))
 }
 
 /// Rate floors `r_n^min = d_n / (T − R_l c_n D_n / f_n)` implied by a round deadline `T`,
@@ -1072,6 +1104,50 @@ mod tests {
             warm.total_energy_j,
             cold.total_energy_j
         );
+    }
+
+    /// Asserts every traced Subproblem-2 tolerance of a solve under `config` against the
+    /// inexact-alternation rule; `starts` are the trace indices at which a run of the
+    /// alternation begins.
+    fn assert_sp2_phi_tol_rule(trace: &[OuterIteration], config: &SolverConfig, starts: &[usize]) {
+        let phi_tol = config.jong.phi_tol;
+        for (i, it) in trace.iter().enumerate() {
+            let expected = if !config.warm_start {
+                phi_tol
+            } else if starts.contains(&i) {
+                phi_tol.max(1e-2)
+            } else {
+                phi_tol.max(f64::min(1e-2, 0.3 * trace[i - 1].solution_change))
+            };
+            assert_eq!(it.sp2_phi_tol, expected, "entry k = {} (warm {})", it.k, config.warm_start);
+        }
+    }
+
+    #[test]
+    fn warm_sp2_tolerance_follows_the_previous_change_and_cold_keeps_phi_tol() {
+        let s = scenario(10, 45);
+        for preset in [SolverConfig::default(), SolverConfig::fast()] {
+            for warm in [false, true] {
+                let config = preset.with_warm_start(warm);
+                let opt = JointOptimizer::new(config);
+
+                let weighted = opt.solve(&s, Weights::balanced()).unwrap().trace.iterations;
+                assert!(weighted.len() > 1, "the weighted loop must iterate (warm {warm})");
+                assert_sp2_phi_tol_rule(&weighted, &config, &[0]);
+
+                // The deadline variant runs the loop twice, from two seeds; the second run
+                // starts after the first entry that stopped the first, or at the cap.
+                let (_, fastest_round) = opt.minimize_round_time(&s).unwrap();
+                let deadline = fastest_round * s.params.rg() * 1.8;
+                let trace = opt.solve_with_deadline(&s, deadline).unwrap().trace.iterations;
+                let second = trace
+                    .iter()
+                    .position(|it| it.solution_change <= config.outer_tol)
+                    .map_or(config.outer_max_iter, |i| i + 1);
+                assert!(second < trace.len(), "no second deadline run (warm {warm})");
+                assert_sp2_phi_tol_rule(&trace, &config, &[0, second]);
+            }
+        }
     }
 
     #[test]

@@ -36,19 +36,26 @@ pub struct SolverConfig {
     /// search from the previous price, skips the loop entirely once the rate floors stop
     /// moving (a relative drift of at most [`SolverConfig::outer_tol`] against the previous
     /// solve's floors, a movement the outer alternation itself would already call
-    /// converged) while the carried multipliers still satisfy `jong.phi_tol` at the staged
-    /// point, Subproblem 1 narrows its golden-section bracket around the previous round
-    /// time, and Algorithm 2 carries the previous `(p, B)` iterate between outer iterations
-    /// instead of restaging it.
+    /// converged) while the carried multipliers still satisfy the iteration's `‖ϕ‖∞`
+    /// tolerance at the staged point, Subproblem 1 narrows its golden-section bracket
+    /// around the previous round time, and Algorithm 2 carries the previous `(p, B)`
+    /// iterate between outer iterations instead of restaging it. The alternation is also
+    /// inexact: outer iteration `k` solves Subproblem 2 only to the `‖ϕ‖∞` tolerance
+    /// `max(jong.phi_tol, min(1e-2, 0.3·change_{k−1}))`
+    /// ([`alg2::FORCING_CEILING`](crate::alg2::FORCING_CEILING),
+    /// [`alg2::FORCING_FACTOR`](crate::alg2::FORCING_FACTOR)), where `change_{k−1}` is the
+    /// previous iteration's solution change (infinite at each run's first iteration), since
+    /// the next Subproblem-1 step moves the rate floors by about that much anyway.
     ///
-    /// `true` (the default) is the production path: the solver converges to the same fixed
-    /// point within the configured tolerances (`outer_tol`, `jong.phi_tol`) along a cheaper
-    /// trajectory, so the last bits of the result may differ from the cold path; results
-    /// can also depend on what a reused [`SolverWorkspace`](crate::SolverWorkspace) solved
-    /// last (the sweep engine resets that state at every cell-group boundary to stay
-    /// deterministic). `false` is the bit-exact cold reference path: no warm state is ever
-    /// read and results are identical to a solver without the continuation — the sweep
-    /// engine's `FEDOPT_WARM_START=0` escape hatch forces it sweep-wide.
+    /// `true` (the default) is the production path: the outer loop meets the same
+    /// `outer_tol` contract along a cheaper trajectory, with every Subproblem-2 solve held
+    /// to the tolerance above rather than to `jong.phi_tol`, so the last digits of the
+    /// result may differ from the cold path; results can also depend on what a reused
+    /// [`SolverWorkspace`](crate::SolverWorkspace) solved last (the sweep engine resets that
+    /// state at every cell-group boundary to stay deterministic). `false` is the bit-exact
+    /// cold reference path: no warm state is ever read, every Subproblem-2 solve meets
+    /// `jong.phi_tol`, and results are identical to a solver without the continuation —
+    /// the sweep engine's `FEDOPT_WARM_START=0` escape hatch forces it sweep-wide.
     #[serde(default)]
     pub warm_start: bool,
     /// Finds the Theorem-2 bandwidth multiplier `μ` with the superlinear search instead of

@@ -171,7 +171,9 @@ pub struct Sp2Summary {
     /// Per-round communication energy `Σ_n p_n d_n / r_n` at the solution (J), *not* scaled
     /// by `w1 R_g`.
     pub comm_energy_per_round_j: f64,
-    /// Whether the Newton-like outer loop reported convergence.
+    /// Whether the Newton-like outer loop converged, at the tolerance its iteration gave
+    /// it (`config.jong.phi_tol` of the call; Algorithm 2's warm path loosens it per outer
+    /// iteration).
     pub converged: bool,
     /// Outer (Algorithm-1) iterations used.
     pub iterations: usize,

@@ -15,11 +15,16 @@ pub struct OuterIteration {
     pub total_time_s: f64,
     /// Normalized change of the solution vector relative to the previous iteration.
     pub solution_change: f64,
-    /// Whether the Subproblem-2 Newton-like loop reported convergence in this iteration.
+    /// Whether the Subproblem-2 Newton-like loop converged in this iteration, at the
+    /// tolerance its iteration gave it ([`OuterIteration::sp2_phi_tol`]).
     pub sp2_converged: bool,
     /// Newton-like (Jong / Algorithm-1) iterations Subproblem 2 used in this iteration
     /// (`0` when the warm-start fast path skipped the loop).
     pub sp2_iterations: usize,
+    /// The `‖ϕ‖∞` tolerance this iteration's Subproblem-2 solve was given: `jong.phi_tol`
+    /// on the cold path, the inexact alternation's looser one on the warm path (see
+    /// [`SolverConfig::warm_start`](crate::SolverConfig::warm_start)).
+    pub sp2_phi_tol: f64,
 }
 
 /// Cumulative work counters of the solver stack, accumulated in a
@@ -28,8 +33,8 @@ pub struct OuterIteration {
 /// The counts are instrumentation only — they never influence the solve — and they are a
 /// deterministic function of the solve inputs (plus any carried warm-start state), so
 /// per-sweep totals are reproducible across thread counts. Warm-start savings are asserted
-/// against these counters in tests, not just benchmarked: a warm-started sweep must spend
-/// strictly fewer Jong iterations than a cold one on the same grid.
+/// against these counters in tests, not just benchmarked: a warm-started sweep of the fig 2
+/// quick grid must spend at most half the Jong iterations of a cold one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveCounters {
     /// Outer iterations of Algorithm 2 (both the weighted and the deadline alternation).
@@ -152,6 +157,7 @@ mod tests {
             solution_change: 0.1,
             sp2_converged: true,
             sp2_iterations: 3,
+            sp2_phi_tol: 1e-9,
         }
     }
 

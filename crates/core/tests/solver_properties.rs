@@ -32,43 +32,14 @@ proptest! {
     }
 
     /// The warm-start continuation converges to the same fixed point as the cold reference
-    /// path: objectives agree within `outer_tol` (relative), the convergence flags match,
-    /// and the warm best iterate is feasible — across random scenarios, device counts
-    /// 2–25 and the whole weight range.
+    /// path on the `fast` preset (see [`warm_agrees_with_cold`]).
     #[test]
     fn warm_start_agrees_with_cold_within_outer_tol(
         seed in 0u64..300,
         devices in 2usize..26,
         w1_tenths in 1u32..10,
     ) {
-        let scenario = ScenarioBuilder::paper_default().with_devices(devices).build(seed).unwrap();
-        let w1 = f64::from(w1_tenths) / 10.0;
-        let weights = Weights::new(w1, 1.0 - w1).unwrap();
-        // Warm start is the library default now — the cold reference must opt out.
-        let cold_cfg = SolverConfig::fast().with_warm_start(false);
-        let warm_cfg = cold_cfg.with_warm_start(true);
-
-        let mut cold_ws = SolverWorkspace::new();
-        let mut warm_ws = SolverWorkspace::new();
-        let cold = JointOptimizer::new(cold_cfg)
-            .solve_summary_with(&scenario, weights, &mut cold_ws)
-            .unwrap();
-        let warm = JointOptimizer::new(warm_cfg)
-            .solve_summary_with(&scenario, weights, &mut warm_ws)
-            .unwrap();
-
-        let rel = (warm.objective - cold.objective).abs() / cold.objective;
-        prop_assert!(
-            rel <= cold_cfg.outer_tol,
-            "warm {} vs cold {} (rel {rel})", warm.objective, cold.objective
-        );
-        prop_assert!(warm.converged == cold.converged,
-            "convergence flags diverged (warm {}, cold {})", warm.converged, cold.converged);
-        prop_assert!(warm_ws.best.is_feasible(&scenario, 1e-5));
-        // Warm must never do *more* inner work than cold.
-        prop_assert!(warm_ws.counters.jong_iterations <= cold_ws.counters.jong_iterations,
-            "warm jong {} > cold {}",
-            warm_ws.counters.jong_iterations, cold_ws.counters.jong_iterations);
+        warm_agrees_with_cold(SolverConfig::fast(), seed, devices, w1_tenths)?;
     }
 
     /// The deadline-constrained variant either meets the deadline or reports infeasibility —
@@ -89,6 +60,72 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
         }
     }
+}
+
+proptest! {
+    // Default-preset solves take about 5 ms each in a debug build. A warm solve that spends
+    // more Jong iterations than its cold twin is a rare case, so the run is broad.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// [`warm_agrees_with_cold`] on the default preset: `jong.phi_tol` 1e-9, `outer_tol`
+    /// 1e-4, the reference polish on.
+    #[test]
+    fn warm_start_agrees_with_cold_within_outer_tol_on_the_default_preset(
+        seed in 0u64..300,
+        devices in 2usize..26,
+        w1_tenths in 1u32..10,
+    ) {
+        warm_agrees_with_cold(SolverConfig::default(), seed, devices, w1_tenths)?;
+    }
+}
+
+/// The warm-start continuation converges to the same fixed point as the cold reference
+/// path under `preset`: objectives agree within `outer_tol` (relative), the convergence
+/// flags match, the warm best iterate is feasible, and warm never spends more Jong
+/// iterations than cold — across random scenarios, device counts 2–25 and the whole weight
+/// range.
+fn warm_agrees_with_cold(
+    preset: SolverConfig,
+    seed: u64,
+    devices: usize,
+    w1_tenths: u32,
+) -> Result<(), TestCaseError> {
+    let scenario = ScenarioBuilder::paper_default().with_devices(devices).build(seed).unwrap();
+    let w1 = f64::from(w1_tenths) / 10.0;
+    let weights = Weights::new(w1, 1.0 - w1).unwrap();
+    // Warm start is the library default now — the cold reference must opt out.
+    let cold_cfg = preset.with_warm_start(false);
+    let warm_cfg = cold_cfg.with_warm_start(true);
+
+    let mut cold_ws = SolverWorkspace::new();
+    let mut warm_ws = SolverWorkspace::new();
+    let cold =
+        JointOptimizer::new(cold_cfg).solve_summary_with(&scenario, weights, &mut cold_ws).unwrap();
+    let warm =
+        JointOptimizer::new(warm_cfg).solve_summary_with(&scenario, weights, &mut warm_ws).unwrap();
+
+    let rel = (warm.objective - cold.objective).abs() / cold.objective;
+    prop_assert!(
+        rel <= cold_cfg.outer_tol,
+        "warm {} vs cold {} (rel {rel})",
+        warm.objective,
+        cold.objective
+    );
+    prop_assert!(
+        warm.converged == cold.converged,
+        "convergence flags diverged (warm {}, cold {})",
+        warm.converged,
+        cold.converged
+    );
+    prop_assert!(warm_ws.best.is_feasible(&scenario, 1e-5));
+    // Warm must never do *more* inner work than cold.
+    prop_assert!(
+        warm_ws.counters.jong_iterations <= cold_ws.counters.jong_iterations,
+        "warm jong {} > cold {}",
+        warm_ws.counters.jong_iterations,
+        cold_ws.counters.jong_iterations
+    );
+    Ok(())
 }
 
 /// One cold solve's counters at a given device count.

@@ -73,8 +73,9 @@ pub const SHARD_FORMAT_VERSION: u64 = 3;
 /// cache written by a binary that computes other bits must miss instead of answering.
 /// Revision 1: warm KKT solves start from the carried `W₀` lane pair. Revision 2: the
 /// fastest round is a Newton root, and Algorithm 1 stops a run that stalls. Revision 3:
-/// the baselines report a missed deadline as an infeasible cell.
-pub const RESULTS_REVISION: u64 = 3;
+/// the baselines report a missed deadline as an infeasible cell. Revision 4: the warm
+/// path solves each Subproblem 2 only as tightly as the previous outer iteration moved.
+pub const RESULTS_REVISION: u64 = 4;
 
 /// Default per-shard wall-clock timeout of the subprocess runner.
 pub const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(600);
@@ -1358,9 +1359,9 @@ mod tests {
     fn cache_key_of_a_fixed_spec_is_pinned() {
         let spec = tiny_spec();
         let expected = if spec.engine.to_engine().warm_starts() {
-            "7dc3ad1391c2f3fc"
+            "a8e66cbd907550c9"
         } else {
-            "6d69ab7f6dd1b423"
+            "c9176035304c0b20"
         };
         assert_eq!(cache_key(&spec), expected);
     }

@@ -70,9 +70,10 @@ fn warm_started_sweeps_are_bit_identical_across_thread_counts() {
 }
 
 /// The warm-start acceptance evidence in counter form, not wall clock: on the fig2 quick
-/// grid a warm sweep must spend strictly fewer Jong iterations and μ-bisection
-/// evaluations than the cold sweep, hit the fast path at least once, and never take more
-/// outer iterations — while agreeing with the cold means to solver tolerance.
+/// grid a warm sweep must spend at most half the cold sweep's Jong iterations (its
+/// Subproblem-2 solves are inexact) and strictly fewer μ-bisection evaluations, hit the
+/// fast path at least once, and never take more outer iterations — while agreeing with
+/// the cold means to solver tolerance.
 #[test]
 fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
     let spec = fig2_quick();
@@ -83,8 +84,8 @@ fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
     let (c, w) = (cold.counters.solver, warm.counters.solver);
     assert!(c.jong_iterations > 0, "cold sweep must do real work");
     assert!(
-        w.jong_iterations < c.jong_iterations,
-        "warm Jong iterations {} not strictly below cold {}",
+        2 * w.jong_iterations <= c.jong_iterations,
+        "warm Jong iterations {} above half of cold's {}",
         w.jong_iterations,
         c.jong_iterations
     );
