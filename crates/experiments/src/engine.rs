@@ -60,6 +60,7 @@
 //!
 //! [`FigureReport`]: crate::report::FigureReport
 
+use crate::spec::section;
 use fedopt_core::{CoreError, SolveCounters, SolverConfig, SolverWorkspace};
 use flsys::{Scenario, ScenarioBuilder};
 use std::collections::VecDeque;
@@ -335,23 +336,27 @@ impl AggregateAccumulator {
     }
 }
 
-/// Work counters of one sweep: how many scenarios were actually built versus how many
-/// cells were evaluated against them.
-///
-/// With arms that don't specialise their builder, `scenarios_built == points × seeds`
-/// while `cells_evaluated == points × arms × seeds` — the build cost is amortised across
-/// the arm count. Both counters are deterministic (independent of thread count); a sweep
-/// that fails returns its error instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SweepCounters {
-    /// Number of `ScenarioBuilder::build` calls the sweep performed.
-    pub scenarios_built: usize,
-    /// Number of [`Arm::evaluate`] calls the sweep performed.
-    pub cells_evaluated: usize,
-    /// Solver-stack iteration totals (outer, Jong, KKT, `μ`-bisection, fast-path hits)
-    /// summed over every cell — the evidence that warm starting saves iterations, not just
-    /// wall clock. Deterministic for a successful sweep, independent of thread count.
-    pub solver: SolveCounters,
+section! {
+    /// Work counters of one sweep: how many scenarios were actually built versus how many
+    /// cells were evaluated against them. A shard document carries them as its `counters`
+    /// member.
+    ///
+    /// With arms that don't specialise their builder, `scenarios_built == points × seeds`
+    /// while `cells_evaluated == points × arms × seeds` — the build cost is amortised across
+    /// the arm count. Both counters are deterministic (independent of thread count); a sweep
+    /// that fails returns its error instead.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct SweepCounters {
+        /// Number of `ScenarioBuilder::build` calls the sweep performed.
+        scenarios_built: usize;
+        /// Number of [`Arm::evaluate`] calls the sweep performed.
+        cells_evaluated: usize;
+        /// Solver-stack iteration totals (outer, Jong, KKT, `μ`-bisection, fast-path hits)
+        /// summed over every cell — the evidence that warm starting saves iterations, not
+        /// just wall clock. Deterministic for a successful sweep, independent of thread
+        /// count.
+        solver: SolveCounters;
+    }
 }
 
 impl SweepCounters {

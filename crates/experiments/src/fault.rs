@@ -23,7 +23,7 @@
 //! ignored by the serving loop — so one environment variable covers both surfaces
 //! without cross-talk.
 
-use crate::spec::ExperimentSpec;
+use crate::spec::{wire_names, ExperimentSpec};
 use std::fmt;
 
 /// Environment variable carrying a serialized fault plan (`<kind>@<seed>`), e.g.
@@ -64,40 +64,23 @@ pub enum FaultKind {
     FloodRequest,
 }
 
-impl FaultKind {
-    /// The wire name used in [`FAULT_PLAN_ENV`].
-    pub const fn name(self) -> &'static str {
-        match self {
-            FaultKind::CrashOnEntry => "crash",
-            FaultKind::TruncateStdout => "truncate",
-            FaultKind::Stall => "stall",
-            FaultKind::CorruptWire => "corrupt",
-            FaultKind::StderrFlood => "flood",
-            FaultKind::SlowRequest => "slowreq",
-            FaultKind::PoisonRequest => "poisonreq",
-            FaultKind::FloodRequest => "floodreq",
-        }
-    }
+wire_names!(pub FaultKind, "fault kind" {
+    CrashOnEntry => "crash",
+    TruncateStdout => "truncate",
+    Stall => "stall",
+    CorruptWire => "corrupt",
+    StderrFlood => "flood",
+    SlowRequest => "slowreq",
+    PoisonRequest => "poisonreq",
+    FloodRequest => "floodreq",
+});
 
+impl FaultKind {
     /// Whether this kind targets the serving loop (`fedopt serve`) rather than fleet
     /// shard workers. The serving loop honors exactly these kinds and treats every
     /// other plan as dormant, and vice versa.
     pub const fn is_serve_fault(self) -> bool {
         matches!(self, FaultKind::SlowRequest | FaultKind::PoisonRequest | FaultKind::FloodRequest)
-    }
-
-    fn parse(text: &str) -> Option<Self> {
-        match text {
-            "crash" => Some(FaultKind::CrashOnEntry),
-            "truncate" => Some(FaultKind::TruncateStdout),
-            "stall" => Some(FaultKind::Stall),
-            "corrupt" => Some(FaultKind::CorruptWire),
-            "flood" => Some(FaultKind::StderrFlood),
-            "slowreq" => Some(FaultKind::SlowRequest),
-            "poisonreq" => Some(FaultKind::PoisonRequest),
-            "floodreq" => Some(FaultKind::FloodRequest),
-            _ => None,
-        }
     }
 }
 
@@ -125,7 +108,7 @@ impl FaultPlan {
         let (kind_text, seed_text) = text
             .split_once('@')
             .ok_or_else(|| format!("fault plan {text:?} must look like <kind>@<seed>"))?;
-        let kind = FaultKind::parse(kind_text).ok_or_else(|| {
+        let kind = FaultKind::from_name(kind_text).ok_or_else(|| {
             format!(
                 "unknown fault kind {kind_text:?} (expected crash, truncate, stall, \
                  corrupt or flood for fleet shards; slowreq, poisonreq or floodreq \

@@ -36,10 +36,6 @@ mod tests {
             assert!(t_row[1] <= t_row[0] * 1.05);
         }
         // Every cell averaged its full seed set.
-        for row in 0..energy.rows.len() {
-            for col in 0..energy.columns.len() {
-                assert_eq!(energy.sample_count(row, col), Some(1));
-            }
-        }
+        assert_eq!(energy.counts, vec![vec![1; energy.columns.len()]; energy.rows.len()]);
     }
 }

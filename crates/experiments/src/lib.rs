@@ -73,6 +73,20 @@ mod fig7;
 #[path = "figure_checks/fig8.rs"]
 mod fig8;
 
+/// Compares `actual` with the golden file `tests/golden/<name>`, or writes it there under
+/// `FEDOPT_BLESS=1`.
+#[cfg(test)]
+pub(crate) fn check_golden(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+    if std::env::var("FEDOPT_BLESS").is_ok() {
+        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("blessing {path:?}: {e}"));
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e})"));
+    assert_eq!(actual, golden, "{path:?} is stale; regenerate with FEDOPT_BLESS=1");
+}
+
 pub use engine::{Aggregate, SweepCounters, SweepEngine, SweepGrid, SweepResult};
 pub use report::FigureReport;
 pub use rounds::RoundSimRun;

@@ -19,10 +19,9 @@ pub struct FigureReport {
     /// Rows: the x value followed by one y value per column (`f64::NAN` marks a missing
     /// point, e.g. an infeasible deadline).
     pub rows: Vec<(f64, Vec<f64>)>,
-    /// Per-row feasible-sample counts behind each cell, parallel to [`Self::rows`]. An
-    /// empty inner vector means the counts are unknown (rows appended via
-    /// [`Self::push_row`]); otherwise one count per column. A `NaN` cell with a recorded
-    /// count of `0` is the labelled "no feasible draw" condition, not a numerical accident.
+    /// Per-row feasible-sample counts behind each cell, parallel to [`Self::rows`]: one
+    /// count per column. A `NaN` cell with a count of `0` is the labelled "no feasible
+    /// draw" condition, not a numerical accident.
     pub counts: Vec<Vec<usize>>,
     /// Optional provenance caveat attached to the whole report — e.g. "salvaged fleet
     /// run: seeds 2..4 missing" when a `--allow-partial` merge completed with holes.
@@ -45,33 +44,17 @@ impl FigureReport {
         }
     }
 
-    /// Appends one row with unknown sample counts. `values` must have one entry per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the number of columns (a programming error in
-    /// the harness, not a data condition).
-    pub fn push_row(&mut self, x: f64, values: Vec<f64>) {
-        assert_eq!(values.len(), self.columns.len(), "row width must match column count");
-        self.rows.push((x, values));
-        self.counts.push(Vec::new());
-    }
-
     /// Appends one row together with the per-cell feasible-sample counts.
     ///
     /// # Panics
     ///
-    /// Panics if `values` or `cell_counts` do not have one entry per column.
+    /// Panics if `values` or `cell_counts` do not have one entry per column (a programming
+    /// error in the harness, not a data condition).
     pub fn push_row_with_counts(&mut self, x: f64, values: Vec<f64>, cell_counts: Vec<usize>) {
         assert_eq!(values.len(), self.columns.len(), "row width must match column count");
         assert_eq!(cell_counts.len(), self.columns.len(), "count width must match column count");
         self.rows.push((x, values));
         self.counts.push(cell_counts);
-    }
-
-    /// The feasible-sample count behind one cell, if recorded.
-    pub fn sample_count(&self, row: usize, col: usize) -> Option<usize> {
-        self.counts.get(row).and_then(|c| c.get(col)).copied()
     }
 
     /// The series names.
@@ -85,27 +68,20 @@ impl FigureReport {
         Some(self.rows.iter().map(|(x, v)| (*x, v[idx])).collect())
     }
 
-    /// Renders the report as an aligned plain-text table. `NaN` cells render as `-`; when
-    /// the cell's sample count is recorded as zero they render as `n=0` (every draw was
-    /// infeasible). Rows with recorded sample counts are followed by one uniform
-    /// `feasible draws` footer — identical in form for every report of a figure (the
-    /// energy and time tables used to disagree on when infeasible-cell counts showed up;
-    /// now both always carry the per-point counts).
+    /// Renders the report as an aligned plain-text table. `NaN` cells render as `-`, or as
+    /// `n=0` when the cell's sample count is zero (every draw was infeasible). The rows are
+    /// followed by one uniform `feasible draws` footer — identical in form for every report
+    /// of a figure.
     pub fn to_table_string(&self) -> String {
         let mut header: Vec<String> = vec![self.x_label.clone()];
         header.extend(self.columns.iter().cloned());
         let mut table: Vec<Vec<String>> = vec![header];
-        for (row_idx, (x, values)) in self.rows.iter().enumerate() {
+        for ((x, values), counts) in self.rows.iter().zip(&self.counts) {
             let mut row = vec![format!("{x:.4}")];
-            row.extend(values.iter().enumerate().map(|(col, v)| {
-                if v.is_nan() {
-                    match self.sample_count(row_idx, col) {
-                        Some(0) => "n=0".to_string(),
-                        _ => "-".to_string(),
-                    }
-                } else {
-                    format!("{v:.4}")
-                }
+            row.extend(values.iter().zip(counts).map(|(v, &count)| match (v.is_nan(), count) {
+                (true, 0) => "n=0".to_string(),
+                (true, _) => "-".to_string(),
+                (false, _) => format!("{v:.4}"),
             }));
             table.push(row);
         }
@@ -129,26 +105,18 @@ impl FigureReport {
         out
     }
 
-    /// The uniform feasible-draw footer: empty when no row recorded counts, one compact
-    /// line when every recorded cell saw the same number of feasible draws, otherwise one
-    /// line per point listing the per-column counts.
+    /// The uniform feasible-draw footer: empty without cells, one compact line when every
+    /// cell saw the same number of feasible draws, otherwise one line per point listing the
+    /// per-column counts.
     fn feasible_summary_lines(&self) -> Vec<String> {
-        let recorded: Vec<(f64, &[usize])> = self
-            .rows
-            .iter()
-            .zip(&self.counts)
-            .filter(|(_, c)| !c.is_empty())
-            .map(|((x, _), c)| (*x, c.as_slice()))
-            .collect();
-        if recorded.is_empty() {
+        let Some(&first) = self.counts.iter().flatten().next() else {
             return Vec::new();
-        }
-        let first = recorded[0].1[0];
-        if recorded.iter().all(|(_, c)| c.iter().all(|&n| n == first)) {
+        };
+        if self.counts.iter().flatten().all(|&n| n == first) {
             return vec![format!("feasible draws: {first} per cell")];
         }
         let mut lines = vec!["feasible draws per point (one count per column):".to_string()];
-        for (x, counts) in recorded {
+        for ((x, _), counts) in self.rows.iter().zip(&self.counts) {
             let cells: Vec<String> = counts.iter().map(|n| n.to_string()).collect();
             lines.push(format!("  {x:.4}: {}", cells.join(" ")));
         }
@@ -156,19 +124,19 @@ impl FigureReport {
     }
 
     /// The report as a machine-readable JSON value: metadata, columns, and one object per
-    /// row carrying the x value, the per-column y values (`null` for `NaN` cells), and —
-    /// when recorded — the per-column feasible-draw counts. Member order is fixed and
-    /// floats are shortest-round-trip, so the output is byte-stable (golden-file safe).
+    /// row carrying the x value, the per-column y values (`null` for `NaN` cells) and the
+    /// per-column feasible-draw counts. Member order is fixed and floats are
+    /// shortest-round-trip, so the output is byte-stable (golden-file safe).
     pub fn to_json(&self) -> Json {
         let rows: Vec<Json> = self
             .rows
             .iter()
             .zip(&self.counts)
             .map(|((x, values), counts)| {
-                let mut members = vec![
-                    ("x".to_string(), Json::Num(*x)),
+                Json::obj([
+                    ("x", Json::Num(*x)),
                     (
-                        "values".to_string(),
+                        "values",
                         Json::Arr(
                             values
                                 .iter()
@@ -176,14 +144,8 @@ impl FigureReport {
                                 .collect(),
                         ),
                     ),
-                ];
-                if !counts.is_empty() {
-                    members.push((
-                        "feasible".to_string(),
-                        Json::Arr(counts.iter().map(|&n| Json::uint(n as u64)).collect()),
-                    ));
-                }
-                Json::Obj(members)
+                    ("feasible", Json::Arr(counts.iter().map(|&n| Json::uint(n as u64)).collect())),
+                ])
             })
             .collect();
         let mut members = vec![
@@ -245,8 +207,8 @@ mod tests {
             "energy (J)",
             vec!["w1=0.9".into(), "benchmark".into()],
         );
-        r.push_row(5.0, vec![10.0, 50.0]);
-        r.push_row(6.0, vec![11.0, f64::NAN]);
+        r.push_row_with_counts(5.0, vec![10.0, 50.0], vec![3, 3]);
+        r.push_row_with_counts(6.0, vec![11.0, f64::NAN], vec![3, 3]);
         r
     }
 
@@ -276,7 +238,7 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         let mut r = sample();
-        r.push_row(7.0, vec![1.0]);
+        r.push_row_with_counts(7.0, vec![1.0], vec![1]);
     }
 
     #[test]
@@ -284,13 +246,9 @@ mod tests {
         let mut r = FigureReport::new("fig7", "t", "T (s)", "energy (J)", vec!["proposed".into()]);
         r.push_row_with_counts(100.0, vec![f64::NAN], vec![0]);
         r.push_row_with_counts(150.0, vec![42.0], vec![5]);
-        assert_eq!(r.sample_count(0, 0), Some(0));
-        assert_eq!(r.sample_count(1, 0), Some(5));
+        assert_eq!(r.counts, vec![vec![0], vec![5]]);
         let table = r.to_table_string();
         assert!(table.contains("n=0"), "zero-sample cells must be labelled: {table}");
-        // Rows appended without counts report `None`.
-        r.push_row(200.0, vec![40.0]);
-        assert_eq!(r.sample_count(2, 0), None);
     }
 
     #[test]
@@ -319,8 +277,7 @@ mod tests {
         assert!(table.contains("150.0000: 5"), "{table}");
 
         // Uniform counts: one compact line.
-        let mut r = sample(); // rows appended without counts -> no footer
-        assert!(!r.to_table_string().contains("feasible draws"));
+        let mut r = sample();
         r.push_row_with_counts(7.0, vec![1.0, 2.0], vec![3, 3]);
         let table = r.to_table_string();
         assert!(table.contains("feasible draws: 3 per cell"), "{table}");
@@ -350,9 +307,5 @@ mod tests {
         assert_eq!(rows[0].get("feasible").unwrap().as_array().unwrap()[0].as_u64(), Some(0));
         assert_eq!(rows[1].get("values").unwrap().as_array().unwrap()[0].as_f64(), Some(42.5));
         assert_eq!(json.get("id").unwrap().as_str(), Some("fig7"));
-        // Rows without recorded counts omit the `feasible` member entirely.
-        let bare = sample().to_json();
-        let bare_rows = bare.get("rows").unwrap().as_array().unwrap();
-        assert!(bare_rows[0].get("feasible").is_none());
     }
 }

@@ -9,6 +9,11 @@
 //! exactly those participants. The output is a trajectory — cumulative energy, wall-clock
 //! time, participation, loss and accuracy per round — for every policy column.
 //!
+//! The output is declared once, as `section!` rows (the row machinery of
+//! [`crate::spec`]): [`RoundSimRun`] is the `round_sim` document `fedopt sim --json`
+//! prints, [`PolicyResult`], [`PolicyTotals`] and [`RoundRecord`] its policy columns,
+//! totals and trajectory rows, so the struct fields are the document's members in order.
+//!
 //! # Policies
 //!
 //! The closed [`RoundPolicy`] set mirrors the sweep arms plus two scheme arms from
@@ -37,7 +42,9 @@
 
 use crate::engine::{fold_in_order, SweepEngine};
 use crate::json::Json;
-use crate::spec::{ExperimentSpec, RoundPolicy, RoundsSpec, SpecError};
+use crate::spec::{
+    section, ExperimentSpec, Field, RoundPolicy, RoundsReportSpec, RoundsSpec, SpecError,
+};
 use baselines::derive_stream_seed;
 use fedopt_core::{CoreError, JointOptimizer, SolverWorkspace};
 use fedsim::{FederatedDataset, RoundTrainer, SyntheticConfig};
@@ -46,72 +53,83 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wireless::{ChannelGain, LogNormalShadowing};
 
-/// One row of a policy's mean trajectory (averaged over seeds, per round).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundRecord {
-    /// Global round index (1-based).
-    pub round: u32,
-    /// Mean number of participating devices this round.
-    pub participants: f64,
-    /// Mean energy spent this round across participants (J).
-    pub round_energy_j: f64,
-    /// Mean wall-clock length of this round (s).
-    pub round_time_s: f64,
-    /// Mean cumulative energy since round 1 (J).
-    pub cumulative_energy_j: f64,
-    /// Mean cumulative wall-clock time since round 1 (s).
-    pub cumulative_time_s: f64,
-    /// Mean training loss of the global model after this round.
-    pub global_loss: f64,
-    /// Mean held-out accuracy of the global model after this round.
-    pub test_accuracy: f64,
+section! {
+    /// One row of a policy's mean trajectory (averaged over seeds, per round).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RoundRecord {
+        /// Global round index (1-based).
+        round: u32;
+        /// Mean number of participating devices this round.
+        participants: f64;
+        /// Mean energy spent this round across participants (J).
+        round_energy_j: f64;
+        /// Mean wall-clock length of this round (s).
+        round_time_s: f64;
+        /// Mean cumulative energy since round 1 (J).
+        cumulative_energy_j: f64;
+        /// Mean cumulative wall-clock time since round 1 (s).
+        cumulative_time_s: f64;
+        /// Mean training loss of the global model after this round.
+        global_loss: f64;
+        /// Mean held-out accuracy of the global model after this round.
+        test_accuracy: f64;
+    }
 }
 
-/// End-of-run summary of one policy column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyTotals {
-    /// Mean total energy of the run (J).
-    pub total_energy_j: f64,
-    /// Mean total wall-clock time of the run (s).
-    pub total_time_s: f64,
-    /// Mean final training loss.
-    pub final_loss: f64,
-    /// Mean final test accuracy.
-    pub final_accuracy: f64,
-    /// Mean fraction of the fleet participating per round.
-    pub participation_rate: f64,
+section! {
+    /// End-of-run summary of one policy column.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct PolicyTotals {
+        /// Mean total energy of the run (J).
+        total_energy_j: f64;
+        /// Mean total wall-clock time of the run (s).
+        total_time_s: f64;
+        /// Mean final training loss.
+        final_loss: f64;
+        /// Mean final test accuracy.
+        final_accuracy: f64;
+        /// Mean fraction of the fleet participating per round.
+        participation_rate: f64;
+    }
 }
 
-/// One policy column of the simulation: label, kind, mean trajectory and totals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyResult {
-    /// Display label (the spec's override or the policy kind).
-    pub label: String,
-    /// The policy's wire name (`"re_solve"`, `"static"`, `"fedaecs"`, `"elastic"`).
-    pub kind: String,
-    /// Mean trajectory over seeds, one record per round in order.
-    pub trajectory: Vec<RoundRecord>,
-    /// End-of-run summary.
-    pub totals: PolicyTotals,
+section! {
+    /// One policy column of the simulation: label, kind, mean trajectory and totals.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PolicyResult {
+        /// Display label (the spec's override or the policy kind).
+        label: String;
+        /// The policy's wire name (`"re_solve"`, `"static"`, `"fedaecs"`, `"elastic"`).
+        kind: String;
+        /// Mean trajectory over seeds, one record per round in order.
+        trajectory: Vec<RoundRecord>;
+        /// End-of-run summary.
+        totals: PolicyTotals;
+    }
 }
 
-/// The rendered outcome of a round simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundSimRun {
-    /// The spec's `id`.
-    pub spec_id: String,
-    /// The rounds section's report id.
-    pub report_id: String,
-    /// The rounds section's report title.
-    pub title: String,
-    /// Number of devices in the simulated scenario.
-    pub devices: usize,
-    /// Number of simulated global rounds.
-    pub rounds: u32,
-    /// Number of scenario seeds averaged over.
-    pub seeds: usize,
-    /// One column per policy, in spec order.
-    pub policies: Vec<PolicyResult>,
+section! {
+    /// The rendered outcome of a round simulation: the `round_sim` document that
+    /// `fedopt sim --json` prints, one row per member.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RoundSimRun {
+        /// Wire-format version ([`crate::spec::SCHEMA_VERSION`]).
+        schema_version: u64;
+        /// Always `"round_sim"`.
+        kind: String;
+        /// The spec's `id`.
+        spec_id: String;
+        /// The rounds section's report identity.
+        report: RoundsReportSpec;
+        /// Number of devices in the simulated scenario.
+        devices: usize;
+        /// Number of simulated global rounds.
+        rounds: u32;
+        /// Number of scenario seeds averaged over.
+        seeds: usize;
+        /// One column per policy, in spec order.
+        policies: Vec<PolicyResult>;
+    }
 }
 
 /// Raw per-seed, per-round sample before cross-seed averaging.
@@ -502,9 +520,10 @@ fn reduce(
         })
         .collect();
     RoundSimRun {
+        schema_version: crate::spec::SCHEMA_VERSION,
+        kind: "round_sim".to_string(),
         spec_id: spec.id.clone(),
-        report_id: rounds.report.id.clone(),
-        title: rounds.report.title.clone(),
+        report: rounds.report.clone(),
         devices,
         rounds: rounds.rounds,
         seeds,
@@ -515,74 +534,7 @@ fn reduce(
 impl RoundSimRun {
     /// The report as a JSON value (deterministic member order).
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema_version", Json::uint(crate::spec::SCHEMA_VERSION)),
-            ("kind", Json::Str("round_sim".to_string())),
-            ("spec_id", Json::Str(self.spec_id.clone())),
-            (
-                "report",
-                Json::obj([
-                    ("id", Json::Str(self.report_id.clone())),
-                    ("title", Json::Str(self.title.clone())),
-                ]),
-            ),
-            ("devices", Json::uint(self.devices as u64)),
-            ("rounds", Json::uint(u64::from(self.rounds))),
-            ("seeds", Json::uint(self.seeds as u64)),
-            (
-                "policies",
-                Json::Arr(
-                    self.policies
-                        .iter()
-                        .map(|p| {
-                            Json::obj([
-                                ("label", Json::Str(p.label.clone())),
-                                ("kind", Json::Str(p.kind.clone())),
-                                (
-                                    "trajectory",
-                                    Json::Arr(
-                                        p.trajectory
-                                            .iter()
-                                            .map(|r| {
-                                                Json::obj([
-                                                    ("round", Json::uint(u64::from(r.round))),
-                                                    ("participants", Json::Num(r.participants)),
-                                                    ("round_energy_j", Json::Num(r.round_energy_j)),
-                                                    ("round_time_s", Json::Num(r.round_time_s)),
-                                                    (
-                                                        "cumulative_energy_j",
-                                                        Json::Num(r.cumulative_energy_j),
-                                                    ),
-                                                    (
-                                                        "cumulative_time_s",
-                                                        Json::Num(r.cumulative_time_s),
-                                                    ),
-                                                    ("global_loss", Json::Num(r.global_loss)),
-                                                    ("test_accuracy", Json::Num(r.test_accuracy)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                                (
-                                    "totals",
-                                    Json::obj([
-                                        ("total_energy_j", Json::Num(p.totals.total_energy_j)),
-                                        ("total_time_s", Json::Num(p.totals.total_time_s)),
-                                        ("final_loss", Json::Num(p.totals.final_loss)),
-                                        ("final_accuracy", Json::Num(p.totals.final_accuracy)),
-                                        (
-                                            "participation_rate",
-                                            Json::Num(p.totals.participation_rate),
-                                        ),
-                                    ]),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        self.write().expect("a section always writes an object")
     }
 
     /// The canonical serialized report (pretty-printed, trailing newline, byte-stable).
@@ -598,7 +550,7 @@ impl RoundSimRun {
         let _ = writeln!(
             out,
             "{} — {} (N={}, T={}, seeds={})",
-            self.report_id, self.title, self.devices, self.rounds, self.seeds
+            self.report.id, self.report.title, self.devices, self.rounds, self.seeds
         );
         let _ = writeln!(
             out,

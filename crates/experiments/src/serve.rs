@@ -31,6 +31,11 @@
 //!   lets in-flight requests finish, and emits a final `fedopt-serve-stats` line with
 //!   p50/p99 latency on stderr.
 //!
+//! Both lines are declared once, as `section!` rows (the row machinery of
+//! [`crate::spec`]): [`RequestSpec`] for a request, [`Response`] for a response of any
+//! [`Status`]. The rows alone decide each line's members, their order and what a reader
+//! accepts; a status leaves out the members it does not set.
+//!
 //! Requests are dispatched round-robin (`seq % workers`) so the worker that handles a
 //! request — and therefore the warm state it sees and the shed/no-shed outcome under
 //! load — is a pure function of the request's position in the stream, not of thread
@@ -48,13 +53,13 @@ use crate::arms::SpecArm;
 use crate::engine::{warm_start_env, Arm, CellContext, CellOutput};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::json::{fnv1a_64, Json};
-use crate::shard::solver_counters_json;
+use crate::shard::ReportedCounters;
 use crate::spec::{
-    at_least_one, check_at, ensure, object, opt, seconds, section, ArmKind, ArmSpec, Field, Obj,
+    at_least_one, ensure, object, opt, seconds, section, wire_names, ArmKind, ArmSpec, Field,
     ScenarioSpec, SolverSpec, SpecError,
 };
 use baselines::derive_stream_seed;
-use fedopt_core::{CoreError, SolverWorkspace};
+use fedopt_core::{CoreError, SolveCounters, SolverWorkspace};
 use flsys::{ScenarioBuilder, Weights};
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -190,6 +195,110 @@ impl RequestSpec {
 }
 
 // ---------------------------------------------------------------------------
+// Response wire format
+// ---------------------------------------------------------------------------
+
+/// The outcome a response reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Status {
+    /// Solved: the arm's totals (and Algorithm 2's allocation).
+    #[default]
+    Ok,
+    /// Not solved within the contract (deadline miss, infeasible request, non-finite
+    /// solve, worker panic); `reason` says which.
+    Degraded,
+    /// The worker's admission queue was full.
+    Shed,
+    /// The request line was oversized, malformed or invalid.
+    Invalid,
+}
+
+wire_names!(Status, "status" {
+    Ok => "ok",
+    Degraded => "degraded",
+    Shed => "shed",
+    Invalid => "invalid",
+});
+
+/// How a request interacted with its worker's warm-start cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmLabel {
+    /// The session runs cold.
+    Off,
+    /// The worker's carried state belongs to this very problem (fingerprint match).
+    Hit,
+    /// A new problem for the worker, whose warm state was reset.
+    Miss,
+    /// A scheduled staleness check: warm probe, cold answer, drift check.
+    Refresh,
+}
+
+wire_names!(WarmLabel, "warm label" {
+    Off => "off",
+    Hit => "hit",
+    Miss => "miss",
+    Refresh => "refresh",
+});
+
+section! {
+    /// The allocation an `ok` answer of Algorithm 2's arms carries, one entry per device.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ResponseAllocation {
+        /// Transmit powers in watts.
+        powers_w: Vec<f64>;
+        /// CPU frequencies in Hz.
+        frequencies_hz: Vec<f64>;
+        /// Uplink bandwidths in Hz.
+        bandwidths_hz: Vec<f64>;
+    }
+}
+
+section! {
+    /// One response line, written compact. Every status writes the members through
+    /// `status`; `ok` adds the totals, `degraded` its `reason`, `shed` and `invalid` their
+    /// `error`, and a solved request its `warm` label and `counters`.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct Response {
+        /// Wire-format version ([`RESPONSE_SCHEMA_VERSION`]).
+        schema_version: u64;
+        /// [`RESPONSE_KIND`].
+        kind: String;
+        /// The request's 0-based position in the stream.
+        seq: u64;
+        /// The request's correlation id, echoed.
+        id: Option<String>;
+        /// The outcome.
+        status: Status;
+        /// Why a `shed` or `invalid` request was not solved.
+        error: Option<String>;
+        /// Total energy of the answer in joules.
+        energy_j: Option<f64>;
+        /// Total completion time of the answer in seconds.
+        time_s: Option<f64>;
+        /// The weighted objective, for the `proposed` arm.
+        objective: Option<f64>;
+        /// The solved allocation, for Algorithm 2's arms.
+        allocation: Option<ResponseAllocation>;
+        /// Why a `degraded` request has no answer.
+        reason: Option<String>;
+        /// How the request met its worker's warm-start cache.
+        warm: Option<WarmLabel>;
+        /// The solver work the request contributed.
+        counters: Option<ReportedCounters>;
+        /// Service latency in microseconds (with `--timing` only).
+        latency_us: Option<u64>;
+    }
+}
+
+impl Response {
+    /// A response carrying only the members every status writes.
+    fn new(seq: u64, id: Option<String>, status: Status) -> Self {
+        let kind = RESPONSE_KIND.to_string();
+        Self { schema_version: RESPONSE_SCHEMA_VERSION, kind, seq, id, status, ..Self::default() }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Options and statistics
 // ---------------------------------------------------------------------------
 
@@ -260,6 +369,17 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// Counts one response and its service latency.
+    fn record(&mut self, status: Status, latency_us: u64) {
+        *match status {
+            Status::Ok => &mut self.ok,
+            Status::Degraded => &mut self.degraded,
+            Status::Shed => &mut self.shed,
+            Status::Invalid => &mut self.invalid,
+        } += 1;
+        self.latencies_us.push(latency_us);
+    }
+
     /// Folds another session's counters into this one (unix-socket serving merges the
     /// per-connection sessions).
     pub fn merge(&mut self, other: &ServeStats) {
@@ -338,13 +458,6 @@ struct Job {
     req: RequestSpec,
 }
 
-/// What one handled request contributed to the session counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    Ok,
-    Degraded,
-}
-
 /// Everything a worker thread owns across requests: the hot workspace plus the
 /// warm-cache bookkeeping that decides when its carried state is reused, refreshed or
 /// quarantined.
@@ -357,26 +470,6 @@ struct WorkerState {
 impl WorkerState {
     fn new() -> Self {
         Self { workspace: SolverWorkspace::new(), last_fingerprint: None, warm_streak: 0 }
-    }
-}
-
-/// How a request interacted with its worker's warm-start cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WarmLabel {
-    Off,
-    Hit,
-    Miss,
-    Refresh,
-}
-
-impl WarmLabel {
-    fn as_str(self) -> &'static str {
-        match self {
-            WarmLabel::Off => "off",
-            WarmLabel::Hit => "hit",
-            WarmLabel::Miss => "miss",
-            WarmLabel::Refresh => "refresh",
-        }
     }
 }
 
@@ -434,17 +527,10 @@ pub fn serve_session<R: BufRead, W: Write + Send>(
             scope.spawn(move || {
                 let mut state = WorkerState::new();
                 while let Ok(job) = job_rx.recv() {
-                    let (line, outcome, latency_us) =
+                    let (response, latency_us) =
                         handle_job(&job, &mut state, opts, warm_enabled, eof, flood_engaged, stats);
-                    let mut guard = stats.lock().expect("serve stats lock poisoned");
-                    match outcome {
-                        Outcome::Ok => guard.ok += 1,
-                        Outcome::Degraded => guard.degraded += 1,
-                    }
-                    guard.latencies_us.push(latency_us);
-                    drop(guard);
                     // A send error means the writer (and session) is gone; exit quietly.
-                    if out_tx.send((job.seq, line)).is_err() {
+                    if !answer(response, latency_us, opts, stats, &out_tx) {
                         break;
                     }
                 }
@@ -481,9 +567,14 @@ pub fn serve_session<R: BufRead, W: Write + Send>(
                 guard.requests += 1;
             }
             let admitted_at = Instant::now();
+            // The reader answers what it does not admit itself, as `invalid` or `shed`.
+            let refuse = |seq, id, status, error: String| {
+                let response = Response { error: Some(error), ..Response::new(seq, id, status) };
+                answer(response, micros_since(admitted_at), opts, &stats, &out_tx);
+            };
             let Some(text) = text else {
                 let error = format!("request line exceeds {MAX_REQUEST_BYTES} bytes ({len} bytes)");
-                reject(this_seq, None, "invalid", &error, opts, admitted_at, &stats, &out_tx);
+                refuse(this_seq, None, Status::Invalid, error);
                 continue;
             };
             let req = match RequestSpec::from_json_str(text) {
@@ -495,7 +586,7 @@ pub fn serve_session<R: BufRead, W: Write + Send>(
                         .ok()
                         .and_then(|v| v.get("id").and_then(|id| id.as_str().map(str::to_string)))
                         .filter(|id| id.len() <= MAX_ID_BYTES);
-                    reject(this_seq, id, "invalid", &error, opts, admitted_at, &stats, &out_tx);
+                    refuse(this_seq, id, Status::Invalid, error);
                     continue;
                 }
             };
@@ -519,30 +610,13 @@ pub fn serve_session<R: BufRead, W: Write + Send>(
                         "admission queue full (worker {worker}, depth {queue_depth}); \
                          request shed"
                     );
-                    reject(
-                        job.seq,
-                        job.req.id.clone(),
-                        "shed",
-                        &error,
-                        opts,
-                        admitted_at,
-                        &stats,
-                        &out_tx,
-                    );
+                    refuse(job.seq, job.req.id, Status::Shed, error);
                 }
                 Err(TrySendError::Disconnected(job)) => {
                     // The worker thread is gone — only possible when the session is
                     // tearing down; answer shed rather than dropping the request.
-                    reject(
-                        job.seq,
-                        job.req.id.clone(),
-                        "shed",
-                        "worker unavailable; request shed",
-                        opts,
-                        admitted_at,
-                        &stats,
-                        &out_tx,
-                    );
+                    let error = "worker unavailable; request shed".to_string();
+                    refuse(job.seq, job.req.id, Status::Shed, error);
                 }
             }
         }
@@ -589,52 +663,36 @@ fn read_request_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result
     }
 }
 
-/// Builds and enqueues a reader-side rejection response (`shed` or `invalid`).
-#[allow(clippy::too_many_arguments)] // private plumbing shared by three call sites
-fn reject(
-    seq: u64,
-    id: Option<String>,
-    status: &str,
-    error: &str,
+/// Counts a response and hands its line to the writer; `latency_us` is written into it
+/// only under `--timing`. Returns whether the writer is still there.
+fn answer(
+    mut response: Response,
+    latency_us: u64,
     opts: &ServeOptions,
-    admitted_at: Instant,
     stats: &Mutex<ServeStats>,
     out_tx: &Sender<(u64, String)>,
-) {
-    let latency_us = admitted_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    let mut members: Vec<(String, Json)> = vec![
-        ("schema_version".to_string(), Json::uint(RESPONSE_SCHEMA_VERSION)),
-        ("kind".to_string(), Json::Str(RESPONSE_KIND.to_string())),
-        ("seq".to_string(), Json::uint(seq)),
-    ];
-    if let Some(id) = id {
-        members.push(("id".to_string(), Json::Str(id)));
-    }
-    members.push(("status".to_string(), Json::Str(status.to_string())));
-    members.push(("error".to_string(), Json::Str(error.to_string())));
-    if opts.timing {
-        members.push(("latency_us".to_string(), Json::uint(latency_us)));
-    }
-    let mut guard = stats.lock().expect("serve stats lock poisoned");
-    match status {
-        "shed" => guard.shed += 1,
-        _ => guard.invalid += 1,
-    }
-    guard.latencies_us.push(latency_us);
-    drop(guard);
-    let _ = out_tx.send((seq, Json::Obj(members).to_compact_string()));
+) -> bool {
+    stats.lock().expect("serve stats lock poisoned").record(response.status, latency_us);
+    response.latency_us = opts.timing.then_some(latency_us);
+    let line = response.write().expect("a section always writes an object").to_compact_string();
+    out_tx.send((response.seq, line)).is_ok()
+}
+
+/// Microseconds since `start`, saturating.
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// One solved request's payload, extracted from the workspace before any quarantine.
 struct SolveOutput {
     cell: Option<CellOutput>,
-    allocation: Option<(Vec<f64>, Vec<f64>, Vec<f64>)>,
-    counters: fedopt_core::SolveCounters,
+    allocation: Option<ResponseAllocation>,
+    counters: SolveCounters,
 }
 
 /// Handles one admitted request on its worker thread: fault injection, warm-cache
 /// bookkeeping, the (panic-isolated) solve, staleness refresh, and response assembly.
-/// Returns the response line, the outcome counter to bump, and the service latency.
+/// Returns the response and the service latency.
 fn handle_job(
     job: &Job,
     state: &mut WorkerState,
@@ -643,7 +701,7 @@ fn handle_job(
     eof: &AtomicBool,
     flood_engaged: &AtomicBool,
     stats: &Mutex<ServeStats>,
-) -> (String, Outcome, u64) {
+) -> (Response, u64) {
     let picked_up = Instant::now();
     let req = &job.req;
     let deadline_ms = req.deadline_ms.or(opts.deadline_ms);
@@ -695,7 +753,7 @@ fn handle_job(
     let config = req.solver.resolve();
     let mut quarantine = false;
     let mut drift_reset = false;
-    type SolveAttempt = Result<SolveOutput, (CoreError, fedopt_core::SolveCounters)>;
+    type SolveAttempt = Result<SolveOutput, (CoreError, SolveCounters)>;
     let solved: Result<SolveAttempt, String> =
         panic::catch_unwind(AssertUnwindSafe(|| -> SolveAttempt {
             if poison {
@@ -731,13 +789,32 @@ fn handle_job(
         }))
         .map_err(|payload| panic_message(payload.as_ref()));
 
-    let (status, outcome, extras) = match solved {
+    // Every response a worker writes carries its warm label and the solver work it cost.
+    let handled = |status, counters| Response {
+        warm: Some(label),
+        counters: Some(ReportedCounters(counters)),
+        ..Response::new(job.seq, req.id.clone(), status)
+    };
+    let degraded =
+        |reason, counters| Response { reason: Some(reason), ..handled(Status::Degraded, counters) };
+    let response = match solved {
         Ok(Ok(output)) => {
             if drift_reset {
                 quarantine = true;
             }
             match output.cell {
-                Some(cell) => ("ok", Outcome::Ok, ResponseExtras::Solved { cell, output }),
+                Some(cell) => Response {
+                    energy_j: Some(cell.energy_j),
+                    time_s: Some(cell.time_s),
+                    objective: match &req.arm.kind {
+                        ArmKind::Proposed { weights } => {
+                            Some(weights.energy() * cell.energy_j + weights.time() * cell.time_s)
+                        }
+                        _ => None,
+                    },
+                    allocation: output.allocation,
+                    ..handled(Status::Ok, output.counters)
+                },
                 None => {
                     // The arm reported "no feasible answer". A non-finite-objective
                     // degradation leaves its mark in `degraded_solves`; that is
@@ -754,7 +831,7 @@ fn handle_job(
                     } else {
                         "infeasible request: the arm cannot meet the deadline".to_string()
                     };
-                    ("degraded", Outcome::Degraded, ResponseExtras::Degraded { reason, output })
+                    degraded(reason, output.counters)
                 }
             }
         }
@@ -765,29 +842,14 @@ fn handle_job(
                 }
                 other => other.to_string(),
             };
-            (
-                "degraded",
-                Outcome::Degraded,
-                ResponseExtras::Degraded {
-                    reason,
-                    output: SolveOutput { cell: None, allocation: None, counters: delta },
-                },
-            )
+            degraded(reason, delta)
         }
         Err(panic_msg) => {
             quarantine = true;
             // A panic may have fired mid-solve; no per-request delta is attributable.
-            let unknown = fedopt_core::SolveCounters::default();
-            (
-                "degraded",
-                Outcome::Degraded,
-                ResponseExtras::Degraded {
-                    reason: format!(
-                        "worker panicked ({panic_msg}); workspace quarantined and respawned"
-                    ),
-                    output: SolveOutput { cell: None, allocation: None, counters: unknown },
-                },
-            )
+            let reason =
+                format!("worker panicked ({panic_msg}); workspace quarantined and respawned");
+            degraded(reason, SolveCounters::default())
         }
     };
 
@@ -812,75 +874,7 @@ fn handle_job(
         }
     }
 
-    let latency_us = picked_up.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    let line = render_response(job, status, label, extras, opts, latency_us, req);
-    (line, outcome, latency_us)
-}
-
-/// Per-status response payload handed to [`render_response`].
-enum ResponseExtras {
-    Solved { cell: CellOutput, output: SolveOutput },
-    Degraded { reason: String, output: SolveOutput },
-}
-
-fn render_response(
-    job: &Job,
-    status: &str,
-    label: WarmLabel,
-    extras: ResponseExtras,
-    opts: &ServeOptions,
-    latency_us: u64,
-    req: &RequestSpec,
-) -> String {
-    let mut members: Vec<(String, Json)> = vec![
-        ("schema_version".to_string(), Json::uint(RESPONSE_SCHEMA_VERSION)),
-        ("kind".to_string(), Json::Str(RESPONSE_KIND.to_string())),
-        ("seq".to_string(), Json::uint(job.seq)),
-    ];
-    if let Some(id) = &req.id {
-        members.push(("id".to_string(), Json::Str(id.clone())));
-    }
-    members.push(("status".to_string(), Json::Str(status.to_string())));
-    match extras {
-        ResponseExtras::Solved { cell, output } => {
-            members.push(("energy_j".to_string(), Json::Num(cell.energy_j)));
-            members.push(("time_s".to_string(), Json::Num(cell.time_s)));
-            if let ArmKind::Proposed { weights } = &req.arm.kind {
-                let objective = weights.energy() * cell.energy_j + weights.time() * cell.time_s;
-                members.push(("objective".to_string(), Json::Num(objective)));
-            }
-            if let Some((powers, freqs, bands)) = output.allocation {
-                members.push((
-                    "allocation".to_string(),
-                    Json::Obj(vec![
-                        (
-                            "powers_w".to_string(),
-                            Json::Arr(powers.into_iter().map(Json::Num).collect()),
-                        ),
-                        (
-                            "frequencies_hz".to_string(),
-                            Json::Arr(freqs.into_iter().map(Json::Num).collect()),
-                        ),
-                        (
-                            "bandwidths_hz".to_string(),
-                            Json::Arr(bands.into_iter().map(Json::Num).collect()),
-                        ),
-                    ]),
-                ));
-            }
-            members.push(("warm".to_string(), Json::Str(label.as_str().to_string())));
-            members.push(("counters".to_string(), solver_counters_json(&output.counters, false)));
-        }
-        ResponseExtras::Degraded { reason, output } => {
-            members.push(("reason".to_string(), Json::Str(reason)));
-            members.push(("warm".to_string(), Json::Str(label.as_str().to_string())));
-            members.push(("counters".to_string(), solver_counters_json(&output.counters, false)));
-        }
-    }
-    if opts.timing {
-        members.push(("latency_us".to_string(), Json::uint(latency_us)));
-    }
-    Json::Obj(members).to_compact_string()
+    (response, micros_since(picked_up))
 }
 
 /// Evaluates one request against a workspace: compiles the arm, builds the scenario,
@@ -894,14 +888,13 @@ fn evaluate_request(
     continue_warm: bool,
     ws: &mut SolverWorkspace,
     budget: Option<Instant>,
-) -> Result<SolveOutput, (CoreError, fedopt_core::SolveCounters)> {
+) -> Result<SolveOutput, (CoreError, SolveCounters)> {
     let config = req.solver.resolve();
     let arm = SpecArm::new(req.arm.clone(), config);
     let template = req.scenario.apply(ScenarioBuilder::paper_default());
     let builder = arm.prepare(&template);
-    let scenario = builder
-        .build(req.seed)
-        .map_err(|e| (CoreError::Model(e), fedopt_core::SolveCounters::default()))?;
+    let scenario =
+        builder.build(req.seed).map_err(|e| (CoreError::Model(e), SolveCounters::default()))?;
     let before = ws.counters;
     ws.solve_deadline = budget;
     let mut ctx = CellContext {
@@ -922,11 +915,13 @@ fn evaluate_request(
     let cell = result.map_err(|e| (e, counters))?;
     // `ws.best` holds the returned solution only for the summary-solving schemes.
     let allocation = match (&req.arm.kind, cell) {
-        (ArmKind::Proposed { .. } | ArmKind::DeadlineProposed { .. }, Some(_)) => Some((
-            ws.best.powers_w.clone(),
-            ws.best.frequencies_hz.clone(),
-            ws.best.bandwidths_hz.clone(),
-        )),
+        (ArmKind::Proposed { .. } | ArmKind::DeadlineProposed { .. }, Some(_)) => {
+            Some(ResponseAllocation {
+                powers_w: ws.best.powers_w.clone(),
+                frequencies_hz: ws.best.frequencies_hz.clone(),
+                bandwidths_hz: ws.best.bandwidths_hz.clone(),
+            })
+        }
         _ => None,
     };
     Ok(SolveOutput { cell, allocation, counters })
@@ -1045,6 +1040,29 @@ mod tests {
         ServeOptions { workers: 1, warm_start: Some(true), ..ServeOptions::default() }
     }
 
+    /// Pins a session test's response stream as its block, under `# <test>`, of
+    /// `tests/golden/serve_sessions.txt`.
+    fn check_pinned(test: &str, stream: &str) {
+        static GOLDEN: Mutex<()> = Mutex::new(());
+        let _one_at_a_time = GOLDEN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/serve_sessions.txt");
+        let mut blocks: Vec<(String, String)> = Vec::new();
+        for line in std::fs::read_to_string(path).unwrap_or_default().lines() {
+            match line.strip_prefix("# ") {
+                Some(name) => blocks.push((name.to_string(), String::new())),
+                None => blocks.last_mut().expect("a block header first").1 += &format!("{line}\n"),
+            }
+        }
+        match blocks.iter_mut().find(|(name, _)| name == test) {
+            Some((_, block)) => *block = stream.to_string(),
+            None => blocks.push((test.to_string(), stream.to_string())),
+        }
+        let pinned: String =
+            blocks.iter().map(|(name, block)| format!("# {name}\n{block}")).collect();
+        crate::check_golden("serve_sessions.txt", &pinned);
+    }
+
     #[test]
     fn request_parsing_is_strict_and_round_trips() {
         let req = RequestSpec::from_json_str(&small_request("r-1", 7)).unwrap();
@@ -1101,6 +1119,7 @@ mod tests {
             small_request("b", 3),
         );
         let (lines, text, stats) = run_session(&input, &one_worker());
+        check_pinned("a_session_answers_every_request_in_order_and_byte_stably", &text);
         assert_eq!(lines.len(), 4, "blank lines get no response, everything else does");
         let statuses: Vec<&str> = lines.iter().map(status_of).collect();
         assert_eq!(statuses, ["ok", "ok", "invalid", "ok"]);
@@ -1131,6 +1150,11 @@ mod tests {
         // Identical request stream → byte-identical response stream.
         let (_, replay, _) = run_session(&input, &one_worker());
         assert_eq!(text, replay);
+        // The response rows read back what they write.
+        for (line, v) in text.lines().zip(&lines) {
+            let response = Response::read(v, &"response").unwrap();
+            assert_eq!(response.write().unwrap().to_compact_string(), line);
+        }
     }
 
     #[test]
@@ -1144,7 +1168,8 @@ mod tests {
         };
         let one = small_request("f", 0);
         let input = format!("{one}\n{one}\n{one}\n{one}\n");
-        let (lines, _, stats) = run_session(&input, &opts);
+        let (lines, text, stats) = run_session(&input, &opts);
+        check_pinned("a_flooded_worker_sheds_deterministically", &text);
         let statuses: Vec<&str> = lines.iter().map(status_of).collect();
         // Request 0 wedges the worker until EOF, request 1 fills the depth-1 queue,
         // requests 2 and 3 are shed; at EOF the wedge releases and 0 and 1 solve.
@@ -1199,7 +1224,8 @@ mod tests {
                  \"solver\":{{\"preset\":\"fast\"}},\"deadline_s\":{deadline_s}}}\n"
             )
         };
-        let (lines, _, stats) = run_session(&(request(5) + &request(150)), &one_worker());
+        let (lines, text, stats) = run_session(&(request(5) + &request(150)), &one_worker());
+        check_pinned("a_baseline_that_misses_its_deadline_answers_degraded", &text);
         assert_eq!(status_of(&lines[0]), "degraded");
         let reason = lines[0].get("reason").and_then(Json::as_str).unwrap();
         assert!(reason.contains("cannot meet the deadline"), "{reason}");

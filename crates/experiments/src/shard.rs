@@ -24,12 +24,16 @@
 //! [`crate::json`] codec (never serde): the shard spec piped to a worker's stdin, and one
 //! [`ShardResult`] document that is both what the worker streams back on stdout
 //! (`fedopt run --spec - --shard-json`) and, byte for byte, the cache entry under
-//! `--cache-dir`. The document is identified by its [`cache_key`] alone — the FNV-1a 64
-//! hash of a canonical preimage (format version, results revision, schema version, solver
-//! preset, and the shard spec JSON normalized to drop result-invariant fields like `id`,
-//! `description`, `reports` and engine scheduling knobs), so a renamed sweep reuses its
-//! cache and a binary whose solves give other bits does not. Its
-//! whole-document `checksum` is verified on every read, so a truncated or corrupted
+//! `--cache-dir`. Its members are declared once, as the `section!` rows of
+//! [`ShardDocument`] (the row machinery of [`crate::spec`]), which alone decide what is
+//! written, in which order, and what a reader accepts: one [`SampleCell`] per sample and
+//! the [`SweepCounters`] rows, every solver counter included, for the counters. The
+//! document is identified by its [`cache_key`] alone — the FNV-1a 64 hash of a canonical
+//! preimage (format version, results revision, schema version, solver preset, and the
+//! shard spec JSON normalized to drop result-invariant fields like `id`, `description`,
+//! `reports` and engine scheduling knobs), so a renamed sweep reuses its cache and a
+//! binary whose solves give other bits does not. Its whole-document `checksum` is
+//! verified over the raw members before any of them is read, so a truncated or corrupted
 //! document is a typed error on the pipe and a miss (recompute) on disk, never silently
 //! trusted.
 //!
@@ -48,11 +52,13 @@ use crate::engine::{
     SweepResult,
 };
 use crate::json::{fnv1a_64, Json};
-use crate::spec::{EngineSpec, ExperimentSpec, Obj, SeedPolicy, SpecError};
+use crate::spec::{
+    check_at, ensure, section, EngineSpec, ExperimentSpec, Field, Obj, SeedPolicy, SpecError,
+};
 use fedopt_core::SolveCounters;
 use std::collections::VecDeque;
 use std::convert::Infallible;
-use std::fmt;
+use std::fmt::{self, Display};
 use std::io::Write as _;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -342,10 +348,9 @@ const SOLVER_COUNTERS: [(&str, CounterField, Emit); 8] = [
     ("degraded_solves", |c| &mut c.degraded_solves, Emit::Nonzero),
 ];
 
-/// Solver work counters as JSON. The shard document (`shard_document`) carries every
-/// row of the table; the `counters.solver` member of `fedopt run --json` and a serve
-/// response's `counters` (the *delta* its request contributed) write each row by its
-/// [`Emit`] rule.
+/// Solver work counters as JSON. The shard document carries every row of the table; the
+/// `counters.solver` member of `fedopt run --json` and a serve response's `counters`
+/// (the *delta* its request contributed) write each row by its [`Emit`] rule.
 pub(crate) fn solver_counters_json(c: &SolveCounters, shard_document: bool) -> Json {
     let mut c = *c;
     Json::Obj(
@@ -363,6 +368,115 @@ pub(crate) fn solver_counters_json(c: &SolveCounters, shard_document: bool) -> J
             })
             .collect(),
     )
+}
+
+/// Reads the rows of the counter table; an absent row reads as `absent`, or is missing.
+fn read_solver_counters(
+    v: &Json,
+    path: &dyn Display,
+    absent: Option<u64>,
+) -> Result<SolveCounters, SpecError> {
+    let obj = Obj::new(v, path, &SOLVER_COUNTERS.map(|(name, _, _)| name))?;
+    let mut counters = SolveCounters::default();
+    for (name, counter, _) in SOLVER_COUNTERS {
+        *counter(&mut counters) = obj.field(name, absent)?;
+    }
+    Ok(counters)
+}
+
+/// Every solver counter, as the shard document carries them.
+impl Field for SolveCounters {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        read_solver_counters(v, path, None)
+    }
+
+    fn write(&self) -> Option<Json> {
+        Some(solver_counters_json(self, true))
+    }
+}
+
+/// Solver counters outside the shard document (a serve response's `counters`): each row
+/// is written by its emit rule (always, only when nonzero, or never), and a row left out
+/// reads back as zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReportedCounters(pub SolveCounters);
+
+impl Field for ReportedCounters {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        read_solver_counters(v, path, Some(0)).map(Self)
+    }
+
+    fn write(&self) -> Option<Json> {
+        Some(solver_counters_json(&self.0, false))
+    }
+}
+
+/// One sample of the shard document: `null` for an infeasible draw, else
+/// `[energy, time]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampleCell(pub Option<CellOutput>);
+
+impl Field for SampleCell {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        match v {
+            Json::Null => Ok(Self(None)),
+            pair => <(f64, f64)>::read(pair, path).map(|(e, t)| Self(Some(CellOutput::new(e, t)))),
+        }
+    }
+
+    fn write(&self) -> Option<Json> {
+        self.0.map_or(Some(Json::Null), |c| (c.energy_j, c.time_s).write())
+    }
+}
+
+section! {
+    /// The shard document, member by member: the worker's stdout line and, byte for byte,
+    /// the cache entry. [`ShardResult::to_json`] writes it and [`ShardResult::from_json`]
+    /// reads it.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ShardDocument {
+        /// [`SHARD_FORMAT_VERSION`].
+        schema_version: u64, check format_version;
+        /// `"fedopt_shard_result"`.
+        kind: String, check result_kind;
+        /// [`cache_key`] of the shard spec, as computed by the process that ran it.
+        key: String;
+        /// The x value of every sweep point, in grid order.
+        xs: Vec<f64>;
+        /// The arm (column) names, in grid order.
+        arm_names: Vec<String>;
+        /// Number of seeds per (point, arm).
+        seeds: usize;
+        /// `samples[point][arm][seed]`, exactly `points × arms × seeds`.
+        samples: Vec<Vec<Vec<SampleCell>>>;
+        /// The shard's work counters, every solver counter included.
+        counters: SweepCounters;
+        /// The FNV-1a 64 hash of the compact serialization of every other member; unset
+        /// while it is computed.
+        checksum: Option<String>;
+    }
+    cross samples_fill_the_grid;
+}
+
+fn format_version(version: &u64) -> Result<(), String> {
+    let message = format_args!("expected format {SHARD_FORMAT_VERSION}, got {version}");
+    ensure(*version == SHARD_FORMAT_VERSION, message)
+}
+
+fn result_kind(kind: &str) -> Result<(), String> {
+    ensure(kind == RESULT_KIND, format_args!("expected {RESULT_KIND:?}, got {kind:?}"))
+}
+
+fn samples_fill_the_grid(doc: &ShardDocument, path: &dyn Display) -> Result<(), SpecError> {
+    let (points, arms, seeds) = (doc.xs.len(), doc.arm_names.len(), doc.seeds);
+    let fills = doc.samples.len() == points
+        && doc
+            .samples
+            .iter()
+            .all(|row| row.len() == arms && row.iter().all(|cell| cell.len() == seeds));
+    let message =
+        format_args!("expected {points} × {arms} × {seeds} samples, each null or [energy, time]");
+    check_at(path, "samples", ensure(fills, message))
 }
 
 /// The raw output of one shard: the [`CellMatrix`] of the shard spec — every cell sample
@@ -384,7 +498,7 @@ impl ShardResult {
         Self { key: cache_key(spec), cells }
     }
 
-    /// Serializes to the deterministic shard document: the worker's stdout format and,
+    /// Serializes to the deterministic [`ShardDocument`]: the worker's stdout format and,
     /// byte for byte, the cache entry format.
     ///
     /// The final `checksum` member is the FNV-1a 64 hash of the compact serialization of
@@ -393,56 +507,23 @@ impl ShardResult {
     /// different valid number — is a typed codec error, never a silently-wrong merge.
     pub fn to_json(&self) -> Json {
         let cells = &self.cells;
-        let samples = Json::Arr(
-            (0..cells.xs.len())
-                .map(|p| {
-                    Json::Arr(
-                        (0..cells.arm_names.len())
-                            .map(|a| {
-                                Json::Arr(
-                                    cells
-                                        .cell_slice(p, a)
-                                        .iter()
-                                        .map(|cell| match cell {
-                                            None => Json::Null,
-                                            Some(c) => Json::Arr(vec![
-                                                Json::Num(c.energy_j),
-                                                Json::Num(c.time_s),
-                                            ]),
-                                        })
-                                        .collect(),
-                                )
-                            })
-                            .collect(),
-                    )
-                })
-                .collect(),
-        );
-        let mut doc = Json::obj([
-            ("schema_version", Json::uint(SHARD_FORMAT_VERSION)),
-            ("kind", Json::Str(RESULT_KIND.to_string())),
-            ("key", Json::Str(self.key.clone())),
-            ("xs", Json::Arr(cells.xs.iter().map(|&x| Json::Num(x)).collect())),
-            (
-                "arm_names",
-                Json::Arr(cells.arm_names.iter().map(|n| Json::Str(n.clone())).collect()),
-            ),
-            ("seeds", Json::uint(cells.n_seeds as u64)),
-            ("samples", samples),
-            (
-                "counters",
-                Json::obj([
-                    ("scenarios_built", Json::uint(cells.counters.scenarios_built as u64)),
-                    ("cells_evaluated", Json::uint(cells.counters.cells_evaluated as u64)),
-                    ("solver", solver_counters_json(&cells.counters.solver, true)),
-                ]),
-            ),
-        ]);
-        let checksum = hash_hex(&doc);
-        if let Json::Obj(members) = &mut doc {
-            members.push(("checksum".to_string(), Json::Str(checksum)));
-        }
-        doc
+        let samples = (0..cells.xs.len()).map(|p| {
+            let cell = |a| cells.cell_slice(p, a).iter().copied().map(SampleCell).collect();
+            (0..cells.arm_names.len()).map(cell).collect()
+        });
+        let mut doc = ShardDocument {
+            schema_version: SHARD_FORMAT_VERSION,
+            kind: RESULT_KIND.to_string(),
+            key: self.key.clone(),
+            xs: cells.xs.clone(),
+            arm_names: cells.arm_names.clone(),
+            seeds: cells.n_seeds,
+            samples: samples.collect(),
+            counters: cells.counters,
+            checksum: None,
+        };
+        doc.checksum = doc.write().as_ref().map(hash_hex);
+        doc.write().expect("a section always writes an object")
     }
 
     /// Serializes to the compact single-line document string.
@@ -466,33 +547,11 @@ impl ShardResult {
     }
 
     fn read(doc: &Json) -> Result<Self, SpecError> {
-        let obj = Obj::any(doc, &"shard")?;
-        let version: u64 = obj.field("schema_version", None)?;
-        let kind: String = obj.field("kind", None)?;
-        if (version, kind.as_str()) != (SHARD_FORMAT_VERSION, RESULT_KIND) {
-            return Err(SpecError::invalid(
-                "shard",
-                format!(
-                    "expected a {RESULT_KIND:?} document of format {SHARD_FORMAT_VERSION}, \
-                     got {kind:?} of format {version}"
-                ),
-            ));
-        }
-        obj.check_keys(&[
-            "schema_version",
-            "kind",
-            "key",
-            "xs",
-            "arm_names",
-            "seeds",
-            "samples",
-            "counters",
-            "checksum",
-        ])?;
         // Whole-document integrity check before trusting any value: hash the canonical
         // re-emission of everything but the checksum member. Our own compact output
         // re-emits byte-identically, so a corrupted byte either breaks the parse, changes
         // a value (hash mismatch), or was semantically inert — all three are safe.
+        let obj = Obj::any(doc, &"shard")?;
         let members = doc.as_object().unwrap_or_default().iter().filter(|(k, _)| k != "checksum");
         let actual = hash_hex(&Json::Obj(members.cloned().collect()));
         if actual != obj.field::<String>("checksum", None)? {
@@ -501,59 +560,10 @@ impl ShardResult {
                 format!("the other members hash to {actual}: the document was corrupted"),
             ));
         }
-
-        let xs: Vec<f64> = obj.field("xs", None)?;
-        let arm_names: Vec<String> = obj.field("arm_names", None)?;
-        let n_seeds: usize = obj.field("seeds", None)?;
-        let shape = || {
-            SpecError::invalid(
-                obj.path_of("samples"),
-                format!(
-                    "expected {} × {} × {n_seeds} samples, each null or [energy, time]",
-                    xs.len(),
-                    arm_names.len()
-                ),
-            )
-        };
-        let rows = obj.req("samples")?.as_array().filter(|rows| rows.len() == xs.len());
-        let mut samples = Vec::new();
-        for row in rows.ok_or_else(shape)? {
-            let arms = row.as_array().filter(|arms| arms.len() == arm_names.len());
-            for cell in arms.ok_or_else(shape)? {
-                let seeds = cell.as_array().filter(|seeds| seeds.len() == n_seeds);
-                for sample in seeds.ok_or_else(shape)? {
-                    samples.push(match sample {
-                        Json::Null => None,
-                        Json::Arr(pair) if pair.len() == 2 => Some(CellOutput::new(
-                            pair[0].as_f64().ok_or_else(shape)?,
-                            pair[1].as_f64().ok_or_else(shape)?,
-                        )),
-                        _ => return Err(shape()),
-                    });
-                }
-            }
-        }
-
-        let counters_path = obj.path_of("counters");
-        let counters = Obj::new(
-            obj.req("counters")?,
-            &counters_path,
-            &["scenarios_built", "cells_evaluated", "solver"],
-        )?;
-        let solver_path = counters.path_of("solver");
-        let solver_names = SOLVER_COUNTERS.map(|(name, _, _)| name);
-        let solver_obj = Obj::new(counters.req("solver")?, &solver_path, &solver_names)?;
-        let mut solver = SolveCounters::default();
-        for (name, counter, _) in SOLVER_COUNTERS {
-            *counter(&mut solver) = solver_obj.field(name, None)?;
-        }
-        let counters = SweepCounters {
-            scenarios_built: counters.field("scenarios_built", None)?,
-            cells_evaluated: counters.field("cells_evaluated", None)?,
-            solver,
-        };
-        let key = obj.field("key", None)?;
-        Ok(Self { key, cells: CellMatrix { xs, arm_names, n_seeds, samples, counters } })
+        let doc = ShardDocument::read(doc, &"shard")?;
+        let samples = doc.samples.into_iter().flatten().flatten().map(|cell| cell.0).collect();
+        let (xs, arm_names, n_seeds, counters) = (doc.xs, doc.arm_names, doc.seeds, doc.counters);
+        Ok(Self { key: doc.key, cells: CellMatrix { xs, arm_names, n_seeds, samples, counters } })
     }
 
     /// [`ShardResult::from_json`] from text.
@@ -1368,9 +1378,14 @@ mod tests {
 
     #[test]
     fn shard_result_round_trips_through_the_wire_format() {
+        // Seeds 2..4 of fig 2 quick on the cold single-thread path under a fixed key, so
+        // the pinned document holds under every warm-start and thread setting.
         let spec = split(&tiny_spec(), 3).unwrap().remove(1);
-        let result = run_shard_in_process(&spec).unwrap();
+        let engine = crate::SweepEngine::single_thread().with_warm_start(false);
+        let cells = engine.run_cells(&spec.grid().unwrap()).unwrap();
+        let result = ShardResult { key: "0123456789abcdef".to_string(), cells };
         let text = result.to_json_string();
+        crate::check_golden("shard_fig2_quick_seeds2.json", &text);
         let back = ShardResult::from_json_str(&text).unwrap();
         assert_eq!(back, result);
         // And the document is byte-stable.
@@ -1393,6 +1408,14 @@ mod tests {
         }
         assert!(ShardResult::from_json_str("not json").is_err());
         assert!(ShardResult::from_json_str("{}").is_err());
+        // A checksum that holds does not let a tensor of the wrong shape through.
+        let mut members = Json::parse(&good).unwrap().as_object().unwrap().to_vec();
+        members.retain(|(k, _)| k != "checksum");
+        members.iter_mut().find(|(k, _)| k == "seeds").unwrap().1 = Json::uint(2);
+        let checksum = hash_hex(&Json::Obj(members.clone()));
+        members.push(("checksum".to_string(), Json::Str(checksum)));
+        let err = ShardResult::from_json(&Json::Obj(members)).unwrap_err();
+        assert!(matches!(&err, ShardError::Codec(m) if m.starts_with("shard.samples:")), "{err}");
     }
 
     #[test]

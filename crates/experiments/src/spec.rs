@@ -274,24 +274,29 @@ impl<T: Field> Field for Vec<T> {
 /// an unknown name fails as `unknown <what> "…"`.
 macro_rules! name_field {
     ($ty:ty, $what:literal) => {
-        impl Field for $ty {
-            fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        impl $crate::spec::Field for $ty {
+            fn read(
+                v: &$crate::json::Json,
+                path: &dyn ::std::fmt::Display,
+            ) -> Result<Self, $crate::spec::SpecError> {
+                use $crate::spec::SpecError;
                 let name =
                     v.as_str().ok_or_else(|| SpecError::invalid(path, "expected a string"))?;
                 Self::from_name(name)
                     .ok_or_else(|| SpecError::invalid(path, format!("unknown {} {name:?}", $what)))
             }
 
-            fn write(&self) -> Option<Json> {
-                Some(Json::Str(self.name().to_string()))
+            fn write(&self) -> Option<$crate::json::Json> {
+                Some($crate::json::Json::Str(self.name().to_string()))
             }
         }
     };
 }
+pub(crate) use name_field;
 
 name_field!(StreamDerivation, "stream derivation");
 
-/// Names each value of a wire enum once, for both its `name()` and parsing.
+/// Names each value of a fieldless wire enum once, for both its `name()` and parsing.
 macro_rules! wire_names {
     ($vis:vis $ty:ident, $what:literal { $($variant:ident => $name:literal,)* }) => {
         impl $ty {
@@ -311,9 +316,10 @@ macro_rules! wire_names {
             }
         }
 
-        name_field!($ty, $what);
+        $crate::spec::name_field!($ty, $what);
     };
 }
+pub(crate) use wire_names;
 
 /// An object of the members that are set, in the given order.
 pub(crate) fn object<'k>(members: impl IntoIterator<Item = (&'k str, Option<Json>)>) -> Json {
@@ -333,9 +339,7 @@ pub(crate) fn object<'k>(members: impl IntoIterator<Item = (&'k str, Option<Json
 /// the row's check, whose message is reported at `<path>.<key>`; the `cross` rule runs
 /// last. [`Field::validate`] walks the same rules over a value built in code. With
 /// `apply Target;` the section also gets `apply(&self, Target) -> Target`, which hands
-/// every set `Option` row to its `g(target, value)` in row order. The expansion names
-/// `Field`, `Obj`, `Json`, `SpecError`, `Display`, `object`, `check_at` and `apply_row`
-/// unqualified, so a module declaring sections imports them.
+/// every set `Option` row to its `g(target, value)` in row order.
 macro_rules! section {
     (@default) => { None };
     (@default $default:expr) => { Some($default) };
@@ -348,7 +352,7 @@ macro_rules! section {
         impl $name {
             /// Applies the set keys to `target` in row order; unset keys leave it unchanged.
             pub fn apply(&self, target: $target) -> $target {
-                $($(let target = apply_row(target, self.$key, $apply);)?)*
+                $($(let target = $crate::spec::apply_row(target, self.$key, $apply);)?)*
                 target
             }
         }
@@ -359,8 +363,8 @@ macro_rules! section {
         apply $target:ty;
         $(cross $cross:ident;)?
     ) => {
-        section! { $(#[$meta])* pub struct $name { $($rows)* } $(cross $cross;)? }
-        section!(@apply $name, $target, { $($rows)* });
+        $crate::spec::section! { $(#[$meta])* pub struct $name { $($rows)* } $(cross $cross;)? }
+        $crate::spec::section!(@apply $name, $target, { $($rows)* });
     };
     (
         $(#[$meta:meta])*
@@ -382,14 +386,17 @@ macro_rules! section {
             const KEYS: &'static [&'static str] = &[$(stringify!($key)),*];
         }
 
-        impl Field for $name {
-            fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
-                let obj = Obj::new(v, path, Self::KEYS)?;
+        impl $crate::spec::Field for $name {
+            fn read(
+                v: &$crate::json::Json,
+                path: &dyn ::std::fmt::Display,
+            ) -> Result<Self, $crate::spec::SpecError> {
+                let obj = $crate::spec::Obj::new(v, path, Self::KEYS)?;
                 let section = Self {
                     $($key: {
-                        let value: $ty =
-                            obj.field(stringify!($key), section!(@default $($default)?))?;
-                        $(check_at(path, stringify!($key), $check(&value))?;)?
+                        let default = $crate::spec::section!(@default $($default)?);
+                        let value: $ty = obj.field(stringify!($key), default)?;
+                        $($crate::spec::check_at(path, stringify!($key), $check(&value))?;)?
                         value
                     },)*
                 };
@@ -397,14 +404,22 @@ macro_rules! section {
                 Ok(section)
             }
 
-            fn write(&self) -> Option<Json> {
-                Some(object([$((stringify!($key), Field::write(&self.$key))),*]))
+            fn write(&self) -> Option<$crate::json::Json> {
+                Some($crate::spec::object([
+                    $((stringify!($key), $crate::spec::Field::write(&self.$key))),*
+                ]))
             }
 
-            fn validate(&self, path: &dyn Display) -> Result<(), SpecError> {
+            fn validate(
+                &self,
+                path: &dyn ::std::fmt::Display,
+            ) -> Result<(), $crate::spec::SpecError> {
                 $(
-                    Field::validate(&self.$key, &format_args!("{path}.{}", stringify!($key)))?;
-                    $(check_at(path, stringify!($key), $check(&self.$key))?;)?
+                    $crate::spec::Field::validate(
+                        &self.$key,
+                        &format_args!("{path}.{}", stringify!($key)),
+                    )?;
+                    $($crate::spec::check_at(path, stringify!($key), $check(&self.$key))?;)?
                 )*
                 $($cross(self, path)?;)?
                 Ok(())
@@ -415,7 +430,7 @@ macro_rules! section {
 pub(crate) use section;
 
 /// One `apply` row: `apply(target, value)` when the row is set.
-fn apply_row<T, V>(target: T, value: Option<V>, apply: fn(T, V) -> T) -> T {
+pub(crate) fn apply_row<T, V>(target: T, value: Option<V>, apply: fn(T, V) -> T) -> T {
     match value {
         Some(value) => apply(target, value),
         None => target,
@@ -789,13 +804,14 @@ impl ArmKind {
 
     const fn name(&self) -> &'static str {
         match self {
-            Self::Proposed { .. } => "proposed",
-            Self::DeadlineProposed { .. } => "deadline_proposed",
-            Self::Benchmark { .. } => "benchmark",
-            Self::CommOnly => "comm_only",
-            Self::CompOnly => "comp_only",
-            Self::Scheme1 { .. } => "scheme1",
+            Self::Proposed { .. } => ArmTag::Proposed,
+            Self::DeadlineProposed { .. } => ArmTag::DeadlineProposed,
+            Self::Benchmark { .. } => ArmTag::Benchmark,
+            Self::CommOnly => ArmTag::CommOnly,
+            Self::CompOnly => ArmTag::CompOnly,
+            Self::Scheme1 { .. } => ArmTag::Scheme1,
         }
+        .name()
     }
 
     /// The scheme's column label when the arm sets no [`ArmSpec::label`].
@@ -815,6 +831,26 @@ impl ArmKind {
         }
     }
 }
+
+/// The schemes of [`ArmKind`] by wire name, each spelled once.
+#[derive(Clone, Copy)]
+enum ArmTag {
+    Proposed,
+    DeadlineProposed,
+    Benchmark,
+    CommOnly,
+    CompOnly,
+    Scheme1,
+}
+
+wire_names!(ArmTag, "arm kind" {
+    Proposed => "proposed",
+    DeadlineProposed => "deadline_proposed",
+    Benchmark => "benchmark",
+    CommOnly => "comm_only",
+    CompOnly => "comp_only",
+    Scheme1 => "scheme1",
+});
 
 /// One column of the figure: a scheme, an optional display label, and an optional
 /// per-arm scenario patch (applied after the sweep point's template + axis value).
@@ -854,7 +890,7 @@ impl ArmSpec {
 // Tagged shapes (arms and round policies): the `kind` member picks the payload keys, so
 // the kind is peeked first and the full key check runs per kind.
 
-fn peek_kind(v: &Json, path: &dyn Display) -> Result<String, SpecError> {
+fn peek_kind<Tag: Field>(v: &Json, path: &dyn Display) -> Result<Tag, SpecError> {
     Obj::any(v, path)?.field("kind", None)
 }
 
@@ -880,30 +916,24 @@ fn weight_members(weights: &Weights) -> [(&'static str, Option<Json>); 2] {
 impl Field for ArmSpec {
     fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
         let payload = |keys: &[&str]| tagged(v, path, &["kind", "label", "scenario"], keys);
-        let (kind, obj) = match peek_kind(v, path)?.as_str() {
-            "proposed" => {
+        let (kind, obj) = match peek_kind(v, path)? {
+            ArmTag::Proposed => {
                 let obj = payload(&["w1", "w2"])?;
                 (ArmKind::Proposed { weights: read_weights(&obj)? }, obj)
             }
-            "deadline_proposed" => {
+            ArmTag::DeadlineProposed => {
                 let obj = payload(&["deadline"])?;
                 (ArmKind::DeadlineProposed { deadline: obj.field("deadline", None)? }, obj)
             }
-            "benchmark" => {
+            ArmTag::Benchmark => {
                 let obj = payload(&["draw"])?;
                 (ArmKind::Benchmark { draw: obj.field("draw", None)? }, obj)
             }
-            "comm_only" => (ArmKind::CommOnly, payload(&[])?),
-            "comp_only" => (ArmKind::CompOnly, payload(&[])?),
-            "scheme1" => {
+            ArmTag::CommOnly => (ArmKind::CommOnly, payload(&[])?),
+            ArmTag::CompOnly => (ArmKind::CompOnly, payload(&[])?),
+            ArmTag::Scheme1 => {
                 let obj = payload(&["deadline_s"])?;
                 (ArmKind::Scheme1 { deadline_s: obj.field("deadline_s", None)? }, obj)
-            }
-            other => {
-                return Err(SpecError::invalid(
-                    format!("{path}.kind"),
-                    format!("unknown arm kind {other:?}"),
-                ))
             }
         };
         let arm =
@@ -1321,13 +1351,30 @@ impl RoundPolicy {
     /// The stable wire name of this policy kind.
     pub const fn name(&self) -> &'static str {
         match self {
-            Self::ReSolve { .. } => "re_solve",
-            Self::Static { .. } => "static",
-            Self::FedAecs { .. } => "fedaecs",
-            Self::Elastic { .. } => "elastic",
+            Self::ReSolve { .. } => PolicyTag::ReSolve,
+            Self::Static { .. } => PolicyTag::Static,
+            Self::FedAecs { .. } => PolicyTag::FedAecs,
+            Self::Elastic { .. } => PolicyTag::Elastic,
         }
+        .name()
     }
 }
+
+/// The policies of [`RoundPolicy`] by wire name, each spelled once.
+#[derive(Clone, Copy)]
+enum PolicyTag {
+    ReSolve,
+    Static,
+    FedAecs,
+    Elastic,
+}
+
+wire_names!(PolicyTag, "round policy kind" {
+    ReSolve => "re_solve",
+    Static => "static",
+    FedAecs => "fedaecs",
+    Elastic => "elastic",
+});
 
 /// One column of the round simulation: a policy plus an optional display label.
 #[derive(Debug, Clone, PartialEq)]
@@ -1360,16 +1407,16 @@ impl RoundPolicySpec {
 impl Field for RoundPolicySpec {
     fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
         let payload = |keys: &[&str]| tagged(v, path, &["kind", "label"], keys);
-        let (policy, obj) = match peek_kind(v, path)?.as_str() {
-            "re_solve" => {
+        let (policy, obj) = match peek_kind(v, path)? {
+            PolicyTag::ReSolve => {
                 let obj = payload(&["w1", "w2"])?;
                 (RoundPolicy::ReSolve { weights: read_weights(&obj)? }, obj)
             }
-            "static" => {
+            PolicyTag::Static => {
                 let obj = payload(&["w1", "w2"])?;
                 (RoundPolicy::Static { weights: read_weights(&obj)? }, obj)
             }
-            "fedaecs" => {
+            PolicyTag::FedAecs => {
                 let obj = payload(&["epsilon", "mu", "t_max_s"])?;
                 let policy = RoundPolicy::FedAecs {
                     epsilon: obj.field("epsilon", None)?,
@@ -1378,15 +1425,9 @@ impl Field for RoundPolicySpec {
                 };
                 (policy, obj)
             }
-            "elastic" => {
+            PolicyTag::Elastic => {
                 let obj = payload(&["alpha"])?;
                 (RoundPolicy::Elastic { alpha: obj.field("alpha", None)? }, obj)
-            }
-            other => {
-                return Err(SpecError::invalid(
-                    format!("{path}.kind"),
-                    format!("unknown round policy kind {other:?}"),
-                ))
             }
         };
         let spec = Self { policy, label: obj.field("label", None)? };
@@ -1739,8 +1780,13 @@ impl<'a> Obj<'a> {
         allowed: &[&str],
     ) -> Result<Self, SpecError> {
         let obj = Self::any(v, path)?;
-        obj.check_keys(allowed)?;
-        Ok(obj)
+        match obj.members.iter().find(|(key, _)| !allowed.contains(&key.as_str())) {
+            Some((key, _)) => Err(SpecError::invalid(
+                obj.path_of(key),
+                format!("unknown key (allowed: {})", allowed.join(", ")),
+            )),
+            None => Ok(obj),
+        }
     }
 
     /// An object with no key restrictions (used to peek at a discriminator first).
@@ -1751,28 +1797,12 @@ impl<'a> Obj<'a> {
         }
     }
 
-    pub(crate) fn check_keys(&self, allowed: &[&str]) -> Result<(), SpecError> {
-        for (key, _) in self.members {
-            if !allowed.contains(&key.as_str()) {
-                return Err(SpecError::invalid(
-                    self.path_of(key),
-                    format!("unknown key (allowed: {})", allowed.join(", ")),
-                ));
-            }
-        }
-        Ok(())
-    }
-
     pub(crate) fn path_of(&self, key: &str) -> String {
         format!("{}.{key}", self.path)
     }
 
-    pub(crate) fn get(&self, key: &str) -> Option<&'a Json> {
+    fn get(&self, key: &str) -> Option<&'a Json> {
         self.members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub(crate) fn req(&self, key: &str) -> Result<&'a Json, SpecError> {
-        self.get(key).ok_or_else(|| SpecError::invalid(self.path_of(key), "missing required key"))
     }
 
     /// Reads member `key`. An absent key reads as `default`, then as [`Field::absent`]

@@ -348,8 +348,10 @@ fn fig2_reference(spec: &ExperimentSpec) -> Result<(FigureReport, FigureReport),
         let (e_bench, t_bench) = average_benchmark(&builder)?;
         e_row.push(e_bench);
         t_row.push(t_bench);
-        energy.push_row(p_max, e_row);
-        delay.push_row(p_max, t_row);
+        // Every draw is feasible, so every cell averages the full seed set.
+        let counts = vec![seeds.len(); e_row.len()];
+        energy.push_row_with_counts(p_max, e_row, counts.clone());
+        delay.push_row_with_counts(p_max, t_row, counts);
     }
     Ok((energy, delay))
 }
@@ -367,16 +369,13 @@ fn fig2_quick_output_is_unchanged_from_pre_refactor_helpers() {
 
     assert_eq!(energy_new.columns, energy_ref.columns);
     assert_eq!(delay_new.columns, delay_ref.columns);
-    // The reference used `push_row` (unknown counts) while the engine records counts, so
-    // compare the numerical payload exactly rather than the whole struct.
+    // Compare the numerical payload exactly rather than the whole struct (the titles are
+    // the preset's).
     assert_eq!(energy_new.rows, energy_ref.rows, "energy rows must be bit-identical");
     assert_eq!(delay_new.rows, delay_ref.rows, "delay rows must be bit-identical");
     // And the engine's counts must reflect the full seed set everywhere.
-    for (row_idx, _) in energy_new.rows.iter().enumerate() {
-        for col in 0..energy_new.columns.len() {
-            assert_eq!(energy_new.sample_count(row_idx, col), Some(spec.seeds.len() as usize));
-        }
-    }
+    assert_eq!(energy_new.counts, energy_ref.counts);
+    assert_eq!(delay_new.counts, delay_ref.counts);
 }
 
 /// On a machine with ≥ 4 cores, 4 engine workers must finish the quick figure-2 preset at
