@@ -1,8 +1,6 @@
 //! The `fedopt` command line: one binary for every figure and every spec.
 //!
-//! The eight historical per-figure binaries collapsed into this module — one **tested**
-//! argument parser (the `--seeds/--threads/--paper/--quick` conventions the old bins
-//! shared by copy-paste, now unit-tested in one place) and one dispatcher:
+//! One tested argument parser and one dispatcher, for every verb:
 //!
 //! ```text
 //! fedopt list                                   # the figure presets and what they show
@@ -14,10 +12,12 @@
 //! fedopt spec --preset rounds-quick             # print a sim preset's spec
 //! ```
 //!
-//! `run` prints each report as an aligned table plus CSV (the historical format), or —
-//! with `--json` — one deterministic JSON document (reports + work counters) suitable for
-//! golden-file diffs; the CI `cli-smoke` job pins exactly that. All diagnostics go to
-//! stderr, so stdout is always exactly the payload.
+//! `run` prints each report as an aligned table plus CSV, or — with `--json` — one
+//! [`RunDocument`]: the spec identity, every [`FigureReport`] and the work counters,
+//! declared once as `section!` rows (the row machinery of [`crate::spec`]) and
+//! byte-stable for golden-file diffs (the CI `cli-smoke` job pins it). `--fill-holes`
+//! reads a salvaged document back through the same rows. All diagnostics go to stderr,
+//! so stdout is always exactly the payload.
 //!
 //! ## Fleet mode
 //!
@@ -52,9 +52,8 @@
 //! ([`crate::fault`]) injects deterministic worker faults to chaos-test exactly this
 //! path; only worker mode consults it.
 //!
-//! The binary itself (the facade crate's `src/bin/fedopt.rs`) is a thin wrapper over
-//! [`main_with`], so
-//! every branch here is exercisable from unit tests.
+//! The binary (the facade crate's `src/bin/fedopt.rs`) is a thin wrapper over
+//! [`main_with`], so every branch here is exercisable from unit tests.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::json::Json;
@@ -62,7 +61,8 @@ use crate::presets::{self, Variant};
 use crate::report::FigureReport;
 use crate::serve::{self, ServeOptions};
 use crate::shard::{self, FleetOptions, FleetStats, ShardCache, ShardError, SubprocessRunner};
-use crate::spec::{ExperimentSpec, SpecError, SpecRun};
+use crate::spec::{at_least_one, opt, section, ExperimentSpec, Field, SpecError, SpecRun};
+use crate::{SweepCounters, SweepResult};
 use std::fmt;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
@@ -715,81 +715,119 @@ pub fn render_list() -> String {
     out
 }
 
-/// The deterministic JSON document `fedopt run --json` emits: the spec identity, every
-/// rendered report (see [`FigureReport::to_json`]), and the sweep's work counters.
+section! {
+    /// The document `fedopt run --json` prints, one row per member. Members a run does not
+    /// use are left out, so fault-free output stays byte-identical to a single process's.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunDocument {
+        /// Wire-format version; must equal [`crate::spec::SCHEMA_VERSION`].
+        schema_version: u64, check crate::spec::schema_version;
+        /// The spec's `id`.
+        spec_id: String;
+        /// Every rendered report, in the spec's order.
+        reports: Vec<FigureReport>;
+        /// The sweep's work counters.
+        counters: RunCounters;
+        /// A salvaged run's missing shards, in shard order.
+        shard_holes: Option<Vec<ShardHole>>;
+        /// A salvaged run's split, which `--fill-holes` reproduces.
+        shard_count: Option<usize>, check opt(at_least_one);
+    }
+}
+
+section! {
+    /// The work counters of a run, with the shard cache's traffic when one was configured.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct RunCounters {
+        /// Scenario builds the sweep performed.
+        scenarios_built: usize;
+        /// Cells the sweep evaluated.
+        cells_evaluated: usize;
+        /// Solver iteration totals, each counter by its emit rule.
+        solver: shard::ReportedCounters;
+        /// Shards answered from the cache.
+        shard_cache_hits: Option<u64>;
+        /// Shards the cache could not answer.
+        shard_cache_misses: Option<u64>;
+    }
+}
+
+section! {
+    /// One shard a salvaged run is missing.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ShardHole {
+        /// Shard index (0-based) within the split.
+        shard: usize;
+        /// The shard's seed sub-range.
+        seeds: String;
+        /// How many attempts were made (1 + retries).
+        attempts: usize;
+        /// The last attempt's error.
+        error: String;
+    }
+}
+
+impl RunDocument {
+    /// The document of a finished run. `fleet` adds the cache counters when a cache was
+    /// configured and, for a salvaged run, its holes and split.
+    pub(crate) fn new(spec: &ExperimentSpec, run: &SpecRun, fleet: Option<&FleetStats>) -> Self {
+        let SweepCounters { scenarios_built, cells_evaluated, solver } = run.result.counters;
+        let cache = fleet.filter(|stats| stats.cache_enabled);
+        let salvage = fleet.filter(|stats| !stats.holes.is_empty());
+        let hole = |h: &shard::ShardFailure| ShardHole {
+            shard: h.index,
+            seeds: h.seeds.clone(),
+            attempts: h.attempts,
+            error: h.error.clone(),
+        };
+        Self {
+            schema_version: crate::spec::SCHEMA_VERSION,
+            spec_id: spec.id.clone(),
+            reports: run.reports.clone(),
+            counters: RunCounters {
+                scenarios_built,
+                cells_evaluated,
+                solver: shard::ReportedCounters(solver),
+                shard_cache_hits: cache.map(|stats| stats.shard_cache_hits),
+                shard_cache_misses: cache.map(|stats| stats.shard_cache_misses),
+            },
+            shard_holes: salvage.map(|stats| stats.holes.iter().map(hole).collect()),
+            shard_count: salvage.map(|stats| stats.shards),
+        }
+    }
+
+    /// Reads a run document strictly, through the same rows that write it.
+    ///
+    /// # Errors
+    ///
+    /// The JSON parse error, or `<path>: <message>` naming an unknown, missing or
+    /// mistyped member by its dotted path under `run.`.
+    pub fn from_json_str(text: &str) -> Result<Self, String> {
+        Self::read(&Json::parse(text).map_err(|e| e.to_string())?, &"run")
+            .map_err(SpecError::path_message)
+    }
+
+    /// The document as printed: pretty, byte-stable, with a trailing newline.
+    pub fn to_json_string(&self) -> String {
+        self.write().expect("a section always writes an object").to_pretty_string()
+    }
+}
+
+/// The [`RunDocument`] of a single-process run, as a JSON value.
 pub fn run_document(spec: &ExperimentSpec, run: &SpecRun) -> Json {
-    run_document_with_fleet(spec, run, None)
+    RunDocument::new(spec, run, None).write().expect("a section always writes an object")
 }
 
-/// [`run_document`] with optional fleet statistics. Every optional member is gated so
-/// fault-free output stays byte-identical to the single-process document (the CI golden
-/// diff depends on it): `shard_cache_hits` / `shard_cache_misses` appear only when a
-/// cache directory was actually configured, `degraded_solves` only when the solver
-/// watchdog actually degraded a cell, and `shard_holes` (plus the `shard_count` that
-/// `--fill-holes` needs to reproduce the split) only when a salvaged run is missing
-/// seed ranges.
-pub fn run_document_with_fleet(
-    spec: &ExperimentSpec,
-    run: &SpecRun,
-    fleet: Option<&FleetStats>,
-) -> Json {
-    let counters = &run.result.counters;
-    let mut counter_members = vec![
-        ("scenarios_built", Json::uint(counters.scenarios_built as u64)),
-        ("cells_evaluated", Json::uint(counters.cells_evaluated as u64)),
-        ("solver", shard::solver_counters_json(&counters.solver, false)),
-    ];
-    if let Some(stats) = fleet {
-        if stats.cache_enabled {
-            counter_members.push(("shard_cache_hits", Json::uint(stats.shard_cache_hits)));
-            counter_members.push(("shard_cache_misses", Json::uint(stats.shard_cache_misses)));
-        }
-    }
-    let mut members = vec![
-        ("schema_version".to_string(), Json::uint(crate::spec::SCHEMA_VERSION)),
-        ("spec_id".to_string(), Json::Str(spec.id.clone())),
-        ("reports".to_string(), Json::Arr(run.reports.iter().map(FigureReport::to_json).collect())),
-        ("counters".to_string(), Json::obj(counter_members)),
-    ];
-    if let Some(stats) = fleet {
-        if !stats.holes.is_empty() {
-            let holes = stats
-                .holes
-                .iter()
-                .map(|h| {
-                    Json::obj([
-                        ("shard", Json::uint(h.index as u64)),
-                        ("seeds", Json::Str(h.seeds.clone())),
-                        ("attempts", Json::uint(h.attempts as u64)),
-                        ("error", Json::Str(h.error.clone())),
-                    ])
-                })
-                .collect();
-            members.push(("shard_holes".to_string(), Json::Arr(holes)));
-            // Only salvaged documents record their split: `--fill-holes` needs it to
-            // reproduce the identical shard boundaries, and gating it here keeps
-            // fault-free output byte-identical to the single-process document.
-            members.push(("shard_count".to_string(), Json::uint(stats.shards as u64)));
-        }
-    }
-    Json::Obj(members)
-}
-
-/// Renders a finished run: the historical tables + CSV, or the JSON document.
-pub fn render_run(spec: &ExperimentSpec, run: &SpecRun, json: bool) -> String {
-    render_run_with_fleet(spec, run, json, None)
-}
-
-/// [`render_run`] with optional fleet statistics (cache counters and salvage holes are
-/// JSON-mode members; in table mode the salvage caveat travels as each report's `note`).
-pub fn render_run_with_fleet(
+/// Renders a finished run: the historical tables + CSV, or the [`RunDocument`] with the
+/// members `fleet` adds.
+pub fn render_run(
     spec: &ExperimentSpec,
     run: &SpecRun,
     json: bool,
     fleet: Option<&FleetStats>,
 ) -> String {
     if json {
-        return run_document_with_fleet(spec, run, fleet).to_pretty_string();
+        return RunDocument::new(spec, run, fleet).to_json_string();
     }
     let mut out = String::new();
     for report in &run.reports {
@@ -863,7 +901,7 @@ pub fn main_with(args: &[String]) -> Result<String, CliError> {
                 if engine.warm_starts() { "on" } else { "off" },
             );
             let run = spec.run_with_engine(&engine)?;
-            Ok(render_run(&spec, &run, json))
+            Ok(render_run(&spec, &run, json, None))
         }
         Command::ShardSplit { source, shards, overrides } => {
             let mut spec = load_spec(&source)?;
@@ -1020,6 +1058,11 @@ fn run_fleet_command(
             stats.shard_cache_hits, stats.shard_cache_misses, stats.retries
         );
     }
+    Ok(render_run(spec, &fleet_run(spec, result, &stats), json, Some(&stats)))
+}
+
+/// A merged fleet run; a salvaged run's holes go to stderr and into each report's note.
+fn fleet_run(spec: &ExperimentSpec, result: SweepResult, stats: &FleetStats) -> SpecRun {
     let mut reports = spec.render_reports(&result);
     if !stats.holes.is_empty() {
         eprintln!(
@@ -1036,8 +1079,7 @@ fn run_fleet_command(
             report.note = Some(note.clone());
         }
     }
-    let run = SpecRun { result, reports };
-    Ok(render_run_with_fleet(spec, &run, json, Some(&stats)))
+    SpecRun { result, reports }
 }
 
 /// The resume half of salvage (`fedopt run --fill-holes REPORT`): read the salvaged
@@ -1055,40 +1097,29 @@ fn run_fill_holes(
 ) -> Result<String, CliError> {
     let text = std::fs::read_to_string(report_path)
         .map_err(|e| CliError::runtime(format!("reading {report_path}: {e}")))?;
-    let doc = Json::parse(&text).map_err(|e| {
-        CliError::runtime(format!("--fill-holes: {report_path} is not a JSON run document: {e}"))
+    let doc = RunDocument::from_json_str(&text).map_err(|why| {
+        CliError::runtime(format!("--fill-holes: {report_path} is not a JSON run document: {why}"))
     })?;
-    let doc_spec_id = doc.get("spec_id").and_then(Json::as_str).ok_or_else(|| {
-        CliError::runtime(format!(
-            "--fill-holes: {report_path} carries no spec_id — is it a `fedopt run --json` \
-             document?"
-        ))
-    })?;
-    if doc_spec_id != spec.id {
+    if doc.spec_id != spec.id {
         return Err(CliError::runtime(format!(
-            "--fill-holes: {report_path} documents spec {doc_spec_id:?} but the command \
-             line selects {:?} — refusing to merge unrelated runs",
-            spec.id
+            "--fill-holes: {report_path} documents spec {:?} but the command line selects \
+             {:?} — refusing to merge unrelated runs",
+            doc.spec_id, spec.id
         )));
     }
-    let holes = doc
-        .get("shard_holes")
-        .and_then(Json::as_array)
-        .filter(|holes| !holes.is_empty())
-        .ok_or_else(|| {
+    let holes = doc.shard_holes.filter(|holes| !holes.is_empty()).ok_or_else(|| {
         CliError::runtime(format!(
-            "--fill-holes: {report_path} reports no shard_holes — the document is \
-                 already complete, nothing to fill"
+            "--fill-holes: {report_path} reports no shard_holes — the document is already \
+             complete, nothing to fill"
         ))
     })?;
-    let shard_count = doc.get("shard_count").and_then(Json::as_u64).ok_or_else(|| {
+    let shard_count = doc.shard_count.ok_or_else(|| {
         CliError::runtime(format!(
             "--fill-holes: {report_path} records no shard_count — only salvaged documents \
              from `--shards N --allow-partial` runs are resumable"
         ))
-    })? as usize;
-    let missing: Vec<&str> =
-        holes.iter().filter_map(|hole| hole.get("seeds").and_then(Json::as_str)).collect();
+    })?;
+    let missing: Vec<&str> = holes.iter().map(|hole| hole.seeds.as_str()).collect();
     eprintln!(
         "filling {} hole(s) of {report_path} (seeds {}) under the recorded {shard_count}-shard \
          split; surviving shards replay from the cache...",
@@ -1097,17 +1128,14 @@ fn run_fill_holes(
     );
     let runner = subprocess_runner(fleet)?;
     let opts = fleet_options(fleet, shard_count, false);
-    let (result, mut stats) = shard::run_fleet(spec, &opts, &runner)?;
+    let (result, stats) = shard::run_fleet(spec, &opts, &runner)?;
     eprintln!(
         "holes filled: {} shard(s) answered from the cache, {} recomputed",
         stats.shard_cache_hits, stats.shard_cache_misses
     );
     // The filled document must be byte-identical to the never-faulted single-process
     // document — the cache traffic is reported on stderr (above), not in the payload.
-    stats.cache_enabled = false;
-    let reports = spec.render_reports(&result);
-    let run = SpecRun { result, reports };
-    Ok(render_run_with_fleet(spec, &run, json, Some(&stats)))
+    Ok(render_run(spec, &fleet_run(spec, result, &stats), json, None))
 }
 
 /// The `serve` verb: a long-lived allocation service over stdin/stdout or a unix
@@ -1437,27 +1465,93 @@ mod tests {
                 cache.display()
             )))
         };
-        // The spec id of fig2-quick at 4 seeds, as the document must carry it.
-        let spec_id = {
-            let mut spec = preset(2, false).unwrap();
-            Overrides { seeds: Some(4), threads: None }.apply(&mut spec);
-            spec.id.clone()
+        // A real document of fig 2 quick (one seed: the checks only read its members),
+        // complete or salvaged, edited one member at a time.
+        let mut spec = preset(2, false).unwrap();
+        spec.override_seed_count(1);
+        let run = spec.run().unwrap();
+        let hole = shard::ShardFailure {
+            index: 1,
+            seeds: "2..4".to_string(),
+            attempts: 1,
+            error: "crashed".to_string(),
+            last_heartbeat_s: None,
+        };
+        let stats = FleetStats { holes: vec![hole], shards: 2, ..FleetStats::default() };
+        let salvaged = RunDocument::new(&spec, &run, Some(&stats)).write().unwrap();
+        let edit = |key: &str, value: Option<Json>| {
+            let mut members = salvaged.as_object().unwrap().to_vec();
+            match (members.iter().position(|(k, _)| k == key), value) {
+                (Some(i), Some(value)) => members[i].1 = value,
+                (None, Some(value)) => members.push((key.to_string(), value)),
+                (Some(i), None) => drop(members.remove(i)),
+                (None, None) => unreachable!("nothing to edit"),
+            }
+            Json::Obj(members).to_pretty_string()
         };
         for (doc, needle) in [
-            ("not json", "not a JSON run document"),
-            ("{\"reports\": []}", "carries no spec_id"),
-            ("{\"spec_id\": \"some-other-spec\"}", "refusing to merge unrelated runs"),
-            (&format!("{{\"spec_id\": {:?}}}", spec_id), "no shard_holes"),
-            (&format!("{{\"spec_id\": {:?}, \"shard_holes\": []}}", spec_id), "no shard_holes"),
-            (
-                &format!("{{\"spec_id\": {:?}, \"shard_holes\": [{{\"shard\": 1}}]}}", spec_id),
-                "no shard_count",
-            ),
+            ("not json".to_string(), "not a JSON run document"),
+            (edit("spec_id", None), "run.spec_id: missing required key"),
+            (edit("spec_id", Some(Json::Str("other".into()))), "refusing to merge unrelated runs"),
+            (run_document(&spec, &run).to_pretty_string(), "no shard_holes"),
+            (edit("shard_holes", Some(Json::Arr(Vec::new()))), "no shard_holes"),
+            (edit("shard_count", None), "no shard_count"),
+            (edit("extra", Some(Json::uint(1))), "run.extra: unknown key"),
+            (edit("shard_count", Some(Json::Str("2".into()))), "run.shard_count: expected a"),
+            (edit("shard_count", Some(Json::uint(0))), "run.shard_count: must be at least 1"),
         ] {
-            let err = run_with(doc).unwrap_err();
+            let err = run_with(&doc).unwrap_err();
             assert!(!err.usage, "{doc:?} must be a runtime error");
             assert!(err.message.contains(needle), "{doc:?}: {}", err.message);
         }
+        assert!(!cache.exists(), "a rejected document must not create the cache");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A salvaged, cached fleet run's document carries every optional member: the cache
+    /// counters, `shard_holes`, `shard_count`, and a note on each report. Its 5 s point is
+    /// infeasible for every arm, so its cells are `null`.
+    #[test]
+    fn salvaged_run_document_with_every_optional_member_matches_golden() {
+        /// Fails the shard starting at seed 1; computes the others cold on one thread,
+        /// whatever `FEDOPT_WARM_START` says.
+        struct FailSeedOne;
+        impl shard::ShardRunner for FailSeedOne {
+            fn run_shard(
+                &self,
+                spec: &ExperimentSpec,
+            ) -> Result<shard::ShardResult, shard::ShardRunError> {
+                if spec.seeds.values()[0] == 1 {
+                    return Err(shard::ShardRunError {
+                        message: "injected terminal failure".to_string(),
+                        last_heartbeat_s: Some(1.5),
+                    });
+                }
+                let engine = crate::SweepEngine::single_thread().with_warm_start(false);
+                let cells = spec.grid().and_then(|grid| Ok(engine.run_cells(&grid)?));
+                Ok(shard::ShardResult::from_cells(spec, cells.map_err(|e| e.to_string())?))
+            }
+        }
+        let mut spec = preset(7, false).unwrap();
+        spec.axis.values = vec![5.0, 100.0, 150.0];
+        spec.override_seed_count(3);
+        let dir = std::env::temp_dir().join(format!("fedopt-salvaged-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = FleetOptions {
+            shards: 3,
+            cache: Some(ShardCache::open(&dir)),
+            max_retries: 1,
+            backoff: Duration::ZERO,
+            allow_partial: true,
+        };
+        // The first run fills the cache with the two survivors; the second answers them
+        // from it and fails the hole again.
+        shard::run_fleet(&spec, &opts, &FailSeedOne).unwrap();
+        let (result, stats) = shard::run_fleet(&spec, &opts, &FailSeedOne).unwrap();
+        assert_eq!((stats.shard_cache_hits, stats.shard_cache_misses), (2, 1));
+        let run = fleet_run(&spec, result, &stats);
+        let document = render_run(&spec, &run, true, Some(&stats));
+        crate::check_golden("run_salvaged_fig7_quick_seeds3.json", &document);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,13 +15,13 @@ mod tests {
         let (energy, delay) = (&reports[0], &reports[1]);
         // More local iterations: both metrics grow (column-wise comparison).
         for c in 0..2 {
-            assert!(energy.rows[1].1[c] > energy.rows[0].1[c]);
-            assert!(delay.rows[1].1[c] > delay.rows[0].1[c]);
+            assert!(energy.rows[1].values[c].0 > energy.rows[0].values[c].0);
+            assert!(delay.rows[1].values[c].0 > delay.rows[0].values[c].0);
         }
         // More global rounds: both metrics grow (row-wise comparison).
         for r in 0..2 {
-            assert!(energy.rows[r].1[1] > energy.rows[r].1[0]);
-            assert!(delay.rows[r].1[1] > delay.rows[r].1[0]);
+            assert!(energy.rows[r].values[1].0 > energy.rows[r].values[0].0);
+            assert!(delay.rows[r].values[1].0 > delay.rows[r].values[0].0);
         }
     }
 }

@@ -3,6 +3,7 @@
 
 mod tests {
     use crate::presets::{self, Variant};
+    use crate::report::ReportRow;
     use crate::spec::SeedSpec;
 
     #[test]
@@ -12,8 +13,8 @@ mod tests {
         spec.seeds = SeedSpec::list(vec![7]);
         spec.axis.values = vec![110.0, 150.0];
         let report = &spec.run().unwrap().reports[0];
-        for (deadline, row) in &report.rows {
-            let (proposed, comm, comp) = (row[0], row[1], row[2]);
+        for ReportRow { x: deadline, values, .. } in &report.rows {
+            let (proposed, comm, comp) = (values[0].0, values[1].0, values[2].0);
             assert!(
                 proposed <= comm * 1.02,
                 "T={deadline}: proposed {proposed} should beat comm-only {comm}"
@@ -24,6 +25,6 @@ mod tests {
             );
         }
         // Looser deadline never costs the proposed scheme more energy.
-        assert!(report.rows[1].1[0] <= report.rows[0].1[0] * 1.02);
+        assert!(report.rows[1].values[0].0 <= report.rows[0].values[0].0 * 1.02);
     }
 }

@@ -3,6 +3,7 @@
 
 mod tests {
     use crate::presets::{self, Variant};
+    use crate::report::ReportRow;
     use crate::spec::{ArmKind, ArmSpec, DeadlineSpec, SeedSpec};
 
     #[test]
@@ -26,7 +27,8 @@ mod tests {
         let report = &spec.run().unwrap().reports[0];
         // Columns: scheme1(T=40), proposed(T=40), scheme1(T=150), proposed(T=150).
         let (mut tight_gaps, mut loose_gaps) = (Vec::new(), Vec::new());
-        for (p_max, row) in &report.rows {
+        for ReportRow { x: p_max, values, .. } in &report.rows {
+            let row: Vec<f64> = values.iter().map(|v| v.0).collect();
             for pair in row.chunks(2) {
                 let (scheme1, proposed) = (pair[0], pair[1]);
                 assert!(proposed <= scheme1 * 1.02, "p_max={p_max}: {proposed} vs {scheme1}");

@@ -38,7 +38,7 @@
 //! spec.scenario.devices = Some(6); // keep the doctest fast
 //! spec.axis.values = vec![110.0, 150.0];
 //! let run = spec.run()?;
-//! assert_eq!(run.reports[0].series_names().len(), 3);
+//! assert_eq!(run.reports[0].columns.len(), 3);
 //! println!("{}", run.reports[0].to_table_string());
 //! # Ok(())
 //! # }

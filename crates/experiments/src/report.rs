@@ -1,32 +1,61 @@
 //! Tabular and machine-readable output for regenerated figures.
 
 use crate::json::Json;
-use serde::{Deserialize, Serialize};
+use crate::spec::{section, Field, SpecError};
+use std::fmt::Display;
 
-/// One regenerated figure (or sub-figure): an x-axis sweep with one column per series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FigureReport {
-    /// Identifier matching the paper, e.g. `"fig2a"`.
-    pub id: String,
-    /// Human-readable title.
-    pub title: String,
-    /// Label of the x axis (sweep variable).
-    pub x_label: String,
-    /// Label of the y axis (metric).
-    pub y_label: String,
-    /// Column (series) names, e.g. one per weight pair plus the benchmark.
-    pub columns: Vec<String>,
-    /// Rows: the x value followed by one y value per column (`f64::NAN` marks a missing
-    /// point, e.g. an infeasible deadline).
-    pub rows: Vec<(f64, Vec<f64>)>,
-    /// Per-row feasible-sample counts behind each cell, parallel to [`Self::rows`]: one
-    /// count per column. A `NaN` cell with a count of `0` is the labelled "no feasible
-    /// draw" condition, not a numerical accident.
-    pub counts: Vec<Vec<usize>>,
-    /// Optional provenance caveat attached to the whole report — e.g. "salvaged fleet
-    /// run: seeds 2..4 missing" when a `--allow-partial` merge completed with holes.
-    /// `None` (the default) renders nothing, so fault-free output stays byte-identical.
-    pub note: Option<String>,
+section! {
+    /// One regenerated figure (or sub-figure): an x-axis sweep with one column per series.
+    /// Its `section!` rows are the members of one report of the `fedopt run --json`
+    /// document, in order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FigureReport {
+        /// Identifier matching the paper, e.g. `"fig2a"`.
+        id: String;
+        /// Human-readable title.
+        title: String;
+        /// Label of the x axis (sweep variable).
+        x_label: String;
+        /// Label of the y axis (metric).
+        y_label: String;
+        /// Column (series) names, e.g. one per weight pair plus the benchmark.
+        columns: Vec<String>;
+        /// One row per x value, in sweep order.
+        rows: Vec<ReportRow>;
+        /// Optional provenance caveat attached to the whole report — e.g. "salvaged fleet
+        /// run: seeds 2..4 missing" when a `--allow-partial` merge completed with holes.
+        /// `None` (the default) renders nothing, so fault-free output stays byte-identical.
+        note: Option<String>;
+    }
+}
+
+section! {
+    /// One x value of a report: a y value and a feasible-sample count per column.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ReportRow {
+        /// The x value.
+        x: f64;
+        /// One y value per column.
+        values: Vec<ReportValue>;
+        /// The feasible-sample count behind each value. A `NaN` value with a count of `0`
+        /// is the labelled "no feasible draw" condition, not a numerical accident.
+        feasible: Vec<usize>;
+    }
+}
+
+/// One y value of a report; `f64::NAN` marks a missing point (e.g. an infeasible
+/// deadline) and is written as `null`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReportValue(pub f64);
+
+impl Field for ReportValue {
+    fn read(v: &Json, path: &dyn Display) -> Result<Self, SpecError> {
+        Ok(Self(if matches!(v, Json::Null) { f64::NAN } else { f64::read(v, path)? }))
+    }
+
+    fn write(&self) -> Option<Json> {
+        Some(if self.0.is_nan() { Json::Null } else { Json::Num(self.0) })
+    }
 }
 
 impl FigureReport {
@@ -39,7 +68,6 @@ impl FigureReport {
             y_label: y_label.to_string(),
             columns,
             rows: Vec::new(),
-            counts: Vec::new(),
             note: None,
         }
     }
@@ -53,19 +81,8 @@ impl FigureReport {
     pub fn push_row_with_counts(&mut self, x: f64, values: Vec<f64>, cell_counts: Vec<usize>) {
         assert_eq!(values.len(), self.columns.len(), "row width must match column count");
         assert_eq!(cell_counts.len(), self.columns.len(), "count width must match column count");
-        self.rows.push((x, values));
-        self.counts.push(cell_counts);
-    }
-
-    /// The series names.
-    pub fn series_names(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Extracts one series as `(x, y)` pairs.
-    pub fn series(&self, name: &str) -> Option<Vec<(f64, f64)>> {
-        let idx = self.columns.iter().position(|c| c == name)?;
-        Some(self.rows.iter().map(|(x, v)| (*x, v[idx])).collect())
+        let values = values.into_iter().map(ReportValue).collect();
+        self.rows.push(ReportRow { x, values, feasible: cell_counts });
     }
 
     /// Renders the report as an aligned plain-text table. `NaN` cells render as `-`, or as
@@ -76,12 +93,12 @@ impl FigureReport {
         let mut header: Vec<String> = vec![self.x_label.clone()];
         header.extend(self.columns.iter().cloned());
         let mut table: Vec<Vec<String>> = vec![header];
-        for ((x, values), counts) in self.rows.iter().zip(&self.counts) {
+        for ReportRow { x, values, feasible: counts } in &self.rows {
             let mut row = vec![format!("{x:.4}")];
-            row.extend(values.iter().zip(counts).map(|(v, &count)| match (v.is_nan(), count) {
+            row.extend(values.iter().zip(counts).map(|(v, &count)| match (v.0.is_nan(), count) {
                 (true, 0) => "n=0".to_string(),
                 (true, _) => "-".to_string(),
-                (false, _) => format!("{v:.4}"),
+                (false, _) => format!("{:.4}", v.0),
             }));
             table.push(row);
         }
@@ -109,65 +126,19 @@ impl FigureReport {
     /// cell saw the same number of feasible draws, otherwise one line per point listing the
     /// per-column counts.
     fn feasible_summary_lines(&self) -> Vec<String> {
-        let Some(&first) = self.counts.iter().flatten().next() else {
+        let mut counts = self.rows.iter().flat_map(|row| &row.feasible);
+        let Some(&first) = counts.next() else {
             return Vec::new();
         };
-        if self.counts.iter().flatten().all(|&n| n == first) {
+        if counts.all(|&n| n == first) {
             return vec![format!("feasible draws: {first} per cell")];
         }
         let mut lines = vec!["feasible draws per point (one count per column):".to_string()];
-        for ((x, _), counts) in self.rows.iter().zip(&self.counts) {
-            let cells: Vec<String> = counts.iter().map(|n| n.to_string()).collect();
+        for ReportRow { x, feasible, .. } in &self.rows {
+            let cells: Vec<String> = feasible.iter().map(|n| n.to_string()).collect();
             lines.push(format!("  {x:.4}: {}", cells.join(" ")));
         }
         lines
-    }
-
-    /// The report as a machine-readable JSON value: metadata, columns, and one object per
-    /// row carrying the x value, the per-column y values (`null` for `NaN` cells) and the
-    /// per-column feasible-draw counts. Member order is fixed and floats are
-    /// shortest-round-trip, so the output is byte-stable (golden-file safe).
-    pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .zip(&self.counts)
-            .map(|((x, values), counts)| {
-                Json::obj([
-                    ("x", Json::Num(*x)),
-                    (
-                        "values",
-                        Json::Arr(
-                            values
-                                .iter()
-                                .map(|&v| if v.is_nan() { Json::Null } else { Json::Num(v) })
-                                .collect(),
-                        ),
-                    ),
-                    ("feasible", Json::Arr(counts.iter().map(|&n| Json::uint(n as u64)).collect())),
-                ])
-            })
-            .collect();
-        let mut members = vec![
-            ("id".to_string(), Json::Str(self.id.clone())),
-            ("title".to_string(), Json::Str(self.title.clone())),
-            ("x_label".to_string(), Json::Str(self.x_label.clone())),
-            ("y_label".to_string(), Json::Str(self.y_label.clone())),
-            (
-                "columns".to_string(),
-                Json::Arr(self.columns.iter().map(|c| Json::Str(c.clone())).collect()),
-            ),
-            ("rows".to_string(), Json::Arr(rows)),
-        ];
-        if let Some(note) = &self.note {
-            members.push(("note".to_string(), Json::Str(note.clone())));
-        }
-        Json::Obj(members)
-    }
-
-    /// [`FigureReport::to_json`], pretty-printed.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_pretty_string()
     }
 
     /// Renders the report as CSV (header row, then one line per x value).
@@ -179,15 +150,10 @@ impl FigureReport {
             out.push_str(&c.replace(',', ";"));
         }
         out.push('\n');
-        for (x, values) in &self.rows {
+        for ReportRow { x, values, .. } in &self.rows {
             out.push_str(&format!("{x}"));
-            for v in values {
-                out.push(',');
-                if v.is_nan() {
-                    out.push_str("NA");
-                } else {
-                    out.push_str(&format!("{v}"));
-                }
+            for &ReportValue(v) in values {
+                out.push_str(&if v.is_nan() { ",NA".to_string() } else { format!(",{v}") });
             }
             out.push('\n');
         }
@@ -227,14 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn series_extraction_works() {
-        let r = sample();
-        let s = r.series("w1=0.9").unwrap();
-        assert_eq!(s, vec![(5.0, 10.0), (6.0, 11.0)]);
-        assert!(r.series("missing").is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         let mut r = sample();
@@ -246,7 +204,8 @@ mod tests {
         let mut r = FigureReport::new("fig7", "t", "T (s)", "energy (J)", vec!["proposed".into()]);
         r.push_row_with_counts(100.0, vec![f64::NAN], vec![0]);
         r.push_row_with_counts(150.0, vec![42.0], vec![5]);
-        assert_eq!(r.counts, vec![vec![0], vec![5]]);
+        let counts: Vec<&[usize]> = r.rows.iter().map(|row| row.feasible.as_slice()).collect();
+        assert_eq!(counts, [[0], [5]]);
         let table = r.to_table_string();
         assert!(table.contains("n=0"), "zero-sample cells must be labelled: {table}");
     }
@@ -287,11 +246,11 @@ mod tests {
     fn note_renders_only_when_set() {
         let mut r = sample();
         assert!(!r.to_table_string().contains("note:"));
-        assert!(r.to_json().get("note").is_none());
+        assert!(r.write().unwrap().get("note").is_none());
         r.note = Some("salvaged fleet run: seeds 2..4 missing".to_string());
         assert!(r.to_table_string().ends_with("note: salvaged fleet run: seeds 2..4 missing\n"));
         assert_eq!(
-            r.to_json().get("note").unwrap().as_str(),
+            r.write().unwrap().get("note").unwrap().as_str(),
             Some("salvaged fleet run: seeds 2..4 missing")
         );
     }
@@ -299,9 +258,12 @@ mod tests {
     #[test]
     fn json_report_round_trips_and_labels_nan_as_null() {
         let r = counted();
-        let json = r.to_json();
-        let text = r.to_json_string();
-        assert_eq!(Json::parse(&text).unwrap(), json);
+        let json = r.write().unwrap();
+        let text = json.to_pretty_string();
+        let back = FigureReport::read(&Json::parse(&text).unwrap(), &"report").unwrap();
+        assert_eq!(back.write().unwrap().to_pretty_string(), text);
+        assert!(back.rows[0].values[0].0.is_nan());
+        assert_eq!(back.rows[1], r.rows[1]);
         let rows = json.get("rows").unwrap().as_array().unwrap();
         assert_eq!(rows[0].get("values").unwrap().as_array().unwrap()[0], Json::Null);
         assert_eq!(rows[0].get("feasible").unwrap().as_array().unwrap()[0].as_u64(), Some(0));

@@ -351,7 +351,7 @@ const SOLVER_COUNTERS: [(&str, CounterField, Emit); 8] = [
 /// Solver work counters as JSON. The shard document carries every row of the table; the
 /// `counters.solver` member of `fedopt run --json` and a serve response's `counters`
 /// (the *delta* its request contributed) write each row by its [`Emit`] rule.
-pub(crate) fn solver_counters_json(c: &SolveCounters, shard_document: bool) -> Json {
+fn solver_counters_json(c: &SolveCounters, shard_document: bool) -> Json {
     let mut c = *c;
     Json::Obj(
         SOLVER_COUNTERS
@@ -395,9 +395,9 @@ impl Field for SolveCounters {
     }
 }
 
-/// Solver counters outside the shard document (a serve response's `counters`): each row
-/// is written by its emit rule (always, only when nonzero, or never), and a row left out
-/// reads back as zero.
+/// Solver counters outside the shard document (a run document's `counters.solver`, a
+/// serve response's `counters`): each row is written by its emit rule (always, only when
+/// nonzero, or never), and a row left out reads back as zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReportedCounters(pub SolveCounters);
 
@@ -540,10 +540,7 @@ impl ShardResult {
     /// member, type mismatch, version/kind/checksum mismatch, or dimension
     /// inconsistency (the sample tensor must be exactly `points × arms × seeds`).
     pub fn from_json(doc: &Json) -> Result<Self, ShardError> {
-        Self::read(doc).map_err(|e| match e {
-            SpecError::Invalid { path, message } => codec(format!("{path}: {message}")),
-            other => codec(other.to_string()),
-        })
+        Self::read(doc).map_err(|e| codec(e.path_message()))
     }
 
     fn read(doc: &Json) -> Result<Self, SpecError> {

@@ -109,6 +109,14 @@ impl SpecError {
     pub(crate) fn invalid(path: impl Display, message: impl Into<String>) -> Self {
         Self::Invalid { path: path.to_string(), message: message.into() }
     }
+
+    /// `<path>: <message>`, how a document other than a spec names an invalid member.
+    pub(crate) fn path_message(self) -> String {
+        match self {
+            Self::Invalid { path, message } => format!("{path}: {message}"),
+            other => other.to_string(),
+        }
+    }
 }
 
 impl fmt::Display for SpecError {
@@ -1578,7 +1586,7 @@ section! {
     cross sweep_or_simulation;
 }
 
-fn schema_version(version: &u64) -> Result<(), String> {
+pub(crate) fn schema_version(version: &u64) -> Result<(), String> {
     ensure(
         *version == SCHEMA_VERSION,
         format_args!("this build reads schema version {SCHEMA_VERSION}, got {version}"),

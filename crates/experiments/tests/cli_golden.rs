@@ -11,10 +11,13 @@
 //!   `fedopt spec --fig 2` prints today (the README documents that file — it must never
 //!   drift from the preset).
 //!
+//! Every pinned run document, and the salvaged-run pin the library's `cli` unit tests
+//! bless, also reads back through `cli::RunDocument` and writes the same bytes.
+//!
 //! Regenerate them after an intentional change with:
 //! `FEDOPT_BLESS=1 cargo test -p experiments --test cli_golden`.
 
-use experiments::cli;
+use experiments::cli::{self, RunDocument};
 use experiments::engine::SweepEngine;
 use experiments::presets::{self, Variant};
 use experiments::spec::ExperimentSpec;
@@ -37,6 +40,12 @@ fn check_golden(actual: &str, path: &Path, regenerate_hint: &str) {
 const BLESS_HINT: &str =
     "regenerate with FEDOPT_BLESS=1 cargo test -p experiments --test cli_golden";
 
+/// Reads `document` through [`RunDocument`] and checks that it writes the same bytes.
+fn check_reads_back(document: &str) {
+    let read = RunDocument::from_json_str(document).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(read.to_json_string(), document, "the run document must read back unchanged");
+}
+
 /// Runs `spec` on the cold solver path and pins its JSON document against `golden`. The
 /// engine is pinned explicitly (single thread, warm start off) so the pin holds under
 /// every CI matrix entry; output is thread-count independent, so the CLI reproduces it at
@@ -47,7 +56,8 @@ fn check_cold_document(spec: &ExperimentSpec, golden: &str) {
     let document = cli::run_document(spec, &run).to_pretty_string();
     check_golden(&document, &manifest_dir().join("tests/golden").join(golden), BLESS_HINT);
     // The same document must also be exactly what the text renderer's JSON mode emits.
-    assert_eq!(cli::render_run(spec, &run, true), document);
+    assert_eq!(cli::render_run(spec, &run, true, None), document);
+    check_reads_back(&document);
 }
 
 /// The exact document the CI smoke job diffs: `fedopt run --fig 2 --seeds 3 --json`.
@@ -99,6 +109,15 @@ fn fig2_quick_seeds3_legacy_bisection_path_is_bit_identical() {
         document, golden,
         "the legacy cold+bisection path drifted — the SoA/complexity rewrites must be exact"
     );
+    check_reads_back(&document);
+}
+
+/// The salvaged fleet run pinned by the library's `cli` unit tests carries every optional
+/// member: cache counters, `shard_holes`, `shard_count`, report notes and `null` cells.
+#[test]
+fn salvaged_run_document_reads_back_unchanged() {
+    let path = manifest_dir().join("tests/golden/run_salvaged_fig7_quick_seeds3.json");
+    check_reads_back(&std::fs::read_to_string(path).expect("the salvaged-run pin exists"));
 }
 
 /// The committed, README-documented example spec is exactly `fedopt spec --fig 2` today.

@@ -47,9 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wall = start.elapsed();
 
     for report in &run.reports {
-        for (x, ys) in &report.rows {
-            for y in ys {
-                assert!(y.is_finite(), "report {} has a non-finite value at x = {x}", report.id);
+        for row in &report.rows {
+            let x = row.x;
+            for y in &row.values {
+                assert!(y.0.is_finite(), "report {} has a non-finite value at x = {x}", report.id);
             }
         }
         println!("{}: {:?}", report.id, report.rows);

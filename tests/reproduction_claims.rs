@@ -4,8 +4,8 @@
 //! unit tests check the fig 2, 6, 7 and 8 claims on one more input each.
 
 use experiments::presets::{self, Variant};
+use experiments::report::{FigureReport, ReportRow};
 use experiments::spec::{ArmKind, ArmSpec, DeadlineSpec, ExperimentSpec, ScenarioSpec, SeedSpec};
-use experiments::FigureReport;
 use flsys::Weights;
 
 /// A quick figure preset averaged over the single draw `seed` at the sweep values `xs`.
@@ -37,7 +37,9 @@ fn fig2_claims_hold_at_small_scale() {
     let reports = reports(&spec);
     let (energy, delay) = (&reports[0], &reports[1]);
     assert_eq!(energy.rows.len(), 2);
-    for ((_, e_row), (_, t_row)) in energy.rows.iter().zip(&delay.rows) {
+    for (e_row, t_row) in energy.rows.iter().zip(&delay.rows) {
+        let e_row: Vec<f64> = e_row.values.iter().map(|v| v.0).collect();
+        let t_row: Vec<f64> = t_row.values.iter().map(|v| v.0).collect();
         let e_bench = *e_row.last().unwrap();
         let t_bench = *t_row.last().unwrap();
         // w1 = 0.9 beats the benchmark on energy (Fig. 2a's headline).
@@ -49,7 +51,9 @@ fn fig2_claims_hold_at_small_scale() {
         assert!(t_row[1] <= t_row[0] * 1.05);
     }
     // Every cell averaged its full seed set.
-    assert_eq!(energy.counts, vec![vec![1; energy.columns.len()]; energy.rows.len()]);
+    for row in &energy.rows {
+        assert_eq!(row.feasible, vec![1; energy.columns.len()]);
+    }
 }
 
 #[test]
@@ -64,9 +68,9 @@ fn fig3_proposed_energy_plateaus_while_the_benchmark_rises() {
     spec.arms = vec![proposed(0.9, 0.1), benchmark];
     let reports = reports(&spec);
     let energy = &reports[0];
-    let (bench_low, bench_high) = (energy.rows[0].1[1], energy.rows[1].1[1]);
+    let (bench_low, bench_high) = (energy.rows[0].values[1].0, energy.rows[1].values[1].0);
     assert!(bench_high > bench_low);
-    let (prop_low, prop_high) = (energy.rows[0].1[0], energy.rows[1].1[0]);
+    let (prop_low, prop_high) = (energy.rows[0].values[0].0, energy.rows[1].values[0].0);
     assert!(
         prop_high <= prop_low * 1.05,
         "proposed energy should plateau: {prop_low} -> {prop_high}"
@@ -85,7 +89,7 @@ fn fig4_more_devices_with_fixed_total_samples_reduce_delay() {
     assert_eq!(reports[0].rows.len(), 2);
     // With 4x fewer samples per device, the time-weighted run finishes faster.
     let delay = &reports[1];
-    let (few, many) = (delay.rows[0].1[0], delay.rows[1].1[0]);
+    let (few, many) = (delay.rows[0].values[0].0, delay.rows[1].values[0].0);
     assert!(many < few, "delay should drop with more devices: {few} -> {many}");
 }
 
@@ -97,7 +101,7 @@ fn fig5_delay_grows_with_radius() {
         .with_scenario(ScenarioSpec { devices: Some(8), ..ScenarioSpec::default() })];
     let reports = reports(&spec);
     let delay = &reports[1];
-    let (near, far) = (delay.rows[0].1[0], delay.rows[1].1[0]);
+    let (near, far) = (delay.rows[0].values[0].0, delay.rows[1].values[0].0);
     assert!(far > near, "delay should grow with radius: {near} -> {far}");
     assert_eq!(reports[0].columns, vec!["N = 8".to_string()]);
 }
@@ -111,12 +115,12 @@ fn fig6_energy_and_delay_scale_with_training_effort() {
     // Both metrics grow along both axes of training effort: R_l (rows) and R_g (the
     // preset's 50- and 400-round columns).
     for c in 0..2 {
-        assert!(energy.rows[1].1[c] > energy.rows[0].1[c]);
-        assert!(delay.rows[1].1[c] > delay.rows[0].1[c]);
+        assert!(energy.rows[1].values[c].0 > energy.rows[0].values[c].0);
+        assert!(delay.rows[1].values[c].0 > delay.rows[0].values[c].0);
     }
     for r in 0..2 {
-        assert!(energy.rows[r].1[1] > energy.rows[r].1[0]);
-        assert!(delay.rows[r].1[1] > delay.rows[r].1[0]);
+        assert!(energy.rows[r].values[1].0 > energy.rows[r].values[0].0);
+        assert!(delay.rows[r].values[1].0 > delay.rows[r].values[0].0);
     }
 }
 
@@ -125,13 +129,13 @@ fn fig7_ordering_joint_then_comm_then_comp() {
     let mut spec = quick(7, 203, &[120.0, 150.0]);
     spec.scenario.devices = Some(8);
     let report = &reports(&spec)[0];
-    for (deadline, row) in &report.rows {
-        let (joint, comm, comp) = (row[0], row[1], row[2]);
+    for ReportRow { x: deadline, values, .. } in &report.rows {
+        let (joint, comm, comp) = (values[0].0, values[1].0, values[2].0);
         assert!(joint <= comm * 1.02, "T={deadline}: joint {joint} vs comm-only {comm}");
         assert!(comm <= comp * 1.05, "T={deadline}: comm-only {comm} vs comp-only {comp}");
     }
     // A looser deadline never costs the joint scheme more energy.
-    assert!(report.rows[1].1[0] <= report.rows[0].1[0] * 1.02);
+    assert!(report.rows[1].values[0].0 <= report.rows[0].values[0].0 * 1.02);
 }
 
 #[test]
@@ -153,7 +157,8 @@ fn fig8_proposed_at_least_matches_scheme1() {
     let report = &reports(&spec)[0];
     // Columns: scheme1(45 s), proposed(45 s), scheme1(150 s), proposed(150 s).
     let (mut tight_gaps, mut loose_gaps) = (Vec::new(), Vec::new());
-    for (p_max, row) in &report.rows {
+    for ReportRow { x: p_max, values, .. } in &report.rows {
+        let row: Vec<f64> = values.iter().map(|v| v.0).collect();
         for pair in row.chunks(2) {
             assert!(
                 pair[1] <= pair[0] * 1.02,
