@@ -372,7 +372,6 @@ impl JointOptimizer {
                     &ws.uploads_s,
                     &self.config,
                     &mut ws.frequencies_hz,
-                    &mut ws.sp1_warm,
                     &mut ws.counters.sp1_probe_evals,
                 ) {
                     Ok(sol) => sol.round_time_s,
@@ -1033,6 +1032,11 @@ mod tests {
                 assert_eq!(achievable_s, f64::INFINITY)
             }
             other => panic!("expected InfeasibleDeadline, got {other:?}"),
+        }
+        // Nor is any round finite, so the weighted solve degrades to the typed error.
+        match opt.solve(&s, Weights::balanced()) {
+            Err(CoreError::NonFiniteObjective { .. }) => {}
+            other => panic!("expected NonFiniteObjective, got {other:?}"),
         }
     }
 

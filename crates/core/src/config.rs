@@ -23,7 +23,9 @@ pub struct SolverConfig {
     /// that is finer. The legacy bracketed searches scale it by their expanded upper
     /// bracket instead when they start cold.
     pub mu_tol: f64,
-    /// Tolerance of the one-dimensional searches (Subproblem 1 over `T`, baselines).
+    /// Tolerance of the one-dimensional searches, as a fraction of each search's scale:
+    /// `T_min` for Subproblem 1's root over `T`, the longest upload window for the deadline
+    /// variant's split search.
     pub scalar_tol: f64,
     /// Lower floor on any device's bandwidth share in hertz (keeps Shannon rates strictly
     /// positive so the sum-of-ratios denominators never vanish).
@@ -37,8 +39,7 @@ pub struct SolverConfig {
     /// moving (a relative drift of at most [`SolverConfig::outer_tol`] against the previous
     /// solve's floors, a movement the outer alternation itself would already call
     /// converged) while the carried multipliers still satisfy the iteration's `‖ϕ‖∞`
-    /// tolerance at the staged point, Subproblem 1 narrows its golden-section bracket
-    /// around the previous round time, and Algorithm 2 carries the previous `(p, B)`
+    /// tolerance at the staged point, and Algorithm 2 carries the previous `(p, B)`
     /// iterate between outer iterations instead of restaging it. The alternation is also
     /// inexact: outer iteration `k` solves Subproblem 2 only to the `‖ϕ‖∞` tolerance
     /// `max(jong.phi_tol, min(1e-2, 0.3·change_{k−1}))`

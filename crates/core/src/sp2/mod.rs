@@ -625,7 +625,7 @@ mod tests {
         let cfg = SolverConfig::default();
         let arrays = ScenarioArrays::from_scenario(&s);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let reference = reference::solve_reference(&problem, &start).unwrap();
+        let reference = reference::solve_reference(&problem).unwrap();
         let ref_energy = problem.comm_energy(&reference);
 
         let ratio = newton / ref_energy;

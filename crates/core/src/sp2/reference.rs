@@ -307,8 +307,7 @@ fn clearing_price(faces: &[Faces], b_total: f64, seed: (f64, f64)) -> Result<f64
 
 /// Solves Subproblem 2 directly (see the module docs) and returns a feasible `(p, B)` point.
 ///
-/// Allocating convenience form of [`solve_reference_into`]. `_start` is kept in the
-/// signature for API stability; the construction never depended on it.
+/// Allocating convenience form of [`solve_reference_into`].
 ///
 /// # Errors
 ///
@@ -316,10 +315,7 @@ fn clearing_price(faces: &[Faces], b_total: f64, seed: (f64, f64)) -> Result<f64
 /// device's reduced energy is not finite at an end of its bandwidth interval (degenerate
 /// inputs: zero power, NaN gains, infinite floors, …), and the errors of the Brent price
 /// search; the caller treats any error as "keep the Newton-like solution".
-pub fn solve_reference(
-    problem: &Sp2Problem<'_>,
-    _start: &PowerBandwidth,
-) -> Result<PowerBandwidth, NumError> {
+pub fn solve_reference(problem: &Sp2Problem<'_>) -> Result<PowerBandwidth, NumError> {
     let mut point = PowerBandwidth::new(Vec::new(), Vec::new());
     solve_reference_into(problem, &mut point, &mut ReferenceScratch::default())?;
     Ok(point)
@@ -533,7 +529,7 @@ pub(crate) mod tests {
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
         let a = Allocation::equal_split_max(&s);
         let start = PowerBandwidth::new(a.powers_w.clone(), a.bandwidths_hz.clone());
-        let reference = solve_reference(&problem, &start).unwrap();
+        let reference = solve_reference(&problem).unwrap();
         assert!(
             problem.comm_energy(&reference) <= problem.comm_energy(&start) * (1.0 + 1e-9),
             "reference {} should beat start {}",
@@ -546,9 +542,7 @@ pub(crate) mod tests {
     fn reference_uses_the_whole_band() {
         let (s, arrays, cfg, r_min) = fixture(8, 22, 0.05);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let a = Allocation::equal_split_max(&s);
-        let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
-        let reference = solve_reference(&problem, &start).unwrap();
+        let reference = solve_reference(&problem).unwrap();
         let used: f64 = reference.bandwidths_hz.iter().sum();
         assert!(used >= 0.95 * s.params.total_bandwidth.value(), "band under-used: {used}");
         assert!(used <= s.params.total_bandwidth.value() * (1.0 + 1e-6));
@@ -558,9 +552,7 @@ pub(crate) mod tests {
     fn reference_meets_rate_floors() {
         let (s, arrays, cfg, r_min) = fixture(12, 23, 0.03);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let a = Allocation::equal_split_max(&s);
-        let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
-        let reference = solve_reference(&problem, &start).unwrap();
+        let reference = solve_reference(&problem).unwrap();
         let n0 = s.params.noise.watts_per_hz();
         for (i, dev) in s.devices.iter().enumerate() {
             let rate = shannon_rate_raw(
@@ -592,9 +584,7 @@ pub(crate) mod tests {
         // gain is improved by 6 dB.
         let (s, arrays, cfg, r_min) = fixture(10, 25, 0.05);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let a = Allocation::equal_split_max(&s);
-        let start = PowerBandwidth::new(a.powers_w.clone(), a.bandwidths_hz.clone());
-        let base = problem.comm_energy(&solve_reference(&problem, &start).unwrap());
+        let base = problem.comm_energy(&solve_reference(&problem).unwrap());
 
         let mut better = s.clone();
         for d in &mut better.devices {
@@ -603,7 +593,7 @@ pub(crate) mod tests {
         let arrays2 = ScenarioArrays::from_scenario(&better);
         let problem2 =
             Sp2Problem::new(&better, &arrays2, Weights::balanced(), &r_min, &cfg).unwrap();
-        let improved = problem2.comm_energy(&solve_reference(&problem2, &start).unwrap());
+        let improved = problem2.comm_energy(&solve_reference(&problem2).unwrap());
         assert!(improved < base, "better channels should reduce energy ({improved} vs {base})");
     }
 
@@ -726,10 +716,9 @@ pub(crate) mod tests {
     #[test]
     fn degenerate_inputs_are_typed_errors() {
         let (s, arrays, cfg, mut r_min) = fixture(4, 26, 0.05);
-        let start = PowerBandwidth::default();
         r_min[2] = f64::NAN;
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let err = solve_reference(&problem, &start).unwrap_err();
+        let err = solve_reference(&problem).unwrap_err();
         assert!(matches!(err, NumError::DomainError { .. }), "{err:?}");
 
         // No floor and zero minimum power: the smallest feasible power sends nothing.
@@ -737,7 +726,7 @@ pub(crate) mod tests {
         let mut silent = arrays.clone();
         silent.p_min_w[2] = 0.0;
         let problem = Sp2Problem::new(&s, &silent, Weights::balanced(), &r_min, &cfg).unwrap();
-        let err = solve_reference(&problem, &start).unwrap_err();
+        let err = solve_reference(&problem).unwrap_err();
         assert!(matches!(err, NumError::NonFiniteValue { .. }), "{err:?}");
     }
 }

@@ -49,7 +49,7 @@ pub struct SolveCounters {
     pub mu_bisect_evals: u64,
     /// Subproblem-2 solves short-circuited by the warm-start fast path.
     pub sp2_fast_path_hits: u64,
-    /// Objective probes of Subproblem 1's golden-section search over the round time `T`.
+    /// Lane passes of Subproblem 1's Newton search for the optimal round time `T`.
     pub sp1_probe_evals: u64,
     /// `(ρ, idx)` key sorts of the Theorem-2 step-4b bounded LP — at most one per
     /// parametric KKT solve (zero when every device is rate-tight and the LP has no

@@ -21,15 +21,15 @@
 //!
 //! * [`SolverWorkspace::counters`] accumulates iteration counts across solves —
 //!   instrumentation only, never read by any solver.
-//! * With [`SolverConfig::warm_start`](crate::SolverConfig) **enabled**, the Subproblem-2
-//!   scratch deliberately carries the previous solve's Jong multipliers, bandwidth price
-//!   `μ` with each rate-constrained device's `W₀`/`e^W₀` pair at that price, reference
-//!   clearing price and rate floors to seed the next solve, and Subproblem 1 carries its
-//!   golden-section bracket. Results then converge to the same fixed point within the
-//!   configured tolerances but may differ in the last bits depending on what the
-//!   workspace solved before; [`SolverWorkspace::reset_warm_start`] restores the
-//!   fresh-workspace behaviour. With warm start disabled (the default) none of that state
-//!   is ever read and the strict contract holds bit for bit.
+//! * With [`SolverConfig::warm_start`](crate::SolverConfig) **enabled** (the default), the
+//!   Subproblem-2 scratch deliberately carries the previous solve's Jong multipliers,
+//!   bandwidth price `μ` with each rate-constrained device's `W₀`/`e^W₀` pair at that
+//!   price, reference clearing price and rate floors to seed the next solve. Results then
+//!   converge to the same fixed point within the configured tolerances but may differ in
+//!   the last bits depending on what the workspace solved before;
+//!   [`SolverWorkspace::reset_warm_start`] restores the fresh-workspace behaviour. With
+//!   warm start disabled none of that state is ever read and the strict contract holds bit
+//!   for bit. Subproblem 1 carries nothing either way.
 //!
 //! Algorithm 2's Subproblem-1 step and the baselines need each device's upload time at the
 //! working allocation, never its rate: [`SolverWorkspace::upload_times_from_allocation`]
@@ -44,7 +44,6 @@
 //!
 //! [`JointOptimizer::solve`]: crate::JointOptimizer::solve
 
-use crate::sp1::Sp1WarmState;
 use crate::sp2::Sp2Scratch;
 use crate::trace::{OuterIteration, SolveCounters};
 use flsys::{Allocation, ScenarioArrays};
@@ -86,9 +85,6 @@ pub struct SolverWorkspace {
     /// Subproblems 1 and 2 read these contiguous lanes instead of chasing
     /// `DeviceProfile` fields.
     pub arrays: ScenarioArrays,
-    /// Subproblem 1's carried golden-section bracket (warm-start state; reset together
-    /// with the Subproblem-2 warm state by [`Self::reset_warm_start`]).
-    pub sp1_warm: Sp1WarmState,
     /// Optional wall-clock budget for the *next* solve that borrows this workspace.
     ///
     /// When set, Algorithm 2 checks it at solve entry and at every outer-iteration
@@ -121,18 +117,16 @@ impl SolverWorkspace {
             trace: Vec::new(),
             counters: SolveCounters::default(),
             arrays: ScenarioArrays::with_capacity(n),
-            sp1_warm: Sp1WarmState::default(),
             solve_deadline: None,
         }
     }
 
     /// Drops every piece of carried warm-start state (Jong multipliers, `μ` seed and its
-    /// `W₀` lane pair, reference price, rate floors, Subproblem 1's bracket), restoring
-    /// fresh-workspace behaviour for the next warm-started solve. A no-op for results when
+    /// `W₀` lane pair, reference price, rate floors), restoring fresh-workspace behaviour
+    /// for the next warm-started solve. A no-op for results when
     /// [`SolverConfig::warm_start`](crate::SolverConfig) is off.
     pub fn reset_warm_start(&mut self) {
         self.sp2.reset_warm_start();
-        self.sp1_warm.reset();
     }
 
     /// Tears the workspace down to a freshly-constructed state, keeping only the

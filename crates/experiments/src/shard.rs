@@ -81,7 +81,8 @@ pub const SHARD_FORMAT_VERSION: u64 = 3;
 /// fastest round is a Newton root, and Algorithm 1 stops a run that stalls. Revision 3:
 /// the baselines report a missed deadline as an infeasible cell. Revision 4: the warm
 /// path solves each Subproblem 2 only as tightly as the previous outer iteration moved.
-pub const RESULTS_REVISION: u64 = 4;
+/// Revision 5: Subproblem 1 is the Newton root of its stationarity condition in `T`.
+pub const RESULTS_REVISION: u64 = 5;
 
 /// Default per-shard wall-clock timeout of the subprocess runner.
 pub const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(600);
@@ -1366,9 +1367,9 @@ mod tests {
     fn cache_key_of_a_fixed_spec_is_pinned() {
         let spec = tiny_spec();
         let expected = if spec.engine.to_engine().warm_starts() {
-            "a8e66cbd907550c9"
+            "77ea3e65ced030e6"
         } else {
-            "c9176035304c0b20"
+            "fbd94eaa321af5f5"
         };
         assert_eq!(cache_key(&spec), expected);
     }

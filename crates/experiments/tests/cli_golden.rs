@@ -94,7 +94,10 @@ fn large_n_1e3_cold_document_matches_golden() {
 /// drift — any diff here is a real numerical regression, not an intentional re-bless.
 ///
 /// `fig2_quick_seeds3_bisect.json` is frozen (copied from the pre-Brent golden); it is
-/// deliberately **not** re-blessed by `FEDOPT_BLESS`.
+/// deliberately **not** re-blessed by `FEDOPT_BLESS`. It was re-frozen once, when
+/// Subproblem 1 became the Newton root of its stationarity condition: SP1 runs upstream of
+/// the legacy `μ` path this pin guards, so its cells moved as `fig2_quick_seeds3.json`'s did
+/// (the two documents still agree within 4e-11 relative) while every counter stayed.
 #[test]
 fn fig2_quick_seeds3_legacy_bisection_path_is_bit_identical() {
     let mut spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");

@@ -95,13 +95,6 @@ fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
         w.mu_bisect_evals,
         c.mu_bisect_evals
     );
-    assert!(
-        w.sp1_probe_evals < c.sp1_probe_evals,
-        "warm SP1 golden-section probes {} not strictly below cold {} — the carried \
-         bracket must narrow the search",
-        w.sp1_probe_evals,
-        c.sp1_probe_evals
-    );
     assert!(w.outer_iterations <= c.outer_iterations);
     assert!(w.sp2_fast_path_hits > 0, "the fast path never fired on the quick grid");
     assert_eq!(c.sp2_fast_path_hits, 0, "cold sweeps must never take the warm fast path");

@@ -2,8 +2,8 @@
 //!
 //! [`Scenario`] stores one [`DeviceProfile`](crate::DeviceProfile) struct per device, which
 //! is the right construction-time API but the wrong memory layout for the solver inner
-//! loops: every per-device pass (the Theorem-2 KKT solve, Subproblem 1's golden-section
-//! probes, the cost kernels) reads one or two `f64` fields out of each ~100-byte profile,
+//! loops: every per-device pass (the Theorem-2 KKT solve, Subproblem 1's Newton probes,
+//! the cost kernels) reads one or two `f64` fields out of each ~100-byte profile,
 //! so an array-of-structs walk wastes most of every cache line and defeats
 //! auto-vectorization. [`ScenarioArrays`] flattens the quantities those loops actually
 //! read into contiguous `f64` lanes, built once per scenario (`O(n)`) and reused across
